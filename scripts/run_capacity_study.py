@@ -34,9 +34,13 @@ def main():
                                     ("I4", "--R", "8,16,32,64")]:
         run(["scaling", "--target", target, "--q", "1.5", "--n", "1", grid_flag, grid],
             out / f"scaling_{target}.csv")
+    run(["scaling", "--target", "I4", "--q", "6/5", "--n", "2", "--R", "8,16,32,64"],
+        out / "scaling_I4_n2.csv")
     run(["lemma2", "--n", "1"], out / "critical_factor.csv")
     run(["bound-parabolic", "--q", "1.5", "--n", "1", "--T", "10", "--R", "8,16,32,64,128"],
         out / "bound_parabolic_subcritical.csv")
+    run(["bound-parabolic", "--q", "6/5", "--n", "2", "--T", "10", "--R", "8,16,32,64,128"],
+        out / "bound_parabolic_subcritical_n2.csv")
     run(["bound-hyperbolic", "--q", "1.5", "--n", "1", "--T", "10", "--R", "8,16,32,64,128",
          "--u0-norm", "1", "--u1-norm", "1"], out / "bound_hyperbolic_subcritical.csv")
     run(["bound-parabolic", "--q", "2", "--n", "1", "--T", "10",

@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .capacity import (  # noqa: F401
     CapacityReport,
     Exponents,
-    MCEstimate,
     QuadratureEstimate,
     ScalingFit,
     Verdict,
@@ -60,7 +59,7 @@ from .group import (  # noqa: F401
     sublaplacian,
     sublaplacian_radial,
 )
-from .mc import MCConfig, mc_integrate  # noqa: F401
+from .mc import MCConfig, MCEstimate, mc_integrate  # noqa: F401
 from .simulate import (  # noqa: F401
     BumpSpec,
     GridConfig,

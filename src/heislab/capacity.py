@@ -16,29 +16,28 @@ Spatial integrals use the gauge-polar factorisation: the integrand is a
 radial function times omega(eta)^(q'), where omega is homogeneous of
 degree zero, so the integral splits into a 1-D radial quadrature times a
 gauge-sphere constant S_omega(s) = int_{|eta|=1} omega^s dsigma.  The
-sphere constant is estimated once per (n, s) by seeded Monte Carlo over
-the annulus 1/2 <= |eta| <= 1 and cached; all R- and T-dependence sits
-in deterministic quadratures.
+sphere constant has a closed form from the Koranyi polar decomposition
+(Folland-Stein, Hardy Spaces on Homogeneous Groups, 1982), so every
+capacity path is deterministic and works for any n >= 1; all R- and
+T-dependence sits in the radial and time quadratures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import beta
 
 from .cutoffs import CutoffSpec, check_integrability, cutoff_eval, default_log_power, default_power
 from .errors import ParameterError
 from .group import GroupPoint
 from .mc import MCConfig, MCEstimate, mc_integrate
-
-# Default sampling budget for the cached gauge-sphere constants.
-SPHERE_MC = MCConfig(samples=1_000_000, seed=20_000_003)
 
 
 @dataclass(frozen=True)
@@ -211,41 +210,22 @@ def time_power(e: Exponents, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauge-sphere constant (Monte Carlo, cached)
+# Gauge-sphere constant
 # ---------------------------------------------------------------------------
 
-_SPHERE_CACHE: dict = {}
 
+def sphere_weight_constant(n: int, s: float) -> float:
+    """S_omega(s) = integral of omega^s over the unit gauge sphere of H^n.
 
-def sphere_weight_constant(n: int, s: float, mc: Optional[MCConfig] = None) -> MCEstimate:
-    """S_omega(s) = integral of omega^s over the unit gauge sphere.
-
-    Estimated as Q/(1 - 2^(-Q)) times the Monte Carlo integral of omega^s
-    over the gauge annulus 1/2 <= |eta| <= 1 (uniform box sampling with
-    annulus rejection).  Results are cached per (n, s, samples, seed).
+    In Koranyi polar coordinates |z|^2 = r^2 cos(phi), tau = r^2 sin(phi)
+    the weight is omega = cos(phi), and integrating out the unit sphere of
+    C^n leaves S_omega(s) = (2 pi^n / Gamma(n)) B((s+n)/2, 1/2).
     """
-    if n != 1:
-        raise ParameterError("gauge-sphere constants are implemented for n = 1")
+    if n < 1:
+        raise ParameterError("n must be a positive integer")
     if s < 0:
         raise ParameterError("weight power s must be nonnegative")
-    mc = mc or SPHERE_MC
-    key = (n, round(float(s), 12), mc.samples, mc.seed)
-    if key in _SPHERE_CACHE:
-        return _SPHERE_CACHE[key]
-    Q = 2 * n + 2
-
-    def integrand(pts):
-        sq = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        r2 = np.sqrt(sq * sq + pts[:, 2] ** 2)
-        inside = (r2 >= 0.25) & (r2 <= 1.0)
-        w = np.where(inside, sq / np.where(r2 > 0, r2, 1.0), 0.0)
-        return np.where(inside, w**s, 0.0)
-
-    est = mc_integrate(integrand, [[-1, 1], [-1, 1], [-1, 1]], mc)
-    scale = Q / (1.0 - 2.0 ** (-Q))
-    out = MCEstimate(scale * est.value, scale * est.stderr, est.samples, est.seed)
-    _SPHERE_CACHE[key] = out
-    return out
+    return 2.0 * math.pi**n / math.gamma(n) * float(beta((s + n) / 2.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +240,8 @@ def _radial_quad(integrand, lo: float, hi: float) -> QuadratureEstimate:
     return QuadratureEstimate(y, err, int(info["neval"]))
 
 
-def _combine_sphere(radial: QuadratureEstimate, sphere: MCEstimate) -> QuadratureEstimate:
-    value = sphere.value * radial.value
-    err = sphere.value * radial.abs_error + sphere.stderr * abs(radial.value)
-    return QuadratureEstimate(value, err, radial.nodes)
+def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEstimate:
+    return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
 
 
 def _power_radial_terms(e: Exponents, spec: CutoffSpec, R: float, r: float):
@@ -273,9 +251,7 @@ def _power_radial_terms(e: Exponents, spec: CutoffSpec, R: float, r: float):
     return float(v), float(g)
 
 
-def spatial_integral_subcritical(
-    e: Exponents, spec: CutoffSpec, R: float, sphere_mc: Optional[MCConfig] = None
-) -> QuadratureEstimate:
+def spatial_integral_subcritical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
     """I4(R) by gauge-polar factorisation.
 
     S_omega(q') times the radial quadrature of
@@ -294,13 +270,11 @@ def spatial_integral_subcritical(
         return math.exp(-math.log(v) / (q - 1.0) + qp * math.log(abs(g)) + (Q - 1) * math.log(r))
 
     radial = _radial_quad(integrand, R / math.sqrt(2.0), R)
-    sphere = sphere_weight_constant(e.n, qp, sphere_mc)
+    sphere = sphere_weight_constant(e.n, qp)
     return _combine_sphere(radial, sphere)
 
 
-def data_term_integral_subcritical(
-    e: Exponents, spec: CutoffSpec, R: float, sphere_mc: Optional[MCConfig] = None
-) -> QuadratureEstimate:
+def data_term_integral_subcritical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
     """The initial-data factor: integral of |Delta phi2|^(q') over H^n."""
     if not R > 0:
         raise ParameterError("R must be positive")
@@ -313,7 +287,7 @@ def data_term_integral_subcritical(
         return math.exp(qp * math.log(abs(g)) + (Q - 1) * math.log(r))
 
     radial = _radial_quad(integrand, R / math.sqrt(2.0), R)
-    sphere = sphere_weight_constant(e.n, qp, sphere_mc)
+    sphere = sphere_weight_constant(e.n, qp)
     return _combine_sphere(radial, sphere)
 
 
@@ -383,9 +357,7 @@ def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
     return _radial_quad(integrand, 0.0, 1.0)
 
 
-def spatial_integral_critical(
-    e: Exponents, spec: CutoffSpec, R: float, sphere_mc: Optional[MCConfig] = None
-) -> CriticalSpatialFactor:
+def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> CriticalSpatialFactor:
     """Spatial factor of the logarithmic family at q = Q/(Q-2).
 
     Returns the full integral of psi2^(-1/(q-1)) |Delta psi2|^(q') and,
@@ -404,7 +376,7 @@ def spatial_integral_critical(
         raise ParameterError("critical path expects a logarithmic-family cutoff")
     qp = e.q_prime
     k = spec.kappa
-    sphere = sphere_weight_constant(e.n, qp, sphere_mc)
+    sphere = sphere_weight_constant(e.n, qp)
     total = _log_radial_quad(e, spec, R, -k / (e.q - 1.0), True, 0.0)
     term_sq = _log_radial_quad(e, spec, R, k - 2.0 * qp, False, 2.0)
     term_lin = _log_radial_quad(e, spec, R, k - qp, False, 1.0)
@@ -415,12 +387,10 @@ def spatial_integral_critical(
     )
 
 
-def data_term_integral_critical(
-    e: Exponents, spec: CutoffSpec, R: float, sphere_mc: Optional[MCConfig] = None
-) -> QuadratureEstimate:
+def data_term_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
     """Integral of |Delta psi2|^(q') over H^n (initial-data factor)."""
     _require_critical(e)
-    sphere = sphere_weight_constant(e.n, e.q_prime, sphere_mc)
+    sphere = sphere_weight_constant(e.n, e.q_prime)
     radial = _log_radial_quad(e, spec, R, 0.0, True, 0.0)
     return _combine_sphere(radial, sphere)
 
@@ -483,8 +453,7 @@ def _bound_report(e: Exponents, T: float, R: float, terms: dict, params: dict) -
 
 
 def capacity_bound_parabolic(
-    e: Exponents, T: float, R: float, u0_norm: float,
-    spec: Optional[CutoffSpec] = None, sphere_mc: Optional[MCConfig] = None,
+    e: Exponents, T: float, R: float, u0_norm: float, spec: Optional[CutoffSpec] = None
 ) -> CapacityReport:
     """A-priori bound for the first-order equation:
 
@@ -502,12 +471,12 @@ def capacity_bound_parabolic(
     critical = e.is_critical()
     if critical:
         spec = spec or e.log_spec()
-        spatial = spatial_integral_critical(e, spec, R, sphere_mc).total.value
-        data = data_term_integral_critical(e, spec, R, sphere_mc).value
+        spatial = spatial_integral_critical(e, spec, R).total.value
+        data = data_term_integral_critical(e, spec, R).value
     else:
         spec = spec or e.power_spec()
-        spatial = spatial_integral_subcritical(e, spec, R, sphere_mc).value
-        data = data_term_integral_subcritical(e, spec, R, sphere_mc).value
+        spatial = spatial_integral_subcritical(e, spec, R).value
+        data = data_term_integral_subcritical(e, spec, R).value
     terms = {
         "term_lap_dt": 2.0 * cq * i2 * spatial,
         "term_lap": 2.0 * cq * i1 * spatial,
@@ -528,7 +497,7 @@ def capacity_bound_parabolic(
 
 def capacity_bound_hyperbolic(
     e: Exponents, T: float, R: float, u0_norm: float, u1_norm: float,
-    spec: Optional[CutoffSpec] = None, sphere_mc: Optional[MCConfig] = None,
+    spec: Optional[CutoffSpec] = None,
 ) -> CapacityReport:
     """A-priori bound for the second-order equation:
 
@@ -548,13 +517,13 @@ def capacity_bound_hyperbolic(
     critical = e.is_critical()
     if critical:
         spec = spec or e.log_spec()
-        spatial = spatial_integral_critical(e, spec, R, sphere_mc).total.value
-        data = data_term_integral_critical(e, spec, R, sphere_mc).value
+        spatial = spatial_integral_critical(e, spec, R).total.value
+        data = data_term_integral_critical(e, spec, R).value
         t_grouped = T ** (1.0 - e.Q) + T + 1.0 + 1.0 / T
     else:
         spec = spec or e.power_spec()
-        spatial = spatial_integral_subcritical(e, spec, R, sphere_mc).value
-        data = data_term_integral_subcritical(e, spec, R, sphere_mc).value
+        spatial = spatial_integral_subcritical(e, spec, R).value
+        data = data_term_integral_subcritical(e, spec, R).value
         t_grouped = T ** (1.0 - 2.0 * e.q_prime) + T + 1.0 + 1.0 / T
     data_root = data ** (1.0 / e.q_prime)
     terms = {

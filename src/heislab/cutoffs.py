@@ -34,15 +34,17 @@ LOG_TRANSITION = (0.0, 1.0)
 
 
 def smoothstep_complement(s):
-    """Descending quintic step: (value, d1, d2) of Theta at s, vectorised."""
-    s = np.asarray(s, dtype=float)
-    inside = (s > 0.0) & (s < 1.0)
-    sc = np.where(inside, s, 0.5)  # dummy argument outside the transition
-    v = 1.0 - sc**3 * (10.0 - 15.0 * sc + 6.0 * sc**2)
-    d1 = -30.0 * sc**2 * (1.0 - sc) ** 2
-    d2 = -60.0 * sc * (1.0 - sc) * (1.0 - 2.0 * sc)
-    value = np.where(s <= 0.0, 1.0, np.where(inside, v, 0.0))
-    return value, np.where(inside, d1, 0.0), np.where(inside, d2, 0.0)
+    """Descending quintic step: (value, d1, d2) of Theta at s, vectorised.
+
+    The polynomials are evaluated at s clipped to [0, 1]: they give exactly
+    1 at 0 and 0 at 1, and both derivatives vanish at either end, so the
+    clip extends Theta by its constant values outside the transition.
+    """
+    s = np.clip(s, 0.0, 1.0)
+    v = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    d1 = -30.0 * s**2 * (1.0 - s) ** 2
+    d2 = -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
+    return v, d1, d2
 
 
 def min_power(q: float) -> float:

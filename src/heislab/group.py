@@ -182,9 +182,12 @@ class SmoothField:
 
     @staticmethod
     def _shifted(p: GroupPoint, i: int, delta: float) -> GroupPoint:
-        z = p.flat().copy()
-        z[..., i] = z[..., i] + delta
-        return GroupPoint.from_flat(z)
+        n = p.n
+        if i == 2 * n:
+            return GroupPoint(p.x, p.y, p.tau + delta)
+        moved = (p.x if i < n else p.y).copy()
+        moved[..., i % n] += delta
+        return GroupPoint(moved, p.y, p.tau) if i < n else GroupPoint(p.x, moved, p.tau)
 
     def d1(self, p: GroupPoint, i: int):
         if i < 0 or i > 2 * p.n:

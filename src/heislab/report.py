@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 @dataclass
 class Report:
@@ -31,8 +33,11 @@ class Report:
 
 def report_timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = int(epoch) if epoch is not None else int(time.time())
-    return datetime.datetime.fromtimestamp(stamp, tz=datetime.timezone.utc).isoformat()
+    try:
+        stamp = int(time.time()) if epoch is None else int(epoch)
+        return datetime.datetime.fromtimestamp(stamp, tz=datetime.timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ParameterError(f"SOURCE_DATE_EPOCH must be an integer epoch, got {epoch!r}") from exc
 
 
 def format_number(v) -> str:

@@ -26,7 +26,7 @@ blow-up threshold counts as a completed result, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -299,19 +299,29 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        data = dict(data)
-        grid = GridConfig(**data.pop("grid"))
-        initial = BumpSpec(center=tuple(data["initial"].get("center", (0, 0, 0))),
-                           width=data["initial"].get("width", 1.0),
-                           amplitude=data["initial"].get("amplitude", 1.0))
-        data.pop("initial")
-        vel = data.pop("initial_velocity", None)
-        velocity = None
-        if vel is not None:
-            velocity = BumpSpec(center=tuple(vel.get("center", (0, 0, 0))),
-                                width=vel.get("width", 1.0),
-                                amplitude=vel.get("amplitude", 1.0))
-        return cls(grid=grid, initial=initial, initial_velocity=velocity, **data)
+        data = _checked_fields(cls, data, "config")
+        data["grid"] = GridConfig(**_checked_fields(GridConfig, data["grid"], "grid"))
+        for key in ("initial", "initial_velocity"):
+            if key == "initial" or data.get(key) is not None:
+                bump = _checked_fields(BumpSpec, data[key], key)
+                bump["center"] = tuple(bump.get("center", (0, 0, 0)))
+                data[key] = BumpSpec(**bump)
+        return cls(**data)
+
+
+def _checked_fields(cls, data, where: str) -> dict:
+    """A copy of the JSON object `data` after checking its keys against the
+    fields of dataclass `cls`: unknown or missing keys are parameter errors."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    unknown, missing = sorted(set(data) - names), sorted(required - set(data))
+    if unknown:
+        raise ParameterError(f"unknown {where} key(s): {', '.join(unknown)}")
+    if missing:
+        raise ParameterError(f"missing {where} key(s): {', '.join(missing)}")
+    return dict(data)
 
 
 @dataclass

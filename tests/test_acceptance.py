@@ -240,6 +240,37 @@ def test_criterion_6_capacity_bound_decay_and_verdicts():
     report_line(6, ok, ", ".join(details) + f", runtime {elapsed:.1f}s")
 
 
+def test_criterion_6_higher_dimensions():
+    # the capacity paths for n = 2 and 3: subcritical zero-data bounds decay by
+    # 2^(Q-2q') per doubling of R, and the critical factor stays inside its
+    # logarithmic envelope
+    t0 = time.perf_counter()
+    ok = True
+    details = []
+    for n, q, power in [(2, 1.2, -6), (3, 1.1, -14)]:
+        e = Exponents(q=q, n=n)
+        for name, builder in [
+            ("parabolic", lambda R: capacity_bound_parabolic(e, 10.0, R, 0.0)),
+            ("hyperbolic", lambda R: capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0)),
+        ]:
+            bounds = [(R, builder(R).bound) for R in (8.0, 16.0, 32.0, 64.0)]
+            ratios = [b / a for (_, a), (_, b) in zip(bounds, bounds[1:])]
+            slope = scaling_fit(bounds, "log R").slope
+            good = all(abs(r - 2.0**power) <= 0.01 * 2.0**power for r in ratios)
+            ok = ok and good and abs(slope - power) <= 1e-4
+            details.append(f"n={n} {name} doubling {ratios[0]:.4e} slope {slope:.6f}")
+    for n in (2, 3):
+        e = Exponents(q=float(critical_exponent(n)), n=n)
+        spec = e.log_spec()
+        quots = [spatial_integral_critical(e, spec, R).total.value / log_envelope(e.Q, R)
+                 for R in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)]
+        spread = max(quots) / min(quots)
+        ok = ok and spread <= 10.0
+        details.append(f"n={n} critical spread {spread:.2f}")
+    elapsed = time.perf_counter() - t0
+    report_line(6, ok, ", ".join(details) + f", runtime {elapsed:.1f}s")
+
+
 def test_criterion_7_weak_formulation_residuals():
     t0 = time.perf_counter()
     e = Exponents(q=2.0)

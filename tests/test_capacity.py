@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislab.capacity import (
-    _SPHERE_CACHE,
     CriticalSpatialFactor,
     Exponents,
     Verdict,
@@ -30,9 +29,25 @@ from heislab.capacity import (
 from heislab.cutoffs import CutoffSpec, ProductTestFunction, TemporalFactor, phi_spatial
 from heislab.errors import ParameterError
 from heislab.group import GroupPoint
-from heislab.mc import MCConfig
+from heislab.mc import MCConfig, mc_integrate
 
-FAST_SPHERE = MCConfig(samples=400_000, seed=20_000_003)
+
+def annulus_sphere_oracle(n, s, cfg):
+    """Monte Carlo reference for S_omega(s) on H^n: Q/(1 - 2^(-Q)) times the
+    integral of omega^s over the gauge annulus 1/2 <= |eta| <= 1, sampled
+    uniformly from the box [-1, 1]^(2n+1) with annulus rejection.
+    Returns (value, stderr)."""
+    Q = 2 * n + 2
+
+    def integrand(pts):
+        sq = np.sum(pts[:, : 2 * n] ** 2, axis=1)
+        r2 = np.sqrt(sq * sq + pts[:, 2 * n] ** 2)
+        inside = (r2 >= 0.25) & (r2 <= 1.0)
+        return np.where(inside, (sq / np.where(inside, r2, 1.0)) ** s, 0.0)
+
+    est = mc_integrate(integrand, [[-1.0, 1.0]] * (2 * n + 1), cfg)
+    scale = Q / (1.0 - 2.0 ** (-Q))
+    return scale * est.value, scale * est.stderr
 
 
 def test_exponents_defaults_and_validation():
@@ -87,36 +102,40 @@ def test_time_integral_rejects_bad_order():
 
 
 def test_sphere_constant_s0_matches_gauge_sphere_measure():
-    est = sphere_weight_constant(1, 0.0, FAST_SPHERE)
-    # the gauge unit ball has volume pi^2/2, so the sphere measure is 2 pi^2
-    assert abs(est.value - 2 * math.pi**2) <= 4 * est.stderr
-    # re-multiplying reproduces the annulus volume
-    annulus = est.value * (1 - 2.0**-4) / 4
-    assert abs(annulus - (15 / 16) * math.pi**2 / 2) <= 3 * est.stderr
+    # the gauge unit ball of H^n has volume |S| / Q: pi^2/2 for n = 1 and
+    # 2 pi^2/3 for n = 2, so the sphere measures are 2 pi^2 and 4 pi^2
+    assert sphere_weight_constant(1, 0.0) == pytest.approx(2 * math.pi**2, rel=1e-12, abs=0)
+    assert sphere_weight_constant(2, 0.0) == pytest.approx(4 * math.pi**2, rel=1e-12, abs=0)
 
 
 def test_sphere_constant_monotone_in_s():
-    s1 = sphere_weight_constant(1, 1.0, FAST_SPHERE)
-    s2 = sphere_weight_constant(1, 2.0, FAST_SPHERE)
-    assert s1.value >= s2.value
+    for n in (1, 2, 3):
+        assert sphere_weight_constant(n, 1.0) >= sphere_weight_constant(n, 2.0)
 
 
 def test_sphere_constant_reproducible():
-    cfg = MCConfig(samples=100_000, seed=42)
-    a = sphere_weight_constant(1, 2.0, cfg)
-    _SPHERE_CACHE.clear()
-    b = sphere_weight_constant(1, 2.0, cfg)
-    assert a.value == b.value and a.stderr == b.stderr
+    a = sphere_weight_constant(1, 2.0)
+    assert a == sphere_weight_constant(1, 2.0)
+    assert a == pytest.approx(math.pi**2, rel=1e-12, abs=0)
     with pytest.raises(ParameterError):
-        sphere_weight_constant(2, 1.0, cfg)
+        sphere_weight_constant(0, 1.0)
+    with pytest.raises(ParameterError):
+        sphere_weight_constant(1, -0.5)
+
+
+# s = 0 (the sphere measure) and s = n + 1, the power q' used at the critical q = Q/(Q-2)
+@pytest.mark.parametrize("n,s", [(1, 0.0), (2, 0.0), (3, 0.0), (1, 2.0), (2, 3.0), (3, 4.0)])
+def test_sphere_constant_matches_annulus_oracle(n, s):
+    value, stderr = annulus_sphere_oracle(n, s, MCConfig(samples=1_000_000, seed=20_000_003))
+    assert abs(sphere_weight_constant(n, s) - value) <= 3 * stderr
 
 
 @pytest.mark.parametrize("q,ratio", [(1.5, 0.25), (2.0, 1.0), (3.0, 2.0)])
 def test_spatial_integral_doubling(q, ratio):
     e = Exponents(q=q, n=1)
     spec = e.power_spec()
-    a = spatial_integral_subcritical(e, spec, 10.0, FAST_SPHERE)
-    b = spatial_integral_subcritical(e, spec, 20.0, FAST_SPHERE)
+    a = spatial_integral_subcritical(e, spec, 10.0)
+    b = spatial_integral_subcritical(e, spec, 20.0)
     assert b.value / a.value == pytest.approx(ratio, rel=1e-6)
 
 
@@ -124,7 +143,7 @@ def test_spatial_integral_dilation_exactness():
     e = Exponents(q=1.5, n=1)
     spec = e.power_spec()
     power = e.Q - 2 * e.q_prime
-    vals = [spatial_integral_subcritical(e, spec, R, FAST_SPHERE).value * R**-power
+    vals = [spatial_integral_subcritical(e, spec, R).value * R**-power
             for R in (8.0, 16.0, 32.0, 64.0)]
     assert max(vals) / min(vals) - 1 < 1e-6
 
@@ -133,7 +152,7 @@ def test_mc_agrees_with_factorized():
     for q, R, seed in [(1.5, 8.0, 7), (2.0, 6.0, 8), (1.5, 12.0, 9)]:
         e = Exponents(q=q, n=1)
         spec = e.power_spec()
-        det = spatial_integral_subcritical(e, spec, R, FAST_SPHERE)
+        det = spatial_integral_subcritical(e, spec, R)
         mc = mc_spatial_integral(e, spec, R, MCConfig(samples=400_000, seed=seed))
         gap = abs(det.value - mc.value)
         assert gap <= 3 * math.hypot(det.abs_error, mc.stderr)
@@ -169,7 +188,7 @@ def test_critical_spatial_factor():
     lin_over_sq = []
     values = []
     for R in grid:
-        fac = spatial_integral_critical(e, spec, R, FAST_SPHERE)
+        fac = spatial_integral_critical(e, spec, R)
         assert isinstance(fac, CriticalSpatialFactor)
         env = log_envelope(e.Q, R)
         quots.append(fac.total.value / env)
@@ -198,7 +217,7 @@ def test_critical_support_vanishes_inside_sqrt_R():
 def test_critical_requires_critical_exponent():
     e = Exponents(q=1.5, n=1)
     with pytest.raises(ParameterError):
-        spatial_integral_critical(e, CutoffSpec.logarithmic(7.0), 1e4, FAST_SPHERE)
+        spatial_integral_critical(e, CutoffSpec.logarithmic(7.0), 1e4)
 
 
 def test_scaling_fit_exact_power_laws():
@@ -210,7 +229,7 @@ def test_scaling_fit_exact_power_laws():
         assert fit.max_rel_residual < 1e-6
     e = Exponents(q=1.5, n=1)
     spec = e.power_spec()
-    samples = [(R, spatial_integral_subcritical(e, spec, R, FAST_SPHERE).value)
+    samples = [(R, spatial_integral_subcritical(e, spec, R).value)
                for R in (8.0, 16.0, 32.0, 64.0)]
     fit = scaling_fit(samples, "log R")
     assert abs(fit.slope - (-2.0)) < 1e-4
@@ -239,22 +258,22 @@ def test_parabolic_bound_doubling_and_decay():
     e = Exponents(q=1.5, n=1)
     bounds = []
     for R in (8.0, 16.0, 32.0, 64.0):
-        rep = capacity_bound_parabolic(e, 10.0, R, 0.0, sphere_mc=FAST_SPHERE)
+        rep = capacity_bound_parabolic(e, 10.0, R, 0.0)
         assert rep.bound == sum(rep.breakdown.values())
         bounds.append(rep.bound)
     for a, b in zip(bounds, bounds[1:]):
         assert b / a == pytest.approx(0.25, rel=0.01)
         assert b < a  # strictly decreasing
     # zero data keeps only the two Young terms
-    rep = capacity_bound_parabolic(e, 10.0, 8.0, 0.0, sphere_mc=FAST_SPHERE)
+    rep = capacity_bound_parabolic(e, 10.0, 8.0, 0.0)
     assert rep.breakdown["term_data_u0"] == 0.0
 
 
 def test_parabolic_bound_data_term():
     e = Exponents(q=1.5, n=1)
-    r0 = capacity_bound_parabolic(e, 10.0, 8.0, 0.0, sphere_mc=FAST_SPHERE)
-    r1 = capacity_bound_parabolic(e, 10.0, 8.0, 2.0, sphere_mc=FAST_SPHERE)
-    data = data_term_integral_subcritical(e, e.power_spec(), 8.0, FAST_SPHERE)
+    r0 = capacity_bound_parabolic(e, 10.0, 8.0, 0.0)
+    r1 = capacity_bound_parabolic(e, 10.0, 8.0, 2.0)
+    data = data_term_integral_subcritical(e, e.power_spec(), 8.0)
     assert r1.bound - r0.bound == pytest.approx(2 * 2.0 * data.value ** (1 / e.q_prime))
 
 
@@ -262,12 +281,12 @@ def test_hyperbolic_bound_slope_and_decay():
     e = Exponents(q=1.5, n=1)
     samples = []
     for R in (8.0, 16.0, 32.0, 64.0):
-        rep = capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0, sphere_mc=FAST_SPHERE)
+        rep = capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0)
         assert rep.bound == sum(rep.breakdown.values())
         samples.append((R, rep.bound))
     fit = scaling_fit(samples, "log R")
     assert abs(fit.slope - (-2.0)) < 1e-4
-    rep = capacity_bound_hyperbolic(e, 10.0, 8.0, 1.0, 1.0, sphere_mc=FAST_SPHERE)
+    rep = capacity_bound_hyperbolic(e, 10.0, 8.0, 1.0, 1.0)
     assert rep.breakdown["term_data_u0"] > 0 and rep.breakdown["term_data_u1"] > 0
     assert rep.params["t_factor_grouped"] == pytest.approx(10.0 ** (1 - 2 * 3.0) + 10 + 1 + 0.1)
 
@@ -275,12 +294,12 @@ def test_hyperbolic_bound_slope_and_decay():
 def test_critical_bounds_stay_inside_log_envelope():
     e = Exponents(q=2.0, n=1)
     for builder in (
-        lambda R: capacity_bound_parabolic(e, 10.0, R, 0.0, sphere_mc=FAST_SPHERE),
-        lambda R: capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0, sphere_mc=FAST_SPHERE),
+        lambda R: capacity_bound_parabolic(e, 10.0, R, 0.0),
+        lambda R: capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0),
     ):
         quots = [builder(R).bound / log_envelope(e.Q, R) for R in (1e3, 1e5, 1e7, 1e9)]
         assert max(quots) / min(quots) <= 10.0
-    rep = capacity_bound_hyperbolic(e, 10.0, 1e5, 0.0, 0.0, sphere_mc=FAST_SPHERE)
+    rep = capacity_bound_hyperbolic(e, 10.0, 1e5, 0.0, 0.0)
     assert rep.params["t_factor_grouped"] == pytest.approx(10.0 ** (1 - 4) + 10 + 1 + 0.1)
 
 

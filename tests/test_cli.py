@@ -123,6 +123,45 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_scaling_accepts_n2(tmp_path):
+    out = tmp_path / "scaling.json"
+    assert main(["scaling", "--target", "I4", "--q", "6/5", "--n", "2",
+                 "--format", "json", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["expected_slope"] == pytest.approx(-6.0)
+    assert summary["slope_error"] <= 1e-4
+
+
+def test_malformed_source_date_epoch_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert main(["verdict", "--n", "1", "--q", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "SOURCE_DATE_EPOCH" in err
+
+
+@pytest.mark.parametrize("where", ["config", "grid", "initial", "missing", "null"])
+def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
+    cfg = {
+        "equation": "parabolic", "q": 1.5, "nonlinearity": True, "dt": 0.01, "steps": 3,
+        "grid": {"l_x": 3.0, "l_y": 3.0, "l_tau": 9.0, "n_x": 9, "n_y": 9, "n_tau": 9},
+        "initial": {"center": [0, 0, 0], "width": 1.0, "amplitude": 1.0},
+    }
+    if where == "missing":
+        del cfg["steps"]
+        word = "steps"
+    elif where == "null":
+        cfg["initial"] = None
+        word = "initial"
+    else:
+        (cfg if where == "config" else cfg[where])["bogus"] = 1
+        word = "bogus"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and word in err
+
+
 def test_simulate_blowup_exits_zero(tmp_path):
     cfg = {
         "equation": "parabolic", "q": 1.5, "nonlinearity": True,
