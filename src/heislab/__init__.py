@@ -28,10 +28,7 @@ from .cutoffs import (  # noqa: F401
     GaugeBump,
     ProductTestFunction,
     TemporalFactor,
-    TestFnEval,
     cutoff_eval,
-    phi_eval,
-    psi_eval,
     temporal_eval,
 )
 from .errors import (  # noqa: F401
@@ -78,6 +75,5 @@ from .weak_form import (  # noqa: F401
     WeakFormConfig,
     pair_defect,
     selfadjointness_residual,
-    weak_residual_hyperbolic,
-    weak_residual_parabolic,
+    weak_residual,
 )

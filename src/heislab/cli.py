@@ -65,8 +65,7 @@ from .weak_form import (
     WeakFormConfig,
     pair_defect,
     selfadjointness_residual,
-    weak_residual_hyperbolic,
-    weak_residual_parabolic,
+    weak_residual,
 )
 
 DEFAULT_R_CRITICAL = "1e3,1e4,1e5,1e6,1e7,1e8,1e9"
@@ -83,9 +82,12 @@ class RunSpec:
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse {text!r} as a rational number") from exc
+    if abs(value) > sys.float_info.max:
+        raise ParameterError(f"{text!r} is out of floating-point range")
+    return value
 
 
 def parse_grid(text: str) -> list:
@@ -350,8 +352,9 @@ def cmd_verdict(spec: RunSpec) -> Report:
     return Report(_meta(spec), ["n", "q", "q_c", "verdict", "note"], rows, summary)
 
 
-def _manufactured_candidate(q: float, R: float, hyperbolic: bool):
-    """Separable candidate a(t) * bump(eta) with exact defect evaluations.
+def _manufactured_candidate(q: float, R: float, order: int):
+    """Separable candidate a(t) * bump(eta) and its strong-form defect, both
+    as terms ((time factor, spatial factor), ...).
 
     The bump overlaps the cutoff transition so the Delta-phi terms of the
     weak identity are genuinely exercised.
@@ -360,33 +363,26 @@ def _manufactured_candidate(q: float, R: float, hyperbolic: bool):
     bump = GaugeBump(center=center, radius=0.75 * R)
 
     def a(t):
-        return float(np.exp(-0.5 * t))
+        return np.exp(-0.5 * t)
 
-    def da(t):
-        return -0.5 * a(t)
-
-    def dda(t):
-        return 0.25 * a(t)
-
-    def u(t, p):
-        return a(t) * bump.value(p)
-
+    ratio = 0.25 if order == 2 else -0.5  # a^(order) / a: a'' = a / 4, a' = -a / 2
     u0 = SmoothField(lambda p: a(0.0) * bump.value(p))
-    u1 = SmoothField(lambda p: da(0.0) * bump.value(p))
-
-    def defect(t, p):
-        tcoef = dda(t) if hyperbolic else da(t)
-        return (tcoef + a(t)) * bump.lap(p) + np.abs(a(t) * bump.value(p)) ** q
-
-    cand = CandidateSolution(u=u, u0=u0, u1=u1 if hyperbolic else None, q=q)
+    u1 = SmoothField(lambda p: -0.5 * a(0.0) * bump.value(p))
+    defect = ((lambda t: ratio * a(t) + a(t), bump.lap),
+              (lambda t: np.abs(a(t)) ** q, lambda p: np.abs(bump.value(p)) ** q))
+    cand = CandidateSolution(terms=((a, bump.value),), u0=u0,
+                             u1=u1 if order == 2 else None, q=q)
     return cand, defect
 
 
 def cmd_residual(spec: RunSpec) -> Report:
+    if spec.params.get("n", 1) != 1:
+        raise ParameterError("residual is implemented for n = 1 only")
     e = _exponents(spec)
     T = parse_grid(spec.params["T"])[0]
     R = parse_grid(spec.params["R"])[0]
-    samples = spec.params.get("samples") or 200_000
+    samples = spec.params.get("samples")
+    samples = 200_000 if samples is None else samples  # --samples 0 is an error, not the default
     cfg = WeakFormConfig(samples=samples, seed=spec.seed)
     oracle_cfg = WeakFormConfig(samples=2 * samples, seed=spec.seed + 1)
     testfn = ProductTestFunction(TemporalFactor(T, e.ell), e.power_spec(), R)
@@ -406,18 +402,13 @@ def cmd_residual(spec: RunSpec) -> Report:
                         "gap": gap, "within_3sigma": gap <= three})
         rows.append(row)
 
-    zero = CandidateSolution(u=lambda t, p: np.zeros(p.tau.shape), u0=zero_field,
-                             u1=zero_field, q=e.q)
-    add_row("zero_parabolic", weak_residual_parabolic(zero, testfn, cfg))
-    add_row("zero_hyperbolic", weak_residual_hyperbolic(zero, testfn, cfg))
-
-    cand, defect = _manufactured_candidate(e.q, R, hyperbolic=False)
-    rep = weak_residual_parabolic(cand, testfn, cfg)
-    add_row("manufactured_parabolic", rep, pair_defect(defect, testfn, oracle_cfg))
-
-    cand, defect = _manufactured_candidate(e.q, R, hyperbolic=True)
-    rep = weak_residual_hyperbolic(cand, testfn, cfg)
-    add_row("manufactured_hyperbolic", rep, pair_defect(defect, testfn, oracle_cfg))
+    zero = CandidateSolution(terms=(), u0=zero_field, u1=zero_field, q=e.q)
+    add_row("zero_parabolic", weak_residual(zero, testfn, cfg, 1))
+    add_row("zero_hyperbolic", weak_residual(zero, testfn, cfg, 2))
+    for order, case in ((1, "manufactured_parabolic"), (2, "manufactured_hyperbolic")):
+        cand, defect = _manufactured_candidate(e.q, R, order)
+        rep = weak_residual(cand, testfn, cfg, order)
+        add_row(case, rep, pair_defect(defect, testfn, oracle_cfg))
 
     cols = ["case", "lhs", "rhs", "residual", "stderr", "oracle", "oracle_stderr", "gap", "within_3sigma"]
     summary = {"all_within_3sigma": all(r["within_3sigma"] for r in rows)}
@@ -541,7 +532,8 @@ def _identity_rows(seed: int, samples: int) -> list:
 
 
 def cmd_identities(spec: RunSpec) -> Report:
-    samples = spec.params.get("samples") or 100_000
+    samples = spec.params.get("samples")
+    samples = 100_000 if samples is None else samples
     rows = _identity_rows(spec.seed, samples)
     summary = {"all_pass": all(r["status"] == "pass" for r in rows)}
     return Report(_meta(spec), ["identity", "measured", "threshold", "status"], rows, summary)

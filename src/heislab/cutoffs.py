@@ -14,7 +14,10 @@ Spatial factors are gauge-radial, so their sub-Laplacians come from the
 radial identity Delta u = omega (phi'' + (Q-1)/r phi') with exact chain
 rules; no finite differences are involved.  The time factor is
 (1 - t/T)^ell, and products separate: Delta d_t^k(phi1 phi2) =
-(d_t^k phi1) Delta phi2.
+(d_t^k phi1) Delta phi2.  A product test function therefore hands out its
+factors apart: (phi2, Delta phi2) once per set of spatial points and
+(phi1, phi1', phi1'') as vectors over all time nodes, so a space-time
+quadrature costs one spatial evaluation, not one per time node.
 """
 
 from __future__ import annotations
@@ -184,18 +187,6 @@ def temporal_eval(tf: TemporalFactor, t, order: int):
     raise ParameterError("order must be 0, 1 or 2")
 
 
-@dataclass(frozen=True)
-class TestFnEval:
-    """Value, time derivatives and their sub-Laplacians at one (t, eta)."""
-
-    value: np.ndarray
-    dt: np.ndarray
-    dtt: np.ndarray
-    lap: np.ndarray
-    lap_dt: np.ndarray
-    lap_dtt: np.ndarray
-
-
 def phi_spatial(spec: CutoffSpec, R: float, p: GroupPoint):
     """Spatial factor of the power family and its sub-Laplacian.
 
@@ -246,44 +237,35 @@ def psi_spatial(spec: CutoffSpec, R: float, p: GroupPoint):
     return v**k, (sq / r2) * radial
 
 
-def phi_eval(tf: TemporalFactor, spec: CutoffSpec, R: float, t: float, p: GroupPoint) -> TestFnEval:
-    """Power-family test function phi1(t) Phi(r^2/R^2) with time derivatives."""
-    v, lap = phi_spatial(spec, R, p)
-    f0 = temporal_eval(tf, t, 0)
-    f1 = temporal_eval(tf, t, 1)
-    f2 = temporal_eval(tf, t, 2)
-    return TestFnEval(f0 * v, f1 * v, f2 * v, f0 * lap, f1 * lap, f2 * lap)
-
-
-def psi_eval(tf: TemporalFactor, spec: CutoffSpec, R: float, t: float, p: GroupPoint) -> TestFnEval:
-    """Logarithmic-family test function phi1(t) Psi^kappa(z) with time derivatives."""
-    v, lap = psi_spatial(spec, R, p)
-    f0 = temporal_eval(tf, t, 0)
-    f1 = temporal_eval(tf, t, 1)
-    f2 = temporal_eval(tf, t, 2)
-    return TestFnEval(f0 * v, f1 * v, f2 * v, f0 * lap, f1 * lap, f2 * lap)
-
-
 class ProductTestFunction:
-    """Separable space-time test function used by the weak-form residuals."""
+    """Separable test function phi1(t) phi2(eta) used by the weak-form residuals.
 
-    def __init__(self, temporal: TemporalFactor, spec: CutoffSpec, R: float):
+    The two factors are evaluated apart: `spatial` once per set of points,
+    `temporal` once per set of time nodes.
+    """
+
+    def __init__(self, time_factor: TemporalFactor, spec: CutoffSpec, R: float):
         if spec.family == "logarithmic" and not R > 1:
             raise ParameterError("R must exceed 1 for the logarithmic family")
         if spec.family == "power" and not R > 0:
             raise ParameterError("R must be positive")
-        self.temporal = temporal
+        self.time_factor = time_factor
         self.spec = spec
         self.R = float(R)
 
     @property
     def T(self) -> float:
-        return self.temporal.T
+        return self.time_factor.T
 
-    def eval(self, t: float, p: GroupPoint) -> TestFnEval:
+    def spatial(self, p: GroupPoint):
+        """(phi2, Delta phi2) at the points p."""
         if self.spec.family == "power":
-            return phi_eval(self.temporal, self.spec, self.R, t, p)
-        return psi_eval(self.temporal, self.spec, self.R, t, p)
+            return phi_spatial(self.spec, self.R, p)
+        return psi_spatial(self.spec, self.R, p)
+
+    def temporal(self, t):
+        """(phi1, phi1', phi1'') at the time node(s) t."""
+        return tuple(temporal_eval(self.time_factor, t, k) for k in range(3))
 
     def support_box(self, n: int = 1) -> np.ndarray:
         """Coordinate box containing the spatial support (the gauge R-ball)."""

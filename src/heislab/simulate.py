@@ -26,6 +26,7 @@ blow-up threshold counts as a completed result, not an error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
@@ -260,6 +261,12 @@ class BumpSpec:
     width: float = 1.0
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if len(self.center) != 3:
+            raise ParameterError("bump center must have 3 components")
+        if not self.width > 0:
+            raise ParameterError("bump width must be positive")
+
     def evaluate(self, grid: Grid) -> np.ndarray:
         X, Y, T = grid.interior_mesh()
         cx, cy, ct = self.center
@@ -309,9 +316,26 @@ class SimConfig:
         return cls(**data)
 
 
+def _finite(value) -> bool:
+    # the comparison is exact for Python ints too, so 10**400 fails it
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# (test, wording) of a JSON value per field annotation; nested objects check their own
+_VALUE_OK = {
+    "float": (_finite, "a finite number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_finite, v)), "a list of finite numbers"),
+}
+
+
 def _checked_fields(cls, data, where: str) -> dict:
-    """A copy of the JSON object `data` after checking its keys against the
-    fields of dataclass `cls`: unknown or missing keys are parameter errors."""
+    """A copy of the JSON object `data` after checking its keys and values against the
+    fields of dataclass `cls`: unknown or missing keys and mistyped values (floats must
+    be finite) are parameter errors."""
     if not isinstance(data, dict):
         raise ParameterError(f"{where} must be a JSON object")
     names = {f.name for f in fields(cls)}
@@ -321,6 +345,13 @@ def _checked_fields(cls, data, where: str) -> dict:
         raise ParameterError(f"unknown {where} key(s): {', '.join(unknown)}")
     if missing:
         raise ParameterError(f"missing {where} key(s): {', '.join(missing)}")
+    for f in fields(cls):
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        if f.name not in data or kind not in _VALUE_OK or (kind != f.type and data[f.name] is None):
+            continue
+        ok, wording = _VALUE_OK[kind]
+        if not ok(data[f.name]):
+            raise ParameterError(f"{where} key {f.name} must be {wording}")
     return dict(data)
 
 

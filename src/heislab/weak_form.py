@@ -1,7 +1,8 @@
-"""Weak-solution residuals by space-time quadrature.
+"""Weak-solution residuals by separable space-time quadrature.
 
 Both model equations are tested in integrated-by-parts form against
-separable test functions.  For the first-order equation the identity is
+separable test functions phi(t, eta) = phi1(t) phi2(eta).  For the
+first-order equation the identity is
 
     int_0^T int (|u|^q phi + u Delta phi - u Delta phi_t) = int u0 Delta phi(0, .)
 
@@ -11,15 +12,22 @@ phi(T, .) = phi_t(T, .) = 0, with data terms
 
     int u1 Delta phi(0, .) - int u0 Delta phi_t(0, .).
 
-Spatial integrals are seeded Monte Carlo over the test-function support
-box (n = 1); time integrals are Gauss-Legendre.  Residual reports always
-carry the quadrature error estimate; no pass/fail threshold is baked in.
+Candidates are separable too, u = sum_j a_j(t) b_j(eta).  Spatial
+integrals are seeded Monte Carlo over the test-function support box
+(n = 1) and time integrals are Gauss-Legendre, evaluated space once, time
+as vectors: per Monte Carlo chunk, phi2, Delta phi2 and every b_j are
+evaluated once, and the linear terms reduce to dot products over the time
+nodes, sum_k w_k a_j(t_k) (phi1 - phi1')(t_k) for the first order and
+sum_k w_k a_j(t_k) (phi1 + phi1'')(t_k) for the second, times
+b_j Delta phi2.  Only |u|^q phi loops over the nodes, on arrays of one
+chunk's length.  Residual reports always carry the quadrature error
+estimate; no pass/fail threshold is baked in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,9 +49,15 @@ class WeakFormConfig:
 
 @dataclass(frozen=True)
 class CandidateSolution:
-    """A candidate u(t, eta) with its claimed initial data and exponent q."""
+    """A separable candidate u(t, eta) = sum_j a_j(t) b_j(eta) with its
+    claimed initial data and exponent q.
 
-    u: Callable[[float, GroupPoint], np.ndarray]
+    `terms` holds the pairs (a_j, b_j): a_j maps an array of times to an
+    array of values, b_j maps a GroupPoint to values.  The zero candidate
+    has no terms.
+    """
+
+    terms: tuple
     u0: SmoothField
     u1: Optional[SmoothField] = None
     q: float = 2.0
@@ -71,15 +85,14 @@ def _time_rule(T: float, nodes: int):
     return 0.5 * T * (x + 1.0), 0.5 * T * w
 
 
-def _check_terminal(testfn, want_dt_zero: bool):
+def _check_terminal(testfn, order: int):
     probe = sample_box(testfn.support_box(), MCConfig(samples=64, seed=97), 0, 64)
-    p = _to_points(probe)
-    e_end = testfn.eval(testfn.T, p)
-    e_start = testfn.eval(0.0, p)
-    scale = 1.0 + float(np.max(np.abs(e_start.value)))
-    if float(np.max(np.abs(e_end.value))) > 1e-10 * scale:
+    value, _ = testfn.spatial(_to_points(probe))
+    f0, f1, _ = testfn.temporal(np.array([0.0, testfn.T]))
+    scale = 1.0 + float(np.max(np.abs(f0[0] * value)))
+    if float(np.max(np.abs(f0[1] * value))) > 1e-10 * scale:
         raise ParameterError("test function must vanish at t = T")
-    if want_dt_zero and float(np.max(np.abs(e_end.dt))) > 1e-10 * scale:
+    if order == 2 and float(np.max(np.abs(f1[1] * value))) > 1e-10 * scale:
         raise ParameterError("test function time derivative must vanish at t = T")
 
 
@@ -88,83 +101,69 @@ def _check_initial_data(cand: CandidateSolution, testfn):
         return
     probe = sample_box(testfn.support_box(), MCConfig(samples=32, seed=193), 0, 32)
     p = _to_points(probe)
-    got = np.asarray(cand.u(0.0, p))
+    got = sum((a(0.0) * np.asarray(b(p)) for a, b in cand.terms), np.zeros(len(probe)))
     want = np.asarray(cand.u0.value(p))
     scale = 1.0 + float(np.max(np.abs(want)))
     if float(np.max(np.abs(got - want))) > 1e-8 * scale:
         raise ParameterError("candidate does not attain its claimed initial data")
 
 
-def _residual_estimate(lhs_fn, rhs_fn, bounds, cfg: WeakFormConfig) -> ResidualReport:
-    """Common-point MC of lhs, rhs and their difference (honest stderr)."""
+def _residual_estimate(sides, bounds, cfg: WeakFormConfig) -> ResidualReport:
+    """Common-point MC of lhs, rhs and their difference (honest stderr);
+    sides(p) returns the (lhs, rhs) integrands at the points p."""
 
     def integrand(pts):
-        p = _to_points(pts)
-        a = lhs_fn(p)
-        b = rhs_fn(p)
+        a, b = sides(_to_points(pts))
         return np.stack([a, b, a - b], axis=1)
 
     lhs, rhs, diff = mc_integrate_vector(integrand, bounds, MCConfig(cfg.samples, cfg.seed), 3)
     return ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
 
 
-def weak_residual_parabolic(cand: CandidateSolution, testfn, cfg: WeakFormConfig) -> ResidualReport:
-    """Defect of the first-order weak identity for the given candidate."""
-    _check_terminal(testfn, want_dt_zero=False)
+def weak_residual(cand: CandidateSolution, testfn, cfg: WeakFormConfig, order: int) -> ResidualReport:
+    """Defect of the weak identity of time order 1 or 2 for the given candidate."""
+    if order not in (1, 2):
+        raise ParameterError("time order must be 1 or 2")
+    _check_terminal(testfn, order)
     _check_initial_data(cand, testfn)
-    q = cand.q
+    if order == 2 and cand.u1 is None:
+        raise ParameterError("second-order candidates need initial velocity u1")
     ts, ws = _time_rule(testfn.T, cfg.time_nodes)
+    f0, f1, f2 = testfn.temporal(ts)
+    g0, g1, _ = testfn.temporal(0.0)
+    coefs = [np.asarray(a(ts)) for a, _ in cand.terms]
+    # int_0^T a_j (phi1 - phi1') or int_0^T a_j (phi1 + phi1''), by Gauss-Legendre
+    linear = [float(np.dot(ws * c, f0 - f1 if order == 1 else f0 + f2)) for c in coefs]
 
-    def lhs(p):
-        acc = 0.0
-        for t, w in zip(ts, ws):
-            e = testfn.eval(t, p)
-            u = np.asarray(cand.u(t, p))
-            acc = acc + w * (np.abs(u) ** q * e.value + u * e.lap - u * e.lap_dt)
-        return acc
+    def sides(p):
+        value, lap = testfn.spatial(p)
+        bs = [np.asarray(b(p)) for _, b in cand.terms]
+        power = np.zeros(np.shape(value))
+        for k, w in enumerate(ws * f0):  # |u|^q phi, one time node at a time
+            u = sum(c[k] * b for c, b in zip(coefs, bs))
+            power += w * np.abs(u) ** cand.q
+        lhs = power * value + sum(c * b for c, b in zip(linear, bs)) * lap
+        u0 = np.asarray(cand.u0.value(p))
+        if order == 1:
+            return lhs, u0 * (g0 * lap)
+        return lhs, np.asarray(cand.u1.value(p)) * (g0 * lap) - u0 * (g1 * lap)
 
-    def rhs(p):
-        e0 = testfn.eval(0.0, p)
-        return np.asarray(cand.u0.value(p)) * e0.lap
-
-    return _residual_estimate(lhs, rhs, testfn.support_box(), cfg)
+    return _residual_estimate(sides, testfn.support_box(), cfg)
 
 
-def weak_residual_hyperbolic(cand: CandidateSolution, testfn, cfg: WeakFormConfig) -> ResidualReport:
-    """Defect of the second-order weak identity for the given candidate."""
-    _check_terminal(testfn, want_dt_zero=True)
-    _check_initial_data(cand, testfn)
-    if cand.u1 is None:
-        raise ParameterError("hyperbolic candidates need initial velocity u1")
-    q = cand.q
+def pair_defect(terms, testfn, cfg: WeakFormConfig) -> MCEstimate:
+    """Space-time pairing int_0^T int defect(t, eta) phi(t, eta) of a
+    separable defect sum_j c_j(t) d_j(eta), given as terms ((c_j, d_j), ...)
+    like a candidate's; the independent oracle for smooth compactly
+    supported candidates.  It pairs with phi itself, never with Delta phi."""
     ts, ws = _time_rule(testfn.T, cfg.time_nodes)
-
-    def lhs(p):
-        acc = 0.0
-        for t, w in zip(ts, ws):
-            e = testfn.eval(t, p)
-            u = np.asarray(cand.u(t, p))
-            acc = acc + w * (np.abs(u) ** q * e.value + u * e.lap + u * e.lap_dtt)
-        return acc
-
-    def rhs(p):
-        e0 = testfn.eval(0.0, p)
-        return np.asarray(cand.u1.value(p)) * e0.lap - np.asarray(cand.u0.value(p)) * e0.lap_dt
-
-    return _residual_estimate(lhs, rhs, testfn.support_box(), cfg)
-
-
-def pair_defect(defect, testfn, cfg: WeakFormConfig) -> MCEstimate:
-    """Space-time pairing int_0^T int defect(t, eta) phi(t, eta); the
-    independent oracle for smooth compactly supported candidates."""
-    ts, ws = _time_rule(testfn.T, cfg.time_nodes)
+    f0, _, _ = testfn.temporal(ts)
+    coefs = [float(np.dot(ws * f0, c(ts))) for c, _ in terms]
 
     def integrand(pts):
         p = _to_points(pts)
-        acc = 0.0
-        for t, w in zip(ts, ws):
-            acc = acc + w * np.asarray(defect(t, p)) * testfn.eval(t, p).value
-        return acc[:, None]
+        value, _ = testfn.spatial(p)
+        return (sum(c * np.asarray(d(p)) for c, (_, d) in zip(coefs, terms)) * value)[:, None]
 
     return mc_integrate_vector(integrand, testfn.support_box(), MCConfig(cfg.samples, cfg.seed), 1)[0]
 
@@ -199,10 +198,7 @@ def selfadjointness_residual(f: SmoothField, g: SmoothField, box, cfg: WeakFormC
     _check_supported_inside(f, box, scale)
     _check_supported_inside(g, box, scale)
 
-    def lhs(p):
-        return -sublaplacian(f, p) * g.value(p)
+    def sides(p):
+        return -sublaplacian(f, p) * g.value(p), f.value(p) * -sublaplacian(g, p)
 
-    def rhs(p):
-        return f.value(p) * -sublaplacian(g, p)
-
-    return _residual_estimate(lhs, rhs, box, cfg)
+    return _residual_estimate(sides, box, cfg)

@@ -62,8 +62,7 @@ from heislab.weak_form import (
     WeakFormConfig,
     pair_defect,
     selfadjointness_residual,
-    weak_residual_hyperbolic,
-    weak_residual_parabolic,
+    weak_residual,
 )
 
 from fractions import Fraction
@@ -276,29 +275,27 @@ def test_criterion_7_weak_formulation_residuals():
     e = Exponents(q=2.0)
     testfn = ProductTestFunction(TemporalFactor(2.0, e.ell), e.power_spec(), 3.0)
     zf = SmoothField(lambda p: np.zeros(np.shape(p.tau)))
-    zero = CandidateSolution(u=lambda t, p: np.zeros(np.shape(p.tau)), u0=zf, u1=zf, q=2.0)
+    zero = CandidateSolution(terms=(), u0=zf, u1=zf, q=2.0)
     cfg = WeakFormConfig(samples=150_000, seed=3)
     ocfg = WeakFormConfig(samples=300_000, seed=4)
-    zp = weak_residual_parabolic(zero, testfn, cfg)
-    zh = weak_residual_hyperbolic(zero, testfn, cfg)
+    zp = weak_residual(zero, testfn, cfg, 1)
+    zh = weak_residual(zero, testfn, cfg, 2)
     zeros_exact = zp.residual == 0.0 and zh.residual == 0.0
 
     bump = GaugeBump(center=point(0.2, -0.1, 0.05), radius=2.3)
-    a = lambda t: float(np.exp(-0.5 * t))
-    da = lambda t: -0.5 * a(t)
-    dda = lambda t: 0.25 * a(t)
+    a = lambda t: np.exp(-0.5 * t)
     cand = CandidateSolution(
-        u=lambda t, p: a(t) * bump.value(p),
+        terms=((a, bump.value),),
         u0=SmoothField(lambda p: bump.value(p)),
-        u1=SmoothField(lambda p: da(0.0) * bump.value(p)), q=2.0)
+        u1=SmoothField(lambda p: -0.5 * bump.value(p)), q=2.0)
+    power = (lambda t: np.abs(a(t)) ** 2, lambda p: np.abs(bump.value(p)) ** 2)
     gaps = []
-    for resfn, defect in [
-        (weak_residual_parabolic,
-         lambda t, p: (da(t) + a(t)) * bump.lap(p) + np.abs(a(t) * bump.value(p)) ** 2),
-        (weak_residual_hyperbolic,
-         lambda t, p: (dda(t) + a(t)) * bump.lap(p) + np.abs(a(t) * bump.value(p)) ** 2),
+    # strong-form defects (a' + a) Delta b + |a b|^2 and (a'' + a) Delta b + |a b|^2
+    for order, defect in [
+        (1, ((lambda t: -0.5 * a(t) + a(t), bump.lap), power)),
+        (2, ((lambda t: 0.25 * a(t) + a(t), bump.lap), power)),
     ]:
-        rep = resfn(cand, testfn, cfg)
+        rep = weak_residual(cand, testfn, cfg, order)
         oracle = pair_defect(defect, testfn, ocfg)
         gap = abs(rep.residual - oracle.value)
         sigma3 = 3 * math.hypot(rep.error, oracle.stderr)

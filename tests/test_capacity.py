@@ -345,8 +345,9 @@ def test_holder_inequality_on_sampled_measure(u_vals, seed):
     rng = np.random.default_rng(seed)
     pts = GroupPoint(rng.uniform(-1.3, 1.3, (8, 1)), rng.uniform(-1.3, 1.3, (8, 1)),
                      rng.uniform(-1.5, 1.5, 8))
-    ev = tf.eval(3.0, pts)
-    phi, lap_t = np.asarray(ev.value), np.asarray(ev.lap_dt)
+    v, lap = tf.spatial(pts)
+    f0, f1, _ = tf.temporal(3.0)
+    phi, lap_t = np.asarray(f0 * v), np.asarray(f1 * lap)
     keep = phi > 1e-12
     if not np.any(keep):
         return

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heislab.cli import RunSpec, build_parser, build_runspec, dispatch, main
 from heislab.report import Report, emit, format_number
@@ -139,7 +145,20 @@ def test_malformed_source_date_epoch_exits_2(monkeypatch, capsys):
     assert err.count("\n") == 1 and "SOURCE_DATE_EPOCH" in err
 
 
-@pytest.mark.parametrize("where", ["config", "grid", "initial", "missing", "null"])
+BAD_BUMPS = {
+    "zero_width": ("initial", "width", 0),
+    "negative_width": ("initial", "width", -1.0),
+    "nan_width": ("initial", "width", float("nan")),
+    "inf_amplitude": ("initial", "amplitude", float("inf")),
+    "text_amplitude": ("initial", "amplitude", "big"),
+    "short_center": ("initial", "center", [0, 0]),
+    "nan_center": ("initial", "center", [0, float("nan"), 0]),
+    "text_center": ("initial", "center", "abc"),
+    "velocity_width": ("initial_velocity", "width", 0.0),
+}
+
+
+@pytest.mark.parametrize("where", ["config", "grid", "initial", "missing", "null", *BAD_BUMPS])
 def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
     cfg = {
         "equation": "parabolic", "q": 1.5, "nonlinearity": True, "dt": 0.01, "steps": 3,
@@ -152,6 +171,10 @@ def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
     elif where == "null":
         cfg["initial"] = None
         word = "initial"
+    elif where in BAD_BUMPS:
+        bump, word, value = BAD_BUMPS[where]
+        cfg["equation"] = "hyperbolic"
+        cfg[bump] = dict(cfg["initial"], **{word: value})
     else:
         (cfg if where == "config" else cfg[where])["bogus"] = 1
         word = "bogus"
@@ -197,8 +220,106 @@ def test_residual_subcommand():
     assert all(r["residual"] == 0.0 for r in zero_rows)
 
 
+@pytest.mark.parametrize("n", ["0", "2", "3"])
+def test_residual_rejects_n_other_than_1(capsys, n):
+    # residual evaluates n = 1 points, bumps and boxes only
+    assert main(["residual", "--n", n, "--samples", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n = 1" in err
+
+
+@pytest.mark.parametrize("sub", ["residual", "identities"])
+def test_zero_samples_is_a_parameter_error(capsys, sub):
+    # --samples 0 used to select the subcommand's default budget
+    assert main([sub, "--samples", "0"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_dispatch_roundtrip_runspec():
     spec = run_spec(["lemma1", "--q", "2", "--T", "10"])
     assert isinstance(spec, RunSpec)
     assert spec.subcommand == "lemma1"
     assert spec.fmt == "csv"
+
+
+# --- exit-code contract: 0, 2 or 3, never a traceback; exit 2 prints one stderr line
+
+def run_main(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def bump_strategy():
+    return st.fixed_dictionaries({
+        "center": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        "width": st.floats(0.2, 3.0),
+        "amplitude": st.floats(-50.0, 50.0),
+    })
+
+
+SIM_CONFIG = st.fixed_dictionaries({
+    "equation": st.sampled_from(["parabolic", "hyperbolic"]),
+    "q": st.floats(1.1, 3.0),
+    "nonlinearity": st.booleans(),
+    "dt": st.floats(1e-3, 0.05),
+    "steps": st.integers(1, 5),
+    "grid": st.fixed_dictionaries({
+        "l_x": st.floats(0.5, 4.0), "l_y": st.floats(0.5, 4.0), "l_tau": st.floats(0.5, 9.0),
+        "n_x": st.integers(3, 9), "n_y": st.integers(3, 9), "n_tau": st.integers(3, 9),
+    }),
+    "initial": bump_strategy(),
+}, optional={
+    "initial_velocity": st.none() | bump_strategy(),
+    "blowup_threshold": st.floats(1.0, 1e8),
+    "solver_tol": st.floats(1e-12, 1e-4),
+    "solver_max_iter": st.none() | st.integers(1, 400),
+    "regularization_eps": st.floats(0.0, 1.0),
+    "n": st.just(1),
+})
+
+# JSON values a config may carry in any place
+BAD_VALUES = st.sampled_from([0, -1, 2.5, 10**400, float("nan"), float("inf"), -float("inf"),
+                              True, None, "x", "", [], [1, 2], {}, {"a": 1}])
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config, then some keys replaced by stray values, removed or added."""
+    cfg = draw(SIM_CONFIG)
+    for section, action in draw(st.lists(st.tuples(st.sampled_from(["config", "grid", "initial"]),
+                                                   st.sampled_from(["replace", "remove", "add"])),
+                                         min_size=1, max_size=3)):
+        target = cfg if section == "config" else cfg.get(section)
+        if not isinstance(target, dict) or not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if action == "remove":
+            del target[key]
+        else:
+            target[key if action == "replace" else "extra"] = draw(BAD_VALUES)
+    return cfg
+
+
+@settings(max_examples=150)
+@given(SIM_CONFIG | mutated_configs())
+def test_simulate_exit_code_contract(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, err = run_main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "t.csv")])
+    assert code in (0, 2, 3) and "Traceback" not in err
+    assert code != 2 or err.count("\n") == 1, err
+
+
+@settings(max_examples=60)
+@example(n=1, q="1e400", samples=100)  # beyond float range: used to raise OverflowError
+@given(n=st.sampled_from([1, 1, 1, 0, 2, -1]),
+       q=st.one_of(st.fractions("11/10", 4).map(str), st.floats().map(repr),
+                   st.sampled_from(["2", "3/2", "1", "0", "-2", "1/0", "1e400", "abc", ""])),
+       samples=st.integers(-5, 2000))
+def test_residual_exit_code_contract(n, q, samples):
+    code, err = run_main(["residual", f"--n={n}", f"--q={q}", f"--samples={samples}"])
+    assert code in (0, 2, 3) and "Traceback" not in err
+    assert code != 2 or err.count("\n") == 1, err

@@ -11,9 +11,7 @@ from heislab.cutoffs import (
     cutoff_eval,
     default_power,
     min_power,
-    phi_eval,
     phi_spatial,
-    psi_eval,
     psi_spatial,
     smoothstep_complement,
     temporal_eval,
@@ -111,28 +109,31 @@ def test_temporal_eval():
         temporal_eval(tf, 5.0, 3)
 
 
-def test_phi_eval_support_and_separability():
-    tf = TemporalFactor(10.0, 4.0)
-    spec = CutoffSpec.power(2)
-    R = 2.0
+def test_product_factors_support_and_separability():
+    tf = ProductTestFunction(TemporalFactor(10.0, 4.0), CutoffSpec.power(2), 2.0)
+    f0, f1, f2 = tf.temporal(3.0)
+    assert (f0, f1, f2) == tuple(temporal_eval(tf.time_factor, 3.0, k) for k in range(3))
     inner = point(0.5, 0.5, 0.2)  # r^2 well below R^2/2
-    e = phi_eval(tf, spec, R, 3.0, inner)
-    assert e.lap == pytest.approx(0.0)
-    assert e.value == pytest.approx(temporal_eval(tf, 3.0, 0))
+    v, lap = tf.spatial(inner)
+    assert lap == pytest.approx(0.0)
+    assert f0 * v == pytest.approx(temporal_eval(tf.time_factor, 3.0, 0))
     outer = point(2.0, 1.5, 3.0)
-    e = phi_eval(tf, spec, R, 3.0, outer)
-    assert e.value == 0.0 and e.lap == 0.0
-    # separability on the transition annulus
+    v, lap = tf.spatial(outer)
+    assert v == 0.0 and lap == 0.0
+    # on the transition annulus the spatial factor is the power-family one
     mid = point(1.2, 1.0, 0.5)
-    e = phi_eval(tf, spec, R, 3.0, mid)
-    assert e.lap != 0.0
-    ratio = e.lap_dt / e.lap
-    assert ratio == pytest.approx(temporal_eval(tf, 3.0, 1) / temporal_eval(tf, 3.0, 0))
-    assert e.lap_dtt / e.lap == pytest.approx(
-        temporal_eval(tf, 3.0, 2) / temporal_eval(tf, 3.0, 0))
+    v, lap = tf.spatial(mid)
+    assert lap != 0.0
+    assert (v, lap) == phi_spatial(tf.spec, tf.R, mid)
+    # time factors over a vector of nodes equal the scalar evaluations
+    ts = np.array([0.0, 3.0, 10.0])
+    for k, fk in enumerate(tf.temporal(ts)):
+        assert fk.shape == (3,)
+        assert fk == pytest.approx([temporal_eval(tf.time_factor, t, k) for t in ts],
+                                   rel=1e-14, abs=0.0)
     # origin: flat region, sub-Laplacian 0 by continuity
-    e0 = phi_eval(tf, spec, R, 0.0, origin(1))
-    assert e0.lap == 0.0 and e0.value == 1.0
+    v0, lap0 = tf.spatial(origin(1))
+    assert lap0 == 0.0 and tf.temporal(0.0)[0] * v0 == 1.0
 
 
 def test_psi_eval_support():
@@ -146,8 +147,9 @@ def test_psi_eval_support():
     far = point(80.0, 80.0, 0.0)  # r > R
     v, lap = psi_spatial(spec, R, far)
     assert v == 0.0 and lap == 0.0
-    e = psi_eval(tf, spec, R, 0.0, near)
-    assert e.dtt == pytest.approx(4 * 3 / 100.0 * 1.0)
+    product = ProductTestFunction(tf, spec, R)
+    assert product.spatial(far) == (v, lap)
+    assert product.temporal(0.0)[2] * product.spatial(near)[0] == pytest.approx(4 * 3 / 100.0 * 1.0)
     with pytest.raises(DomainError):
         psi_spatial(spec, R, origin(1))
     with pytest.raises(ParameterError):
@@ -212,8 +214,9 @@ def test_product_test_function():
     box = tf.support_box()
     assert box.shape == (3, 2)
     assert box[2, 1] == 9.0
-    e = tf.eval(2.0, point(0.5, 0.5, 0.1))
-    assert e.value == 0.0 and e.dt == 0.0
+    f0, f1, _ = tf.temporal(2.0)
+    v, _ = tf.spatial(point(0.5, 0.5, 0.1))
+    assert f0 * v == 0.0 and f1 * v == 0.0
 
 
 def test_gauge_bump_center_and_support():
