@@ -10,8 +10,7 @@ from .capacity import (  # noqa: F401
     QuadratureEstimate,
     ScalingFit,
     Verdict,
-    capacity_bound_hyperbolic,
-    capacity_bound_parabolic,
+    capacity_bound,
     critical_exponent,
     mc_spatial_integral,
     scaling_fit,

@@ -244,51 +244,37 @@ def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEsti
     return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
 
 
-def _power_radial_terms(e: Exponents, spec: CutoffSpec, R: float, r: float):
-    z = (r / R) ** 2
-    v, d1, d2 = cutoff_eval(spec, z)
-    g = (4.0 * z / R**2) * d2 + (2.0 * e.Q / R**2) * d1
-    return float(v), float(g)
-
-
-def spatial_integral_subcritical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
-    """I4(R) by gauge-polar factorisation.
-
-    S_omega(q') times the radial quadrature of
-    Phi^(-1/(q-1))(r^2/R^2) |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
-    over the support annulus R/sqrt(2) <= r <= R.
-    """
+def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
+    """S_omega(q') times the radial quadrature of
+    [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
+    over the support annulus R/sqrt(2) <= r <= R, the bracket only when weighted."""
     if not R > 0:
         raise ParameterError("R must be positive")
-    check_integrability(spec, e.q)
+    if weighted:
+        check_integrability(spec, e.q)
     q, qp, Q = e.q, e.q_prime, e.Q
 
     def integrand(r):
-        v, g = _power_radial_terms(e, spec, R, r)
-        if v <= 0.0 or g == 0.0:
+        z = (r / R) ** 2
+        v, d1, d2 = cutoff_eval(spec, z)
+        v, g = float(v), float((4.0 * z / R**2) * d2 + (2.0 * Q / R**2) * d1)
+        if g == 0.0 or (weighted and v <= 0.0):
             return 0.0
-        return math.exp(-math.log(v) / (q - 1.0) + qp * math.log(abs(g)) + (Q - 1) * math.log(r))
+        weight = -math.log(v) / (q - 1.0) if weighted else 0.0
+        return math.exp(weight + qp * math.log(abs(g)) + (Q - 1) * math.log(r))
 
     radial = _radial_quad(integrand, R / math.sqrt(2.0), R)
-    sphere = sphere_weight_constant(e.n, qp)
-    return _combine_sphere(radial, sphere)
+    return _combine_sphere(radial, sphere_weight_constant(e.n, qp))
+
+
+def spatial_integral_subcritical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
+    """I4(R) = integral of phi2^(-1/(q-1)) |Delta phi2|^(q') by gauge-polar factorisation."""
+    return _power_radial_quad(e, spec, R, weighted=True)
 
 
 def data_term_integral_subcritical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
     """The initial-data factor: integral of |Delta phi2|^(q') over H^n."""
-    if not R > 0:
-        raise ParameterError("R must be positive")
-    qp, Q = e.q_prime, e.Q
-
-    def integrand(r):
-        _, g = _power_radial_terms(e, spec, R, r)
-        if g == 0.0:
-            return 0.0
-        return math.exp(qp * math.log(abs(g)) + (Q - 1) * math.log(r))
-
-    radial = _radial_quad(integrand, R / math.sqrt(2.0), R)
-    sphere = sphere_weight_constant(e.n, qp)
-    return _combine_sphere(radial, sphere)
+    return _power_radial_quad(e, spec, R, weighted=False)
 
 
 def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) -> MCEstimate:
@@ -443,108 +429,56 @@ def young_constant(q: float) -> float:
     return (q / 4.0) ** (1.0 - qp) / qp
 
 
-def _bound_report(e: Exponents, T: float, R: float, terms: dict, params: dict) -> CapacityReport:
-    bound = 0.0
-    for v in terms.values():
-        bound += v
-    params = dict(params)
-    params.update({"q": e.q, "n": e.n, "ell": e.ell, "kappa": e.kappa, "T": T, "R": R})
-    return CapacityReport(bound, terms, params)
-
-
-def capacity_bound_parabolic(
-    e: Exponents, T: float, R: float, u0_norm: float, spec: Optional[CutoffSpec] = None
-) -> CapacityReport:
-    """A-priori bound for the first-order equation:
-
-    2 C(q) (I2 + I1) * (spatial factor) + 2 ||u0||_q (data factor)^(1/q').
-
-    The subcritical path (power cutoff) scales like R^(Q-2q'); at the
-    critical exponent the logarithmic cutoff is used instead and the
-    bound decays inside the (ln R) envelope.
-    """
-    if u0_norm < 0:
-        raise ParameterError("u0 norm must be nonnegative")
-    cq = young_constant(e.q)
-    i1 = time_integral(e, T, 0).value
-    i2 = time_integral(e, T, 1).value
-    critical = e.is_critical()
-    if critical:
-        spec = spec or e.log_spec()
-        spatial = spatial_integral_critical(e, spec, R).total.value
-        data = data_term_integral_critical(e, spec, R).value
-    else:
-        spec = spec or e.power_spec()
-        spatial = spatial_integral_subcritical(e, spec, R).value
-        data = data_term_integral_subcritical(e, spec, R).value
-    terms = {
-        "term_lap_dt": 2.0 * cq * i2 * spatial,
-        "term_lap": 2.0 * cq * i1 * spatial,
-        "term_data_u0": 2.0 * u0_norm * data ** (1.0 / e.q_prime),
-    }
-    params = {
-        "equation": "parabolic",
-        "critical": critical,
-        "young_constant": cq,
-        "I1": i1,
-        "I2": i2,
-        "spatial_factor": spatial,
-        "data_factor": data,
-        "u0_norm": u0_norm,
-    }
-    return _bound_report(e, T, R, terms, params)
-
-
-def capacity_bound_hyperbolic(
-    e: Exponents, T: float, R: float, u0_norm: float, u1_norm: float,
+def capacity_bound(
+    e: Exponents, T: float, R: float, order: int, u0_norm: float, u1_norm: float = 0.0,
     spec: Optional[CutoffSpec] = None,
 ) -> CapacityReport:
-    """A-priori bound for the second-order equation:
+    """A-priori bound for the equation of time order 1 or 2:
 
-    2 C(q) (I3 + I1) * (spatial factor)
-      + 2 ||u1||_q (data factor)^(1/q')
-      + 2 (ell/T) ||u0||_q (data factor)^(1/q').
+    2 C(q) (I_{order+1} + I1) * (spatial factor)
+      + 2 ||u1||_q (data factor)^(1/q')           (order 2 only)
+      + 2 |d_t^(order-1) phi1(0)| ||u0||_q (data factor)^(1/q'),
 
-    The u0 term carries |d_t phi1(0)| = ell/T.  Subcritical totals group
-    as const * R^(Q-2q') * (T^(1-2q') + T + 1 + 1/T); the grouped time
-    factor is echoed in params.
+    where |d_t phi1(0)| = ell/T.  The subcritical path (power cutoff) scales
+    like R^(Q-2q'); at the critical exponent the logarithmic cutoff is used
+    instead and the bound decays inside the (ln R) envelope.  For order 2,
+    subcritical totals group as const * R^(Q-2q') * (T^(1-2q') + T + 1 + 1/T);
+    the grouped time factor is echoed in params.
     """
+    if order not in (1, 2):
+        raise ParameterError("time order must be 1 or 2")
     if u0_norm < 0 or u1_norm < 0:
         raise ParameterError("data norms must be nonnegative")
     cq = young_constant(e.q)
     i1 = time_integral(e, T, 0).value
-    i3 = time_integral(e, T, 2).value
+    i_order = time_integral(e, T, order).value
     critical = e.is_critical()
     if critical:
         spec = spec or e.log_spec()
         spatial = spatial_integral_critical(e, spec, R).total.value
         data = data_term_integral_critical(e, spec, R).value
-        t_grouped = T ** (1.0 - e.Q) + T + 1.0 + 1.0 / T
     else:
         spec = spec or e.power_spec()
         spatial = spatial_integral_subcritical(e, spec, R).value
         data = data_term_integral_subcritical(e, spec, R).value
-        t_grouped = T ** (1.0 - 2.0 * e.q_prime) + T + 1.0 + 1.0 / T
     data_root = data ** (1.0 / e.q_prime)
-    terms = {
-        "term_lap_dtt": 2.0 * cq * i3 * spatial,
-        "term_lap": 2.0 * cq * i1 * spatial,
-        "term_data_u1": 2.0 * u1_norm * data_root,
-        "term_data_u0": 2.0 * (e.ell / T) * u0_norm * data_root,
-    }
-    params = {
-        "equation": "hyperbolic",
-        "critical": critical,
-        "young_constant": cq,
-        "I1": i1,
-        "I3": i3,
-        "spatial_factor": spatial,
-        "data_factor": data,
-        "u0_norm": u0_norm,
-        "u1_norm": u1_norm,
-        "t_factor_grouped": t_grouped,
-    }
-    return _bound_report(e, T, R, terms, params)
+    terms = {"term_lap_d" + "t" * order: 2.0 * cq * i_order * spatial,
+             "term_lap": 2.0 * cq * i1 * spatial}
+    if order == 2:
+        terms["term_data_u1"] = 2.0 * u1_norm * data_root
+    terms["term_data_u0"] = 2.0 * (1.0 if order == 1 else e.ell / T) * u0_norm * data_root
+    bound = 0.0
+    for v in terms.values():
+        bound += v
+    params = {"equation": ("parabolic", "hyperbolic")[order - 1], "critical": critical,
+              "young_constant": cq, "I1": i1, f"I{order + 1}": i_order,
+              "spatial_factor": spatial, "data_factor": data, "u0_norm": u0_norm}
+    if order == 2:
+        params["u1_norm"] = u1_norm
+        t_power = 1.0 - (e.Q if critical else 2.0 * e.q_prime)
+        params["t_factor_grouped"] = T ** t_power + T + 1.0 + 1.0 / T
+    params.update({"q": e.q, "n": e.n, "ell": e.ell, "kappa": e.kappa, "T": T, "R": R})
+    return CapacityReport(bound, terms, params)
 
 
 def critical_exponent(n: int) -> Fraction:

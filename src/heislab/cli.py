@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +27,7 @@ import numpy as np
 from . import __version__
 from .capacity import (
     Exponents,
-    capacity_bound_hyperbolic,
-    capacity_bound_parabolic,
+    capacity_bound,
     critical_exponent,
     log_envelope,
     scaling_fit,
@@ -92,9 +92,12 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_grid(text: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParameterError(f"cannot parse grid {text!r}") from exc
+    if not grid or not all(map(math.isfinite, grid)):
+        raise ParameterError(f"grid {text!r} must list one or more finite numbers")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,25 +292,19 @@ def cmd_scaling(spec: RunSpec) -> Report:
     return Report(_meta(spec), ["abscissa", "value", "fitted", "rel_residual"], rows, summary)
 
 
-def _bound_rows(spec: RunSpec, hyperbolic: bool):
+def cmd_bound(spec: RunSpec, order: int) -> Report:
+    """bound-parabolic (order 1) and bound-hyperbolic (order 2) over the R grid."""
     e = _exponents(spec)
     T = parse_grid(spec.params["T"])[0]
-    Rs = parse_grid(spec.params["R"])
     u0 = spec.params.get("u0_norm", 0.0)
     u1 = spec.params.get("u1_norm", 0.0)
     rows = []
     bounds = []
-    for R in Rs:
-        if hyperbolic:
-            rep = capacity_bound_hyperbolic(e, T, R, u0, u1)
-        else:
-            rep = capacity_bound_parabolic(e, T, R, u0)
+    for R in parse_grid(spec.params["R"]):
+        rep = capacity_bound(e, T, R, order, u0, u1)
         row = {"R": R, "bound": rep.bound}
         row.update(rep.breakdown)
-        if bounds:
-            row["ratio_to_prev"] = rep.bound / bounds[-1][1] if bounds[-1][1] else float("nan")
-        else:
-            row["ratio_to_prev"] = float("nan")
+        row["ratio_to_prev"] = rep.bound / bounds[-1][1] if bounds and bounds[-1][1] else float("nan")
         bounds.append((R, rep.bound))
         rows.append(row)
     summary = {
@@ -322,18 +319,7 @@ def _bound_rows(spec: RunSpec, hyperbolic: bool):
         fit = scaling_fit(bounds, "log R")
         summary["slope"] = fit.slope
         summary["expected_slope"] = e.Q - 2.0 * e.q_prime
-    cols = list(rows[0].keys()) if rows else ["R", "bound"]
-    return rows, summary, cols
-
-
-def cmd_bound_parabolic(spec: RunSpec) -> Report:
-    rows, summary, cols = _bound_rows(spec, hyperbolic=False)
-    return Report(_meta(spec), cols, rows, summary)
-
-
-def cmd_bound_hyperbolic(spec: RunSpec) -> Report:
-    rows, summary, cols = _bound_rows(spec, hyperbolic=True)
-    return Report(_meta(spec), cols, rows, summary)
+    return Report(_meta(spec), list(rows[0].keys()), rows, summary)
 
 
 def cmd_verdict(spec: RunSpec) -> Report:
@@ -543,8 +529,8 @@ _HANDLERS = {
     "lemma1": cmd_lemma1,
     "lemma2": cmd_lemma2,
     "scaling": cmd_scaling,
-    "bound-parabolic": cmd_bound_parabolic,
-    "bound-hyperbolic": cmd_bound_hyperbolic,
+    "bound-parabolic": lambda spec: cmd_bound(spec, 1),
+    "bound-hyperbolic": lambda spec: cmd_bound(spec, 2),
     "verdict": cmd_verdict,
     "residual": cmd_residual,
     "simulate": cmd_simulate,
@@ -569,6 +555,9 @@ def main(argv=None) -> int:
         return 3
     except FileNotFoundError as exc:
         print(f"heislab: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, ZeroDivisionError) as exc:
+        print(f"heislab: parameter error: numbers out of floating-point range ({exc})", file=sys.stderr)
         return 2
     write_output(emit(report, spec.fmt), spec.out)
     if str(report.summary.get("status", "")).startswith("solver_failure"):

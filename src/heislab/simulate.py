@@ -12,22 +12,27 @@ from forward-difference discretisations of X = d/dx + 2y d/dtau and
 Y = d/dy - 2x d/dtau with coefficients sampled at nodes.  This makes L_h
 symmetric negative semidefinite by construction, so each step's linear
 solve for w = d/dt u (or the acceleration a) runs conjugate gradients on
--L_h.  Time stepping is explicit Euler (first order) or leapfrog with a
-Taylor start (second order).
+-L_h.  An optional regularisation eps > 0 (`regularization_eps`) subtracts
+eps D_tau^T D_tau, the plain forward tau-difference assembled the same way,
+i.e. adds eps times the second tau-difference (1, -2, 1)/h_tau^2 along every
+tau line.  Time stepping is explicit Euler (first order) or leapfrog with a
+Taylor start (second order); both share one warm-started solve.
 
 The grid is cell-centred: spacing h = 2L/N per axis with N nodes whose
 outermost layer is clamped to zero, leaving (N-2)^3 interior unknowns.
 
 Nothing here reproduces a published experiment; blow-up runs are
 illustrative observations of the discrete dynamics, and hitting the
-blow-up threshold counts as a completed result, not an error.
+blow-up threshold counts as a completed result, not an error.  So does a
+state whose forcing |u|^q overflows floating-point range (in the forcing
+itself or in the squared norms of conjugate gradients) before its max-norm
+reaches the threshold.
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -101,7 +106,6 @@ class SparseOperator:
     """Symmetric operator on interior unknowns in CSR form."""
 
     matrix: sp.csr_matrix
-    symmetric: bool = True
     _neg: Optional[sp.csr_matrix] = field(default=None, repr=False)
 
     @property
@@ -139,35 +143,34 @@ def _interior_index(shape):
 
 
 def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
-    """Forward-difference matrix of X or Y from full nodes to interior columns.
+    """Forward-difference matrix of X, Y or the plain d/dtau from full nodes
+    to interior columns.
 
-    Rows are based at nodes where both forward differences exist; values
-    at boundary-layer nodes are fixed to zero, so their columns drop out.
+    X = d/dx + 2y d/dtau and Y = d/dy - 2x d/dtau step along their own axis
+    and along tau; "tau" steps along tau only.  Rows are based at nodes where
+    every forward difference exists; values at boundary-layer nodes are fixed
+    to zero, so their columns drop out.
     """
     nx, ny, nt = grid.shape
-    hx, hy, ht = grid.h
+    ht = grid.h[2]
     idx = _interior_index(grid.shape)
     I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nt), indexing="ij")
-    if which == "X":
-        base = (I <= nx - 2) & (K <= nt - 2)
-    else:
-        base = (J <= ny - 2) & (K <= nt - 2)
+    axis = {"X": 0, "Y": 1, "tau": None}[which]
+    base = K <= nt - 2
+    if axis is not None:
+        base &= (I, J)[axis] <= grid.shape[axis] - 2
     ib, jb, kb = I[base], J[base], K[base]
     rows = np.arange(ib.size)
-    if which == "X":
-        coef = 2.0 * grid.axes[1][jb]  # +2y on the tau transport
-        entries = [
-            (ib, jb, kb, -1.0 / hx - coef / ht),
-            (ib + 1, jb, kb, np.full(ib.size, 1.0 / hx)),
-            (ib, jb, kb + 1, coef / ht),
-        ]
+    if axis is None:
+        entries = [(ib, jb, kb, -1.0 / ht)]
+        coef = 1.0
     else:
-        coef = -2.0 * grid.axes[0][ib]  # -2x on the tau transport
-        entries = [
-            (ib, jb, kb, -1.0 / hy - coef / ht),
-            (ib, jb + 1, kb, np.full(ib.size, 1.0 / hy)),
-            (ib, jb, kb + 1, coef / ht),
-        ]
+        # tau transport coefficient: +2y for X, -2x for Y
+        coef = 2.0 * grid.axes[1][jb] if axis == 0 else -2.0 * grid.axes[0][ib]
+        step = 1.0 / grid.h[axis]
+        entries = [(ib, jb, kb, -step - coef / ht),
+                   (ib + (axis == 0), jb + (axis == 1), kb, np.full(ib.size, step))]
+    entries.append((ib, jb, kb + 1, coef / ht))
     r_all, c_all, v_all = [], [], []
     for i, j, k, vals in entries:
         cols = idx[i, j, k]
@@ -177,30 +180,7 @@ def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
         v_all.append(np.broadcast_to(vals, rows.shape)[keep])
     mat = sp.coo_matrix(
         (np.concatenate(v_all), (np.concatenate(r_all), np.concatenate(c_all))),
-        shape=(ib.size, (nx - 2) * (ny - 2) * (nt - 2)),
-    )
-    return mat.tocsr()
-
-
-def _tau_difference_matrix(grid: Grid) -> sp.csr_matrix:
-    """Plain forward tau-difference (for the optional regularisation)."""
-    nx, ny, nt = grid.shape
-    ht = grid.h[2]
-    idx = _interior_index(grid.shape)
-    I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nt), indexing="ij")
-    base = K <= nt - 2
-    ib, jb, kb = I[base], J[base], K[base]
-    rows = np.arange(ib.size)
-    r_all, c_all, v_all = [], [], []
-    for i, j, k, val in [(ib, jb, kb, -1.0 / ht), (ib, jb, kb + 1, 1.0 / ht)]:
-        cols = idx[i, j, k]
-        keep = cols >= 0
-        r_all.append(rows[keep])
-        c_all.append(cols[keep])
-        v_all.append(np.full(keep.sum(), val))
-    mat = sp.coo_matrix(
-        (np.concatenate(v_all), (np.concatenate(r_all), np.concatenate(c_all))),
-        shape=(ib.size, (nx - 2) * (ny - 2) * (nt - 2)),
+        shape=(ib.size, grid.n_interior),
     )
     return mat.tocsr()
 
@@ -215,10 +195,10 @@ def assemble_sublaplacian(grid: Grid, regularization_eps: float = 0.0) -> Sparse
     dy = _difference_matrix(grid, "Y")
     m = (dx.T @ dx + dy.T @ dy).tocsr()
     if regularization_eps:
-        dt = _tau_difference_matrix(grid)
+        dt = _difference_matrix(grid, "tau")
         m = (m + regularization_eps * (dt.T @ dt)).tocsr()
     sym = (m + m.T) * 0.5
-    return SparseOperator((-sym).tocsr(), symmetric=True)
+    return SparseOperator((-sym).tocsr())
 
 
 def solve_linear(
@@ -233,8 +213,6 @@ def solve_linear(
     Returns (x, iterations).  Raises SolverFailure when max_iter is
     exhausted and OperatorError on CG breakdown (indefiniteness).
     """
-    if not op.symmetric:
-        raise OperatorError("operator must be symmetric")
     rhs = np.asarray(rhs, dtype=float)
     a = op.neg
     iters = [0]
@@ -380,23 +358,28 @@ class SimTrace:
     config: SimConfig
 
 
-def _forcing(u: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    return np.abs(u) ** cfg.q if cfg.nonlinearity else np.zeros_like(u)
+def _solve_step(op: SparseOperator, u: np.ndarray, cfg: SimConfig):
+    """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration),
+    warm-started at x0 = -u, which makes the linear-mode solve exact in zero
+    iterations since then w = -u identically.
 
-
-def parabolic_rhs(op: SparseOperator, u: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Right side of op w = -op u - |u|^q (the solve defining w = du/dt)."""
-    return -(op.matrix @ u) - _forcing(u, cfg)
+    Floating-point overflow on the way (in |u|^q or in CG's squared norms)
+    means the solution has left the representable range; it is raised as
+    OverflowError, which run() reports as blow-up.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            rhs = -(op.matrix @ u)
+            if cfg.nonlinearity:
+                rhs -= np.abs(u) ** cfg.q
+            return solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=-u)
+    except FloatingPointError as exc:
+        raise OverflowError(f"solution beyond floating-point range ({exc})") from None
 
 
 def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
-    """One explicit Euler step: solve op w = -op u - |u|^q, then u += dt w.
-
-    Warm start x0 = -u makes the linear-mode solve exact in zero
-    iterations, since then w = -u identically.
-    """
-    rhs = parabolic_rhs(op, state.u, cfg)
-    w, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=-state.u)
+    """One explicit Euler step: solve op w = -op u - |u|^q, then u += dt w."""
+    w, iters = _solve_step(op, state.u, cfg)
     return SimState(state.u + cfg.dt * w, state.t + cfg.dt, state.step + 1,
                     last_iterations=iters)
 
@@ -404,8 +387,7 @@ def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimSt
 def step_hyperbolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
     """One leapfrog step: solve op a = -op u - |u|^q, then
     u_next = 2u - u_prev + dt^2 a."""
-    rhs = parabolic_rhs(op, state.u, cfg)
-    a, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=-state.u)
+    a, iters = _solve_step(op, state.u, cfg)
     u_next = 2.0 * state.u - state.u_prev + cfg.dt**2 * a
     return SimState(u_next, state.t + cfg.dt, state.step + 1, u_prev=state.u,
                     last_iterations=iters)
@@ -413,14 +395,13 @@ def step_hyperbolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimS
 
 def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimConfig):
     """First hyperbolic step u^1 = u^0 + dt u1 + dt^2/2 a^0."""
-    a0, iters = solve_linear(op, parabolic_rhs(op, u0, cfg), cfg.solver_tol,
-                             cfg.solver_max_iter, x0=-u0)
+    a0, iters = _solve_step(op, u0, cfg)
     return u0 + cfg.dt * u1 + 0.5 * cfg.dt**2 * a0, iters
 
 
 def run(cfg: SimConfig) -> SimTrace:
     """Step the configured equation, recording norms until the step budget,
-    the blow-up threshold, or a solver failure."""
+    the blow-up threshold (or floating-point overflow), or a solver failure."""
     grid = build_grid(cfg.grid)
     op = assemble_sublaplacian(grid, cfg.regularization_eps)
     u = cfg.initial.evaluate(grid)
@@ -451,4 +432,6 @@ def run(cfg: SimConfig) -> SimTrace:
                 break
     except SolverFailure:
         status, status_step = "solver_failure", state.step + 1
+    except OverflowError:
+        status, status_step = "blowup_threshold", state.step + 1
     return SimTrace(rows, status, status_step, cfg)

@@ -130,6 +130,9 @@ def weak_residual(cand: CandidateSolution, testfn, cfg: WeakFormConfig, order: i
         raise ParameterError("second-order candidates need initial velocity u1")
     ts, ws = _time_rule(testfn.T, cfg.time_nodes)
     f0, f1, f2 = testfn.temporal(ts)
+    if not np.any(f0):
+        # e.g. q near 1, where phi1 = (1 - t/T)^ell with a huge ell underflows
+        raise ParameterError("time factor phi1 is 0 at every quadrature node; the check would be vacuous")
     g0, g1, _ = testfn.temporal(0.0)
     coefs = [np.asarray(a(ts)) for a, _ in cand.terms]
     # int_0^T a_j (phi1 - phi1') or int_0^T a_j (phi1 + phi1''), by Gauss-Legendre

@@ -14,8 +14,7 @@ import pytest
 from heislab.capacity import (
     Exponents,
     Verdict,
-    capacity_bound_hyperbolic,
-    capacity_bound_parabolic,
+    capacity_bound,
     critical_exponent,
     log_envelope,
     mc_spatial_integral,
@@ -211,8 +210,8 @@ def test_criterion_6_capacity_bound_decay_and_verdicts():
     ok = True
     details = []
     for name, builder in [
-        ("parabolic", lambda R: capacity_bound_parabolic(e, 10.0, R, 0.0)),
-        ("hyperbolic", lambda R: capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0)),
+        ("parabolic", lambda R: capacity_bound(e, 10.0, R, 1, 0.0)),
+        ("hyperbolic", lambda R: capacity_bound(e, 10.0, R, 2, 0.0, 0.0)),
     ]:
         bounds = [builder(R).bound for R in (8.0, 16.0, 32.0, 64.0)]
         ratios = [b / a for a, b in zip(bounds, bounds[1:])]
@@ -221,8 +220,8 @@ def test_criterion_6_capacity_bound_decay_and_verdicts():
         details.append(f"{name} doubling {ratios[0]:.4f}")
     ec = Exponents(q=2.0, n=1)
     for name, builder in [
-        ("critical parabolic", lambda R: capacity_bound_parabolic(ec, 10.0, R, 0.0)),
-        ("critical hyperbolic", lambda R: capacity_bound_hyperbolic(ec, 10.0, R, 0.0, 0.0)),
+        ("critical parabolic", lambda R: capacity_bound(ec, 10.0, R, 1, 0.0)),
+        ("critical hyperbolic", lambda R: capacity_bound(ec, 10.0, R, 2, 0.0, 0.0)),
     ]:
         quots = [builder(R).bound / log_envelope(ec.Q, R) for R in (1e3, 1e5, 1e7, 1e9)]
         spread = max(quots) / min(quots)
@@ -249,8 +248,8 @@ def test_criterion_6_higher_dimensions():
     for n, q, power in [(2, 1.2, -6), (3, 1.1, -14)]:
         e = Exponents(q=q, n=n)
         for name, builder in [
-            ("parabolic", lambda R: capacity_bound_parabolic(e, 10.0, R, 0.0)),
-            ("hyperbolic", lambda R: capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0)),
+            ("parabolic", lambda R: capacity_bound(e, 10.0, R, 1, 0.0)),
+            ("hyperbolic", lambda R: capacity_bound(e, 10.0, R, 2, 0.0, 0.0)),
         ]:
             bounds = [(R, builder(R).bound) for R in (8.0, 16.0, 32.0, 64.0)]
             ratios = [b / a for (_, a), (_, b) in zip(bounds, bounds[1:])]

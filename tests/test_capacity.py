@@ -10,8 +10,7 @@ from heislab.capacity import (
     CriticalSpatialFactor,
     Exponents,
     Verdict,
-    capacity_bound_hyperbolic,
-    capacity_bound_parabolic,
+    capacity_bound,
     critical_exponent,
     data_term_integral_subcritical,
     log_envelope,
@@ -258,21 +257,21 @@ def test_parabolic_bound_doubling_and_decay():
     e = Exponents(q=1.5, n=1)
     bounds = []
     for R in (8.0, 16.0, 32.0, 64.0):
-        rep = capacity_bound_parabolic(e, 10.0, R, 0.0)
+        rep = capacity_bound(e, 10.0, R, 1, 0.0)
         assert rep.bound == sum(rep.breakdown.values())
         bounds.append(rep.bound)
     for a, b in zip(bounds, bounds[1:]):
         assert b / a == pytest.approx(0.25, rel=0.01)
         assert b < a  # strictly decreasing
     # zero data keeps only the two Young terms
-    rep = capacity_bound_parabolic(e, 10.0, 8.0, 0.0)
+    rep = capacity_bound(e, 10.0, 8.0, 1, 0.0)
     assert rep.breakdown["term_data_u0"] == 0.0
 
 
 def test_parabolic_bound_data_term():
     e = Exponents(q=1.5, n=1)
-    r0 = capacity_bound_parabolic(e, 10.0, 8.0, 0.0)
-    r1 = capacity_bound_parabolic(e, 10.0, 8.0, 2.0)
+    r0 = capacity_bound(e, 10.0, 8.0, 1, 0.0)
+    r1 = capacity_bound(e, 10.0, 8.0, 1, 2.0)
     data = data_term_integral_subcritical(e, e.power_spec(), 8.0)
     assert r1.bound - r0.bound == pytest.approx(2 * 2.0 * data.value ** (1 / e.q_prime))
 
@@ -281,12 +280,12 @@ def test_hyperbolic_bound_slope_and_decay():
     e = Exponents(q=1.5, n=1)
     samples = []
     for R in (8.0, 16.0, 32.0, 64.0):
-        rep = capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0)
+        rep = capacity_bound(e, 10.0, R, 2, 0.0, 0.0)
         assert rep.bound == sum(rep.breakdown.values())
         samples.append((R, rep.bound))
     fit = scaling_fit(samples, "log R")
     assert abs(fit.slope - (-2.0)) < 1e-4
-    rep = capacity_bound_hyperbolic(e, 10.0, 8.0, 1.0, 1.0)
+    rep = capacity_bound(e, 10.0, 8.0, 2, 1.0, 1.0)
     assert rep.breakdown["term_data_u0"] > 0 and rep.breakdown["term_data_u1"] > 0
     assert rep.params["t_factor_grouped"] == pytest.approx(10.0 ** (1 - 2 * 3.0) + 10 + 1 + 0.1)
 
@@ -294,12 +293,12 @@ def test_hyperbolic_bound_slope_and_decay():
 def test_critical_bounds_stay_inside_log_envelope():
     e = Exponents(q=2.0, n=1)
     for builder in (
-        lambda R: capacity_bound_parabolic(e, 10.0, R, 0.0),
-        lambda R: capacity_bound_hyperbolic(e, 10.0, R, 0.0, 0.0),
+        lambda R: capacity_bound(e, 10.0, R, 1, 0.0),
+        lambda R: capacity_bound(e, 10.0, R, 2, 0.0, 0.0),
     ):
         quots = [builder(R).bound / log_envelope(e.Q, R) for R in (1e3, 1e5, 1e7, 1e9)]
         assert max(quots) / min(quots) <= 10.0
-    rep = capacity_bound_hyperbolic(e, 10.0, 1e5, 0.0, 0.0)
+    rep = capacity_bound(e, 10.0, 1e5, 2, 0.0, 0.0)
     assert rep.params["t_factor_grouped"] == pytest.approx(10.0 ** (1 - 4) + 10 + 1 + 0.1)
 
 

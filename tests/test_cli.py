@@ -323,3 +323,57 @@ def test_residual_exit_code_contract(n, q, samples):
     code, err = run_main(["residual", f"--n={n}", f"--q={q}", f"--samples={samples}"])
     assert code in (0, 2, 3) and "Traceback" not in err
     assert code != 2 or err.count("\n") == 1, err
+
+
+CAPACITY_QS = ["1.00001", "1.0001", "1.001", "1.01", "1.1", "4/3", "3/2", "2", "3", "5"]
+
+
+def log_grid(lo, hi):
+    """1-5 comma-separated values spread over the decades 10^lo .. 10^hi."""
+    return st.lists(st.floats(lo, hi).map(lambda x: repr(10.0**x)), min_size=1, max_size=5).map(",".join)
+
+
+@st.composite
+def capacity_argv(draw):
+    sub = draw(st.sampled_from(["lemma1", "lemma2", "scaling", "bound-parabolic", "bound-hyperbolic"]))
+    argv = [sub, f"--n={draw(st.sampled_from([1, 2, 3]))}"]
+    if sub != "lemma2" or draw(st.booleans()):  # lemma2 defaults to the critical q
+        argv.append(f"--q={draw(st.sampled_from(CAPACITY_QS))}")
+    if sub == "scaling":
+        argv.append(f"--target={draw(st.sampled_from(['I1', 'I2', 'I3', 'I4']))}")
+    if sub != "lemma2":
+        argv.append(f"--T={draw(log_grid(-3, 6))}")
+    if sub != "lemma1":
+        argv.append(f"--R={draw(log_grid(-3, 9))}")
+    if sub.startswith("bound-"):
+        argv.append(f"--u0-norm={draw(st.floats(0.0, 5.0))!r}")
+    if sub == "bound-hyperbolic":
+        argv.append(f"--u1-norm={draw(st.floats(0.0, 5.0))!r}")
+    return argv
+
+
+@settings(max_examples=100)
+@example(argv=["lemma1", "--n", "2", "--q", "1.01", "--T", "27232"])  # used to raise ZeroDivisionError
+@given(argv=capacity_argv())
+def test_capacity_exit_code_contract(argv):
+    code, err = run_main(argv)
+    assert code in (0, 2) and "Traceback" not in err
+    assert code != 2 or err.count("\n") == 1, err
+
+
+# empty grids used to raise IndexError (bound-*, residual) or ValueError (lemma2);
+# a non-finite one used to exit 0 with inf/nan rows
+@pytest.mark.parametrize("argv", [["bound-parabolic", "--T", ""], ["residual", "--R", ""],
+                                  ["lemma2", "--R", ""], ["bound-parabolic", "--q", "3/2", "--R", "inf"],
+                                  ["bound-hyperbolic", "--T", "nan"]])
+def test_empty_or_non_finite_grid_exits_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "grid" in err
+
+
+def test_vacuous_residual_exits_2(capsys):
+    # q so close to 1 that phi1 = (1 - t/T)^ell underflows at every Gauss node
+    assert main(["residual", "--q", "1.0000000001", "--samples", "500"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "phi1" in err

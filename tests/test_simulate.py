@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from heislab.errors import OperatorError, ParameterError, SolverFailure
+from heislab.errors import ParameterError, SolverFailure
 from heislab.simulate import (
     BumpSpec,
     GridConfig,
@@ -10,7 +11,6 @@ from heislab.simulate import (
     SimState,
     assemble_sublaplacian,
     build_grid,
-    parabolic_rhs,
     run,
     solve_linear,
     step_hyperbolic,
@@ -106,6 +106,17 @@ def test_regularization_flag():
     assert diff.nnz == 0 or abs(diff).max() == 0.0
 
 
+def test_regularization_adds_eps_tau_second_difference():
+    # anisotropic grid, so a mix-up of axes or spacings shows
+    g = build_grid(GridConfig(3.0, 2.0, 9.0, 5, 7, 11))
+    eps = 0.1
+    nx, ny, nt = g.interior_shape
+    second = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nt, nt)) / g.h[2] ** 2
+    expected = -eps * sp.kron(sp.identity(nx * ny), second)
+    diff = (assemble_sublaplacian(g, eps).matrix - assemble_sublaplacian(g).matrix).toarray()
+    assert np.max(np.abs(diff - expected.toarray())) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_solve_linear():
     g = build_grid(GridConfig(3.0, 3.0, 9.0, 17, 17, 17))
     op = assemble_sublaplacian(g)
@@ -119,9 +130,6 @@ def test_solve_linear():
     assert iters <= 10 * op.dimension
     with pytest.raises(SolverFailure):
         solve_linear(op, rhs, tol=1e-14, max_iter=1)
-    op.symmetric = False
-    with pytest.raises(OperatorError):
-        solve_linear(op, rhs)
 
 
 def test_step_parabolic_linear_mode_exact():
@@ -144,8 +152,9 @@ def test_step_parabolic_zero_fixed_point_and_rhs_form():
     state = step_parabolic(SimState(zero, 0.0, 0), op, cfg)
     assert np.all(state.u == 0.0)
     u = np.abs(cfg.initial.evaluate(g))
-    rhs = parabolic_rhs(op, u, cfg)
-    assert np.allclose(rhs, -(op.matrix @ u) - u**1.5)
+    w = (step_parabolic(SimState(u, 0.0, 0), op, cfg).u - u) / cfg.dt
+    rhs = -(op.matrix @ u) - u**1.5
+    assert np.max(np.abs(op.matrix @ w - rhs)) <= 1e-8 * np.max(np.abs(rhs))
 
 
 def test_step_hyperbolic_linear_oscillator():
@@ -253,3 +262,24 @@ def test_config_validation_and_json_mirror():
     tr = run(cfg)
     assert tr.status == "completed"
     assert len(tr.rows) == 6
+
+
+@pytest.mark.parametrize("equation, overflow_step", [("parabolic", 81), ("hyperbolic", 409)])
+def test_overflow_beyond_float_range_is_blowup(equation, overflow_step):
+    # |u|^q outgrows the range of CG's squared norms long before max|u| reaches
+    # the threshold; the run has left the representable range, which is blow-up
+    cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=2000, grid=GRID9,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 300.0), blowup_threshold=1.7e308)
+    tr = run(cfg)
+    assert tr.status == "blowup_threshold"
+    assert tr.status_step == overflow_step and len(tr.rows) == overflow_step
+    assert 1e100 < tr.rows[-1].max_norm < cfg.blowup_threshold
+
+
+def test_max_iter_on_finite_data_stays_solver_failure():
+    cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=True, dt=5e-3, steps=5, grid=GRID9,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 300.0),
+                    solver_tol=1e-14, solver_max_iter=1)
+    tr = run(cfg)
+    assert tr.status == "solver_failure" and tr.status_step == 1
+    assert all(np.isfinite(r.max_norm) for r in tr.rows)
