@@ -11,12 +11,13 @@ sub-Laplacian is assembled in divergence form
 from forward-difference discretisations of X = d/dx + 2y d/dtau and
 Y = d/dy - 2x d/dtau with coefficients sampled at nodes.  This makes L_h
 symmetric negative semidefinite by construction, so each step's linear
-solve for w = d/dt u (or the acceleration a) runs conjugate gradients on
--L_h.  An optional regularisation eps > 0 (`regularization_eps`) subtracts
+solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
+once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else conjugate gradients.
+An optional regularisation eps > 0 (`regularization_eps`) subtracts
 eps D_tau^T D_tau, the plain forward tau-difference assembled the same way,
 i.e. adds eps times the second tau-difference (1, -2, 1)/h_tau^2 along every
 tau line.  Time stepping is explicit Euler (first order) or leapfrog with a
-Taylor start (second order); both share one warm-started solve.
+Taylor start (second order); both share one solve (none in linear mode).
 
 The grid is cell-centred: spacing h = 2L/N per axis with N nodes whose
 outermost layer is clamped to zero, leaving (N-2)^3 interior unknowns.
@@ -24,22 +25,26 @@ outermost layer is clamped to zero, leaving (N-2)^3 interior unknowns.
 Nothing here reproduces a published experiment; blow-up runs are
 illustrative observations of the discrete dynamics, and hitting the
 blow-up threshold counts as a completed result, not an error.  So does a
-state whose forcing |u|^q overflows floating-point range (in the forcing
-itself or in the squared norms of conjugate gradients) before its max-norm
-reaches the threshold.
+step that overflows floating-point range (in the forcing |u|^q, the solve,
+the update or the recorded norms) before the max-norm reaches the
+threshold; that step is not taken.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import cg, splu
 
 from .errors import OperatorError, ParameterError, SolverFailure
+
+# LU fill, not time, sets it: 2 MB at 13^3 nodes, 14 MB at 19^3, 62 MB at 25^3
+DIRECT_MAX_UNKNOWNS = 4096
 
 
 @dataclass(frozen=True)
@@ -103,20 +108,22 @@ def build_grid(config: GridConfig) -> Grid:
 
 @dataclass
 class SparseOperator:
-    """Symmetric operator on interior unknowns in CSR form."""
+    """Symmetric operator on interior unknowns in CSR form; -op and its
+    SuperLU factors are built on first use."""
 
     matrix: sp.csr_matrix
-    _neg: Optional[sp.csr_matrix] = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def neg(self) -> sp.csr_matrix:
-        if self._neg is None:
-            self._neg = (-self.matrix).tocsr()
-        return self._neg
+        return (-self.matrix).tocsr()
+
+    @cached_property
+    def lu(self):
+        return splu(self.neg.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 @dataclass(frozen=True)
@@ -208,12 +215,19 @@ def solve_linear(
     max_iter: Optional[int] = None,
     x0: Optional[np.ndarray] = None,
 ):
-    """Solve op x = rhs by conjugate gradients on -op (which must be SPD).
+    """Solve op x = rhs (-op SPD): by the cached LU factors up to
+    DIRECT_MAX_UNKNOWNS unknowns, returning (x, 0), else by conjugate
+    gradients, returning (x, iterations).
 
-    Returns (x, iterations).  Raises SolverFailure when max_iter is
-    exhausted and OperatorError on CG breakdown (indefiniteness).
+    Raises OverflowError for a non-finite direct solution, SolverFailure when
+    CG exhausts max_iter and OperatorError on CG breakdown (indefiniteness).
     """
     rhs = np.asarray(rhs, dtype=float)
+    if op.dimension <= DIRECT_MAX_UNKNOWNS:
+        x = op.lu.solve(-rhs)
+        if not np.isfinite(x).all():  # SuperLU raises no floating-point errors
+            raise OverflowError("direct solve beyond floating-point range")
+        return x, 0
     a = op.neg
     iters = [0]
 
@@ -359,22 +373,15 @@ class SimTrace:
 
 
 def _solve_step(op: SparseOperator, u: np.ndarray, cfg: SimConfig):
-    """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration),
-    warm-started at x0 = -u, which makes the linear-mode solve exact in zero
-    iterations since then w = -u identically.
+    """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration).
 
-    Floating-point overflow on the way (in |u|^q or in CG's squared norms)
-    means the solution has left the representable range; it is raised as
-    OverflowError, which run() reports as blow-up.
+    Without the nonlinearity w = -u identically, so no solve is made; CG is
+    warm-started at x0 = -u for the same reason.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            rhs = -(op.matrix @ u)
-            if cfg.nonlinearity:
-                rhs -= np.abs(u) ** cfg.q
-            return solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=-u)
-    except FloatingPointError as exc:
-        raise OverflowError(f"solution beyond floating-point range ({exc})") from None
+    if not cfg.nonlinearity:
+        return -u, 0
+    rhs = -(op.matrix @ u) - np.abs(u) ** cfg.q
+    return solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=-u)
 
 
 def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
@@ -400,38 +407,35 @@ def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimCon
 
 
 def run(cfg: SimConfig) -> SimTrace:
-    """Step the configured equation, recording norms until the step budget,
-    the blow-up threshold (or floating-point overflow), or a solver failure."""
+    """Step the configured equation, recording norms until the step budget, the
+    blow-up threshold or a solver failure; a step that overflows is not taken."""
     grid = build_grid(cfg.grid)
     op = assemble_sublaplacian(grid, cfg.regularization_eps)
     u = cfg.initial.evaluate(grid)
     rows = []
 
-    def record(state: SimState):
+    def record(state: SimState) -> SimState:
         f = GridField(state.u, grid)
         rows.append(TraceRow(state.t, f.max_norm(), f.lq_norm(cfg.q), state.last_iterations))
+        return state
 
-    state = SimState(u, 0.0, 0)
-    record(state)
+    state = record(SimState(u, 0.0, 0))
     status, status_step = "completed", None
+    step = step_parabolic if cfg.equation == "parabolic" else step_hyperbolic
     try:
-        if cfg.equation == "hyperbolic":
-            u1 = (cfg.initial_velocity.evaluate(grid)
-                  if cfg.initial_velocity is not None else np.zeros_like(u))
-            u_next, iters = taylor_start(u, u1, op, cfg)
-            state = SimState(u_next, cfg.dt, 1, u_prev=u, last_iterations=iters)
-            record(state)
-        for _ in range(state.step, cfg.steps):
-            if cfg.equation == "parabolic":
-                state = step_parabolic(state, op, cfg)
-            else:
-                state = step_hyperbolic(state, op, cfg)
-            record(state)
-            if not np.all(np.isfinite(state.u)) or np.max(np.abs(state.u)) >= cfg.blowup_threshold:
-                status, status_step = "blowup_threshold", state.step
-                break
+        with np.errstate(over="raise", invalid="raise"):
+            if cfg.equation == "hyperbolic":
+                u1 = (cfg.initial_velocity.evaluate(grid)
+                      if cfg.initial_velocity is not None else np.zeros_like(u))
+                u_next, iters = taylor_start(u, u1, op, cfg)
+                state = record(SimState(u_next, cfg.dt, 1, u_prev=u, last_iterations=iters))
+            for _ in range(state.step, cfg.steps):
+                state = record(step(state, op, cfg))
+                if rows[-1].max_norm >= cfg.blowup_threshold:
+                    status, status_step = "blowup_threshold", state.step
+                    break
     except SolverFailure:
         status, status_step = "solver_failure", state.step + 1
-    except OverflowError:
+    except (OverflowError, FloatingPointError):
         status, status_step = "blowup_threshold", state.step + 1
     return SimTrace(rows, status, status_step, cfg)

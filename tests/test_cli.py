@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -113,7 +115,8 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ell must exceed (q+1)/(q-1)" in err
     assert main(["verdict", "--n", "1", "--q", "zebra"]) == 2
-    # solver failure in a simulation exits 3 (after emitting the report)
+    # a CG solve out of iterations exits 3 (after emitting the report); grids of
+    # at most 4096 interior unknowns are solved directly and have no budget
     cfg = {
         "equation": "parabolic", "q": 1.5, "nonlinearity": True,
         "dt": 0.01, "steps": 3, "blowup_threshold": 1e6,
@@ -122,10 +125,12 @@ def test_exit_codes(tmp_path, capsys):
         "initial": {"center": [0, 0, 0], "width": 1.0, "amplitude": 5.0},
     }
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "trace.csv"
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
-    assert out.exists()
+    for nodes, code in ((9, 0), (19, 3)):
+        cfg["grid"].update(n_x=nodes, n_y=nodes, n_tau=nodes)
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"trace{nodes}.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == code
+        assert out.exists()
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
 
 
@@ -143,6 +148,15 @@ def test_malformed_source_date_epoch_exits_2(monkeypatch, capsys):
     assert main(["verdict", "--n", "1", "--q", "1.5"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "SOURCE_DATE_EPOCH" in err
+
+
+def test_malformed_source_date_epoch_before_start_up_exits_2(child_env):
+    # set before the interpreter starts, the value is also seen while scipy loads
+    proc = subprocess.run([sys.executable, "-m", "heislab.cli", "verdict", "--n", "1", "--q", "1.5"],
+                          env={**child_env, "SOURCE_DATE_EPOCH": "abc"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "SOURCE_DATE_EPOCH" in proc.stderr
 
 
 BAD_BUMPS = {

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import cg
 
+import heislab.simulate as simulate
 from heislab.errors import ParameterError, SolverFailure
 from heislab.simulate import (
+    DIRECT_MAX_UNKNOWNS,
     BumpSpec,
     GridConfig,
     GridField,
@@ -19,6 +22,8 @@ from heislab.simulate import (
 )
 
 GRID9 = GridConfig(3.0, 3.0, 9.0, 9, 9, 9)
+# 17^3 = 4913 interior unknowns: the smallest cube grid solved by conjugate gradients
+GRID19 = GridConfig(3.0, 3.0, 9.0, 19, 19, 19)
 
 
 def quintic_bump(s):
@@ -118,8 +123,9 @@ def test_regularization_adds_eps_tau_second_difference():
 
 
 def test_solve_linear():
-    g = build_grid(GridConfig(3.0, 3.0, 9.0, 17, 17, 17))
+    g = build_grid(GRID19)
     op = assemble_sublaplacian(g)
+    assert op.dimension > DIRECT_MAX_UNKNOWNS
     x, iters = solve_linear(op, np.zeros(op.dimension))
     assert np.all(x == 0.0) and iters == 0
     rng = np.random.default_rng(1)
@@ -139,7 +145,7 @@ def test_step_parabolic_linear_mode_exact():
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     u = cfg.initial.evaluate(g)
     state = step_parabolic(SimState(u, 0.0, 0), op, cfg)
-    assert state.last_iterations == 0  # warm start solves it exactly
+    assert state.last_iterations == 0  # w = -u exactly, no solve
     assert np.allclose(state.u, (1 - cfg.dt) * u, rtol=1e-13, atol=1e-16)
 
 
@@ -264,22 +270,71 @@ def test_config_validation_and_json_mirror():
     assert len(tr.rows) == 6
 
 
-@pytest.mark.parametrize("equation, overflow_step", [("parabolic", 81), ("hyperbolic", 409)])
+@pytest.mark.parametrize("equation, overflow_step", [("parabolic", 82), ("hyperbolic", 410)])
 def test_overflow_beyond_float_range_is_blowup(equation, overflow_step):
-    # |u|^q outgrows the range of CG's squared norms long before max|u| reaches
-    # the threshold; the run has left the representable range, which is blow-up
+    # the Lq norm of the next step overflows long before max|u| reaches the
+    # threshold; the run has left the representable range, which is blow-up
     cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=2000, grid=GRID9,
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 300.0), blowup_threshold=1.7e308)
     tr = run(cfg)
     assert tr.status == "blowup_threshold"
     assert tr.status_step == overflow_step and len(tr.rows) == overflow_step
     assert 1e100 < tr.rows[-1].max_norm < cfg.blowup_threshold
+    assert np.isfinite(tr.rows[-1].lq_norm)
 
 
 def test_max_iter_on_finite_data_stays_solver_failure():
-    cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=True, dt=5e-3, steps=5, grid=GRID9,
+    cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=True, dt=5e-3, steps=5, grid=GRID19,
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 300.0),
                     solver_tol=1e-14, solver_max_iter=1)
     tr = run(cfg)
     assert tr.status == "solver_failure" and tr.status_step == 1
     assert all(np.isfinite(r.max_norm) for r in tr.rows)
+
+
+@pytest.mark.parametrize("nodes", [9, 13])
+def test_direct_solve_matches_cg(nodes):
+    g = build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes))
+    op = assemble_sublaplacian(g)
+    u = BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0).evaluate(g)
+    rhs = -(op.matrix @ u) - np.abs(u) ** 1.5
+    x, iters = solve_linear(op, rhs, x0=-u)
+    ref, info = cg(op.neg, -rhs, rtol=1e-12, atol=0.0)
+    assert iters == 0 and info == 0
+    assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_direct_solve_beyond_float_range_raises_overflow():
+    # SuperLU returns inf or nan silently; the solver must not pass them on
+    op = assemble_sublaplacian(build_grid(GRID9))
+    with pytest.raises(OverflowError):
+        solve_linear(op, np.full(op.dimension, -1e308))
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_operator_factored_once_per_run(monkeypatch, equation):
+    real_splu, calls = simulate.splu, []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "splu", counting_splu)
+    cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=20, grid=GRID9,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0))
+    tr = run(cfg)
+    assert tr.status == "completed" and len(tr.rows) == 21
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_linear_mode_makes_no_solve(monkeypatch, equation):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("linear mode solved a system")
+
+    monkeypatch.setattr(simulate, "solve_linear", no_solve)
+    cfg = SimConfig(equation, q=1.5, nonlinearity=False, dt=5e-3, steps=20, grid=GRID9,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0))
+    tr = run(cfg)
+    assert tr.status == "completed" and len(tr.rows) == 21
+    assert all(r.iterations == 0 for r in tr.rows)
