@@ -46,7 +46,9 @@ class Exponents:
     logarithmic cutoff power kappa, and the homogeneous dimension Q = 2n+2.
 
     ell defaults to floor((q+1)/(q-1)) + 1 and kappa to 2q/(q-1) + 1, the
-    smallest convenient values satisfying the strict constraints.
+    smallest convenient values satisfying the strict constraints.  A quotient
+    within 1e-9 (relative) of an integer j counts as j: at q = (j+1)/(j-1)
+    its float can be j - 1e-15, whose floor would put ell on the bound j.
     """
 
     q: float
@@ -60,7 +62,10 @@ class Exponents:
         if self.n < 1:
             raise ParameterError("n must be a positive integer")
         if self.ell is None:
-            object.__setattr__(self, "ell", math.floor((self.q + 1) / (self.q - 1)) + 1.0)
+            ratio = (self.q + 1) / (self.q - 1)
+            if abs(ratio - round(ratio)) <= 1e-9 * ratio:
+                ratio = round(ratio)
+            object.__setattr__(self, "ell", math.floor(ratio) + 1.0)
         if self.kappa is None:
             object.__setattr__(self, "kappa", default_log_power(self.q))
         if not self.ell > (self.q + 1) / (self.q - 1):
@@ -343,6 +348,18 @@ def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
     return _radial_quad(integrand, 0.0, 1.0)
 
 
+def _critical_total(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
+    """Guards of the critical path, then the full logarithmic-family integral
+    of psi2^(-1/(q-1)) |Delta psi2|^(q') with its gauge-sphere constant."""
+    _require_critical(e)
+    if not R > 1:
+        raise ParameterError("R must exceed 1")
+    if spec.family != "logarithmic":
+        raise ParameterError("critical path expects a logarithmic-family cutoff")
+    total = _log_radial_quad(e, spec, R, -spec.kappa / (e.q - 1.0), True, 0.0)
+    return _combine_sphere(total, sphere_weight_constant(e.n, e.q_prime))
+
+
 def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> CriticalSpatialFactor:
     """Spatial factor of the logarithmic family at q = Q/(Q-2).
 
@@ -355,21 +372,13 @@ def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> Criti
     each integrated over the transition annulus sqrt(R) <= r <= R and
     multiplied by the gauge-sphere constant.
     """
-    _require_critical(e)
-    if not R > 1:
-        raise ParameterError("R must exceed 1")
-    if spec.family != "logarithmic":
-        raise ParameterError("critical path expects a logarithmic-family cutoff")
-    qp = e.q_prime
-    k = spec.kappa
+    total = _critical_total(e, spec, R)
+    qp, k = e.q_prime, spec.kappa
     sphere = sphere_weight_constant(e.n, qp)
-    total = _log_radial_quad(e, spec, R, -k / (e.q - 1.0), True, 0.0)
     term_sq = _log_radial_quad(e, spec, R, k - 2.0 * qp, False, 2.0)
     term_lin = _log_radial_quad(e, spec, R, k - qp, False, 1.0)
     return CriticalSpatialFactor(
-        _combine_sphere(total, sphere),
-        _combine_sphere(term_sq, sphere),
-        _combine_sphere(term_lin, sphere),
+        total, _combine_sphere(term_sq, sphere), _combine_sphere(term_lin, sphere)
     )
 
 
@@ -455,7 +464,7 @@ def capacity_bound(
     critical = e.is_critical()
     if critical:
         spec = spec or e.log_spec()
-        spatial = spatial_integral_critical(e, spec, R).total.value
+        spatial = _critical_total(e, spec, R).value
         data = data_term_integral_critical(e, spec, R).value
     else:
         spec = spec or e.power_spec()

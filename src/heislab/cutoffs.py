@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ParameterError
 from .group import GroupPoint, RadialProfile, SmoothField, _norm4, compose, inverse
@@ -133,10 +132,10 @@ def cutoff_derivative_bounds(spec: CutoffSpec, samples: int = 20001):
     return float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
 
 
-def check_integrability(spec: CutoffSpec, q: float) -> float:
-    """Guard for the power family: Phi^(-1/(q-1)) |Phi''|^(q/(q-1)) must be
-    integrable over the transition.  Raises on violation, returns the
-    transition integral (in the z variable) otherwise.
+def check_integrability(spec: CutoffSpec, q: float) -> None:
+    """Guard for the power family: Phi^(-1/(q-1)) |Phi''|^(q/(q-1)) is
+    integrable over the transition exactly when m > (q+1)/(3(q-1)).  Raises
+    on violation.
     """
     if spec.family != "power":
         raise ParameterError("integrability guard applies to the power family")
@@ -144,18 +143,6 @@ def check_integrability(spec: CutoffSpec, q: float) -> float:
         raise ParameterError(
             f"m={spec.m} must exceed (q+1)/(3(q-1))={min_power(q):.6g} for q={q}"
         )
-    qp = q / (q - 1.0)
-
-    def integrand(z):
-        v, _, d2 = cutoff_eval(spec, z)
-        if v <= 0.0 or d2 == 0.0:
-            return 0.0
-        return math.exp(-math.log(v) / (q - 1.0) + qp * math.log(abs(d2)))
-
-    val, _ = quad(integrand, 0.5, 1.0, limit=200)
-    if not math.isfinite(val):
-        raise ParameterError("transition integral is not finite")
-    return val
 
 
 @dataclass(frozen=True)

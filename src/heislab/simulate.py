@@ -9,7 +9,9 @@ sub-Laplacian is assembled in divergence form
     L_h = - sum_i (D_Xi^T D_Xi + D_Yi^T D_Yi)
 
 from forward-difference discretisations of X = d/dx + 2y d/dtau and
-Y = d/dy - 2x d/dtau with coefficients sampled at nodes.  This makes L_h
+Y = d/dy - 2x d/dtau with coefficients sampled at nodes, each a sum of
+Kronecker products of 1-D factors (difference, truncated identity,
+coefficient diagonal) over the x, y and tau axes.  This makes L_h
 symmetric negative semidefinite by construction, so each step's linear
 solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
 once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else conjugate gradients.
@@ -140,56 +142,38 @@ class GridField:
         )
 
 
-def _interior_index(shape):
-    """Map full (i,j,k) to interior column index, -1 on the boundary layer."""
-    nx, ny, nt = shape
-    idx = -np.ones(shape, dtype=np.int64)
-    count = (nx - 2) * (ny - 2) * (nt - 2)
-    idx[1:-1, 1:-1, 1:-1] = np.arange(count).reshape(nx - 2, ny - 2, nt - 2)
-    return idx
-
-
 def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
     """Forward-difference matrix of X, Y or the plain d/dtau from full nodes
-    to interior columns.
+    to interior columns, as a sum of Kronecker products of 1-D factors:
 
-    X = d/dx + 2y d/dtau and Y = d/dy - 2x d/dtau step along their own axis
-    and along tau; "tau" steps along tau only.  Rows are based at nodes where
-    every forward difference exists; values at boundary-layer nodes are fixed
-    to zero, so their columns drop out.
+        D_X   = dx (x) I (x) E_tau / h_x + E_x (x) diag(2y) (x) dtau / h_tau
+        D_Y   = I (x) dy (x) E_tau / h_y + diag(-2x) (x) E_y (x) dtau / h_tau
+        D_tau = I (x) I (x) dtau / h_tau
+
+    with d the unscaled forward difference (-1, 1) and E the identity less
+    its last row, so rows are based at nodes where every forward difference
+    exists.  Values at boundary-layer nodes are fixed to zero, so each factor
+    keeps its interior columns only.
     """
-    nx, ny, nt = grid.shape
-    ht = grid.h[2]
-    idx = _interior_index(grid.shape)
-    I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nt), indexing="ij")
-    axis = {"X": 0, "Y": 1, "tau": None}[which]
-    base = K <= nt - 2
-    if axis is not None:
-        base &= (I, J)[axis] <= grid.shape[axis] - 2
-    ib, jb, kb = I[base], J[base], K[base]
-    rows = np.arange(ib.size)
-    if axis is None:
-        entries = [(ib, jb, kb, -1.0 / ht)]
-        coef = 1.0
-    else:
-        # tau transport coefficient: +2y for X, -2x for Y
-        coef = 2.0 * grid.axes[1][jb] if axis == 0 else -2.0 * grid.axes[0][ib]
-        step = 1.0 / grid.h[axis]
-        entries = [(ib, jb, kb, -step - coef / ht),
-                   (ib + (axis == 0), jb + (axis == 1), kb, np.full(ib.size, step))]
-    entries.append((ib, jb, kb + 1, coef / ht))
-    r_all, c_all, v_all = [], [], []
-    for i, j, k, vals in entries:
-        cols = idx[i, j, k]
-        keep = cols >= 0
-        r_all.append(rows[keep])
-        c_all.append(cols[keep])
-        v_all.append(np.broadcast_to(vals, rows.shape)[keep])
-    mat = sp.coo_matrix(
-        (np.concatenate(v_all), (np.concatenate(r_all), np.concatenate(c_all))),
-        shape=(ib.size, grid.n_interior),
-    )
-    return mat.tocsr()
+    (nx, ny, nt), (x, y, _), (hx, hy, ht) = grid.shape, grid.axes, grid.h
+
+    def cut(n):
+        return np.eye(n - 1, n)
+
+    def fwd(n):
+        return np.eye(n - 1, n, 1) - cut(n)
+
+    terms = {
+        "X": [(fwd(nx), np.eye(ny), cut(nt), hx), (cut(nx), np.diag(2.0 * y), fwd(nt), ht)],
+        "Y": [(np.eye(nx), fwd(ny), cut(nt), hy), (np.diag(-2.0 * x), cut(ny), fwd(nt), ht)],
+        "tau": [(np.eye(nx), np.eye(ny), fwd(nt), ht)],
+    }
+    parts = []
+    for a, b, c, h in terms[which]:
+        part = sp.kron(sp.kron(a[:, 1:-1], b[:, 1:-1]), c[:, 1:-1], format="coo")
+        part.data /= h  # a / h, as a difference quotient: scipy's m / h multiplies by 1/h
+        parts.append(part)
+    return sum(parts[1:], parts[0]).tocsr()
 
 
 def assemble_sublaplacian(grid: Grid, regularization_eps: float = 0.0) -> SparseOperator:
@@ -234,10 +218,7 @@ def solve_linear(
     def count(_):
         iters[0] += 1
 
-    try:
-        x, info = cg(a, -rhs, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, callback=count)
-    except TypeError:  # scipy < 1.12 spells rtol as tol
-        x, info = cg(a, -rhs, x0=x0, tol=tol, atol=0.0, maxiter=max_iter, callback=count)
+    x, info = cg(a, -rhs, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, callback=count)
     if info > 0:
         raise SolverFailure(f"conjugate gradients: no convergence within {info} iterations")
     if info < 0:
@@ -408,7 +389,8 @@ def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimCon
 
 def run(cfg: SimConfig) -> SimTrace:
     """Step the configured equation, recording norms until the step budget, the
-    blow-up threshold or a solver failure; a step that overflows is not taken."""
+    blow-up threshold or a solver failure; a step that overflows is not taken,
+    initial norms that overflow raise OverflowError (no first row exists)."""
     grid = build_grid(cfg.grid)
     op = assemble_sublaplacian(grid, cfg.regularization_eps)
     u = cfg.initial.evaluate(grid)
@@ -419,11 +401,14 @@ def run(cfg: SimConfig) -> SimTrace:
         rows.append(TraceRow(state.t, f.max_norm(), f.lq_norm(cfg.q), state.last_iterations))
         return state
 
-    state = record(SimState(u, 0.0, 0))
     status, status_step = "completed", None
     step = step_parabolic if cfg.equation == "parabolic" else step_hyperbolic
-    try:
-        with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            state = record(SimState(u, 0.0, 0))
+        except FloatingPointError:
+            raise OverflowError("norms of the initial state overflow") from None
+        try:
             if cfg.equation == "hyperbolic":
                 u1 = (cfg.initial_velocity.evaluate(grid)
                       if cfg.initial_velocity is not None else np.zeros_like(u))
@@ -434,8 +419,8 @@ def run(cfg: SimConfig) -> SimTrace:
                 if rows[-1].max_norm >= cfg.blowup_threshold:
                     status, status_step = "blowup_threshold", state.step
                     break
-    except SolverFailure:
-        status, status_step = "solver_failure", state.step + 1
-    except (OverflowError, FloatingPointError):
-        status, status_step = "blowup_threshold", state.step + 1
+        except SolverFailure:
+            status, status_step = "solver_failure", state.step + 1
+        except (OverflowError, FloatingPointError):
+            status, status_step = "blowup_threshold", state.step + 1
     return SimTrace(rows, status, status_step, cfg)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heislab.capacity import Exponents
 from heislab.cli import RunSpec, build_parser, build_runspec, dispatch, main
 from heislab.report import Report, emit, format_number
 
@@ -34,6 +36,14 @@ def test_lemma1_rows_and_schema():
         assert row["rel_err"] <= 1e-8
     csv = emit(report, "csv")
     assert csv.splitlines()[0] == "integral,name,T,value,closed_form,rel_err"
+
+
+@pytest.mark.parametrize("j", range(3, 60))
+def test_default_ell_clears_integer_quotient(j):
+    # (q+1)/(q-1) = j exactly, but its float can round below j
+    assert Exponents(q=(j + 1) / (j - 1)).ell == j + 1
+    report = dispatch(run_spec(["lemma1", "--q", f"{j + 1}/{j - 1}"]))
+    assert report.summary["max_rel_err"] <= 1e-8
 
 
 def test_verdict_summary_line():
@@ -197,6 +207,23 @@ def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and word in err
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_simulate_initial_overflow_exits_2(tmp_path, capsys, equation):
+    cfg = {
+        "equation": equation, "q": 1.5, "nonlinearity": True, "dt": 0.005, "steps": 5,
+        "grid": {"l_x": 3.0, "l_y": 3.0, "l_tau": 9.0, "n_x": 7, "n_y": 7, "n_tau": 7},
+        "initial": {"center": [0, 0, 0], "width": 1.0, "amplitude": 1e300},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "floating-point range" in captured.err
 
 
 def test_simulate_blowup_exits_zero(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -46,6 +48,69 @@ def product_bump(grid, lx=2.0, ly=2.0, lt=6.0):
            + 4 * (X**2 + Y**2) * bx * by * bt2 / lt**2
            + 4 * Y * bx1 / lx * by * bt1 / lt - 4 * X * bx * by1 / ly * bt1 / lt)
     return f.ravel(), lap.ravel()
+
+
+def reference_difference_matrix(grid, which):
+    """Index-map assembly of the forward-difference matrix of X, Y or d/dtau:
+    rows at full nodes where every forward difference exists, columns at
+    interior nodes, entries listed as (row, column, value) triplets."""
+    nx, ny, nt = grid.shape
+    ht = grid.h[2]
+    idx = -np.ones(grid.shape, dtype=np.int64)
+    idx[1:-1, 1:-1, 1:-1] = np.arange(grid.n_interior).reshape(grid.interior_shape)
+    I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nt), indexing="ij")
+    axis = {"X": 0, "Y": 1, "tau": None}[which]
+    base = K <= nt - 2
+    if axis is not None:
+        base &= (I, J)[axis] <= grid.shape[axis] - 2
+    ib, jb, kb = I[base], J[base], K[base]
+    rows = np.arange(ib.size)
+    if axis is None:
+        entries = [(ib, jb, kb, -1.0 / ht)]
+        coef = 1.0
+    else:
+        coef = 2.0 * grid.axes[1][jb] if axis == 0 else -2.0 * grid.axes[0][ib]
+        step = 1.0 / grid.h[axis]
+        entries = [(ib, jb, kb, -step - coef / ht),
+                   (ib + (axis == 0), jb + (axis == 1), kb, np.full(ib.size, step))]
+    entries.append((ib, jb, kb + 1, coef / ht))
+    r_all, c_all, v_all = [], [], []
+    for i, j, k, vals in entries:
+        cols = idx[i, j, k]
+        keep = cols >= 0
+        r_all.append(rows[keep])
+        c_all.append(cols[keep])
+        v_all.append(np.broadcast_to(vals, rows.shape)[keep])
+    mat = sp.coo_matrix(
+        (np.concatenate(v_all), (np.concatenate(r_all), np.concatenate(c_all))),
+        shape=(ib.size, grid.n_interior),
+    )
+    return mat.tocsr()
+
+
+def assert_same_bits(a, b):
+    a, b = a.tocsr(), b.tocsr()
+    a.sort_indices()
+    b.sort_indices()
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("nodes", [(3, 3, 3), (3, 4, 5), (4, 3, 6), (5, 7, 11), (8, 8, 8),
+                                   (10, 4, 3), (33, 33, 33)])
+def test_kronecker_assembly_matches_reference(nodes, eps):
+    g = build_grid(GridConfig(3.0, 2.5, 9.0, *nodes))
+    ref = {w: reference_difference_matrix(g, w) for w in ("X", "Y", "tau")}
+    for which, d in ref.items():
+        kron = simulate._difference_matrix(g, which)
+        d.eliminate_zeros()  # explicit zeros at y = 0 (X) and x = 0 (Y)
+        assert_same_bits(kron, d)
+    m = (ref["X"].T @ ref["X"] + ref["Y"].T @ ref["Y"]).tocsr()
+    if eps:
+        m = (m + eps * (ref["tau"].T @ ref["tau"])).tocsr()
+    assert_same_bits(assemble_sublaplacian(g, eps).matrix, -((m + m.T) * 0.5))
 
 
 def test_grid_counting_and_spacing():
@@ -281,6 +346,18 @@ def test_overflow_beyond_float_range_is_blowup(equation, overflow_step):
     assert tr.status_step == overflow_step and len(tr.rows) == overflow_step
     assert 1e100 < tr.rows[-1].max_norm < cfg.blowup_threshold
     assert np.isfinite(tr.rows[-1].lq_norm)
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_initial_norms_beyond_float_range_raise_overflow(equation):
+    # |u|^q of the initial bump overflows; there is no first row to record
+    cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=5,
+                    grid=GridConfig(3.0, 3.0, 9.0, 7, 7, 7),
+                    initial=BumpSpec((0.0, 0.0, 0.0), 1.0, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="initial state"):
+            run(cfg)
 
 
 def test_max_iter_on_finite_data_stays_solver_failure():
