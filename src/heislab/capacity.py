@@ -68,6 +68,8 @@ class Exponents:
             object.__setattr__(self, "ell", math.floor(ratio) + 1.0)
         if self.kappa is None:
             object.__setattr__(self, "kappa", default_log_power(self.q))
+        if not (math.isfinite(self.ell) and math.isfinite(self.kappa)):
+            raise ParameterError("ell and kappa must be finite")
         if not self.ell > (self.q + 1) / (self.q - 1):
             raise ParameterError(
                 f"ell must exceed (q+1)/(q-1) = {(self.q + 1) / (self.q - 1):.6g}"
@@ -85,8 +87,8 @@ class Exponents:
     def Q(self) -> int:
         return 2 * self.n + 2
 
-    def is_critical(self, tol: float = 1e-12) -> bool:
-        return abs(self.q - self.Q / (self.Q - 2.0)) <= tol
+    def is_critical(self) -> bool:
+        return abs(self.q - self.Q / (self.Q - 2.0)) <= 1e-12
 
     def power_spec(self) -> CutoffSpec:
         return CutoffSpec.power(default_power(self.q))
@@ -100,6 +102,10 @@ class QuadratureEstimate:
     value: float
     abs_error: float
     nodes: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.abs_error)):
+            raise OverflowError("quadrature value or error beyond floating-point range")
 
 
 @dataclass(frozen=True)
@@ -292,7 +298,7 @@ def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) 
     bounds = [[-R, R], [-R, R], [-R * R, R * R]]
 
     def integrand(pts):
-        p = GroupPoint(pts[:, 0:1], pts[:, 1:2], pts[:, 2])
+        p = GroupPoint.from_flat(pts)
         v, lap = phi_spatial(spec, R, p)
         mask = (lap != 0.0) & (v > 0.0)
         out = np.zeros(pts.shape[0])
@@ -422,6 +428,8 @@ def scaling_fit(samples, kind: str) -> ScalingFit:
         X = np.log(np.log(xs))
     else:
         X = np.log(xs)
+    if np.all(X == X[0]):
+        raise ParameterError("scaling fit needs at least two distinct abscissae")
     Y = np.log(np.array([v for _, v in pts]))
     slope, intercept = np.polyfit(X, Y, 1)
     fitted = np.exp(intercept + slope * X)
@@ -456,8 +464,8 @@ def capacity_bound(
     """
     if order not in (1, 2):
         raise ParameterError("time order must be 1 or 2")
-    if u0_norm < 0 or u1_norm < 0:
-        raise ParameterError("data norms must be nonnegative")
+    if not (0 <= u0_norm < math.inf and 0 <= u1_norm < math.inf):
+        raise ParameterError("data norms must be finite and nonnegative")
     cq = young_constant(e.q)
     i1 = time_integral(e, T, 0).value
     i_order = time_integral(e, T, order).value
@@ -479,6 +487,8 @@ def capacity_bound(
     bound = 0.0
     for v in terms.values():
         bound += v
+    if not math.isfinite(bound):
+        raise OverflowError("capacity bound beyond floating-point range")
     params = {"equation": ("parabolic", "hyperbolic")[order - 1], "critical": critical,
               "young_constant": cq, "I1": i1, f"I{order + 1}": i_order,
               "spatial_factor": spatial, "data_factor": data, "u0_norm": u0_norm}

@@ -304,7 +304,10 @@ def cmd_bound(spec: RunSpec, order: int) -> Report:
         rep = capacity_bound(e, T, R, order, u0, u1)
         row = {"R": R, "bound": rep.bound}
         row.update(rep.breakdown)
-        row["ratio_to_prev"] = rep.bound / bounds[-1][1] if bounds and bounds[-1][1] else float("nan")
+        # a previous bound of 0 (underflow) raises ZeroDivisionError: both exit 2
+        row["ratio_to_prev"] = rep.bound / bounds[-1][1] if bounds else float("nan")
+        if bounds and not math.isfinite(row["ratio_to_prev"]):
+            raise OverflowError("ratio of consecutive bounds beyond floating-point range")
         bounds.append((R, rep.bound))
         rows.append(row)
     summary = {
@@ -402,9 +405,12 @@ def cmd_residual(spec: RunSpec) -> Report:
 
 
 def cmd_simulate(spec: RunSpec) -> Report:
-    with open(spec.params["config"]) as fh:
-        cfg = SimConfig.from_dict(json.load(fh))
-    trace = run(cfg)
+    try:
+        with open(spec.params["config"], encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or not UTF-8
+        raise ParameterError(f"cannot read config: {exc}") from exc
+    trace = run(SimConfig.from_dict(data))
     rows = [
         {"step": i, "time": r.time, "max_norm": r.max_norm,
          "lq_norm": r.lq_norm, "iterations": r.iterations}
@@ -553,13 +559,14 @@ def main(argv=None) -> int:
     except (SolverFailure, OperatorError) as exc:
         print(f"heislab: solver error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"heislab: {exc}", file=sys.stderr)
-        return 2
     except (OverflowError, ZeroDivisionError) as exc:
         print(f"heislab: parameter error: numbers out of floating-point range ({exc})", file=sys.stderr)
         return 2
-    write_output(emit(report, spec.fmt), spec.out)
+    try:
+        write_output(emit(report, spec.fmt), spec.out)
+    except OSError as exc:
+        print(f"heislab: cannot write output: {exc}", file=sys.stderr)
+        return 2
     if str(report.summary.get("status", "")).startswith("solver_failure"):
         return 3
     return 0

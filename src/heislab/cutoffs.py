@@ -29,10 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .group import GroupPoint, RadialProfile, SmoothField, _norm4, compose, inverse
-
-POWER_TRANSITION = (0.5, 1.0)
-LOG_TRANSITION = (0.0, 1.0)
+from .group import GroupPoint, SmoothField, _norm4, compose, inverse
 
 
 def smoothstep_complement(s):
@@ -101,10 +98,6 @@ class CutoffSpec:
     def logarithmic(cls, kappa: float) -> "CutoffSpec":
         return cls("logarithmic", kappa=kappa)
 
-    @property
-    def transition(self):
-        return POWER_TRANSITION if self.family == "power" else LOG_TRANSITION
-
 
 def cutoff_eval(spec: CutoffSpec, z):
     """(value, d1, d2) of the cutoff with respect to its argument z.
@@ -122,14 +115,6 @@ def cutoff_eval(spec: CutoffSpec, z):
         d2 = 4.0 * (m * (m - 1) * t ** max(m - 2, 0) * t1 * t1 + m * t ** (m - 1) * t2)
         return v, d1, d2
     return smoothstep_complement(z)
-
-
-def cutoff_derivative_bounds(spec: CutoffSpec, samples: int = 20001):
-    """Grid maxima of |d1| and |d2| over the transition interval."""
-    a, b = spec.transition
-    z = np.linspace(a, b, samples)
-    _, d1, d2 = cutoff_eval(spec, z)
-    return float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
 
 
 def check_integrability(spec: CutoffSpec, q: float) -> None:
@@ -270,16 +255,13 @@ class GaugeBump:
     same bump as a SmoothField with central-difference oracles.
     """
 
-    def __init__(self, center: Optional[GroupPoint] = None, radius: float = 1.0,
-                 amplitude: float = 1.0, n: int = 1, h: float = 1e-4):
+    def __init__(self, center: GroupPoint, radius: float = 1.0, amplitude: float = 1.0,
+                 h: float = 1e-4):
         if not radius > 0:
             raise ParameterError("bump radius must be positive")
-        if center is None:
-            center = GroupPoint(np.zeros(n), np.zeros(n), 0.0)
         self.center = center
         self.radius = float(radius)
         self.amplitude = float(amplitude)
-        self.n = center.n
         self.field = SmoothField(self.value, h=h)
 
     def _relative(self, p: GroupPoint) -> GroupPoint:
@@ -292,26 +274,6 @@ class GaugeBump:
         _, r2 = _norm4(rel)
         v, _, _ = smoothstep_complement(r2 / self.radius**2)
         return self.amplitude * v
-
-    def profile(self) -> RadialProfile:
-        rho2 = self.radius**2
-        amp = self.amplitude
-
-        def value(r):
-            v, _, _ = smoothstep_complement(np.asarray(r) ** 2 / rho2)
-            return amp * v
-
-        def d1(r):
-            r = np.asarray(r, dtype=float)
-            _, t1, _ = smoothstep_complement(r**2 / rho2)
-            return amp * t1 * 2.0 * r / rho2
-
-        def d2(r):
-            r = np.asarray(r, dtype=float)
-            _, t1, t2 = smoothstep_complement(r**2 / rho2)
-            return amp * (t2 * 4.0 * r**2 / rho2**2 + t1 * 2.0 / rho2)
-
-        return RadialProfile(value, d1, d2)
 
     def lap(self, p: GroupPoint):
         """Exact sub-Laplacian via the radial identity at the translated point."""

@@ -20,28 +20,12 @@ oracles address coordinates by flat index in the order
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, ParameterError
-
-
-@dataclass(frozen=True)
-class GroupParams:
-    """Dimension bookkeeping: n pairs of horizontal coordinates, Q = 2n + 2."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("n must be a positive integer")
-
-    @property
-    def Q(self) -> int:
-        return 2 * self.n + 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,17 +130,6 @@ class RadialProfile:
     value: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-
-    def check_consistency(self, r_samples, h=1e-5, tol=1e-4) -> bool:
-        """Finite-difference spot check that d1, d2 differentiate value."""
-        r = np.asarray(r_samples, dtype=float)
-        fd1 = (self.value(r + h) - self.value(r - h)) / (2 * h)
-        fd2 = (self.value(r + h) - 2 * self.value(r) + self.value(r - h)) / h**2
-        scale = 1.0 + np.abs(self.value(r))
-        return bool(
-            np.all(np.abs(fd1 - self.d1(r)) <= tol * scale)
-            and np.all(np.abs(fd2 - self.d2(r)) <= tol * scale * 10)
-        )
 
 
 class SmoothField:

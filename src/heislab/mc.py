@@ -7,7 +7,6 @@ independent of how chunks would be scheduled across workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -36,15 +36,17 @@ from .group import GroupPoint, SmoothField, sublaplacian
 from .mc import MCConfig, MCEstimate, mc_integrate_vector, sample_box
 
 
+TIME_NODES = 64  # Gauss-Legendre nodes of every time integral
+
+
 @dataclass(frozen=True)
 class WeakFormConfig:
-    time_nodes: int = 64
     samples: int = 200_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.time_nodes < 2 or self.samples < 2:
-            raise ParameterError("need at least 2 time nodes and 2 samples")
+        if self.samples < 2:
+            raise ParameterError("need at least 2 samples")
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,14 @@ class ResidualReport:
     error: float
 
 
-def _to_points(pts: np.ndarray) -> GroupPoint:
-    return GroupPoint(pts[:, 0:1], pts[:, 1:2], pts[:, 2])
-
-
-def _time_rule(T: float, nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def _time_rule(T: float):
+    x, w = np.polynomial.legendre.leggauss(TIME_NODES)
     return 0.5 * T * (x + 1.0), 0.5 * T * w
 
 
 def _check_terminal(testfn, order: int):
     probe = sample_box(testfn.support_box(), MCConfig(samples=64, seed=97), 0, 64)
-    value, _ = testfn.spatial(_to_points(probe))
+    value, _ = testfn.spatial(GroupPoint.from_flat(probe))
     f0, f1, _ = testfn.temporal(np.array([0.0, testfn.T]))
     scale = 1.0 + float(np.max(np.abs(f0[0] * value)))
     if float(np.max(np.abs(f0[1] * value))) > 1e-10 * scale:
@@ -100,7 +98,7 @@ def _check_initial_data(cand: CandidateSolution, testfn):
     if not cand.attains_data:
         return
     probe = sample_box(testfn.support_box(), MCConfig(samples=32, seed=193), 0, 32)
-    p = _to_points(probe)
+    p = GroupPoint.from_flat(probe)
     got = sum((a(0.0) * np.asarray(b(p)) for a, b in cand.terms), np.zeros(len(probe)))
     want = np.asarray(cand.u0.value(p))
     scale = 1.0 + float(np.max(np.abs(want)))
@@ -113,7 +111,7 @@ def _residual_estimate(sides, bounds, cfg: WeakFormConfig) -> ResidualReport:
     sides(p) returns the (lhs, rhs) integrands at the points p."""
 
     def integrand(pts):
-        a, b = sides(_to_points(pts))
+        a, b = sides(GroupPoint.from_flat(pts))
         return np.stack([a, b, a - b], axis=1)
 
     lhs, rhs, diff = mc_integrate_vector(integrand, bounds, MCConfig(cfg.samples, cfg.seed), 3)
@@ -128,7 +126,7 @@ def weak_residual(cand: CandidateSolution, testfn, cfg: WeakFormConfig, order: i
     _check_initial_data(cand, testfn)
     if order == 2 and cand.u1 is None:
         raise ParameterError("second-order candidates need initial velocity u1")
-    ts, ws = _time_rule(testfn.T, cfg.time_nodes)
+    ts, ws = _time_rule(testfn.T)
     f0, f1, f2 = testfn.temporal(ts)
     if not np.any(f0):
         # e.g. q near 1, where phi1 = (1 - t/T)^ell with a huge ell underflows
@@ -159,12 +157,12 @@ def pair_defect(terms, testfn, cfg: WeakFormConfig) -> MCEstimate:
     separable defect sum_j c_j(t) d_j(eta), given as terms ((c_j, d_j), ...)
     like a candidate's; the independent oracle for smooth compactly
     supported candidates.  It pairs with phi itself, never with Delta phi."""
-    ts, ws = _time_rule(testfn.T, cfg.time_nodes)
+    ts, ws = _time_rule(testfn.T)
     f0, _, _ = testfn.temporal(ts)
     coefs = [float(np.dot(ws * f0, c(ts))) for c, _ in terms]
 
     def integrand(pts):
-        p = _to_points(pts)
+        p = GroupPoint.from_flat(pts)
         value, _ = testfn.spatial(p)
         return (sum(c * np.asarray(d(p)) for c, (_, d) in zip(coefs, terms)) * value)[:, None]
 
@@ -180,7 +178,7 @@ def _check_supported_inside(f: SmoothField, box: np.ndarray, scale: float):
         for side in range(2):
             pts = box[:, 0] + rng.random((64, d)) * (box[:, 1] - box[:, 0])
             pts[:, axis] = box[axis, side]
-            vals = f.value(_to_points(pts))
+            vals = f.value(GroupPoint.from_flat(pts))
             if float(np.max(np.abs(vals))) > 1e-9 * scale:
                 raise ParameterError("support touches the boundary of the box")
 
@@ -195,9 +193,8 @@ def selfadjointness_residual(f: SmoothField, g: SmoothField, box, cfg: WeakFormC
     if box.shape != (3, 2):
         raise ParameterError("box must be (3, 2) bounds for n = 1")
     probe = sample_box(box, MCConfig(samples=128, seed=5), 0, 128)
-    scale = 1.0 + float(np.max(np.abs(f.value(_to_points(probe))))) + float(
-        np.max(np.abs(g.value(_to_points(probe))))
-    )
+    p = GroupPoint.from_flat(probe)
+    scale = 1.0 + float(np.max(np.abs(f.value(p)))) + float(np.max(np.abs(g.value(p))))
     _check_supported_inside(f, box, scale)
     _check_supported_inside(g, box, scale)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -286,10 +287,10 @@ def test_dispatch_roundtrip_runspec():
 # --- exit-code contract: 0, 2 or 3, never a traceback; exit 2 prints one stderr line
 
 def run_main(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def bump_strategy():
@@ -349,7 +350,7 @@ def test_simulate_exit_code_contract(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
-        code, err = run_main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "t.csv")])
+        code, _, err = run_main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "t.csv")])
     assert code in (0, 2, 3) and "Traceback" not in err
     assert code != 2 or err.count("\n") == 1, err
 
@@ -361,12 +362,14 @@ def test_simulate_exit_code_contract(cfg):
                    st.sampled_from(["2", "3/2", "1", "0", "-2", "1/0", "1e400", "abc", ""])),
        samples=st.integers(-5, 2000))
 def test_residual_exit_code_contract(n, q, samples):
-    code, err = run_main(["residual", f"--n={n}", f"--q={q}", f"--samples={samples}"])
+    code, _, err = run_main(["residual", f"--n={n}", f"--q={q}", f"--samples={samples}"])
     assert code in (0, 2, 3) and "Traceback" not in err
     assert code != 2 or err.count("\n") == 1, err
 
 
 CAPACITY_QS = ["1.00001", "1.0001", "1.001", "1.01", "1.1", "4/3", "3/2", "2", "3", "5"]
+# an exponent or a norm beyond float range, or close to its edge
+EXTREMES = ["inf", "nan", "1e300", "1e308"]
 
 
 def log_grid(lo, hi):
@@ -386,20 +389,47 @@ def capacity_argv(draw):
         argv.append(f"--T={draw(log_grid(-3, 6))}")
     if sub != "lemma1":
         argv.append(f"--R={draw(log_grid(-3, 9))}")
+    for flag in ("ell", "kappa"):
+        value = draw(st.sampled_from([None, None, None, *EXTREMES]))
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    norm = st.floats(0.0, 5.0).map(repr) | st.sampled_from(EXTREMES)
     if sub.startswith("bound-"):
-        argv.append(f"--u0-norm={draw(st.floats(0.0, 5.0))!r}")
+        argv.append(f"--u0-norm={draw(norm)}")
     if sub == "bound-hyperbolic":
-        argv.append(f"--u1-norm={draw(st.floats(0.0, 5.0))!r}")
+        argv.append(f"--u1-norm={draw(norm)}")
     return argv
+
+
+def non_finite_paths(obj, path=()):
+    """Paths of the NaN and infinite numbers in a parsed JSON report."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [path]
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    return [p for key, value in items for p in non_finite_paths(value, path + (key,))]
 
 
 @settings(max_examples=100)
 @example(argv=["lemma1", "--n", "2", "--q", "1.01", "--T", "27232"])  # used to raise ZeroDivisionError
+# these used to exit 0 with NaN or Infinity in the report
+@example(argv=["bound-parabolic", "--ell", "inf"])
+@example(argv=["lemma2", "--kappa", "inf"])
+@example(argv=["lemma2", "--kappa", "1e300"])
+@example(argv=["scaling", "--target", "I1", "--ell", "1e300"])
+@example(argv=["bound-hyperbolic", "--u0-norm", "inf"])
+@example(argv=["bound-hyperbolic", "--u1-norm", "nan"])
+@example(argv=["bound-parabolic", "--u0-norm", "1e308"])
+@example(argv=["bound-parabolic", "--q", "1.05", "--R", "1e7,1e-2"])  # ratio_to_prev Infinity
+@example(argv=["bound-parabolic", "--q", "1.01", "--R", "1e9,1e8"])  # bounds underflow to 0, ratio NaN
+@example(argv=["bound-parabolic", "--q", "1.1", "--T", "1", "--R", "1,1,1,1"])  # used to raise LinAlgError
 @given(argv=capacity_argv())
 def test_capacity_exit_code_contract(argv):
-    code, err = run_main(argv)
+    code, out, err = run_main([*argv, "--format=json"])
     assert code in (0, 2) and "Traceback" not in err
     assert code != 2 or err.count("\n") == 1, err
+    if code == 0:
+        # the first bound has no predecessor, so its ratio_to_prev is NaN by design
+        assert set(non_finite_paths(json.loads(out))) <= {("rows", 0, "ratio_to_prev")}
 
 
 # empty grids used to raise IndexError (bound-*, residual) or ValueError (lemma2);
@@ -411,6 +441,21 @@ def test_empty_or_non_finite_grid_exits_2(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "grid" in err
+
+
+@pytest.mark.parametrize("config, argv", [
+    (b"{", ["simulate", "--config", "{tmp}/cfg.json"]),
+    (b'{"equation": "\xff"}', ["simulate", "--config", "{tmp}/cfg.json"]),
+    (b"{}", ["simulate", "--config", "{tmp}"]),
+    (b"{}", ["verdict", "--out", "{tmp}/missing/verdict.csv"]),
+    (b"{}", ["verdict", "--out", "{tmp}"]),
+], ids=["malformed_json", "not_utf8", "config_is_dir", "out_dir_missing", "out_is_dir"])
+def test_config_and_output_io_errors_exit_2(tmp_path, capsys, config, argv):
+    # each used to exit 1 with a traceback
+    (tmp_path / "cfg.json").write_bytes(config)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_vacuous_residual_exits_2(capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from heislab.errors import DimensionMismatch, DomainError, ParameterError
 from heislab.group import (
-    GroupParams,
     GroupPoint,
     PolyField,
     RadialProfile,
@@ -34,13 +33,6 @@ coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 def rand_points(rng, n, m):
     return GroupPoint(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (m, n)),
                       rng.uniform(-1, 1, m))
-
-
-def test_group_params():
-    assert GroupParams(1).Q == 4
-    assert GroupParams(3).Q == 8
-    with pytest.raises(ParameterError):
-        GroupParams(0)
 
 
 def test_compose_examples():
@@ -237,9 +229,3 @@ def test_fd_second_derivative_order():
     order = np.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2
 
-
-def test_radial_profile_consistency_check():
-    good = RadialProfile(lambda r: r**4, lambda r: 4 * r**3, lambda r: 12 * r**2)
-    assert good.check_consistency([0.5, 1.0, 2.0])
-    bad = RadialProfile(lambda r: r**4, lambda r: 4 * r**3, lambda r: 7 * r**2)
-    assert not bad.check_consistency([0.5, 1.0, 2.0])

@@ -6,6 +6,7 @@ from heislab.errors import ParameterError
 from heislab.group import GroupPoint, SmoothField, point
 from heislab.mc import MCConfig, mc_integrate_vector
 from heislab.weak_form import (
+    TIME_NODES,
     CandidateSolution,
     WeakFormConfig,
     pair_defect,
@@ -49,7 +50,7 @@ def manufactured(radius=2.3):
 def reference_residual(cand, testfn, cfg, order):
     """Brute-force weak residual: u, phi and its sub-Laplacians are formed in
     full at every Gauss time node, as the space-time integrand is written."""
-    x, w = np.polynomial.legendre.leggauss(cfg.time_nodes)
+    x, w = np.polynomial.legendre.leggauss(TIME_NODES)
     ts, ws = 0.5 * testfn.T * (x + 1.0), 0.5 * testfn.T * w
 
     def phi(t, p):
@@ -82,7 +83,7 @@ def reference_residual(cand, testfn, cfg, order):
 
 def reference_pairing(terms, testfn, cfg):
     """Brute-force defect pairing, defect times phi at every time node."""
-    x, w = np.polynomial.legendre.leggauss(cfg.time_nodes)
+    x, w = np.polynomial.legendre.leggauss(TIME_NODES)
     ts, ws = 0.5 * testfn.T * (x + 1.0), 0.5 * testfn.T * w
 
     def integrand(pts):
