@@ -443,7 +443,10 @@ def young_constant(q: float) -> float:
     if not q > 1:
         raise ParameterError("q must exceed 1")
     qp = q / (q - 1.0)
-    return (q / 4.0) ** (1.0 - qp) / qp
+    try:
+        return (q / 4.0) ** (1.0 - qp) / qp
+    except OverflowError:  # float ** float reports only an errno tuple
+        raise OverflowError(f"Young constant C(q) beyond floating-point range at q = {q}") from None
 
 
 def capacity_bound(

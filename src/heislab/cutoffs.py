@@ -239,11 +239,10 @@ class ProductTestFunction:
         """(phi1, phi1', phi1'') at the time node(s) t."""
         return tuple(temporal_eval(self.time_factor, t, k) for k in range(3))
 
-    def support_box(self, n: int = 1) -> np.ndarray:
-        """Coordinate box containing the spatial support (the gauge R-ball)."""
+    def support_box(self) -> np.ndarray:
+        """Coordinate box (x, y, tau) containing the spatial support (the gauge R-ball)."""
         R = self.R
-        box = [[-R, R]] * (2 * n) + [[-R * R, R * R]]
-        return np.asarray(box, dtype=float)
+        return np.asarray([[-R, R], [-R, R], [-R * R, R * R]], dtype=float)
 
 
 class GaugeBump:

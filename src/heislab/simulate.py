@@ -14,7 +14,8 @@ Kronecker products of 1-D factors (difference, truncated identity,
 coefficient diagonal) over the x, y and tau axes.  This makes L_h
 symmetric negative semidefinite by construction, so each step's linear
 solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
-once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else conjugate gradients.
+once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned
+conjugate gradients started from the last two steps' nonlinear potentials (see _solve_step).
 An optional regularisation eps > 0 (`regularization_eps`) subtracts
 eps D_tau^T D_tau, the plain forward tau-difference assembled the same way,
 i.e. adds eps times the second tau-difference (1, -2, 1)/h_tau^2 along every
@@ -41,11 +42,13 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
 from .errors import OperatorError, ParameterError, SolverFailure
 
-# LU fill, not time, sets it: 2 MB at 13^3 nodes, 14 MB at 19^3, 62 MB at 25^3
+# LU fill, not time, sets it: 2 MB at 13^3 nodes, 14 MB at 19^3, 62 MB at 25^3.  LU is faster
+# at 17^3 and 19^3 too: a 30-step run takes 3.6 and 6.8 ms a step by LU (factoring included),
+# 5.7 and 9.5 ms by warm-started Jacobi CG (one core of a 2-vCPU x86-64 host, scipy 1.17).
 DIRECT_MAX_UNKNOWNS = 4096
 
 
@@ -110,8 +113,8 @@ def build_grid(config: GridConfig) -> Grid:
 
 @dataclass
 class SparseOperator:
-    """Symmetric operator on interior unknowns in CSR form; -op and its
-    SuperLU factors are built on first use."""
+    """Symmetric operator on interior unknowns in CSR form; -op, its SuperLU
+    factors and its Jacobi preconditioner 1 / diag(-op) are built on first use."""
 
     matrix: sp.csr_matrix
 
@@ -126,6 +129,10 @@ class SparseOperator:
     @cached_property
     def lu(self):
         return splu(self.neg.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+    @cached_property
+    def jacobi(self) -> np.ndarray:
+        return 1.0 / self.neg.diagonal()
 
 
 @dataclass(frozen=True)
@@ -200,11 +207,11 @@ def solve_linear(
     x0: Optional[np.ndarray] = None,
 ):
     """Solve op x = rhs (-op SPD): by the cached LU factors up to
-    DIRECT_MAX_UNKNOWNS unknowns, returning (x, 0), else by conjugate
-    gradients, returning (x, iterations).
+    DIRECT_MAX_UNKNOWNS unknowns, returning (x, 0), else by Jacobi-preconditioned
+    conjugate gradients from x0 until |r| < tol |rhs|, returning (x, iterations).
 
-    Raises OverflowError for a non-finite direct solution, SolverFailure when
-    CG exhausts max_iter and OperatorError on CG breakdown (indefiniteness).
+    Raises OverflowError for a non-finite direct solution or CG right-hand side,
+    SolverFailure when CG exhausts max_iter (default 10 n), OperatorError on r.Mr or p.Ap <= 0.
     """
     rhs = np.asarray(rhs, dtype=float)
     if op.dimension <= DIRECT_MAX_UNKNOWNS:
@@ -212,18 +219,33 @@ def solve_linear(
         if not np.isfinite(x).all():  # SuperLU raises no floating-point errors
             raise OverflowError("direct solve beyond floating-point range")
         return x, 0
-    a = op.neg
-    iters = [0]
-
-    def count(_):
-        iters[0] += 1
-
-    x, info = cg(a, -rhs, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, callback=count)
-    if info > 0:
-        raise SolverFailure(f"conjugate gradients: no convergence within {info} iterations")
-    if info < 0:
-        raise OperatorError("conjugate gradients broke down; operator not positive definite")
-    return x, iters[0]
+    # CG runs on rhs / max|rhs|, so no square under- or overflows; einsum keeps each
+    # reduction on one thread, where BLAS dot and norm split it over every core
+    scale = np.max(np.abs(rhs))
+    if not np.isfinite(scale):
+        raise OverflowError("conjugate gradients: right-hand side beyond floating-point range")
+    if scale == 0.0:
+        return np.zeros_like(rhs), 0
+    a, m, b = op.neg, op.jacobi, -rhs / scale
+    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float) / scale
+    r, p, rz_prev, iters = b - a @ x, np.zeros_like(b), 1.0, 0
+    stop = tol**2 * np.einsum("i,i", b, b)
+    budget = 10 * op.dimension if max_iter is None else max_iter
+    while not np.einsum("i,i", r, r) < stop:
+        if iters == budget:
+            raise SolverFailure(f"conjugate gradients: no convergence within {budget} iterations")
+        z = m * r
+        rz = np.einsum("i,i", r, z)
+        p = z + (rz / rz_prev) * p
+        ap = a @ p
+        pap = np.einsum("i,i", p, ap)
+        if not (rz > 0 and pap > 0):
+            raise OperatorError("conjugate gradients broke down; operator not positive definite")
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        rz_prev, iters = rz, iters + 1
+    return scale * x, iters
 
 
 @dataclass(frozen=True)
@@ -335,6 +357,8 @@ class SimState:
     step: int
     u_prev: Optional[np.ndarray] = None  # hyperbolic history
     last_iterations: int = 0
+    z1: Optional[np.ndarray] = None  # nonlinear potentials of the last step and the one
+    z2: Optional[np.ndarray] = None  # before, extrapolated into the CG starting guess
 
 
 @dataclass(frozen=True)
@@ -353,38 +377,43 @@ class SimTrace:
     config: SimConfig
 
 
-def _solve_step(op: SparseOperator, u: np.ndarray, cfg: SimConfig):
-    """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration).
+def _solve_step(op: SparseOperator, state: SimState, cfg: SimConfig):
+    """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration); return w,
+    the nonlinear potential z = w + u = (-op)^-1 |u|^q and the iterations.
 
-    Without the nonlinearity w = -u identically, so no solve is made; CG is
-    warm-started at x0 = -u for the same reason.
+    Without the nonlinearity w = -u identically, so no solve is made.  z moves smoothly
+    in time, so CG starts from -u + 2 z1 - z2 (the last two z), -u + z1 or -u.
     """
+    u, z1, z2 = state.u, state.z1, state.z2
     if not cfg.nonlinearity:
-        return -u, 0
+        return -u, None, 0
+    x0 = -u if z1 is None else -u + z1 if z2 is None else -u + 2.0 * z1 - z2
     rhs = -(op.matrix @ u) - np.abs(u) ** cfg.q
-    return solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=-u)
+    w, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=x0)
+    return w, w + u, iters
 
 
 def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
     """One explicit Euler step: solve op w = -op u - |u|^q, then u += dt w."""
-    w, iters = _solve_step(op, state.u, cfg)
+    w, z, iters = _solve_step(op, state, cfg)
     return SimState(state.u + cfg.dt * w, state.t + cfg.dt, state.step + 1,
-                    last_iterations=iters)
+                    last_iterations=iters, z1=z, z2=state.z1)
 
 
 def step_hyperbolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
     """One leapfrog step: solve op a = -op u - |u|^q, then
     u_next = 2u - u_prev + dt^2 a."""
-    a, iters = _solve_step(op, state.u, cfg)
+    a, z, iters = _solve_step(op, state, cfg)
     u_next = 2.0 * state.u - state.u_prev + cfg.dt**2 * a
     return SimState(u_next, state.t + cfg.dt, state.step + 1, u_prev=state.u,
-                    last_iterations=iters)
+                    last_iterations=iters, z1=z, z2=state.z1)
 
 
-def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimConfig):
-    """First hyperbolic step u^1 = u^0 + dt u1 + dt^2/2 a^0."""
-    a0, iters = _solve_step(op, u0, cfg)
-    return u0 + cfg.dt * u1 + 0.5 * cfg.dt**2 * a0, iters
+def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimConfig) -> SimState:
+    """First hyperbolic step u^1 = u^0 + dt u1 + dt^2/2 a^0, as the state at step 1."""
+    a0, z, iters = _solve_step(op, SimState(u0, 0.0, 0), cfg)
+    return SimState(u0 + cfg.dt * u1 + 0.5 * cfg.dt**2 * a0, cfg.dt, 1, u_prev=u0,
+                    last_iterations=iters, z1=z)
 
 
 def run(cfg: SimConfig) -> SimTrace:
@@ -412,8 +441,7 @@ def run(cfg: SimConfig) -> SimTrace:
             if cfg.equation == "hyperbolic":
                 u1 = (cfg.initial_velocity.evaluate(grid)
                       if cfg.initial_velocity is not None else np.zeros_like(u))
-                u_next, iters = taylor_start(u, u1, op, cfg)
-                state = record(SimState(u_next, cfg.dt, 1, u_prev=u, last_iterations=iters))
+                state = record(taylor_start(u, u1, op, cfg))
             for _ in range(state.step, cfg.steps):
                 state = record(step(state, op, cfg))
                 if rows[-1].max_norm >= cfg.blowup_threshold:

@@ -27,7 +27,7 @@ from heislab.capacity import (
     verdict,
 )
 from heislab.cli import build_parser, build_runspec, dispatch
-from heislab.cutoffs import CutoffSpec, GaugeBump, ProductTestFunction, TemporalFactor
+from heislab.cutoffs import GaugeBump, ProductTestFunction, TemporalFactor
 from heislab.group import (
     GroupPoint,
     PolyField,

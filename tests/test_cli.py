@@ -8,7 +8,6 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -456,6 +455,15 @@ def test_config_and_output_io_errors_exit_2(tmp_path, capsys, config, argv):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_young_constant_overflow_names_the_quantity(capsys):
+    # C(q) = (q/4)^(1-q') / q' leaves float range at q = 1.001 (q' = 1001); the
+    # message used to be Python's bare errno tuple
+    assert main(["bound-parabolic", "--q", "1.001", "--R", "2,1.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Young constant C(q)" in err
+    assert "Numerical result out of range" not in err and "(34," not in err
 
 
 def test_vacuous_residual_exits_2(capsys):

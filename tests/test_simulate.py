@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import cg, eigsh
 
 import heislab.simulate as simulate
-from heislab.errors import ParameterError, SolverFailure
+from heislab.errors import OperatorError, ParameterError, SolverFailure
 from heislab.simulate import (
     DIRECT_MAX_UNKNOWNS,
     BumpSpec,
@@ -191,16 +191,56 @@ def test_solve_linear():
     g = build_grid(GRID19)
     op = assemble_sublaplacian(g)
     assert op.dimension > DIRECT_MAX_UNKNOWNS
-    x, iters = solve_linear(op, np.zeros(op.dimension))
-    assert np.all(x == 0.0) and iters == 0
+    for x0 in (None, np.ones(op.dimension)):
+        x, iters = solve_linear(op, np.zeros(op.dimension), x0=x0)
+        assert np.all(x == 0.0) and iters == 0
+    with pytest.raises(OverflowError):
+        solve_linear(op, np.full(op.dimension, np.inf))
     rng = np.random.default_rng(1)
     w = rng.normal(size=op.dimension)
     rhs = op.matrix @ w
     x, iters = solve_linear(op, rhs, tol=1e-10, max_iter=10 * op.dimension)
     assert np.max(np.abs(x - w)) < 1e-8
     assert iters <= 10 * op.dimension
+    for c in (1e-300, 1e300):  # |rhs|^2 would under- or overflow without scaling
+        xc, iters_c = solve_linear(op, c * rhs, tol=1e-10)
+        assert abs(iters_c - iters) <= 1 and np.max(np.abs(xc / c - w)) < 1e-8
     with pytest.raises(SolverFailure):
         solve_linear(op, rhs, tol=1e-14, max_iter=1)
+
+
+@pytest.mark.parametrize("shift", [5.0, 50.0])
+def test_cg_breakdown_on_indefinite_operator(shift):
+    # L_h + shift I is symmetric but indefinite: at 5 every diagonal entry of -op is
+    # still positive, so p.Ap <= 0 stops CG; at 50 some are not, so r.Mr <= 0 does.
+    # Either proves -op is not positive definite, so CG's guarantees are gone.
+    op = assemble_sublaplacian(build_grid(GRID19))
+    shifted = simulate.SparseOperator((op.matrix + shift * sp.identity(op.dimension)).tocsr())
+    assert (shifted.jacobi > 0).all() == (shift == 5.0)
+    rhs = np.random.default_rng(3).normal(size=op.dimension)
+    with pytest.raises(OperatorError):
+        solve_linear(shifted, rhs)
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_warm_started_cg_run_matches_lu(monkeypatch, equation):
+    steps, tol = 30, 1e-10
+    cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=steps, grid=GRID19,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0), solver_tol=tol)
+    tr = run(cfg)
+    monkeypatch.setattr(simulate, "DIRECT_MAX_UNKNOWNS", 10**6)
+    direct = run(cfg)
+    assert (tr.status, tr.status_step) == (direct.status, direct.status_step) == ("completed", None)
+    neg = assemble_sublaplacian(build_grid(GRID19)).neg
+    kappa = (eigsh(neg, k=1, which="LA", return_eigenvectors=False)[0]
+             / eigsh(neg, k=1, sigma=0, which="LM", return_eigenvectors=False)[0])
+    for field in ("max_norm", "lq_norm"):
+        cg_value, lu_value = getattr(tr.rows[-1], field), getattr(direct.rows[-1], field)
+        assert abs(cg_value - lu_value) <= steps * kappa * tol * abs(lu_value)
+    # from the third step on, z1 and z2 exist and the extrapolated start pays off
+    first = tr.rows[1].iterations
+    assert all(d.iterations == 0 for d in direct.rows) and first > 0
+    assert all(r.iterations <= 0.75 * first for r in tr.rows[3:])
 
 
 def test_step_parabolic_linear_mode_exact():
@@ -235,8 +275,8 @@ def test_step_hyperbolic_linear_oscillator():
     cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=False, dt=dt, steps=10,
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     u0 = cfg.initial.evaluate(g)
-    u1, _ = taylor_start(u0, np.zeros_like(u0), op, cfg)
-    state = SimState(u1, dt, 1, u_prev=u0)
+    state = taylor_start(u0, np.zeros_like(u0), op, cfg)
+    assert (state.t, state.step) == (dt, 1) and state.u_prev is u0
     for _ in range(9):
         state = step_hyperbolic(state, op, cfg)
     # linear mode follows u(t) = cos(t) u0 with O(dt^2) global error
@@ -250,9 +290,8 @@ def test_leapfrog_time_reversal():
     cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=False, dt=dt, steps=60,
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     u0 = cfg.initial.evaluate(g)
-    u1, _ = taylor_start(u0, np.zeros_like(u0), op, cfg)
-    states = [u0, u1]
-    state = SimState(u1, dt, 1, u_prev=u0)
+    state = taylor_start(u0, np.zeros_like(u0), op, cfg)
+    states = [u0, state.u]
     for _ in range(59):
         state = step_hyperbolic(state, op, cfg)
         states.append(state.u)
@@ -346,6 +385,18 @@ def test_overflow_beyond_float_range_is_blowup(equation, overflow_step):
     assert tr.status_step == overflow_step and len(tr.rows) == overflow_step
     assert 1e100 < tr.rows[-1].max_norm < cfg.blowup_threshold
     assert np.isfinite(tr.rows[-1].lq_norm)
+
+
+def test_cg_and_lu_leave_float_range_at_the_same_step(monkeypatch):
+    # CG works on rhs / max|rhs|, so its dot products do not overflow before the values do
+    cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=2000, grid=GRID19,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 300.0), blowup_threshold=1.7e308)
+    tr = run(cfg)
+    monkeypatch.setattr(simulate, "DIRECT_MAX_UNKNOWNS", 10**6)
+    direct = run(cfg)
+    assert tr.status == direct.status == "blowup_threshold"
+    assert tr.status_step == direct.status_step == 88
+    assert 1e170 < tr.rows[-1].max_norm < cfg.blowup_threshold
 
 
 @pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])

@@ -114,8 +114,8 @@ class SumTestFunction:
     def temporal(self, t):
         return self.parts[0].temporal(t)
 
-    def support_box(self, n=1):
-        boxes = np.stack([tf.support_box(n) for tf in self.parts])
+    def support_box(self):
+        boxes = np.stack([tf.support_box() for tf in self.parts])
         return np.stack([boxes[..., 0].min(axis=0), boxes[..., 1].max(axis=0)], axis=-1)
 
 
@@ -130,8 +130,8 @@ class ReversedTestFunction:
     def temporal(self, t):
         return self.inner.temporal(self.T - np.asarray(t))
 
-    def support_box(self, n=1):
-        return self.inner.support_box(n)
+    def support_box(self):
+        return self.inner.support_box()
 
 
 def test_zero_candidate_zero_residual():
@@ -196,7 +196,7 @@ class PaddedBox:
     def temporal(self, t):
         return self.inner.temporal(t)
 
-    def support_box(self, n=1):
+    def support_box(self):
         return self._box
 
 
