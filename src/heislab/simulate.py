@@ -14,8 +14,9 @@ Kronecker products of 1-D factors (difference, truncated identity,
 coefficient diagonal) over the x, y and tau axes.  This makes L_h
 symmetric negative semidefinite by construction, so each step's linear
 solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
-once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned
-conjugate gradients started from the last two steps' nonlinear potentials (see _solve_step).
+once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned conjugate
+gradients on -L_h stored by diagonals (DIA), started from the polynomial extrapolation
+of the last EXTRAPOLATION_POINTS steps' nonlinear potentials (see _solve_step).
 An optional regularisation eps > 0 (`regularization_eps`) subtracts
 eps D_tau^T D_tau, the plain forward tau-difference assembled the same way,
 i.e. adds eps times the second tau-difference (1, -2, 1)/h_tau^2 along every
@@ -38,6 +39,7 @@ from __future__ import annotations
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -46,10 +48,12 @@ from scipy.sparse.linalg import splu
 
 from .errors import OperatorError, ParameterError, SolverFailure
 
-# LU fill, not time, sets it: 2 MB at 13^3 nodes, 14 MB at 19^3, 62 MB at 25^3.  LU is faster
-# at 17^3 and 19^3 too: a 30-step run takes 3.6 and 6.8 ms a step by LU (factoring included),
-# 5.7 and 9.5 ms by warm-started Jacobi CG (one core of a 2-vCPU x86-64 host, scipy 1.17).
+# LU fill: 2 MB at 13^3 nodes, 14 MB at 19^3, 62 MB at 25^3.  A 30-step run takes 3.3-4.4 and
+# 6.2-7.6 ms a step by LU (factoring included) at 17^3 and 19^3, and 2.1-4.2 and 3.2-5.8 ms by
+# DIA CG from the quartic start (one core of a 2-vCPU x86-64 host, scipy 1.17).
 DIRECT_MAX_UNKNOWNS = 4096
+# CG starts from the polynomial through this many past nonlinear potentials (see _solve_step)
+EXTRAPOLATION_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,9 @@ def build_grid(config: GridConfig) -> Grid:
 
 @dataclass
 class SparseOperator:
-    """Symmetric operator on interior unknowns in CSR form; -op, its SuperLU
-    factors and its Jacobi preconditioner 1 / diag(-op) are built on first use."""
+    """Symmetric operator on interior unknowns in CSR form; -op (CSR up to
+    DIRECT_MAX_UNKNOWNS, else DIA for the CG mat-vec), its SuperLU factors and its
+    Jacobi preconditioner 1 / diag(-op) are built on first use."""
 
     matrix: sp.csr_matrix
 
@@ -123,8 +128,9 @@ class SparseOperator:
         return self.matrix.shape[0]
 
     @cached_property
-    def neg(self) -> sp.csr_matrix:
-        return (-self.matrix).tocsr()
+    def neg(self) -> sp.spmatrix:
+        neg = (-self.matrix).tocsr()
+        return neg.todia() if self.dimension > DIRECT_MAX_UNKNOWNS else neg
 
     @cached_property
     def lu(self):
@@ -296,6 +302,12 @@ class SimConfig:
             raise ParameterError("steps must be at least 1")
         if not self.blowup_threshold > 0:
             raise ParameterError("blow-up threshold must be positive")
+        if not 0 < self.solver_tol < 1:
+            raise ParameterError("solver_tol must lie strictly between 0 and 1")
+        if self.solver_max_iter is not None and self.solver_max_iter < 1:
+            raise ParameterError("solver_max_iter must be at least 1")
+        if not self.regularization_eps >= 0:
+            raise ParameterError("regularization_eps must not be negative")
         if self.n != 1:
             raise ParameterError("only n = 1 (3-D grids) is supported")
 
@@ -357,8 +369,7 @@ class SimState:
     step: int
     u_prev: Optional[np.ndarray] = None  # hyperbolic history
     last_iterations: int = 0
-    z1: Optional[np.ndarray] = None  # nonlinear potentials of the last step and the one
-    z2: Optional[np.ndarray] = None  # before, extrapolated into the CG starting guess
+    potentials: tuple = ()  # last EXTRAPOLATION_POINTS nonlinear potentials, newest first
 
 
 @dataclass(frozen=True)
@@ -379,41 +390,43 @@ class SimTrace:
 
 def _solve_step(op: SparseOperator, state: SimState, cfg: SimConfig):
     """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration); return w,
-    the nonlinear potential z = w + u = (-op)^-1 |u|^q and the iterations.
+    the potentials with z = w + u = (-op)^-1 |u|^q prepended, and the iterations.
 
     Without the nonlinearity w = -u identically, so no solve is made.  z moves smoothly
-    in time, so CG starts from -u + 2 z1 - z2 (the last two z), -u + z1 or -u.
+    in time, so CG starts from -u plus the next value of the polynomial through the k held
+    z: -u + 5 z1 - 10 z2 + 10 z3 - 5 z4 + z5 (k = 5), ..., -u + z1, -u.  LU takes no start.
     """
-    u, z1, z2 = state.u, state.z1, state.z2
+    u, zs = state.u, state.potentials
     if not cfg.nonlinearity:
-        return -u, None, 0
-    x0 = -u if z1 is None else -u + z1 if z2 is None else -u + 2.0 * z1 - z2
+        return -u, (), 0
+    x0 = (sum(((-1) ** j * comb(len(zs), j + 1) * z for j, z in enumerate(zs)), -u)
+          if op.dimension > DIRECT_MAX_UNKNOWNS else None)
     rhs = -(op.matrix @ u) - np.abs(u) ** cfg.q
     w, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=x0)
-    return w, w + u, iters
+    return w, (w + u, *zs)[:EXTRAPOLATION_POINTS], iters
 
 
 def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
     """One explicit Euler step: solve op w = -op u - |u|^q, then u += dt w."""
-    w, z, iters = _solve_step(op, state, cfg)
+    w, zs, iters = _solve_step(op, state, cfg)
     return SimState(state.u + cfg.dt * w, state.t + cfg.dt, state.step + 1,
-                    last_iterations=iters, z1=z, z2=state.z1)
+                    last_iterations=iters, potentials=zs)
 
 
 def step_hyperbolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
     """One leapfrog step: solve op a = -op u - |u|^q, then
     u_next = 2u - u_prev + dt^2 a."""
-    a, z, iters = _solve_step(op, state, cfg)
+    a, zs, iters = _solve_step(op, state, cfg)
     u_next = 2.0 * state.u - state.u_prev + cfg.dt**2 * a
     return SimState(u_next, state.t + cfg.dt, state.step + 1, u_prev=state.u,
-                    last_iterations=iters, z1=z, z2=state.z1)
+                    last_iterations=iters, potentials=zs)
 
 
 def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimConfig) -> SimState:
     """First hyperbolic step u^1 = u^0 + dt u1 + dt^2/2 a^0, as the state at step 1."""
-    a0, z, iters = _solve_step(op, SimState(u0, 0.0, 0), cfg)
+    a0, zs, iters = _solve_step(op, SimState(u0, 0.0, 0), cfg)
     return SimState(u0 + cfg.dt * u1 + 0.5 * cfg.dt**2 * a0, cfg.dt, 1, u_prev=u0,
-                    last_iterations=iters, z1=z)
+                    last_iterations=iters, potentials=zs)
 
 
 def run(cfg: SimConfig) -> SimTrace:

@@ -12,6 +12,8 @@ np.seterr(all="warn", under="ignore")
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
+# opt-in fresh examples on every run: pytest --hypothesis-profile=random
+hypothesis.settings.register_profile("random", deadline=None, max_examples=500, derandomize=False)
 hypothesis.settings.load_profile("default")
 
 

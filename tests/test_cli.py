@@ -180,9 +180,20 @@ BAD_BUMPS = {
     "text_center": ("initial", "center", "abc"),
     "velocity_width": ("initial_velocity", "width", 0.0),
 }
+# solver settings the solver cannot honour: a tolerance outside (0, 1), a budget below
+# one iteration, a regularisation that makes -L_h indefinite
+BAD_SOLVER = {
+    "tol_two": ("solver_tol", 2.0),
+    "tol_negative": ("solver_tol", -1e-10),
+    "tol_zero": ("solver_tol", 0),
+    "max_iter_negative": ("solver_max_iter", -1),
+    "max_iter_zero": ("solver_max_iter", 0),
+    "eps_negative": ("regularization_eps", -5.0),
+}
 
 
-@pytest.mark.parametrize("where", ["config", "grid", "initial", "missing", "null", *BAD_BUMPS])
+@pytest.mark.parametrize("where", ["config", "grid", "initial", "missing", "null", *BAD_BUMPS,
+                                   *BAD_SOLVER])
 def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
     cfg = {
         "equation": "parabolic", "q": 1.5, "nonlinearity": True, "dt": 0.01, "steps": 3,
@@ -199,6 +210,9 @@ def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
         bump, word, value = BAD_BUMPS[where]
         cfg["equation"] = "hyperbolic"
         cfg[bump] = dict(cfg["initial"], **{word: value})
+    elif where in BAD_SOLVER:
+        word, value = BAD_SOLVER[where]
+        cfg[word] = value
     else:
         (cfg if where == "config" else cfg[where])["bogus"] = 1
         word = "bogus"

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, eigsh
@@ -237,10 +238,66 @@ def test_warm_started_cg_run_matches_lu(monkeypatch, equation):
     for field in ("max_norm", "lq_norm"):
         cg_value, lu_value = getattr(tr.rows[-1], field), getattr(direct.rows[-1], field)
         assert abs(cg_value - lu_value) <= steps * kappa * tol * abs(lu_value)
-    # from the third step on, z1 and z2 exist and the extrapolated start pays off
+    # from the sixth step on, all EXTRAPOLATION_POINTS potentials exist and the
+    # extrapolated start pays off
     first = tr.rows[1].iterations
     assert all(d.iterations == 0 for d in direct.rows) and first > 0
-    assert all(r.iterations <= 0.75 * first for r in tr.rows[3:])
+    assert np.mean([r.iterations for r in tr.rows[6:]]) <= 0.45 * first
+
+
+def captured_starts(monkeypatch):
+    """Replace solve_linear by a stub that records each x0 and returns (zeros, 0)."""
+    starts = []
+
+    def recording_solve(op, rhs, tol=1e-10, max_iter=None, x0=None):
+        starts.append(x0)
+        return np.zeros_like(rhs), 0
+
+    monkeypatch.setattr(simulate, "solve_linear", recording_solve)
+    return starts
+
+
+@pytest.mark.parametrize("k", range(simulate.EXTRAPOLATION_POINTS + 1))
+def test_cg_start_extrapolates_polynomial_potentials(monkeypatch, k):
+    # the k held potentials sample a vector polynomial p of degree k - 1 in the step
+    # index at steps -1, ..., -k; CG must start from -u + p(0)
+    starts = captured_starts(monkeypatch)
+    grid = build_grid(GRID19)
+    op = assemble_sublaplacian(grid)
+    assert op.dimension > DIRECT_MAX_UNKNOWNS
+    cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=1, grid=GRID19,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 1.0))
+    u = cfg.initial.evaluate(grid)
+    coeffs = np.random.default_rng(k).normal(size=(k, op.dimension))
+    potentials = tuple(P.polyval(-s, coeffs) for s in range(1, k + 1))
+    state = step_parabolic(SimState(u, 0.0, 0, potentials=potentials), op, cfg)
+    expected = -u + P.polyval(0.0, coeffs) if k else -u
+    assert len(starts) == 1
+    assert np.max(np.abs(starts[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the new potential is prepended and the oldest dropped beyond EXTRAPOLATION_POINTS
+    assert len(state.potentials) == min(k + 1, simulate.EXTRAPOLATION_POINTS)
+    assert all(a is b for a, b in zip(state.potentials[1:], potentials))
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_lu_path_receives_no_start(monkeypatch, equation):
+    starts = captured_starts(monkeypatch)
+    cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=8, grid=GRID9,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0))
+    run(cfg)
+    assert len(starts) == 8 and all(x0 is None for x0 in starts)
+
+
+@pytest.mark.parametrize("nodes", [13, 18, 19, 25])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_cg_operator_stored_by_diagonals(nodes, eps):
+    # 18^3 nodes have exactly 4096 interior unknowns, the last grid solved by LU
+    op = assemble_sublaplacian(build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes)), eps)
+    assert op.neg.format == ("dia" if op.dimension > DIRECT_MAX_UNKNOWNS else "csr")
+    assert op.matrix.format == "csr"
+    x = np.random.default_rng(nodes).normal(size=op.dimension)
+    assert np.array_equal(op.neg @ x, op.matrix @ (-x))
+    assert np.array_equal(op.jacobi, 1.0 / -op.matrix.diagonal())
 
 
 def test_step_parabolic_linear_mode_exact():
