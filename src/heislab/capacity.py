@@ -34,7 +34,17 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta
 
-from .cutoffs import CutoffSpec, check_integrability, cutoff_eval, default_log_power, default_power
+from .cutoffs import (
+    CutoffSpec,
+    TemporalFactor,
+    check_integrability,
+    check_radius,
+    cutoff_eval,
+    default_log_power,
+    default_power,
+    log_brackets,
+    spatial_factor,
+)
 from .errors import ParameterError
 from .group import GroupPoint
 from .mc import MCConfig, MCEstimate, mc_integrate
@@ -152,11 +162,6 @@ class Verdict(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _time_exponent(e: Exponents, k: int) -> float:
-    """Exponent a of the monomial integrand s^a after substituting s = 1 - t/T."""
-    return e.ell - k * e.q_prime
-
-
 def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
     """Quadrature value of I_k(T) for k in {0, 1, 2}.
 
@@ -166,15 +171,14 @@ def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
     """
     if k not in (0, 1, 2):
         raise ParameterError("time integral order k must be 0, 1 or 2")
-    if not T > 0:
-        raise ParameterError("T must be positive")
-    a = _time_exponent(e, k)
+    tf = TemporalFactor(T, e.ell)
+    a = e.ell - k * e.q_prime
     if not a > -1.0:
         raise ParameterError(
             f"ell = {e.ell} too small for k = {k}: need ell > {k * e.q_prime - 1:.6g}"
         )
     ell, qp, q = e.ell, e.q_prime, e.q
-    coef = (1.0, ell / T, ell * (ell - 1.0) / T**2)[k]
+    coef = abs(tf.coefficient(k))
     log_coef = qp * math.log(coef) if coef > 0 else -math.inf
     # s-exponent left over after dividing out the weight s^a; identically
     # zero in exact arithmetic, kept to stay faithful to the integrand
@@ -240,7 +244,7 @@ def sphere_weight_constant(n: int, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Spatial integrals: power family (subcritical machinery)
+# Spatial integrals
 # ---------------------------------------------------------------------------
 
 
@@ -256,11 +260,9 @@ def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEsti
 
 
 def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
-    """S_omega(q') times the radial quadrature of
+    """Radial quadrature of
     [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
     over the support annulus R/sqrt(2) <= r <= R, the bracket only when weighted."""
-    if not R > 0:
-        raise ParameterError("R must be positive")
     if weighted:
         check_integrability(spec, e.q)
     q, qp, Q = e.q, e.q_prime, e.Q
@@ -274,65 +276,19 @@ def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool)
         weight = -math.log(v) / (q - 1.0) if weighted else 0.0
         return math.exp(weight + qp * math.log(abs(g)) + (Q - 1) * math.log(r))
 
-    radial = _radial_quad(integrand, R / math.sqrt(2.0), R)
-    return _combine_sphere(radial, sphere_weight_constant(e.n, qp))
-
-
-def spatial_integral_subcritical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
-    """I4(R) = integral of phi2^(-1/(q-1)) |Delta phi2|^(q') by gauge-polar factorisation."""
-    return _power_radial_quad(e, spec, R, weighted=True)
-
-
-def data_term_integral_subcritical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
-    """The initial-data factor: integral of |Delta phi2|^(q') over H^n."""
-    return _power_radial_quad(e, spec, R, weighted=False)
-
-
-def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) -> MCEstimate:
-    """Direct 3-D Monte Carlo of I4(R) (cross-check of the factorised value)."""
-    if e.n != 1:
-        raise ParameterError("direct Monte Carlo is implemented for n = 1")
-    from .cutoffs import phi_spatial
-
-    q, qp = e.q, e.q_prime
-    bounds = [[-R, R], [-R, R], [-R * R, R * R]]
-
-    def integrand(pts):
-        p = GroupPoint.from_flat(pts)
-        v, lap = phi_spatial(spec, R, p)
-        mask = (lap != 0.0) & (v > 0.0)
-        out = np.zeros(pts.shape[0])
-        if np.any(mask):
-            out[mask] = np.exp(
-                -np.log(v[mask]) / (q - 1.0) + qp * np.log(np.abs(lap[mask]))
-            )
-        return out
-
-    return mc_integrate(integrand, bounds, mc)
-
-
-# ---------------------------------------------------------------------------
-# Spatial integrals: logarithmic family (critical machinery)
-# ---------------------------------------------------------------------------
-
-
-def _require_critical(e: Exponents):
-    if not e.is_critical():
-        raise ParameterError(
-            f"q = {e.q} is not the critical exponent Q/(Q-2) = {e.Q / (e.Q - 2.0)!r}"
-        )
+    return _radial_quad(integrand, R / math.sqrt(2.0), R)
 
 
 def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
-                     with_b: bool, inv_log_power: float) -> QuadratureEstimate:
+                     inv_log_power: Optional[float] = None) -> QuadratureEstimate:
     """Radial integral of the logarithmic family in the variable
     z = ln(r/sqrt R)/ln(sqrt R), where r = exp(L(1+z)) and L = ln(sqrt R).
 
-    Integrates Psi^psi_power |B1 + L B2|^(q') L^(1-2q') r^(Q-2q') when
-    with_b is set, otherwise Psi^psi_power L^(1-inv_log_power*q') r^(Q-2q')
+    Integrates Psi^psi_power |B1 + L B2|^(q') L^(1-2q') r^(Q-2q'), or with
+    inv_log_power given, Psi^psi_power L^(1-inv_log_power*q') r^(Q-2q'),
     with the same measure factor r L dz absorbed.
     """
-    q, qp, Q, k = e.q, e.q_prime, e.Q, spec.kappa
+    qp, Q = e.q_prime, e.Q
     L = 0.5 * math.log(R)
 
     def integrand(z):
@@ -340,9 +296,8 @@ def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
         v = float(v)
         if v <= 0.0:
             return 0.0
-        if with_b:
-            b1 = k * (k - 1) * v ** (k - 2) * d1 * d1 + k * v ** (k - 1) * d2
-            b2 = k * (Q - 2) * v ** (k - 1) * d1
+        if inv_log_power is None:
+            b1, b2 = log_brackets(spec, Q, v, d1, d2)
             b = b1 + L * b2
             if b == 0.0:
                 return 0.0
@@ -354,16 +309,44 @@ def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
     return _radial_quad(integrand, 0.0, 1.0)
 
 
-def _critical_total(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
-    """Guards of the critical path, then the full logarithmic-family integral
-    of psi2^(-1/(q-1)) |Delta psi2|^(q') with its gauge-sphere constant."""
-    _require_critical(e)
-    if not R > 1:
-        raise ParameterError("R must exceed 1")
-    if spec.family != "logarithmic":
-        raise ParameterError("critical path expects a logarithmic-family cutoff")
-    total = _log_radial_quad(e, spec, R, -spec.kappa / (e.q - 1.0), True, 0.0)
-    return _combine_sphere(total, sphere_weight_constant(e.n, e.q_prime))
+def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = True) -> QuadratureEstimate:
+    """I4(R) = integral of phi2^(-1/(q-1)) |Delta phi2|^(q') over H^n, or with
+    weighted=False the initial-data factor, the integral of |Delta phi2|^(q').
+
+    phi2 is the spatial factor of `spec`: the power cutoff for any q, the
+    logarithmic cutoff Psi^kappa only at q = Q/(Q-2).  Gauge-polar
+    factorisation turns each into a radial quadrature times S_omega(q').
+    """
+    if spec.family == "logarithmic" and not e.is_critical():
+        raise ParameterError(
+            f"q = {e.q} is not the critical exponent Q/(Q-2) = {e.Q / (e.Q - 2.0)!r}"
+        )
+    check_radius(spec, R)
+    if spec.family == "power":
+        radial = _power_radial_quad(e, spec, R, weighted)
+    else:
+        psi_power = -spec.kappa / (e.q - 1.0) if weighted else 0.0
+        radial = _log_radial_quad(e, spec, R, psi_power)
+    return _combine_sphere(radial, sphere_weight_constant(e.n, e.q_prime))
+
+
+def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) -> MCEstimate:
+    """Direct Monte Carlo of I4(R) over the box [-R, R]^(2n) x [-R^2, R^2]
+    holding the gauge R-ball (cross-check of the factorised value)."""
+    q, qp = e.q, e.q_prime
+    bounds = [[-R, R]] * (2 * e.n) + [[-R * R, R * R]]
+
+    def integrand(pts):
+        v, lap = spatial_factor(spec, R, GroupPoint.from_flat(pts))
+        mask = (lap != 0.0) & (v > 0.0)
+        out = np.zeros(pts.shape[0])
+        if np.any(mask):
+            out[mask] = np.exp(
+                -np.log(v[mask]) / (q - 1.0) + qp * np.log(np.abs(lap[mask]))
+            )
+        return out
+
+    return mc_integrate(integrand, bounds, mc)
 
 
 def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> CriticalSpatialFactor:
@@ -378,22 +361,16 @@ def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> Criti
     each integrated over the transition annulus sqrt(R) <= r <= R and
     multiplied by the gauge-sphere constant.
     """
-    total = _critical_total(e, spec, R)
+    if spec.family != "logarithmic":
+        raise ParameterError("critical path expects a logarithmic-family cutoff")
+    total = spatial_integral(e, spec, R)
     qp, k = e.q_prime, spec.kappa
     sphere = sphere_weight_constant(e.n, qp)
-    term_sq = _log_radial_quad(e, spec, R, k - 2.0 * qp, False, 2.0)
-    term_lin = _log_radial_quad(e, spec, R, k - qp, False, 1.0)
+    term_sq = _log_radial_quad(e, spec, R, k - 2.0 * qp, 2.0)
+    term_lin = _log_radial_quad(e, spec, R, k - qp, 1.0)
     return CriticalSpatialFactor(
         total, _combine_sphere(term_sq, sphere), _combine_sphere(term_lin, sphere)
     )
-
-
-def data_term_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> QuadratureEstimate:
-    """Integral of |Delta psi2|^(q') over H^n (initial-data factor)."""
-    _require_critical(e)
-    sphere = sphere_weight_constant(e.n, e.q_prime)
-    radial = _log_radial_quad(e, spec, R, 0.0, True, 0.0)
-    return _combine_sphere(radial, sphere)
 
 
 def log_envelope(Q: int, R: float) -> float:
@@ -473,20 +450,16 @@ def capacity_bound(
     i1 = time_integral(e, T, 0).value
     i_order = time_integral(e, T, order).value
     critical = e.is_critical()
-    if critical:
-        spec = spec or e.log_spec()
-        spatial = _critical_total(e, spec, R).value
-        data = data_term_integral_critical(e, spec, R).value
-    else:
-        spec = spec or e.power_spec()
-        spatial = spatial_integral_subcritical(e, spec, R).value
-        data = data_term_integral_subcritical(e, spec, R).value
+    spec = spec or (e.log_spec() if critical else e.power_spec())
+    spatial = spatial_integral(e, spec, R).value
+    data = spatial_integral(e, spec, R, weighted=False).value
     data_root = data ** (1.0 / e.q_prime)
     terms = {"term_lap_d" + "t" * order: 2.0 * cq * i_order * spatial,
              "term_lap": 2.0 * cq * i1 * spatial}
     if order == 2:
         terms["term_data_u1"] = 2.0 * u1_norm * data_root
-    terms["term_data_u0"] = 2.0 * (1.0 if order == 1 else e.ell / T) * u0_norm * data_root
+    u0_coef = abs(TemporalFactor(T, e.ell).coefficient(order - 1))
+    terms["term_data_u0"] = 2.0 * u0_coef * u0_norm * data_root
     bound = 0.0
     for v in terms.values():
         bound += v
@@ -497,8 +470,7 @@ def capacity_bound(
               "spatial_factor": spatial, "data_factor": data, "u0_norm": u0_norm}
     if order == 2:
         params["u1_norm"] = u1_norm
-        t_power = 1.0 - (e.Q if critical else 2.0 * e.q_prime)
-        params["t_factor_grouped"] = T ** t_power + T + 1.0 + 1.0 / T
+        params["t_factor_grouped"] = T ** time_power(e, 2) + T + 1.0 + 1.0 / T
     params.update({"q": e.q, "n": e.n, "ell": e.ell, "kappa": e.kappa, "T": T, "R": R})
     return CapacityReport(bound, terms, params)
 

@@ -31,8 +31,8 @@ from .capacity import (
     critical_exponent,
     log_envelope,
     scaling_fit,
+    spatial_integral,
     spatial_integral_critical,
-    spatial_integral_subcritical,
     time_integral,
     time_integral_constant,
     time_power,
@@ -77,7 +77,7 @@ class RunSpec:
     params: dict
     fmt: str
     out: str | None
-    seed: int
+    seed: int | None  # None for subcommands that draw no samples
 
 
 def parse_rational(text: str) -> Fraction:
@@ -107,65 +107,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, with_exponents=True):
-        if with_exponents:
-            sp.add_argument("--q", type=str, default="2")
-            sp.add_argument("--n", type=int, default=1)
-            sp.add_argument("--ell", type=float, default=None)
-            sp.add_argument("--kappa", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=None)
+    shared = {"q": (str, "2"), "n": (int, 1), "ell": (float, None), "kappa": (float, None),
+              "seed": (int, 0), "samples": (int, None)}
+    exponents = ("q", "n", "ell", "kappa")
+
+    def add_common(sp, *names):
+        for name in names:
+            kind, default = shared[name]
+            sp.add_argument(f"--{name}", type=kind, default=default)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("lemma1", help="time-integral quadrature vs closed forms")
-    add_common(sp)
+    add_common(sp, *exponents)
     sp.add_argument("--T", type=str, default="10")
 
     sp = sub.add_parser("lemma2", help="critical logarithmic spatial factor vs its envelope")
-    add_common(sp)
+    add_common(sp, *exponents)
     sp.add_argument("--R", type=str, default=DEFAULT_R_CRITICAL)
     sp.set_defaults(q=None)  # default: the critical exponent for the given n
 
     sp = sub.add_parser("scaling", help="log-log slope fits of the capacity integrals")
-    add_common(sp)
+    add_common(sp, *exponents)
     sp.add_argument("--target", choices=("I1", "I2", "I3", "I4"), required=True)
     sp.add_argument("--T", type=str, default="10,20,40,80")
     sp.add_argument("--R", type=str, default="8,16,32,64")
 
     sp = sub.add_parser("bound-parabolic", help="a-priori bound decay for the first-order equation")
-    add_common(sp)
+    add_common(sp, *exponents)
     sp.add_argument("--T", type=str, default="10")
     sp.add_argument("--R", type=str, default="8,16,32,64")
     sp.add_argument("--u0-norm", type=float, default=0.0)
 
     sp = sub.add_parser("bound-hyperbolic", help="a-priori bound decay for the second-order equation")
-    add_common(sp)
+    add_common(sp, *exponents)
     sp.add_argument("--T", type=str, default="10")
     sp.add_argument("--R", type=str, default="8,16,32,64")
     sp.add_argument("--u0-norm", type=float, default=0.0)
     sp.add_argument("--u1-norm", type=float, default=0.0)
 
     sp = sub.add_parser("verdict", help="classify q against the critical exponent")
-    add_common(sp)
+    add_common(sp, "q", "n")
 
     sp = sub.add_parser("residual", help="weak-formulation residual checks")
-    add_common(sp)
+    add_common(sp, *exponents, "seed", "samples")
     sp.add_argument("--T", type=str, default="2")
     sp.add_argument("--R", type=str, default="3")
 
     sp = sub.add_parser("simulate", help="finite-difference run from a JSON config")
-    add_common(sp, with_exponents=False)
+    add_common(sp)
     sp.add_argument("--config", type=str, required=True)
 
     sp = sub.add_parser("identities", help="group-calculus identity battery")
-    add_common(sp)
+    add_common(sp, "seed", "samples")
     return parser
 
 
 def build_runspec(args: argparse.Namespace) -> RunSpec:
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "format", "out", "seed")}
-    return RunSpec(args.subcommand, params, args.format, args.out, args.seed)
+    return RunSpec(args.subcommand, params, args.format, args.out, vars(args).get("seed"))
 
 
 def _meta(spec: RunSpec) -> dict:
@@ -272,7 +272,7 @@ def cmd_scaling(spec: RunSpec) -> Report:
     else:
         grid = parse_grid(spec.params["R"])
         cut = e.power_spec()
-        samples = [(R, spatial_integral_subcritical(e, cut, R).value) for R in grid]
+        samples = [(R, spatial_integral(e, cut, R).value) for R in grid]
         expected = e.Q - 2.0 * e.q_prime
         kind = "log R"
     fit = scaling_fit(samples, kind)

@@ -141,72 +141,78 @@ class TemporalFactor:
         if not self.T > 0:
             raise ParameterError("horizon T must be positive")
 
+    def coefficient(self, k: int) -> float:
+        """c_k with d_t^k (1 - t/T)^ell = c_k (1 - t/T)^(ell-k) for k = 0, 1, 2:
+        1, -ell/T and ell (ell-1)/T^2."""
+        if k not in (0, 1, 2):
+            raise ParameterError("order must be 0, 1 or 2")
+        ell, T = self.ell, self.T
+        return (1.0, -(ell / T), ell * (ell - 1) / T**2)[k]
+
 
 def temporal_eval(tf: TemporalFactor, t, order: int):
     """Derivative of order 0, 1 or 2 of (1 - t/T)^ell at t."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > tf.T):
         raise DomainError("t outside [0, T]")
-    s = 1.0 - t / tf.T
-    ell = tf.ell
     with np.errstate(divide="ignore"):
-        if order == 0:
-            return s**ell
-        if order == 1:
-            return -(ell / tf.T) * s ** (ell - 1)
-        if order == 2:
-            return (ell * (ell - 1) / tf.T**2) * s ** (ell - 2)
-    raise ParameterError("order must be 0, 1 or 2")
+        return tf.coefficient(order) * (1.0 - t / tf.T) ** (tf.ell - order)
 
 
-def phi_spatial(spec: CutoffSpec, R: float, p: GroupPoint):
-    """Spatial factor of the power family and its sub-Laplacian.
+def check_radius(spec: CutoffSpec, R: float) -> None:
+    """Raise unless R suits the family: R > 0 for the power family, R > 1
+    for the logarithmic family, whose variable z divides by ln(sqrt(R))."""
+    if spec.family == "power" and not R > 0:
+        raise ParameterError("R must be positive")
+    if spec.family == "logarithmic" and not R > 1:
+        raise ParameterError("R must exceed 1 for the logarithmic family")
 
-    phi2 = Phi(r^2/R^2) and
+
+def log_brackets(spec: CutoffSpec, Q: int, psi, d1, d2):
+    """Brackets (b1, b2) of the logarithmic family's radial sub-Laplacian,
+    from (Psi, Psi', Psi'') at z:
+
+        b1 = kappa (kappa-1) Psi^(kappa-2) (Psi')^2 + kappa Psi^(kappa-1) Psi'',
+        b2 = kappa (Q-2) Psi^(kappa-1) Psi'.
+    """
+    k = spec.kappa
+    b1 = k * (k - 1) * psi ** (k - 2) * d1 * d1 + k * psi ** (k - 1) * d2
+    b2 = k * (Q - 2) * psi ** (k - 1) * d1
+    return b1, b2
+
+
+def _omega(sq, r2):
+    """Anisotropy weight omega = (|x|^2+|y|^2)/r^2 of the radial identity,
+    set to 0 at the origin, where the radial factors it multiplies vanish."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(r2 > 0.0, sq / np.where(r2 > 0.0, r2, 1.0), 0.0)
+
+
+def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
+    """Spatial factor phi2 of either family and its sub-Laplacian Delta phi2.
+
+    Power family: phi2 = Phi(r^2/R^2) and
     Delta phi2 = omega(eta) [ (4 r^2 / R^4) Phi'' + (2 Q / R^2) Phi' ].
     At the origin (r = 0) the cutoff is flat, so Delta phi2 = 0 there.
+
+    Logarithmic family: phi2 = Psi^kappa(z) with z = ln(r/sqrt(R)) / ln(sqrt(R))
+    and Delta phi2 = omega(eta) (b1 / ln^2 sqrt(R) + b2 / ln sqrt(R)) / r^2
+    with the brackets of `log_brackets`; it is undefined at the origin.
     """
-    if spec.family != "power":
-        raise ParameterError("phi_spatial expects a power-family cutoff")
-    if not R > 0:
-        raise ParameterError("R must be positive")
+    check_radius(spec, R)
     sq, r2 = _norm4(p)
-    z = r2 / R**2
-    v, d1, d2 = cutoff_eval(spec, z)
-    Q = p.Q
-    radial = (4.0 * r2 / R**4) * d2 + (2.0 * Q / R**2) * d1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(r2 > 0.0, sq / np.where(r2 > 0.0, r2, 1.0), 0.0)
-    return v, w * radial
-
-
-def psi_spatial(spec: CutoffSpec, R: float, p: GroupPoint):
-    """Spatial factor of the logarithmic family and its sub-Laplacian.
-
-    psi2 = Psi^kappa(z) with z = ln(r/sqrt(R)) / ln(sqrt(R)).  The radial
-    part of Delta psi2 is the three-term expression
-
-        kappa (kappa-1) Psi^(kappa-2) (Psi')^2 / (r^2 ln^2 sqrt(R))
-      + kappa Psi^(kappa-1) Psi''              / (r^2 ln^2 sqrt(R))
-      + kappa (Q-2) Psi^(kappa-1) Psi'         / (r^2 ln   sqrt(R)),
-
-    multiplied by the anisotropy weight omega(eta).
-    """
-    if spec.family != "logarithmic":
-        raise ParameterError("psi_spatial expects a logarithmic-family cutoff")
-    if not R > 1:
-        raise ParameterError("R must exceed 1 for the logarithmic family")
-    sq, r2 = _norm4(p)
-    if np.any(r2 <= 0.0):
-        raise DomainError("logarithmic cutoff is undefined at the origin")
-    L = 0.5 * math.log(R)
-    z = (0.5 * np.log(r2) - L) / L
-    v, d1, d2 = cutoff_eval(spec, z)
-    k = spec.kappa
-    b1 = k * (k - 1) * v ** (k - 2) * d1 * d1 + k * v ** (k - 1) * d2
-    b2 = k * (p.Q - 2) * v ** (k - 1) * d1
-    radial = (b1 / L**2 + b2 / L) / r2
-    return v**k, (sq / r2) * radial
+    if spec.family == "power":
+        v, d1, d2 = cutoff_eval(spec, r2 / R**2)
+        radial = (4.0 * r2 / R**4) * d2 + (2.0 * p.Q / R**2) * d1
+    else:
+        if np.any(r2 <= 0.0):
+            raise DomainError("logarithmic cutoff is undefined at the origin")
+        L = 0.5 * math.log(R)
+        psi, d1, d2 = cutoff_eval(spec, (0.5 * np.log(r2) - L) / L)
+        b1, b2 = log_brackets(spec, p.Q, psi, d1, d2)
+        v = psi**spec.kappa
+        radial = (b1 / L**2 + b2 / L) / r2
+    return v, _omega(sq, r2) * radial
 
 
 class ProductTestFunction:
@@ -217,10 +223,7 @@ class ProductTestFunction:
     """
 
     def __init__(self, time_factor: TemporalFactor, spec: CutoffSpec, R: float):
-        if spec.family == "logarithmic" and not R > 1:
-            raise ParameterError("R must exceed 1 for the logarithmic family")
-        if spec.family == "power" and not R > 0:
-            raise ParameterError("R must be positive")
+        check_radius(spec, R)
         self.time_factor = time_factor
         self.spec = spec
         self.R = float(R)
@@ -231,9 +234,7 @@ class ProductTestFunction:
 
     def spatial(self, p: GroupPoint):
         """(phi2, Delta phi2) at the points p."""
-        if self.spec.family == "power":
-            return phi_spatial(self.spec, self.R, p)
-        return psi_spatial(self.spec, self.R, p)
+        return spatial_factor(self.spec, self.R, p)
 
     def temporal(self, t):
         """(phi1, phi1', phi1'') at the time node(s) t."""
@@ -282,8 +283,5 @@ class GaugeBump:
         _, t1, t2 = smoothstep_complement(r2 / rho2)
         # phi(r) = A Theta(r^2/rho^2):  phi'' + (Q-1)/r phi'
         #   = A [ 4 r^2/rho^4 Theta'' + 2/rho^2 Theta' + (Q-1) 2/rho^2 Theta' ]
-        Q = p.Q
-        radial = 4.0 * r2 / rho2**2 * t2 + 2.0 * Q / rho2 * t1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.where(r2 > 0.0, sq / np.where(r2 > 0.0, r2, 1.0), 0.0)
-        return self.amplitude * w * radial
+        radial = 4.0 * r2 / rho2**2 * t2 + 2.0 * p.Q / rho2 * t1
+        return self.amplitude * _omega(sq, r2) * radial

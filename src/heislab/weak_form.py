@@ -63,7 +63,6 @@ class CandidateSolution:
     u0: SmoothField
     u1: Optional[SmoothField] = None
     q: float = 2.0
-    attains_data: bool = True
 
     def __post_init__(self):
         if not self.q > 1:
@@ -95,8 +94,6 @@ def _check_terminal(testfn, order: int):
 
 
 def _check_initial_data(cand: CandidateSolution, testfn):
-    if not cand.attains_data:
-        return
     probe = sample_box(testfn.support_box(), MCConfig(samples=32, seed=193), 0, 32)
     p = GroupPoint.from_flat(probe)
     got = sum((a(0.0) * np.asarray(b(p)) for a, b in cand.terms), np.zeros(len(probe)))

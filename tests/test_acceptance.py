@@ -19,8 +19,8 @@ from heislab.capacity import (
     log_envelope,
     mc_spatial_integral,
     scaling_fit,
+    spatial_integral,
     spatial_integral_critical,
-    spatial_integral_subcritical,
     time_integral,
     time_integral_constant,
     time_power,
@@ -98,13 +98,13 @@ def test_criterion_2_spatial_scaling_and_monte_carlo():
     for q in (1.5, 2.0):
         e = Exponents(q=q, n=1)
         spec = e.power_spec()
-        samples = [(R, spatial_integral_subcritical(e, spec, R).value)
+        samples = [(R, spatial_integral(e, spec, R).value)
                    for R in (8.0, 16.0, 32.0, 64.0)]
         fit = scaling_fit(samples, "log R")
         slope_errs.append(abs(fit.slope - (e.Q - 2 * e.q_prime)))
     e = Exponents(q=1.5, n=1)
     spec = e.power_spec()
-    det = spatial_integral_subcritical(e, spec, 8.0)
+    det = spatial_integral(e, spec, 8.0)
     mc = mc_spatial_integral(e, spec, 8.0, MCConfig(samples=1_000_000, seed=7))
     gap = abs(det.value - mc.value)
     sigma3 = 3 * math.hypot(det.abs_error, mc.stderr)

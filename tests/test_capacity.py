@@ -12,12 +12,11 @@ from heislab.capacity import (
     Verdict,
     capacity_bound,
     critical_exponent,
-    data_term_integral_subcritical,
     log_envelope,
     mc_spatial_integral,
     scaling_fit,
+    spatial_integral,
     spatial_integral_critical,
-    spatial_integral_subcritical,
     sphere_weight_constant,
     time_integral,
     time_integral_constant,
@@ -25,7 +24,7 @@ from heislab.capacity import (
     verdict,
     young_constant,
 )
-from heislab.cutoffs import CutoffSpec, ProductTestFunction, TemporalFactor, phi_spatial
+from heislab.cutoffs import CutoffSpec, ProductTestFunction, TemporalFactor, spatial_factor
 from heislab.errors import ParameterError
 from heislab.group import GroupPoint
 from heislab.mc import MCConfig, mc_integrate
@@ -133,8 +132,8 @@ def test_sphere_constant_matches_annulus_oracle(n, s):
 def test_spatial_integral_doubling(q, ratio):
     e = Exponents(q=q, n=1)
     spec = e.power_spec()
-    a = spatial_integral_subcritical(e, spec, 10.0)
-    b = spatial_integral_subcritical(e, spec, 20.0)
+    a = spatial_integral(e, spec, 10.0)
+    b = spatial_integral(e, spec, 20.0)
     assert b.value / a.value == pytest.approx(ratio, rel=1e-6)
 
 
@@ -142,7 +141,7 @@ def test_spatial_integral_dilation_exactness():
     e = Exponents(q=1.5, n=1)
     spec = e.power_spec()
     power = e.Q - 2 * e.q_prime
-    vals = [spatial_integral_subcritical(e, spec, R).value * R**-power
+    vals = [spatial_integral(e, spec, R).value * R**-power
             for R in (8.0, 16.0, 32.0, 64.0)]
     assert max(vals) / min(vals) - 1 < 1e-6
 
@@ -151,10 +150,19 @@ def test_mc_agrees_with_factorized():
     for q, R, seed in [(1.5, 8.0, 7), (2.0, 6.0, 8), (1.5, 12.0, 9)]:
         e = Exponents(q=q, n=1)
         spec = e.power_spec()
-        det = spatial_integral_subcritical(e, spec, R)
+        det = spatial_integral(e, spec, R)
         mc = mc_spatial_integral(e, spec, R, MCConfig(samples=400_000, seed=seed))
         gap = abs(det.value - mc.value)
         assert gap <= 3 * math.hypot(det.abs_error, mc.stderr)
+
+
+@pytest.mark.parametrize("n,q,seed", [(2, 1.2, 31), (2, 1.25, 32), (3, 1.1, 33)])
+def test_mc_agrees_with_factorized_beyond_n1(n, q, seed):
+    e = Exponents(q=q, n=n)
+    spec = e.power_spec()
+    det = spatial_integral(e, spec, 8.0)
+    mc = mc_spatial_integral(e, spec, 8.0, MCConfig(samples=1_000_000, seed=seed))
+    assert abs(det.value - mc.value) <= 3 * math.hypot(det.abs_error, mc.stderr)
 
 
 def test_mc_doubling_ratio_same_seed():
@@ -175,7 +183,7 @@ def test_mc_integrand_vanishes_inside_flat_region():
     rng = np.random.default_rng(0)
     pts = GroupPoint(rng.uniform(-1, 1, (200, 1)), rng.uniform(-1, 1, (200, 1)),
                      rng.uniform(-1, 1, 200))
-    v, lap = phi_spatial(spec, R, pts)
+    v, lap = spatial_factor(spec, R, pts)
     assert np.all(v == 1.0) and np.all(lap == 0.0)
 
 
@@ -204,12 +212,11 @@ def test_critical_spatial_factor():
 
 def test_critical_support_vanishes_inside_sqrt_R():
     e = Exponents(q=2.0, n=1)
-    from heislab.cutoffs import psi_spatial
     spec = e.log_spec()
     R = 1e4
     pts = GroupPoint(np.array([[5.0], [20.0]]), np.array([[5.0], [0.0]]),
                      np.array([10.0, -30.0]))  # gauge norms below sqrt(R) = 100
-    v, lap = psi_spatial(spec, R, pts)
+    v, lap = spatial_factor(spec, R, pts)
     assert np.all(v == 1.0) and np.all(lap == 0.0)
 
 
@@ -228,7 +235,7 @@ def test_scaling_fit_exact_power_laws():
         assert fit.max_rel_residual < 1e-6
     e = Exponents(q=1.5, n=1)
     spec = e.power_spec()
-    samples = [(R, spatial_integral_subcritical(e, spec, R).value)
+    samples = [(R, spatial_integral(e, spec, R).value)
                for R in (8.0, 16.0, 32.0, 64.0)]
     fit = scaling_fit(samples, "log R")
     assert abs(fit.slope - (-2.0)) < 1e-4
@@ -272,7 +279,7 @@ def test_parabolic_bound_data_term():
     e = Exponents(q=1.5, n=1)
     r0 = capacity_bound(e, 10.0, 8.0, 1, 0.0)
     r1 = capacity_bound(e, 10.0, 8.0, 1, 2.0)
-    data = data_term_integral_subcritical(e, e.power_spec(), 8.0)
+    data = spatial_integral(e, e.power_spec(), 8.0, weighted=False)
     assert r1.bound - r0.bound == pytest.approx(2 * 2.0 * data.value ** (1 / e.q_prime))
 
 

@@ -290,6 +290,30 @@ def test_zero_samples_is_a_parameter_error(capsys, sub):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+# each used to exit 0, echoed in meta.params although no handler reads it
+@pytest.mark.parametrize("argv", [
+    ["lemma1", "--seed", "3"],
+    ["lemma2", "--samples", "10"],
+    ["scaling", "--target", "I1", "--seed", "3"],
+    ["bound-parabolic", "--samples", "10"],
+    ["bound-hyperbolic", "--seed", "3"],
+    ["simulate", "--config", "{cfg}", "--samples", "10"],
+    ["verdict", "--kappa", "7"],
+    ["identities", "--samples", "2000", "--q", "0.5"],
+], ids=lambda argv: argv[0])
+def test_unread_options_exit_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "equation": "parabolic", "q": 1.5, "dt": 0.005, "steps": 1,
+        "grid": {"l_x": 3.0, "l_y": 3.0, "l_tau": 9.0, "n_x": 7, "n_y": 7, "n_tau": 7},
+        "initial": {"center": [0, 0, 0], "width": 1.0, "amplitude": 1.0},
+    }))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(cfg=cfg) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_dispatch_roundtrip_runspec():
     spec = run_spec(["lemma1", "--q", "2", "--T", "10"])
     assert isinstance(spec, RunSpec)
@@ -357,7 +381,7 @@ def mutated_configs(draw):
     return cfg
 
 
-@settings(max_examples=150)
+@settings(max_examples=3 * settings().max_examples)
 @given(SIM_CONFIG | mutated_configs())
 def test_simulate_exit_code_contract(cfg):
     with tempfile.TemporaryDirectory() as tmp:
@@ -368,7 +392,7 @@ def test_simulate_exit_code_contract(cfg):
     assert code != 2 or err.count("\n") == 1, err
 
 
-@settings(max_examples=60)
+@settings(max_examples=6 * settings().max_examples // 5)
 @example(n=1, q="1e400", samples=100)  # beyond float range: used to raise OverflowError
 @given(n=st.sampled_from([1, 1, 1, 0, 2, -1]),
        q=st.one_of(st.fractions("11/10", 4).map(str), st.floats().map(repr),
@@ -422,7 +446,7 @@ def non_finite_paths(obj, path=()):
     return [p for key, value in items for p in non_finite_paths(value, path + (key,))]
 
 
-@settings(max_examples=100)
+@settings(max_examples=2 * settings().max_examples)
 @example(argv=["lemma1", "--n", "2", "--q", "1.01", "--T", "27232"])  # used to raise ZeroDivisionError
 # these used to exit 0 with NaN or Infinity in the report
 @example(argv=["bound-parabolic", "--ell", "inf"])

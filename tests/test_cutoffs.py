@@ -10,9 +10,8 @@ from heislab.cutoffs import (
     cutoff_eval,
     default_power,
     min_power,
-    phi_spatial,
-    psi_spatial,
     smoothstep_complement,
+    spatial_factor,
     temporal_eval,
 )
 from heislab.errors import DomainError, ParameterError
@@ -122,7 +121,7 @@ def test_product_factors_support_and_separability():
     mid = point(1.2, 1.0, 0.5)
     v, lap = tf.spatial(mid)
     assert lap != 0.0
-    assert (v, lap) == phi_spatial(tf.spec, tf.R, mid)
+    assert (v, lap) == spatial_factor(tf.spec, tf.R, mid)
     # time factors over a vector of nodes equal the scalar evaluations
     ts = np.array([0.0, 3.0, 10.0])
     for k, fk in enumerate(tf.temporal(ts)):
@@ -139,33 +138,33 @@ def test_psi_eval_support():
     spec = CutoffSpec.logarithmic(5.0)
     R = 100.0
     near = point(2.0, 1.0, 3.0)  # r < sqrt(R) = 10
-    v, lap = psi_spatial(spec, R, near)
+    v, lap = spatial_factor(spec, R, near)
     assert v == pytest.approx(1.0)
     assert lap == pytest.approx(0.0)
     far = point(80.0, 80.0, 0.0)  # r > R
-    v, lap = psi_spatial(spec, R, far)
+    v, lap = spatial_factor(spec, R, far)
     assert v == 0.0 and lap == 0.0
     product = ProductTestFunction(tf, spec, R)
     assert product.spatial(far) == (v, lap)
     assert product.temporal(0.0)[2] * product.spatial(near)[0] == pytest.approx(4 * 3 / 100.0 * 1.0)
     with pytest.raises(DomainError):
-        psi_spatial(spec, R, origin(1))
+        spatial_factor(spec, R, origin(1))
     with pytest.raises(ParameterError):
-        psi_spatial(spec, 0.5, near)
+        spatial_factor(spec, 0.5, near)
 
 
 def test_phi_chain_rule_matches_fd_sublaplacian():
     rng = np.random.default_rng(11)
     spec = CutoffSpec.power(3)
     R = 20.0
-    composed = SmoothField(lambda p: phi_spatial(spec, R, p)[0], h=2e-3)
+    composed = SmoothField(lambda p: spatial_factor(spec, R, p)[0], h=2e-3)
     # random points in the transition annulus, away from breakpoints
     cand = rand_points(rng, 4000, scale=R, tau_scale=R * R)
     z = gauge_norm(cand) ** 2 / R**2
     keep = (z > 0.55) & (z < 0.95)
     assert keep.sum() > 50
     p = GroupPoint(cand.x[keep], cand.y[keep], cand.tau[keep])
-    exact = phi_spatial(spec, R, p)[1]
+    exact = spatial_factor(spec, R, p)[1]
     fd = sublaplacian(composed, p)
     assert np.max(np.abs(exact - fd)) < 1e-6
 
@@ -174,12 +173,12 @@ def test_psi_chain_rule_matches_fd_sublaplacian():
     rng = np.random.default_rng(12)
     spec = CutoffSpec.logarithmic(5.0)
     R = 16.0  # transition annulus r in (4, 16)
-    composed = SmoothField(lambda p: psi_spatial(spec, R, p)[0], h=1e-3)
+    composed = SmoothField(lambda p: spatial_factor(spec, R, p)[0], h=1e-3)
     x = rng.uniform(4.0, 8.0, (40, 1))
     y = rng.uniform(1.0, 3.0, (40, 1))
     tau = rng.uniform(-10.0, 10.0, 40)
     p = GroupPoint(x, y, tau)
-    exact = psi_spatial(spec, R, p)[1]
+    exact = spatial_factor(spec, R, p)[1]
     fd = sublaplacian(composed, p)
     assert np.max(np.abs(exact - fd)) < 1e-6
 
