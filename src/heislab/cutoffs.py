@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .group import GroupPoint, SmoothField, _norm4, compose, inverse
+from .group import GroupPoint, _norm4, compose, inverse
 
 
 def smoothstep_complement(s):
@@ -147,7 +147,10 @@ class TemporalFactor:
         if k not in (0, 1, 2):
             raise ParameterError("order must be 0, 1 or 2")
         ell, T = self.ell, self.T
-        return (1.0, -(ell / T), ell * (ell - 1) / T**2)[k]
+        try:  # only k = 2 squares T, so only it can leave the float range
+            return (1.0, -(ell / T))[k] if k < 2 else ell * (ell - 1) / T**2
+        except (OverflowError, ZeroDivisionError):
+            raise ParameterError(f"ell(ell-1)/T^2 beyond floating-point range at T = {T:g}") from None
 
 
 def temporal_eval(tf: TemporalFactor, t, order: int):
@@ -249,39 +252,30 @@ class ProductTestFunction:
 class GaugeBump:
     """C^2 bump supported in a left-translated gauge ball.
 
-    value(eta) = A Theta(|eta o c^{-1}|^2 / rho^2).  The sub-Laplacian is
-    exact: by translation invariance it equals the radial formula
-    evaluated at the translated point.  The .field attribute exposes the
-    same bump as a SmoothField with central-difference oracles.
+    value(eta) = A Theta(|eta o c^{-1}|^2 / rho^2).  `spatial` returns the
+    value and its exact sub-Laplacian from one translation and one
+    smoothstep evaluation: Delta is invariant under eta -> eta o c^{-1},
+    so it equals the radial formula evaluated at the translated point.
     """
 
-    def __init__(self, center: GroupPoint, radius: float = 1.0, amplitude: float = 1.0,
-                 h: float = 1e-4):
+    def __init__(self, center: GroupPoint, radius: float = 1.0, amplitude: float = 1.0):
         if not radius > 0:
             raise ParameterError("bump radius must be positive")
         self.center = center
         self.radius = float(radius)
         self.amplitude = float(amplitude)
-        self.field = SmoothField(self.value, h=h)
-
-    def _relative(self, p: GroupPoint) -> GroupPoint:
-        # p o center^{-1}: the translation direction under which Delta is
-        # invariant, so the radial identity transfers to the moved bump
-        return compose(p, inverse(self.center))
 
     def value(self, p: GroupPoint):
-        rel = self._relative(p)
-        _, r2 = _norm4(rel)
+        _, r2 = _norm4(compose(p, inverse(self.center)))
         v, _, _ = smoothstep_complement(r2 / self.radius**2)
         return self.amplitude * v
 
-    def lap(self, p: GroupPoint):
-        """Exact sub-Laplacian via the radial identity at the translated point."""
-        rel = self._relative(p)
-        sq, r2 = _norm4(rel)
+    def spatial(self, p: GroupPoint):
+        """(value, Delta value) at the points p, from one shared pass."""
+        sq, r2 = _norm4(compose(p, inverse(self.center)))
         rho2 = self.radius**2
-        _, t1, t2 = smoothstep_complement(r2 / rho2)
+        v, t1, t2 = smoothstep_complement(r2 / rho2)
         # phi(r) = A Theta(r^2/rho^2):  phi'' + (Q-1)/r phi'
         #   = A [ 4 r^2/rho^4 Theta'' + 2/rho^2 Theta' + (Q-1) 2/rho^2 Theta' ]
         radial = 4.0 * r2 / rho2**2 * t2 + 2.0 * p.Q / rho2 * t1
-        return self.amplitude * _omega(sq, r2) * radial
+        return self.amplitude * v, self.amplitude * _omega(sq, r2) * radial

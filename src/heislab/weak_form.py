@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .group import GroupPoint, SmoothField, sublaplacian
+from .group import GroupPoint, SmoothField
 from .mc import MCConfig, MCEstimate, mc_integrate_vector, sample_box
 
 
@@ -166,36 +166,38 @@ def pair_defect(terms, testfn, cfg: WeakFormConfig) -> MCEstimate:
     return mc_integrate_vector(integrand, testfn.support_box(), MCConfig(cfg.samples, cfg.seed), 1)[0]
 
 
-def _check_supported_inside(f: SmoothField, box: np.ndarray, scale: float):
-    """Sample each box face; the field must vanish there."""
-    box = np.asarray(box, dtype=float)
+def _check_supported_inside(f, box: np.ndarray, scale: float):
+    """Sample each box face; the spatial factor f must vanish there."""
     d = box.shape[0]
     rng = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
     for axis in range(d):
         for side in range(2):
             pts = box[:, 0] + rng.random((64, d)) * (box[:, 1] - box[:, 0])
             pts[:, axis] = box[axis, side]
-            vals = f.value(GroupPoint.from_flat(pts))
+            vals, _ = f(GroupPoint.from_flat(pts))
             if float(np.max(np.abs(vals))) > 1e-9 * scale:
                 raise ParameterError("support touches the boundary of the box")
 
 
-def selfadjointness_residual(f: SmoothField, g: SmoothField, box, cfg: WeakFormConfig) -> ResidualReport:
-    """| int (-Delta f) g - int f (-Delta g) | over a box with MC error.
+def selfadjointness_residual(f, g, box, cfg: WeakFormConfig) -> ResidualReport:
+    """| int (-Delta f) g - int f (-Delta g) | over a box of H^n with MC error.
 
-    Both fields must be compactly supported strictly inside the box, so
-    the two integrals are equal and the residual is pure quadrature noise.
+    f and g are spatial factors, p -> (value, Delta value), such as
+    `GaugeBump.spatial`; box holds (2n+1, 2) coordinate bounds.  Both must
+    be compactly supported strictly inside the box, so the two integrals
+    are equal and the residual is pure quadrature noise.
     """
     box = np.asarray(box, dtype=float)
-    if box.shape != (3, 2):
-        raise ParameterError("box must be (3, 2) bounds for n = 1")
+    if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 3 or box.shape[0] % 2 == 0:
+        raise ParameterError("box must be (2n+1, 2) bounds")
     probe = sample_box(box, MCConfig(samples=128, seed=5), 0, 128)
     p = GroupPoint.from_flat(probe)
-    scale = 1.0 + float(np.max(np.abs(f.value(p)))) + float(np.max(np.abs(g.value(p))))
+    scale = 1.0 + float(np.max(np.abs(f(p)[0]))) + float(np.max(np.abs(g(p)[0])))
     _check_supported_inside(f, box, scale)
     _check_supported_inside(g, box, scale)
 
     def sides(p):
-        return -sublaplacian(f, p) * g.value(p), f.value(p) * -sublaplacian(g, p)
+        (fv, f_lap), (gv, g_lap) = f(p), g(p)
+        return -f_lap * gv, fv * -g_lap
 
     return _residual_estimate(sides, box, cfg)

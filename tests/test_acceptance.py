@@ -185,8 +185,8 @@ def test_criterion_5_selfadjointness():
              ((0.0, 0.4, -0.2), (0.2, -0.4, 0.0)),
              ((-0.4, 0.0, 0.3), (0.4, 0.1, 0.5))]
     for k, (c1, c2) in enumerate(pairs):
-        f = GaugeBump(point(*c1), radius=1.4).field
-        g = GaugeBump(point(*c2), radius=1.6).field
+        f = GaugeBump(point(*c1), radius=1.4).spatial
+        g = GaugeBump(point(*c2), radius=1.6).spatial
         rep = selfadjointness_residual(f, g, box, WeakFormConfig(samples=100_000, seed=20 + k))
         worst_ratio = max(worst_ratio, abs(rep.residual) / max(rep.error, 1e-300))
     grid = build_grid(GridConfig(3.0, 3.0, 9.0, 13, 13, 13))
@@ -287,12 +287,13 @@ def test_criterion_7_weak_formulation_residuals():
         terms=((a, bump.value),),
         u0=SmoothField(lambda p: bump.value(p)),
         u1=SmoothField(lambda p: -0.5 * bump.value(p)), q=2.0)
+    lap = lambda p: bump.spatial(p)[1]
     power = (lambda t: np.abs(a(t)) ** 2, lambda p: np.abs(bump.value(p)) ** 2)
     gaps = []
     # strong-form defects (a' + a) Delta b + |a b|^2 and (a'' + a) Delta b + |a b|^2
     for order, defect in [
-        (1, ((lambda t: -0.5 * a(t) + a(t), bump.lap), power)),
-        (2, ((lambda t: 0.25 * a(t) + a(t), bump.lap), power)),
+        (1, ((lambda t: -0.5 * a(t) + a(t), lap), power)),
+        (2, ((lambda t: 0.25 * a(t) + a(t), lap), power)),
     ]:
         rep = weak_residual(cand, testfn, cfg, order)
         oracle = pair_defect(defect, testfn, ocfg)

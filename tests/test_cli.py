@@ -273,6 +273,17 @@ def test_residual_subcommand():
                      "manufactured_parabolic", "manufactured_hyperbolic"]
     zero_rows = report.rows[:2]
     assert all(r["residual"] == 0.0 for r in zero_rows)
+    # rows of separate value and Delta passes over the bump; the defect's
+    # Delta b now comes from GaugeBump.spatial and must reproduce them bit for bit
+    pinned = {
+        "manufactured_parabolic": (4.127248502970297, -2.070345994423898, 6.197594497394205,
+                                   0.13560573239897186, 6.1621201494237425, 0.24002604131341124),
+        "manufactured_hyperbolic": (2.561362769602833, -3.105518991635852, 5.666881761238701,
+                                    0.1409420521783362, 5.505944297495693, 0.6507593683745904),
+    }
+    keys = ("lhs", "rhs", "residual", "stderr", "oracle", "oracle_stderr")
+    for row in report.rows[2:]:
+        assert tuple(row[k] for k in keys) == pinned[row["case"]]
 
 
 @pytest.mark.parametrize("n", ["0", "2", "3"])
@@ -502,6 +513,20 @@ def test_young_constant_overflow_names_the_quantity(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Young constant C(q)" in err
     assert "Numerical result out of range" not in err and "(34," not in err
+
+
+def test_parabolic_bound_needs_no_second_time_coefficient():
+    # only d_t phi1 enters the parabolic bound; ell(ell-1)/T^2 overflows at
+    # T = 1e200 and used to end the run with Python's bare errno tuple
+    report = dispatch(run_spec(["bound-parabolic", "--q", "3/2", "--T", "1e200", "--R", "8,16"]))
+    assert [f"{r['bound']:.4g}" for r in report.rows] == ["6.578e+206", "1.645e+206"]
+
+
+def test_hyperbolic_bound_overflow_names_the_time_coefficient(capsys):
+    assert main(["bound-hyperbolic", "--q", "3/2", "--T", "1e200", "--R", "8,16"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ell(ell-1)/T^2" in err and "T = 1e+200" in err
+    assert "(34," not in err
 
 
 def test_vacuous_residual_exits_2(capsys):

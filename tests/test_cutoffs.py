@@ -15,13 +15,22 @@ from heislab.cutoffs import (
     temporal_eval,
 )
 from heislab.errors import DomainError, ParameterError
-from heislab.group import GroupPoint, SmoothField, gauge_norm, origin, point, sublaplacian
+from heislab.group import (
+    GroupPoint,
+    SmoothField,
+    compose,
+    gauge_norm,
+    inverse,
+    origin,
+    point,
+    sublaplacian,
+)
 
 
-def rand_points(rng, m, scale=1.0, tau_scale=None):
+def rand_points(rng, m, scale=1.0, tau_scale=None, n=1):
     tau_scale = tau_scale or scale**2
-    return GroupPoint(rng.uniform(-scale, scale, (m, 1)),
-                      rng.uniform(-scale, scale, (m, 1)),
+    return GroupPoint(rng.uniform(-scale, scale, (m, n)),
+                      rng.uniform(-scale, scale, (m, n)),
                       rng.uniform(-tau_scale, tau_scale, m))
 
 
@@ -208,13 +217,31 @@ def test_gauge_bump_center_and_support():
     assert b.value(c) == pytest.approx(2.0)
     far = point(5.0, 5.0, 20.0)
     assert b.value(far) == 0.0
-    assert b.lap(far) == 0.0
+    assert b.spatial(far) == (0.0, 0.0)
+
+
+BUMP_CENTERS = {1: point(0.4, -0.3, 0.6),
+                2: GroupPoint(np.array([0.4, -0.2]), np.array([-0.3, 0.1]), 0.6)}
 
 
 def test_gauge_bump_exact_lap_matches_fd():
     rng = np.random.default_rng(13)
-    c = point(0.4, -0.3, 0.6)
-    b = GaugeBump(center=c, radius=1.7, amplitude=2.0, h=1e-3)
-    p = rand_points(rng, 200, scale=1.0)
-    err = np.max(np.abs(b.lap(p) - sublaplacian(b.field, p)))
-    assert err < 5e-4
+    for n, center in BUMP_CENTERS.items():
+        b = GaugeBump(center=center, radius=1.7, amplitude=2.0)
+        p = rand_points(rng, 200, scale=1.0, n=n)
+        err = np.max(np.abs(b.spatial(p)[1] - sublaplacian(SmoothField(b.value, h=1e-3), p)))
+        assert err < 5e-4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gauge_bump_spatial_value_is_value_bit_for_bit(n):
+    rng = np.random.default_rng(29)
+    b = GaugeBump(center=BUMP_CENTERS[n], radius=1.2, amplitude=-1.5)
+    # points on both sides of the bump's support boundary
+    p = rand_points(rng, 400, scale=1.0, tau_scale=1.0, n=n)
+    value, lap = b.spatial(p)
+    assert np.array_equal(value, b.value(p))
+    outside = gauge_norm(compose(p, inverse(b.center))) >= b.radius
+    assert 100 < np.count_nonzero(outside) < 300
+    assert np.all(value[outside] == 0.0) and np.all(lap[outside] == 0.0)
+    assert np.all(value[~outside] != 0.0)

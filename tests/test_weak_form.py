@@ -34,6 +34,7 @@ def manufactured(radius=2.3):
     center = point(0.2, -0.1, 0.05)
     bump = GaugeBump(center=center, radius=radius)
     a = lambda t: np.exp(-0.5 * t)
+    lap = lambda p: bump.spatial(p)[1]
     power = (lambda t: np.abs(a(t)) ** Q, lambda p: np.abs(bump.value(p)) ** Q)
     cand = CandidateSolution(
         terms=((a, bump.value),),
@@ -42,8 +43,8 @@ def manufactured(radius=2.3):
         q=Q,
     )
     # strong-form defects (a' + a) Delta b + |a b|^q and (a'' + a) Delta b + |a b|^q
-    defect_p = ((lambda t: -0.5 * a(t) + a(t), bump.lap), power)
-    defect_h = ((lambda t: 0.25 * a(t) + a(t), bump.lap), power)
+    defect_p = ((lambda t: -0.5 * a(t) + a(t), lap), power)
+    defect_h = ((lambda t: 0.25 * a(t) + a(t), lap), power)
     return cand, defect_p, defect_h, bump, a
 
 
@@ -209,7 +210,7 @@ def test_static_candidate_hyperbolic():
         terms=((one, bump.value),),
         u0=SmoothField(lambda p: bump.value(p)),
         u1=zero_field(), q=Q)
-    defect = ((one, bump.lap), (one, lambda p: np.abs(bump.value(p)) ** Q))
+    defect = ((one, lambda p: bump.spatial(p)[1]), (one, lambda p: np.abs(bump.value(p)) ** Q))
     tf = standard_testfn()
     rep = weak_residual(cand, tf, WeakFormConfig(samples=80_000, seed=21), 2)
     oracle = pair_defect(defect, tf, WeakFormConfig(samples=160_000, seed=22))
@@ -277,14 +278,14 @@ BOX = np.array([[-3.0, 3.0], [-3.0, 3.0], [-9.0, 9.0]])
 
 
 def test_selfadjointness_identical_fields_exactly_zero():
-    f = GaugeBump(point(0.3, 0.2, 0.4), radius=1.4).field
+    f = GaugeBump(point(0.3, 0.2, 0.4), radius=1.4).spatial
     rep = selfadjointness_residual(f, f, BOX, WeakFormConfig(samples=5_000, seed=2))
     assert rep.residual == 0.0
 
 
 def test_selfadjointness_disjoint_supports():
-    f = GaugeBump(point(1.5, 1.5, 4.0), radius=0.7).field
-    g = GaugeBump(point(-1.5, -1.5, -4.0), radius=0.7).field
+    f = GaugeBump(point(1.5, 1.5, 4.0), radius=0.7).spatial
+    g = GaugeBump(point(-1.5, -1.5, -4.0), radius=0.7).spatial
     rep = selfadjointness_residual(f, g, BOX, WeakFormConfig(samples=30_000, seed=3))
     assert abs(rep.lhs) <= 5 * max(rep.error, 1e-12)
     assert abs(rep.rhs) <= 5 * max(rep.error, 1e-12)
@@ -294,14 +295,32 @@ def test_selfadjointness_overlapping_bumps():
     for k, (c1, c2) in enumerate([((0.3, 0.2, 0.4), (-0.3, 0.2, -0.4)),
                                   ((0.0, 0.4, -0.2), (0.2, -0.4, 0.0)),
                                   ((-0.4, 0.0, 0.3), (0.4, 0.1, 0.5))]):
-        f = GaugeBump(point(*c1), radius=1.4).field
-        g = GaugeBump(point(*c2), radius=1.6).field
+        f = GaugeBump(point(*c1), radius=1.4).spatial
+        g = GaugeBump(point(*c2), radius=1.6).spatial
         rep = selfadjointness_residual(f, g, BOX, WeakFormConfig(samples=60_000, seed=10 + k))
         assert abs(rep.residual) <= 5 * rep.error
 
 
+def test_selfadjointness_overlapping_bumps_n2():
+    box = np.array([[-3.0, 3.0]] * 4 + [[-9.0, 9.0]])
+    for k, (c1, c2) in enumerate([((0.3, -0.1, 0.2, 0.1, 0.4), (-0.3, 0.2, 0.2, -0.1, -0.4)),
+                                  ((0.0, 0.2, 0.4, 0.0, -0.2), (0.2, 0.0, -0.4, 0.1, 0.0)),
+                                  ((-0.4, 0.1, 0.0, 0.3, 0.3), (0.4, -0.2, 0.1, 0.0, 0.5))]):
+        f = GaugeBump(GroupPoint.from_flat(np.array(c1)), radius=1.4).spatial
+        g = GaugeBump(GroupPoint.from_flat(np.array(c2)), radius=1.6).spatial
+        rep = selfadjointness_residual(f, g, box, WeakFormConfig(samples=100_000, seed=30 + k))
+        assert abs(rep.residual) <= 5 * rep.error
+
+
+def test_selfadjointness_rejects_malformed_box():
+    f = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0).spatial
+    for box in (BOX[:2], BOX[:, :1], np.zeros((4, 2)), BOX.ravel()):
+        with pytest.raises(ParameterError):
+            selfadjointness_residual(f, f, box, WeakFormConfig(samples=2_000, seed=0))
+
+
 def test_selfadjointness_rejects_boundary_support():
-    f = GaugeBump(point(2.8, 0.0, 0.0), radius=1.5).field
-    g = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0).field
+    f = GaugeBump(point(2.8, 0.0, 0.0), radius=1.5).spatial
+    g = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0).spatial
     with pytest.raises(ParameterError):
         selfadjointness_residual(f, g, BOX, WeakFormConfig(samples=2_000, seed=0))
