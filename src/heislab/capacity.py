@@ -123,7 +123,6 @@ class ScalingFit:
     slope: float
     intercept: float
     max_rel_residual: float
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ class CapacityReport:
 
     bound: float
     breakdown: dict
-    params: dict
 
 
 class Verdict(Enum):
@@ -411,7 +409,7 @@ def scaling_fit(samples, kind: str) -> ScalingFit:
     slope, intercept = np.polyfit(X, Y, 1)
     fitted = np.exp(intercept + slope * X)
     rel = float(np.max(np.abs(fitted / np.exp(Y) - 1.0)))
-    return ScalingFit(float(slope), float(intercept), rel, kind)
+    return ScalingFit(float(slope), float(intercept), rel)
 
 
 def young_constant(q: float) -> float:
@@ -428,7 +426,6 @@ def young_constant(q: float) -> float:
 
 def capacity_bound(
     e: Exponents, T: float, R: float, order: int, u0_norm: float, u1_norm: float = 0.0,
-    spec: Optional[CutoffSpec] = None,
 ) -> CapacityReport:
     """A-priori bound for the equation of time order 1 or 2:
 
@@ -439,8 +436,7 @@ def capacity_bound(
     where |d_t phi1(0)| = ell/T.  The subcritical path (power cutoff) scales
     like R^(Q-2q'); at the critical exponent the logarithmic cutoff is used
     instead and the bound decays inside the (ln R) envelope.  For order 2,
-    subcritical totals group as const * R^(Q-2q') * (T^(1-2q') + T + 1 + 1/T);
-    the grouped time factor is echoed in params.
+    subcritical totals group as const * R^(Q-2q') * (T^(1-2q') + T + 1 + 1/T).
     """
     if order not in (1, 2):
         raise ParameterError("time order must be 1 or 2")
@@ -449,8 +445,7 @@ def capacity_bound(
     cq = young_constant(e.q)
     i1 = time_integral(e, T, 0).value
     i_order = time_integral(e, T, order).value
-    critical = e.is_critical()
-    spec = spec or (e.log_spec() if critical else e.power_spec())
+    spec = e.log_spec() if e.is_critical() else e.power_spec()
     spatial = spatial_integral(e, spec, R).value
     data = spatial_integral(e, spec, R, weighted=False).value
     data_root = data ** (1.0 / e.q_prime)
@@ -465,14 +460,7 @@ def capacity_bound(
         bound += v
     if not math.isfinite(bound):
         raise OverflowError("capacity bound beyond floating-point range")
-    params = {"equation": ("parabolic", "hyperbolic")[order - 1], "critical": critical,
-              "young_constant": cq, "I1": i1, f"I{order + 1}": i_order,
-              "spatial_factor": spatial, "data_factor": data, "u0_norm": u0_norm}
-    if order == 2:
-        params["u1_norm"] = u1_norm
-        params["t_factor_grouped"] = T ** time_power(e, 2) + T + 1.0 + 1.0 / T
-    params.update({"q": e.q, "n": e.n, "ell": e.ell, "kappa": e.kappa, "T": T, "R": R})
-    return CapacityReport(bound, terms, params)
+    return CapacityReport(bound, terms)
 
 
 def critical_exponent(n: int) -> Fraction:

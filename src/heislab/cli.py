@@ -58,11 +58,11 @@ from .group import (
     sublaplacian_radial,
     SmoothField,
 )
+from .mc import MCConfig
 from .report import Report, emit, report_timestamp, write_output
 from .simulate import SimConfig, run
 from .weak_form import (
     CandidateSolution,
-    WeakFormConfig,
     pair_defect,
     selfadjointness_residual,
     weak_residual,
@@ -354,13 +354,13 @@ def _manufactured_candidate(q: float, R: float, order: int):
     def a(t):
         return np.exp(-0.5 * t)
 
+    def u1(p):  # u_t(0, .) = a'(0) bump
+        return -0.5 * a(0.0) * bump.value(p)
+
     ratio = 0.25 if order == 2 else -0.5  # a^(order) / a: a'' = a / 4, a' = -a / 2
-    u0 = SmoothField(lambda p: a(0.0) * bump.value(p))
-    u1 = SmoothField(lambda p: -0.5 * a(0.0) * bump.value(p))
     defect = ((lambda t: ratio * a(t) + a(t), lambda p: bump.spatial(p)[1]),
               (lambda t: np.abs(a(t)) ** q, lambda p: np.abs(bump.value(p)) ** q))
-    cand = CandidateSolution(terms=((a, bump.value),), u0=u0,
-                             u1=u1 if order == 2 else None, q=q)
+    cand = CandidateSolution(terms=((a, bump.value),), u1=u1 if order == 2 else None, q=q)
     return cand, defect
 
 
@@ -372,10 +372,9 @@ def cmd_residual(spec: RunSpec) -> Report:
     R = parse_grid(spec.params["R"])[0]
     samples = spec.params.get("samples")
     samples = 200_000 if samples is None else samples  # --samples 0 is an error, not the default
-    cfg = WeakFormConfig(samples=samples, seed=spec.seed)
-    oracle_cfg = WeakFormConfig(samples=2 * samples, seed=spec.seed + 1)
+    cfg = MCConfig(samples=samples, seed=spec.seed)
+    oracle_cfg = MCConfig(samples=2 * samples, seed=spec.seed + 1)
     testfn = ProductTestFunction(TemporalFactor(T, e.ell), e.power_spec(), R)
-    zero_field = SmoothField(lambda p: np.zeros(p.tau.shape))
     rows = []
 
     def add_row(case, rep, oracle=None):
@@ -391,7 +390,7 @@ def cmd_residual(spec: RunSpec) -> Report:
                         "gap": gap, "within_3sigma": gap <= three})
         rows.append(row)
 
-    zero = CandidateSolution(terms=(), u0=zero_field, u1=zero_field, q=e.q)
+    zero = CandidateSolution(terms=(), u1=lambda p: np.zeros(p.tau.shape), q=e.q)
     add_row("zero_parabolic", weak_residual(zero, testfn, cfg, 1))
     add_row("zero_hyperbolic", weak_residual(zero, testfn, cfg, 2))
     for order, case in ((1, "manufactured_parabolic"), (2, "manufactured_hyperbolic")):
@@ -501,7 +500,7 @@ def _identity_rows(seed: int, samples: int) -> list:
     for k, (cx, cy, ct) in enumerate(centers):
         f = GaugeBump(GroupPoint(np.array([cx]), np.array([cy]), ct), radius=1.4).spatial
         g = GaugeBump(GroupPoint(np.array([-cx]), np.array([cy]), -ct), radius=1.6).spatial
-        rep = selfadjointness_residual(f, g, box, WeakFormConfig(samples=samples, seed=seed + k))
+        rep = selfadjointness_residual(f, g, box, MCConfig(samples=samples, seed=seed + k))
         worst_ratio = max(worst_ratio, abs(rep.residual) / max(rep.error, 1e-300))
     add("selfadjointness_ratio", worst_ratio, 5.0)
 

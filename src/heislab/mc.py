@@ -18,12 +18,14 @@ CHUNK = 1 << 19  # fixed; part of the reproducibility contract
 
 @dataclass(frozen=True)
 class MCConfig:
+    """Sample budget and seed; a standard error needs at least 2 samples."""
+
     samples: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples <= 0:
-            raise ParameterError("sample budget must be positive")
+        if self.samples < 2:
+            raise ParameterError("need at least 2 samples")
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
         index += 1
     n = cfg.samples
     mean = s1 / n
-    var = np.maximum(s2 - n * mean * mean, 0.0) / max(n - 1, 1)
+    var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
     stderr = vol * np.sqrt(var / n)
     return [
         MCEstimate(float(vol * mean[k]), float(stderr[k]), n, cfg.seed)

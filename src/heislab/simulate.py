@@ -17,11 +17,8 @@ solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
 once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned conjugate
 gradients on -L_h stored by diagonals (DIA), started from the polynomial extrapolation
 of the last EXTRAPOLATION_POINTS steps' nonlinear potentials (see _solve_step).
-An optional regularisation eps > 0 (`regularization_eps`) subtracts
-eps D_tau^T D_tau, the plain forward tau-difference assembled the same way,
-i.e. adds eps times the second tau-difference (1, -2, 1)/h_tau^2 along every
-tau line.  Time stepping is explicit Euler (first order) or leapfrog with a
-Taylor start (second order); both share one solve (none in linear mode).
+Time stepping is explicit Euler (first order) or leapfrog with a Taylor
+start (second order); both share one solve (none in linear mode).
 
 The grid is cell-centred: spacing h = 2L/N per axis with N nodes whose
 outermost layer is clamped to zero, leaving (N-2)^3 interior unknowns.
@@ -156,12 +153,11 @@ class GridField:
 
 
 def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
-    """Forward-difference matrix of X, Y or the plain d/dtau from full nodes
-    to interior columns, as a sum of Kronecker products of 1-D factors:
+    """Forward-difference matrix of X or Y from full nodes to interior
+    columns, as a sum of Kronecker products of 1-D factors:
 
-        D_X   = dx (x) I (x) E_tau / h_x + E_x (x) diag(2y) (x) dtau / h_tau
-        D_Y   = I (x) dy (x) E_tau / h_y + diag(-2x) (x) E_y (x) dtau / h_tau
-        D_tau = I (x) I (x) dtau / h_tau
+        D_X = dx (x) I (x) E_tau / h_x + E_x (x) diag(2y) (x) dtau / h_tau
+        D_Y = I (x) dy (x) E_tau / h_y + diag(-2x) (x) E_y (x) dtau / h_tau
 
     with d the unscaled forward difference (-1, 1) and E the identity less
     its last row, so rows are based at nodes where every forward difference
@@ -179,7 +175,6 @@ def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
     terms = {
         "X": [(fwd(nx), np.eye(ny), cut(nt), hx), (cut(nx), np.diag(2.0 * y), fwd(nt), ht)],
         "Y": [(np.eye(nx), fwd(ny), cut(nt), hy), (np.diag(-2.0 * x), cut(ny), fwd(nt), ht)],
-        "tau": [(np.eye(nx), np.eye(ny), fwd(nt), ht)],
     }
     parts = []
     for a, b, c, h in terms[which]:
@@ -189,8 +184,8 @@ def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
     return sum(parts[1:], parts[0]).tocsr()
 
 
-def assemble_sublaplacian(grid: Grid, regularization_eps: float = 0.0) -> SparseOperator:
-    """L_h = -(D_X^T D_X + D_Y^T D_Y), optionally minus eps D_tau^T D_tau.
+def assemble_sublaplacian(grid: Grid) -> SparseOperator:
+    """L_h = -(D_X^T D_X + D_Y^T D_Y).
 
     The product is symmetrised entrywise so L_h equals its transpose
     exactly, not merely to rounding.
@@ -198,9 +193,6 @@ def assemble_sublaplacian(grid: Grid, regularization_eps: float = 0.0) -> Sparse
     dx = _difference_matrix(grid, "X")
     dy = _difference_matrix(grid, "Y")
     m = (dx.T @ dx + dy.T @ dy).tocsr()
-    if regularization_eps:
-        dt = _difference_matrix(grid, "tau")
-        m = (m + regularization_eps * (dt.T @ dt)).tocsr()
     sym = (m + m.T) * 0.5
     return SparseOperator((-sym).tocsr())
 
@@ -288,7 +280,6 @@ class SimConfig:
     blowup_threshold: float = 1e6
     solver_tol: float = 1e-10
     solver_max_iter: Optional[int] = None
-    regularization_eps: float = 0.0
     n: int = 1
 
     def __post_init__(self):
@@ -306,8 +297,6 @@ class SimConfig:
             raise ParameterError("solver_tol must lie strictly between 0 and 1")
         if self.solver_max_iter is not None and self.solver_max_iter < 1:
             raise ParameterError("solver_max_iter must be at least 1")
-        if not self.regularization_eps >= 0:
-            raise ParameterError("regularization_eps must not be negative")
         if self.n != 1:
             raise ParameterError("only n = 1 (3-D grids) is supported")
 
@@ -434,7 +423,7 @@ def run(cfg: SimConfig) -> SimTrace:
     blow-up threshold or a solver failure; a step that overflows is not taken,
     initial norms that overflow raise OverflowError (no first row exists)."""
     grid = build_grid(cfg.grid)
-    op = assemble_sublaplacian(grid, cfg.regularization_eps)
+    op = assemble_sublaplacian(grid)
     u = cfg.initial.evaluate(grid)
     rows = []
 

@@ -32,7 +32,6 @@ from heislab.group import (
     GroupPoint,
     PolyField,
     RadialProfile,
-    SmoothField,
     affine_pullback,
     compose,
     dilate,
@@ -58,7 +57,6 @@ from heislab.simulate import (
 )
 from heislab.weak_form import (
     CandidateSolution,
-    WeakFormConfig,
     pair_defect,
     selfadjointness_residual,
     weak_residual,
@@ -187,7 +185,7 @@ def test_criterion_5_selfadjointness():
     for k, (c1, c2) in enumerate(pairs):
         f = GaugeBump(point(*c1), radius=1.4).spatial
         g = GaugeBump(point(*c2), radius=1.6).spatial
-        rep = selfadjointness_residual(f, g, box, WeakFormConfig(samples=100_000, seed=20 + k))
+        rep = selfadjointness_residual(f, g, box, MCConfig(samples=100_000, seed=20 + k))
         worst_ratio = max(worst_ratio, abs(rep.residual) / max(rep.error, 1e-300))
     grid = build_grid(GridConfig(3.0, 3.0, 9.0, 13, 13, 13))
     op = assemble_sublaplacian(grid)
@@ -273,20 +271,16 @@ def test_criterion_7_weak_formulation_residuals():
     t0 = time.perf_counter()
     e = Exponents(q=2.0)
     testfn = ProductTestFunction(TemporalFactor(2.0, e.ell), e.power_spec(), 3.0)
-    zf = SmoothField(lambda p: np.zeros(np.shape(p.tau)))
-    zero = CandidateSolution(terms=(), u0=zf, u1=zf, q=2.0)
-    cfg = WeakFormConfig(samples=150_000, seed=3)
-    ocfg = WeakFormConfig(samples=300_000, seed=4)
+    zero = CandidateSolution(terms=(), u1=lambda p: np.zeros(np.shape(p.tau)), q=2.0)
+    cfg = MCConfig(samples=150_000, seed=3)
+    ocfg = MCConfig(samples=300_000, seed=4)
     zp = weak_residual(zero, testfn, cfg, 1)
     zh = weak_residual(zero, testfn, cfg, 2)
     zeros_exact = zp.residual == 0.0 and zh.residual == 0.0
 
     bump = GaugeBump(center=point(0.2, -0.1, 0.05), radius=2.3)
     a = lambda t: np.exp(-0.5 * t)
-    cand = CandidateSolution(
-        terms=((a, bump.value),),
-        u0=SmoothField(lambda p: bump.value(p)),
-        u1=SmoothField(lambda p: -0.5 * bump.value(p)), q=2.0)
+    cand = CandidateSolution(terms=((a, bump.value),), u1=lambda p: -0.5 * bump.value(p), q=2.0)
     lap = lambda p: bump.spatial(p)[1]
     power = (lambda t: np.abs(a(t)) ** 2, lambda p: np.abs(bump.value(p)) ** 2)
     gaps = []

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from heislab.capacity import Exponents
 from heislab.cli import RunSpec, build_parser, build_runspec, dispatch, main
 from heislab.report import Report, emit, format_number
+from heislab.simulate import SimConfig
 
 
 @pytest.fixture(autouse=True)
@@ -181,14 +184,14 @@ BAD_BUMPS = {
     "velocity_width": ("initial_velocity", "width", 0.0),
 }
 # solver settings the solver cannot honour: a tolerance outside (0, 1), a budget below
-# one iteration, a regularisation that makes -L_h indefinite
+# one iteration; and a regularisation weight, which is no config key at all
 BAD_SOLVER = {
     "tol_two": ("solver_tol", 2.0),
     "tol_negative": ("solver_tol", -1e-10),
     "tol_zero": ("solver_tol", 0),
     "max_iter_negative": ("solver_max_iter", -1),
     "max_iter_zero": ("solver_max_iter", 0),
-    "eps_negative": ("regularization_eps", -5.0),
+    "eps_unknown": ("regularization_eps", 0.0),
 }
 
 
@@ -365,7 +368,6 @@ SIM_CONFIG = st.fixed_dictionaries({
     "blowup_threshold": st.floats(1.0, 1e8),
     "solver_tol": st.floats(1e-12, 1e-4),
     "solver_max_iter": st.none() | st.integers(1, 400),
-    "regularization_eps": st.floats(0.0, 1.0),
     "n": st.just(1),
 })
 
@@ -534,3 +536,23 @@ def test_vacuous_residual_exits_2(capsys):
     assert main(["residual", "--q", "1.0000000001", "--samples", "500"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "phi1" in err
+
+
+def readme_blocks(lang):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_readme_config_parses():
+    # a removed config key must not linger in the documented example
+    (block,) = readme_blocks("json")
+    SimConfig.from_dict(json.loads(block))
+
+
+def test_readme_cli_examples_parse():
+    # parsing only, no dispatch: an option the parser no longer has exits 2 here
+    lines = [shlex.split(line, comments=True) for block in readme_blocks("bash")
+             for line in block.splitlines() if line.startswith("heislab ")]
+    assert len(lines) == 10
+    for argv in lines:
+        build_parser().parse_args(argv[1:])

@@ -52,7 +52,7 @@ def product_bump(grid, lx=2.0, ly=2.0, lt=6.0):
 
 
 def reference_difference_matrix(grid, which):
-    """Index-map assembly of the forward-difference matrix of X, Y or d/dtau:
+    """Index-map assembly of the forward-difference matrix of X or Y:
     rows at full nodes where every forward difference exists, columns at
     interior nodes, entries listed as (row, column, value) triplets."""
     nx, ny, nt = grid.shape
@@ -60,21 +60,15 @@ def reference_difference_matrix(grid, which):
     idx = -np.ones(grid.shape, dtype=np.int64)
     idx[1:-1, 1:-1, 1:-1] = np.arange(grid.n_interior).reshape(grid.interior_shape)
     I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nt), indexing="ij")
-    axis = {"X": 0, "Y": 1, "tau": None}[which]
-    base = K <= nt - 2
-    if axis is not None:
-        base &= (I, J)[axis] <= grid.shape[axis] - 2
+    axis = {"X": 0, "Y": 1}[which]
+    base = (K <= nt - 2) & ((I, J)[axis] <= grid.shape[axis] - 2)
     ib, jb, kb = I[base], J[base], K[base]
     rows = np.arange(ib.size)
-    if axis is None:
-        entries = [(ib, jb, kb, -1.0 / ht)]
-        coef = 1.0
-    else:
-        coef = 2.0 * grid.axes[1][jb] if axis == 0 else -2.0 * grid.axes[0][ib]
-        step = 1.0 / grid.h[axis]
-        entries = [(ib, jb, kb, -step - coef / ht),
-                   (ib + (axis == 0), jb + (axis == 1), kb, np.full(ib.size, step))]
-    entries.append((ib, jb, kb + 1, coef / ht))
+    coef = 2.0 * grid.axes[1][jb] if axis == 0 else -2.0 * grid.axes[0][ib]
+    step = 1.0 / grid.h[axis]
+    entries = [(ib, jb, kb, -step - coef / ht),
+               (ib + (axis == 0), jb + (axis == 1), kb, np.full(ib.size, step)),
+               (ib, jb, kb + 1, coef / ht)]
     r_all, c_all, v_all = [], [], []
     for i, j, k, vals in entries:
         cols = idx[i, j, k]
@@ -98,20 +92,17 @@ def assert_same_bits(a, b):
     assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.3])
 @pytest.mark.parametrize("nodes", [(3, 3, 3), (3, 4, 5), (4, 3, 6), (5, 7, 11), (8, 8, 8),
                                    (10, 4, 3), (33, 33, 33)])
-def test_kronecker_assembly_matches_reference(nodes, eps):
+def test_kronecker_assembly_matches_reference(nodes):
     g = build_grid(GridConfig(3.0, 2.5, 9.0, *nodes))
-    ref = {w: reference_difference_matrix(g, w) for w in ("X", "Y", "tau")}
+    ref = {w: reference_difference_matrix(g, w) for w in ("X", "Y")}
     for which, d in ref.items():
         kron = simulate._difference_matrix(g, which)
         d.eliminate_zeros()  # explicit zeros at y = 0 (X) and x = 0 (Y)
         assert_same_bits(kron, d)
     m = (ref["X"].T @ ref["X"] + ref["Y"].T @ ref["Y"]).tocsr()
-    if eps:
-        m = (m + eps * (ref["tau"].T @ ref["tau"])).tocsr()
-    assert_same_bits(assemble_sublaplacian(g, eps).matrix, -((m + m.T) * 0.5))
+    assert_same_bits(assemble_sublaplacian(g).matrix, -((m + m.T) * 0.5))
 
 
 def test_grid_counting_and_spacing():
@@ -166,26 +157,6 @@ def test_operator_consistency_order():
     o2 = np.log2(errs[33] / errs[65])
     for order in (o1, o2):
         assert 0.9 <= order <= 2.2
-
-
-def test_regularization_flag():
-    g = build_grid(GRID9)
-    plain = assemble_sublaplacian(g)
-    reg = assemble_sublaplacian(g, regularization_eps=0.1)
-    assert abs(reg.matrix - plain.matrix).max() > 0
-    diff = reg.matrix - reg.matrix.T
-    assert diff.nnz == 0 or abs(diff).max() == 0.0
-
-
-def test_regularization_adds_eps_tau_second_difference():
-    # anisotropic grid, so a mix-up of axes or spacings shows
-    g = build_grid(GridConfig(3.0, 2.0, 9.0, 5, 7, 11))
-    eps = 0.1
-    nx, ny, nt = g.interior_shape
-    second = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(nt, nt)) / g.h[2] ** 2
-    expected = -eps * sp.kron(sp.identity(nx * ny), second)
-    diff = (assemble_sublaplacian(g, eps).matrix - assemble_sublaplacian(g).matrix).toarray()
-    assert np.max(np.abs(diff - expected.toarray())) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_solve_linear():
@@ -289,10 +260,9 @@ def test_lu_path_receives_no_start(monkeypatch, equation):
 
 
 @pytest.mark.parametrize("nodes", [13, 18, 19, 25])
-@pytest.mark.parametrize("eps", [0.0, 0.3])
-def test_cg_operator_stored_by_diagonals(nodes, eps):
+def test_cg_operator_stored_by_diagonals(nodes):
     # 18^3 nodes have exactly 4096 interior unknowns, the last grid solved by LU
-    op = assemble_sublaplacian(build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes)), eps)
+    op = assemble_sublaplacian(build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes)))
     assert op.neg.format == ("dia" if op.dimension > DIRECT_MAX_UNKNOWNS else "csr")
     assert op.matrix.format == "csr"
     x = np.random.default_rng(nodes).normal(size=op.dimension)

@@ -3,12 +3,11 @@ import pytest
 
 from heislab.cutoffs import CutoffSpec, GaugeBump, ProductTestFunction, TemporalFactor
 from heislab.errors import ParameterError
-from heislab.group import GroupPoint, SmoothField, point
+from heislab.group import GroupPoint, point
 from heislab.mc import MCConfig, mc_integrate_vector
 from heislab.weak_form import (
     TIME_NODES,
     CandidateSolution,
-    WeakFormConfig,
     pair_defect,
     selfadjointness_residual,
     weak_residual,
@@ -17,8 +16,8 @@ from heislab.weak_form import (
 Q = 2.0
 
 
-def zero_field():
-    return SmoothField(lambda p: np.zeros(np.shape(p.tau)))
+def zero_field(p):
+    return np.zeros(np.shape(p.tau))
 
 
 def standard_testfn(T=2.0, ell=4.0, R=3.0, m=2):
@@ -36,12 +35,7 @@ def manufactured(radius=2.3):
     a = lambda t: np.exp(-0.5 * t)
     lap = lambda p: bump.spatial(p)[1]
     power = (lambda t: np.abs(a(t)) ** Q, lambda p: np.abs(bump.value(p)) ** Q)
-    cand = CandidateSolution(
-        terms=((a, bump.value),),
-        u0=SmoothField(lambda p: bump.value(p)),
-        u1=SmoothField(lambda p: -0.5 * bump.value(p)),
-        q=Q,
-    )
+    cand = CandidateSolution(terms=((a, bump.value),), u1=lambda p: -0.5 * bump.value(p), q=Q)
     # strong-form defects (a' + a) Delta b + |a b|^q and (a'' + a) Delta b + |a b|^q
     defect_p = ((lambda t: -0.5 * a(t) + a(t), lap), power)
     defect_h = ((lambda t: 0.25 * a(t) + a(t), lap), power)
@@ -71,14 +65,14 @@ def reference_residual(cand, testfn, cfg, order):
             time_term = -ut * lap_dt if order == 1 else ut * lap_dtt
             lhs = lhs + wk * (np.abs(ut) ** cand.q * value + ut * lap + time_term)
         _, lap0, lap0_dt, _ = phi(0.0, p)
+        u0 = u(0.0, p)
         if order == 1:
-            rhs = cand.u0.value(p) * lap0
+            rhs = u0 * lap0
         else:
-            rhs = cand.u1.value(p) * lap0 - cand.u0.value(p) * lap0_dt
+            rhs = cand.u1(p) * lap0 - u0 * lap0_dt
         return np.stack([lhs, rhs, lhs - rhs], axis=1)
 
-    lhs, rhs, diff = mc_integrate_vector(integrand, testfn.support_box(),
-                                         MCConfig(cfg.samples, cfg.seed), 3)
+    lhs, rhs, diff = mc_integrate_vector(integrand, testfn.support_box(), cfg, 3)
     return lhs.value, rhs.value, diff.value, diff.stderr
 
 
@@ -95,7 +89,7 @@ def reference_pairing(terms, testfn, cfg):
             acc = acc + wk * defect * testfn.temporal(t)[0] * testfn.spatial(p)[0]
         return acc[:, None]
 
-    est = mc_integrate_vector(integrand, testfn.support_box(), MCConfig(cfg.samples, cfg.seed), 1)[0]
+    est = mc_integrate_vector(integrand, testfn.support_box(), cfg, 1)[0]
     return est.value, est.stderr
 
 
@@ -136,8 +130,8 @@ class ReversedTestFunction:
 
 
 def test_zero_candidate_zero_residual():
-    cand = CandidateSolution(terms=(), u0=zero_field(), u1=zero_field(), q=Q)
-    cfg = WeakFormConfig(samples=20_000, seed=1)
+    cand = CandidateSolution(terms=(), u1=zero_field, q=Q)
+    cfg = MCConfig(samples=20_000, seed=1)
     tf = standard_testfn()
     rep = weak_residual(cand, tf, cfg, 1)
     assert rep.residual == 0.0 and rep.lhs == 0.0 and rep.rhs == 0.0
@@ -152,7 +146,7 @@ def test_separable_residual_matches_brute_force(order, family):
     # the summation order of the time sums
     cand, defect_p, defect_h, _, _ = manufactured()
     tf = standard_testfn() if family == "power" else log_testfn()
-    cfg = WeakFormConfig(samples=4_000, seed=7)
+    cfg = MCConfig(samples=4_000, seed=7)
     rep = weak_residual(cand, tf, cfg, order)
     ref = reference_residual(cand, tf, cfg, order)
     got = (rep.lhs, rep.rhs, rep.residual, rep.error)
@@ -163,18 +157,35 @@ def test_separable_residual_matches_brute_force(order, family):
         reference_pairing(defect_p if order == 1 else defect_h, tf, cfg), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_two_term_datum_from_terms(order):
+    # a_1(0) = 1 and a_2(0) = 2 differ, so u0 = a_1(0) b_1 + a_2(0) b_2 weighs each
+    # term by its own initial coefficient
+    b1 = GaugeBump(center=point(0.2, -0.1, 0.05), radius=2.3)
+    b2 = GaugeBump(center=point(-0.3, 0.2, -0.1), radius=1.8)
+    cand = CandidateSolution(
+        terms=((lambda t: np.exp(-0.5 * t), b1.value), (lambda t: 2.0 - t, b2.value)),
+        u1=lambda p: -0.5 * b1.value(p) - b2.value(p), q=Q)
+    tf = standard_testfn()
+    cfg = MCConfig(samples=4_000, seed=9)
+    rep = weak_residual(cand, tf, cfg, order)
+    ref = reference_residual(cand, tf, cfg, order)
+    assert abs(ref[1]) > 0.0
+    assert (rep.lhs, rep.rhs, rep.residual, rep.error) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_order_must_be_1_or_2():
     cand, _, _, _, _ = manufactured()
     for order in (0, 3):
         with pytest.raises(ParameterError):
-            weak_residual(cand, standard_testfn(), WeakFormConfig(samples=1000, seed=0), order)
+            weak_residual(cand, standard_testfn(), MCConfig(samples=1000, seed=0), order)
 
 
 def test_manufactured_matches_defect_oracle():
     cand, defect_p, defect_h, _, _ = manufactured()
     tf = standard_testfn()
-    cfg = WeakFormConfig(samples=80_000, seed=3)
-    ocfg = WeakFormConfig(samples=160_000, seed=4)
+    cfg = MCConfig(samples=80_000, seed=3)
+    ocfg = MCConfig(samples=160_000, seed=4)
     rep = weak_residual(cand, tf, cfg, 1)
     oracle = pair_defect(defect_p, tf, ocfg)
     assert abs(rep.residual - oracle.value) <= 3 * np.hypot(rep.error, oracle.stderr)
@@ -206,20 +217,17 @@ def test_static_candidate_hyperbolic():
     # against u and the residual still matches the defect pairing
     bump = GaugeBump(center=point(0.0, 0.1, -0.05), radius=2.2)
     one = np.ones_like
-    cand = CandidateSolution(
-        terms=((one, bump.value),),
-        u0=SmoothField(lambda p: bump.value(p)),
-        u1=zero_field(), q=Q)
+    cand = CandidateSolution(terms=((one, bump.value),), u1=zero_field, q=Q)
     defect = ((one, lambda p: bump.spatial(p)[1]), (one, lambda p: np.abs(bump.value(p)) ** Q))
     tf = standard_testfn()
-    rep = weak_residual(cand, tf, WeakFormConfig(samples=80_000, seed=21), 2)
-    oracle = pair_defect(defect, tf, WeakFormConfig(samples=160_000, seed=22))
+    rep = weak_residual(cand, tf, MCConfig(samples=80_000, seed=21), 2)
+    oracle = pair_defect(defect, tf, MCConfig(samples=160_000, seed=22))
     assert abs(rep.residual - oracle.value) <= 3 * np.hypot(rep.error, oracle.stderr)
 
 
 def test_residual_linear_in_test_function():
     cand, _, _, _, _ = manufactured()
-    cfg = WeakFormConfig(samples=20_000, seed=5)
+    cfg = MCConfig(samples=20_000, seed=5)
     tf1 = standard_testfn(R=3.0, m=2)
     tf2 = standard_testfn(R=2.5, m=3)
     both = SumTestFunction(tf1, tf2)
@@ -233,12 +241,9 @@ def test_residual_linear_in_test_function():
 
 def test_nonlinearity_scaling_bookkeeping():
     cand, _, _, bump, a = manufactured()
-    doubled = CandidateSolution(
-        terms=((lambda t: 2 * a(t), bump.value),),
-        u0=SmoothField(lambda p: 2 * bump.value(p)),
-        u1=cand.u1, q=Q)
+    doubled = CandidateSolution(terms=((lambda t: 2 * a(t), bump.value),), u1=cand.u1, q=Q)
     tf = standard_testfn()
-    cfg = WeakFormConfig(samples=20_000, seed=6)
+    cfg = MCConfig(samples=20_000, seed=6)
     quadratic = pair_defect(((lambda t: np.abs(a(t)) ** Q, lambda p: np.abs(bump.value(p)) ** Q),),
                             tf, cfg)
     r1 = weak_residual(cand, tf, cfg, 1)
@@ -251,27 +256,16 @@ def test_terminal_condition_enforced():
     cand, _, _, _, _ = manufactured()
     tf = ReversedTestFunction(standard_testfn())
     with pytest.raises(ParameterError):
-        weak_residual(cand, tf, WeakFormConfig(samples=1000, seed=0), 1)
+        weak_residual(cand, tf, MCConfig(samples=1000, seed=0), 1)
     with pytest.raises(ParameterError):
-        weak_residual(cand, tf, WeakFormConfig(samples=1000, seed=0), 2)
-
-
-def test_initial_data_consistency_enforced():
-    _, _, _, bump, a = manufactured()
-    lying = CandidateSolution(
-        terms=((a, bump.value),),
-        u0=SmoothField(lambda p: 2.0 + 0 * np.asarray(p.tau)),
-        q=Q)
-    with pytest.raises(ParameterError):
-        weak_residual(lying, standard_testfn(), WeakFormConfig(samples=1000, seed=0), 1)
+        weak_residual(cand, tf, MCConfig(samples=1000, seed=0), 2)
 
 
 def test_hyperbolic_requires_velocity():
     _, _, _, bump, a = manufactured()
-    cand = CandidateSolution(terms=((a, bump.value),),
-                             u0=SmoothField(lambda p: bump.value(p)), q=Q)
+    cand = CandidateSolution(terms=((a, bump.value),), q=Q)
     with pytest.raises(ParameterError):
-        weak_residual(cand, standard_testfn(), WeakFormConfig(samples=1000, seed=0), 2)
+        weak_residual(cand, standard_testfn(), MCConfig(samples=1000, seed=0), 2)
 
 
 BOX = np.array([[-3.0, 3.0], [-3.0, 3.0], [-9.0, 9.0]])
@@ -279,14 +273,14 @@ BOX = np.array([[-3.0, 3.0], [-3.0, 3.0], [-9.0, 9.0]])
 
 def test_selfadjointness_identical_fields_exactly_zero():
     f = GaugeBump(point(0.3, 0.2, 0.4), radius=1.4).spatial
-    rep = selfadjointness_residual(f, f, BOX, WeakFormConfig(samples=5_000, seed=2))
+    rep = selfadjointness_residual(f, f, BOX, MCConfig(samples=5_000, seed=2))
     assert rep.residual == 0.0
 
 
 def test_selfadjointness_disjoint_supports():
     f = GaugeBump(point(1.5, 1.5, 4.0), radius=0.7).spatial
     g = GaugeBump(point(-1.5, -1.5, -4.0), radius=0.7).spatial
-    rep = selfadjointness_residual(f, g, BOX, WeakFormConfig(samples=30_000, seed=3))
+    rep = selfadjointness_residual(f, g, BOX, MCConfig(samples=30_000, seed=3))
     assert abs(rep.lhs) <= 5 * max(rep.error, 1e-12)
     assert abs(rep.rhs) <= 5 * max(rep.error, 1e-12)
 
@@ -297,7 +291,7 @@ def test_selfadjointness_overlapping_bumps():
                                   ((-0.4, 0.0, 0.3), (0.4, 0.1, 0.5))]):
         f = GaugeBump(point(*c1), radius=1.4).spatial
         g = GaugeBump(point(*c2), radius=1.6).spatial
-        rep = selfadjointness_residual(f, g, BOX, WeakFormConfig(samples=60_000, seed=10 + k))
+        rep = selfadjointness_residual(f, g, BOX, MCConfig(samples=60_000, seed=10 + k))
         assert abs(rep.residual) <= 5 * rep.error
 
 
@@ -308,7 +302,7 @@ def test_selfadjointness_overlapping_bumps_n2():
                                   ((-0.4, 0.1, 0.0, 0.3, 0.3), (0.4, -0.2, 0.1, 0.0, 0.5))]):
         f = GaugeBump(GroupPoint.from_flat(np.array(c1)), radius=1.4).spatial
         g = GaugeBump(GroupPoint.from_flat(np.array(c2)), radius=1.6).spatial
-        rep = selfadjointness_residual(f, g, box, WeakFormConfig(samples=100_000, seed=30 + k))
+        rep = selfadjointness_residual(f, g, box, MCConfig(samples=100_000, seed=30 + k))
         assert abs(rep.residual) <= 5 * rep.error
 
 
@@ -316,11 +310,11 @@ def test_selfadjointness_rejects_malformed_box():
     f = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0).spatial
     for box in (BOX[:2], BOX[:, :1], np.zeros((4, 2)), BOX.ravel()):
         with pytest.raises(ParameterError):
-            selfadjointness_residual(f, f, box, WeakFormConfig(samples=2_000, seed=0))
+            selfadjointness_residual(f, f, box, MCConfig(samples=2_000, seed=0))
 
 
 def test_selfadjointness_rejects_boundary_support():
     f = GaugeBump(point(2.8, 0.0, 0.0), radius=1.5).spatial
     g = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0).spatial
     with pytest.raises(ParameterError):
-        selfadjointness_residual(f, g, BOX, WeakFormConfig(samples=2_000, seed=0))
+        selfadjointness_residual(f, g, BOX, MCConfig(samples=2_000, seed=0))
