@@ -16,6 +16,7 @@ solver failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -100,6 +101,7 @@ def parse_grid(text: str) -> list:
     return grid
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heislab",

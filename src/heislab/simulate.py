@@ -14,7 +14,8 @@ Kronecker products of 1-D factors (difference, truncated identity,
 coefficient diagonal) over the x, y and tau axes.  This makes L_h
 symmetric negative semidefinite by construction, so each step's linear
 solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
-once per run, up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned conjugate
+once per grid (run() keeps the last grid's operator for the next run on it),
+up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned conjugate
 gradients on -L_h stored by diagonals (DIA), started from the polynomial extrapolation
 of the last EXTRAPOLATION_POINTS steps' nonlinear potentials (see _solve_step).
 Time stepping is explicit Euler (first order) or leapfrog with a Taylor
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Optional
 
@@ -116,7 +117,8 @@ def build_grid(config: GridConfig) -> Grid:
 class SparseOperator:
     """Symmetric operator on interior unknowns in CSR form; -op (CSR up to
     DIRECT_MAX_UNKNOWNS, else DIA for the CG mat-vec), its SuperLU factors and its
-    Jacobi preconditioner 1 / diag(-op) are built on first use."""
+    Jacobi preconditioner 1 / diag(-op) are built on first use and kept with the
+    operator, which run() keeps while later runs use its grid (see _grid_operator)."""
 
     matrix: sp.csr_matrix
 
@@ -195,6 +197,14 @@ def assemble_sublaplacian(grid: Grid) -> SparseOperator:
     m = (dx.T @ dx + dy.T @ dy).tocsr()
     sym = (m + m.T) * 0.5
     return SparseOperator((-sym).tocsr())
+
+
+@lru_cache(maxsize=1)
+def _grid_operator(config: GridConfig):
+    """(grid, L_h) for `config`, kept for the next run while it uses the same grid, so
+    that run skips assembly and reuses the operator's -L_h, LU factors and Jacobi diagonal."""
+    grid = build_grid(config)
+    return grid, assemble_sublaplacian(grid)
 
 
 def solve_linear(
@@ -299,6 +309,8 @@ class SimConfig:
             raise ParameterError("solver_max_iter must be at least 1")
         if self.n != 1:
             raise ParameterError("only n = 1 (3-D grids) is supported")
+        if self.initial_velocity is not None and self.equation != "hyperbolic":
+            raise ParameterError("initial_velocity applies to the hyperbolic equation only")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -422,8 +434,7 @@ def run(cfg: SimConfig) -> SimTrace:
     """Step the configured equation, recording norms until the step budget, the
     blow-up threshold or a solver failure; a step that overflows is not taken,
     initial norms that overflow raise OverflowError (no first row exists)."""
-    grid = build_grid(cfg.grid)
-    op = assemble_sublaplacian(grid)
+    grid, op = _grid_operator(cfg.grid)
     u = cfg.initial.evaluate(grid)
     rows = []
 

@@ -195,15 +195,22 @@ BAD_SOLVER = {
 }
 
 
-@pytest.mark.parametrize("where", ["config", "grid", "initial", "missing", "null", *BAD_BUMPS,
-                                   *BAD_SOLVER])
-def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
-    cfg = {
+def small_sim_config():
+    return {
         "equation": "parabolic", "q": 1.5, "nonlinearity": True, "dt": 0.01, "steps": 3,
         "grid": {"l_x": 3.0, "l_y": 3.0, "l_tau": 9.0, "n_x": 9, "n_y": 9, "n_tau": 9},
         "initial": {"center": [0, 0, 0], "width": 1.0, "amplitude": 1.0},
     }
-    if where == "missing":
+
+
+@pytest.mark.parametrize("where", ["config", "grid", "initial", "missing", "null", *BAD_BUMPS,
+                                   *BAD_SOLVER, "parabolic_velocity"])
+def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
+    cfg = small_sim_config()
+    if where == "parabolic_velocity":  # the first-order equation takes no initial velocity
+        cfg["initial_velocity"] = dict(cfg["initial"])
+        word = "initial_velocity"
+    elif where == "missing":
         del cfg["steps"]
         word = "steps"
     elif where == "null":
@@ -224,6 +231,14 @@ def test_simulate_bad_config_keys_exit_2(tmp_path, capsys, where):
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and word in err
+    assert where != "parabolic_velocity" or "hyperbolic" in err
+
+
+def test_simulate_parabolic_null_initial_velocity_runs(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**small_sim_config(), "initial_velocity": None}))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])

@@ -1,0 +1,30 @@
+"""Simulator reports against the committed corpus tests/golden/simulate.json,
+written by scripts/make_golden.py: `rows` and `summary` must be byte-identical."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import heislab.simulate as simulate
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_golden.py"
+_spec = importlib.util.spec_from_file_location("make_golden", _SCRIPT)
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+# Runs on one grid follow each other (the kept operator is reused), and each grid is
+# left and then revisited (the operator is rebuilt).
+ORDER = ("parabolic-13-a5", "hyperbolic-13-a5", "parabolic-25-a10", "parabolic-13-a300",
+         "hyperbolic-13-a300", "linear-parabolic-13", "hyperbolic-25-a10")
+
+
+def test_simulate_reports_match_corpus(tmp_path):
+    corpus = json.loads(make_golden.GOLDEN.read_text())
+    assert sorted(ORDER) == sorted(corpus) == sorted(make_golden.CASES)
+    simulate._grid_operator.cache_clear()
+    for name in ORDER:
+        entry = corpus[name]
+        assert entry["config"] == make_golden.CASES[name], name
+        got = make_golden.report_blocks(entry["config"], tmp_path)
+        want = {"rows": entry["rows"], "summary": entry["summary"]}
+        assert json.dumps(got) == json.dumps(want), name

@@ -29,6 +29,21 @@ GRID9 = GridConfig(3.0, 3.0, 9.0, 9, 9, 9)
 GRID19 = GridConfig(3.0, 3.0, 9.0, 19, 19, 19)
 
 
+@pytest.fixture
+def fresh_operators():
+    """No kept operator before or after the test: a kept operator holds the -L_h storage
+    and factors made under the DIRECT_MAX_UNKNOWNS and splu of its grid's first run."""
+    simulate._grid_operator.cache_clear()
+    yield
+    simulate._grid_operator.cache_clear()
+
+
+def solve_directly(monkeypatch):
+    """Solve every grid by LU from here on, with no operator kept from before."""
+    monkeypatch.setattr(simulate, "DIRECT_MAX_UNKNOWNS", 10**6)
+    simulate._grid_operator.cache_clear()
+
+
 def quintic_bump(s):
     inside = np.abs(s) < 1
     sc = np.where(inside, s, 0.0)
@@ -195,12 +210,12 @@ def test_cg_breakdown_on_indefinite_operator(shift):
 
 
 @pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
-def test_warm_started_cg_run_matches_lu(monkeypatch, equation):
+def test_warm_started_cg_run_matches_lu(fresh_operators, monkeypatch, equation):
     steps, tol = 30, 1e-10
     cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=steps, grid=GRID19,
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0), solver_tol=tol)
     tr = run(cfg)
-    monkeypatch.setattr(simulate, "DIRECT_MAX_UNKNOWNS", 10**6)
+    solve_directly(monkeypatch)
     direct = run(cfg)
     assert (tr.status, tr.status_step) == (direct.status, direct.status_step) == ("completed", None)
     neg = assemble_sublaplacian(build_grid(GRID19)).neg
@@ -414,12 +429,12 @@ def test_overflow_beyond_float_range_is_blowup(equation, overflow_step):
     assert np.isfinite(tr.rows[-1].lq_norm)
 
 
-def test_cg_and_lu_leave_float_range_at_the_same_step(monkeypatch):
+def test_cg_and_lu_leave_float_range_at_the_same_step(fresh_operators, monkeypatch):
     # CG works on rhs / max|rhs|, so its dot products do not overflow before the values do
     cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=2000, grid=GRID19,
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 300.0), blowup_threshold=1.7e308)
     tr = run(cfg)
-    monkeypatch.setattr(simulate, "DIRECT_MAX_UNKNOWNS", 10**6)
+    solve_directly(monkeypatch)
     direct = run(cfg)
     assert tr.status == direct.status == "blowup_threshold"
     assert tr.status_step == direct.status_step == 88
@@ -466,20 +481,47 @@ def test_direct_solve_beyond_float_range_raises_overflow():
         solve_linear(op, np.full(op.dimension, -1e308))
 
 
+def counting(monkeypatch, *names):
+    """Count the calls of each named simulate function from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(simulate, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(simulate, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
-def test_operator_factored_once_per_run(monkeypatch, equation):
-    real_splu, calls = simulate.splu, []
+def test_operator_factored_once_per_run(fresh_operators, monkeypatch, equation):
+    # once per grid, in fact: runs of both equations on one grid share one operator
+    calls = counting(monkeypatch, "splu", "assemble_sublaplacian")
+    other = "hyperbolic" if equation == "parabolic" else "parabolic"
+    for eq in (equation, other):
+        cfg = SimConfig(eq, q=1.5, nonlinearity=True, dt=5e-3, steps=20, grid=GRID9,
+                        initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0))
+        tr = run(cfg)
+        assert tr.status == "completed" and len(tr.rows) == 21
+    assert calls == {"splu": 1, "assemble_sublaplacian": 1}
+    run(SimConfig(equation, q=1.5, nonlinearity=False, dt=5e-3, steps=2,
+                  grid=GridConfig(3.0, 3.0, 9.0, 11, 11, 11), initial=BumpSpec()))
+    assert calls == {"splu": 1, "assemble_sublaplacian": 2}
 
-    def counting_splu(*args, **kwargs):
-        calls.append(args)
-        return real_splu(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "splu", counting_splu)
-    cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=20, grid=GRID9,
-                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0))
-    tr = run(cfg)
-    assert tr.status == "completed" and len(tr.rows) == 21
-    assert len(calls) == 1
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_rerun_after_another_grid_reproduces_trace(fresh_operators, equation):
+    def trace(nodes):
+        cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=40,
+                        grid=GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes),
+                        initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0))
+        return run(cfg)
+
+    first, middle, again = trace(9), trace(13), trace(9)
+    simulate._grid_operator.cache_clear()
+    cold = trace(13)
+    assert (first.status, first.status_step) == (again.status, again.status_step)
+    assert first.rows == again.rows and len(first.rows) > 1
+    assert middle.rows == cold.rows != first.rows
 
 
 @pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
