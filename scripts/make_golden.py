@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Regenerate the simulator report corpus, tests/golden/simulate.json.
+"""Regenerate the report corpus in tests/golden/.
 
-Each case is one `heislab simulate --format json` run through `cli.main`;
-the corpus stores its config and the report's `rows` and `summary` (the
-`meta` block names a temporary config path and a timestamp, so it is left
-out).  tests/test_golden.py reruns every case and asserts that the two
-blocks are byte-identical.  Regenerate only when reports change on
-purpose, and say which cases moved and why.
+Each case is one `heislab ... --format json` report made through `cli.main`:
+`simulate.json` holds `simulate` runs and their configs, `reports.json` the
+argvs of every other subcommand.  A case stores the report's `rows` and
+`summary` (the `meta` block names a temporary path and a timestamp, so it is
+left out).  tests/test_golden.py reruns every case and asserts that the two
+blocks are byte-identical.  Regenerate only the cases whose reports change
+on purpose, and say which moved and why; the other entries are rewritten
+byte for byte.  For each rewritten case the script prints whether its
+status moved and else the largest relative change of a number in its rows.
 
 Usage:
-    PYTHONPATH=src python scripts/make_golden.py [--out tests/golden/simulate.json]
+    PYTHONPATH=src python scripts/make_golden.py                    # every case
+    PYTHONPATH=src python scripts/make_golden.py parabolic-25-a10   # only these cases
 """
 
 import argparse
@@ -21,7 +25,7 @@ import tempfile
 from heislab.cli import main as heislab_main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden" / "simulate.json"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 def sim_config(equation, nodes, amplitude, steps, nonlinearity=True):
@@ -34,7 +38,7 @@ def sim_config(equation, nodes, amplitude, steps, nonlinearity=True):
 
 
 # 13^3 (1331 unknowns) is solved by LU, 25^3 (12167) by CG
-CASES = {
+SIMULATE = {
     "parabolic-13-a5": sim_config("parabolic", 13, 5.0, 60),
     "hyperbolic-13-a5": sim_config("hyperbolic", 13, 5.0, 60),
     "parabolic-13-a300": sim_config("parabolic", 13, 300.0, 100),
@@ -45,29 +49,83 @@ CASES = {
 }
 
 
-def report_blocks(config: dict, workdir: pathlib.Path) -> dict:
-    """The `rows` and `summary` of one JSON `simulate` report on `config`."""
-    cfg_path, out_path = workdir / "config.json", workdir / "report.json"
-    cfg_path.write_text(json.dumps(config))
-    rc = heislab_main(["simulate", "--config", str(cfg_path), "--format", "json",
-                       "--out", str(out_path)])
+def other_reports() -> dict:
+    """Capacity subcommands at n = 1, 2, 3 (subcritical q and q_c = Q/(Q-2), Q = 2n + 2,
+    with nonzero data norms), residual and identities at two seeds each, and verdict."""
+    critical, subcritical = {1: "2", 2: "3/2", 3: "4/3"}, {1: "3/2", 2: "5/4", 3: "6/5"}
+    cases = {"lemma1": ["lemma1"]}
+    for n in (1, 2, 3):
+        cases[f"lemma2-n{n}"] = ["lemma2", f"--n={n}"]
+        for target in ("I1", "I2", "I3", "I4"):
+            cases[f"scaling-{target}-n{n}"] = ["scaling", f"--target={target}", f"--n={n}",
+                                                f"--q={subcritical[n]}"]
+        for eq, norms in (("parabolic", ["--u0-norm=1.5"]),
+                          ("hyperbolic", ["--u0-norm=1.5", "--u1-norm=0.7"])):
+            for kind, q in (("sub", subcritical[n]), ("crit", critical[n])):
+                cases[f"bound-{eq}-{kind}-n{n}"] = [f"bound-{eq}", f"--n={n}", f"--q={q}", *norms]
+    for seed in (1, 5):
+        cases[f"residual-s{seed}"] = ["residual", f"--seed={seed}", "--samples=16384"]
+    for seed in (0, 7):
+        cases[f"identities-s{seed}"] = ["identities", f"--seed={seed}"]
+    cases["verdict"] = ["verdict"]
+    return cases
+
+
+REPORTS = other_reports()
+# corpus file -> (its cases, the key under which an entry stores its case)
+CORPORA = {GOLDEN_DIR / "simulate.json": (SIMULATE, "config"),
+           GOLDEN_DIR / "reports.json": (REPORTS, "argv")}
+
+
+def report_blocks(case, workdir: pathlib.Path) -> dict:
+    """The `rows` and `summary` of the JSON report of `case`: a `simulate` config (a dict)
+    or the argv of another subcommand (a list)."""
+    if isinstance(case, dict):
+        cfg_path = workdir / "config.json"
+        cfg_path.write_text(json.dumps(case))
+        case = ["simulate", "--config", str(cfg_path)]
+    out_path = workdir / "report.json"
+    rc = heislab_main([*case, "--format", "json", "--out", str(out_path)])
     if rc != 0:
-        raise RuntimeError(f"heislab simulate exited {rc}")
+        raise RuntimeError(f"heislab {case[0]} exited {rc}")
     report = json.loads(out_path.read_text())
     return {"rows": report["rows"], "summary": report["summary"]}
 
 
+def change(old: dict, new: dict) -> str:
+    """How a rewritten entry moved: its status, status step and row count, and else the
+    largest relative change of a number in its rows."""
+    keys = ("status", "status_step")
+    if (len(old["rows"]) != len(new["rows"])
+            or any(old["summary"].get(k) != new["summary"].get(k) for k in keys)):
+        return "status, status step or row count moved"
+    pairs = [(a[key], b[key]) for a, b in zip(old["rows"], new["rows"]) for key in a
+             if isinstance(a[key], float) and isinstance(b.get(key), float)]
+    largest = max((abs(b - a) / abs(a) for a, b in pairs if a), default=0.0)
+    return f"status kept, largest relative change in rows {largest:.3g}"
+
+
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--out", default=str(GOLDEN))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("cases", nargs="*", help="names of the cases to rewrite (default: all)")
     args = ap.parse_args()
+    unknown = sorted(set(args.cases) - set(SIMULATE) - set(REPORTS))
+    if unknown:
+        ap.error(f"unknown case(s): {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = {name: {"config": cfg, **report_blocks(cfg, pathlib.Path(tmp))}
-                  for name, cfg in CASES.items()}
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(corpus, indent=1) + "\n")
-    print(f"wrote {len(corpus)} cases to {out}")
+        for path, (cases, key) in CORPORA.items():
+            names = [name for name in cases if not args.cases or name in args.cases]
+            if not names:
+                continue
+            before = json.loads(path.read_text()) if path.exists() else {}
+            corpus = dict(before) if args.cases else {}
+            for name in names:
+                corpus[name] = {key: cases[name], **report_blocks(cases[name], pathlib.Path(tmp))}
+                if name in before:
+                    print(f"{name}: {change(before[name], corpus[name])}")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(corpus, indent=1) + "\n")
+            print(f"wrote {len(names)} of {len(corpus)} cases to {path}")
     return 0
 
 

@@ -16,8 +16,8 @@ symmetric negative semidefinite by construction, so each step's linear
 solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
 once per grid (run() keeps the last grid's operator for the next run on it),
 up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned conjugate
-gradients on -L_h stored by diagonals (DIA), started from the polynomial extrapolation
-of the last EXTRAPOLATION_POINTS steps' nonlinear potentials (see _solve_step).
+gradients on -L_h stored by diagonals (DIA), started from the combination of the last
+EXTRAPOLATION_POINTS steps' nonlinear potentials with the smallest residual (see _solve_step).
 Time stepping is explicit Euler (first order) or leapfrog with a Taylor
 start (second order); both share one solve (none in linear mode).
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -46,11 +45,12 @@ from scipy.sparse.linalg import splu
 
 from .errors import OperatorError, ParameterError, SolverFailure
 
-# LU fill: 2 MB at 13^3 nodes, 14 MB at 19^3, 62 MB at 25^3.  A 30-step run takes 3.3-4.4 and
-# 6.2-7.6 ms a step by LU (factoring included) at 17^3 and 19^3, and 2.1-4.2 and 3.2-5.8 ms by
-# DIA CG from the quartic start (one core of a 2-vCPU x86-64 host, scipy 1.17).
+# LU fill: 2 MB at 13^3 nodes, 8.4 MB at 17^3, 10.9 MB at 18^3, 14 MB at 19^3, 62 MB at 25^3.
+# A cold 30-step run (median of 5, either equation) takes 3.3, 3.9 and 5.1 ms a step by LU
+# (factoring included) at 17^3, 18^3 and 19^3, and 2.5-2.6, 2.8-3.1 and 3.4-3.6 ms by DIA CG from
+# the minimal-residual start (one core of a 2-vCPU x86-64 host, scipy 1.17).
 DIRECT_MAX_UNKNOWNS = 4096
-# CG starts from the polynomial through this many past nonlinear potentials (see _solve_step)
+# CG starts from a combination of this many past nonlinear potentials (see _solve_step)
 EXTRAPOLATION_POINTS = 5
 
 
@@ -271,10 +271,13 @@ class BumpSpec:
             raise ParameterError("bump width must be positive")
 
     def evaluate(self, grid: Grid) -> np.ndarray:
+        # differences are scaled before squaring; a square beyond float range is inf, exp(-inf) 0
         X, Y, T = grid.interior_mesh()
         cx, cy, ct = self.center
-        d2 = (X - cx) ** 2 + (Y - cy) ** 2 + (T - ct) ** 2
-        return (self.amplitude * np.exp(-d2 / self.width**2)).ravel()
+        w = self.width
+        with np.errstate(over="ignore"):
+            d2 = ((X - cx) / w) ** 2 + ((Y - cy) / w) ** 2 + ((T - ct) / w) ** 2
+        return (self.amplitude * np.exp(-d2)).ravel()
 
 
 @dataclass(frozen=True)
@@ -370,7 +373,7 @@ class SimState:
     step: int
     u_prev: Optional[np.ndarray] = None  # hyperbolic history
     last_iterations: int = 0
-    potentials: tuple = ()  # last EXTRAPOLATION_POINTS nonlinear potentials, newest first
+    potentials: tuple = ()  # CG: last EXTRAPOLATION_POINTS pairs (z, -L_h z), newest first
 
 
 @dataclass(frozen=True)
@@ -391,20 +394,49 @@ class SimTrace:
 
 def _solve_step(op: SparseOperator, state: SimState, cfg: SimConfig):
     """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration); return w,
-    the potentials with z = w + u = (-op)^-1 |u|^q prepended, and the iterations.
+    the held (z, g) pairs with z = w + u = (-op)^-1 |u|^q and its image g = -op z
+    prepended (CG only), and the iterations.
 
-    Without the nonlinearity w = -u identically, so no solve is made.  z moves smoothly
-    in time, so CG starts from -u plus the next value of the polynomial through the k held
-    z: -u + 5 z1 - 10 z2 + 10 z3 - 5 z4 + z5 (k = 5), ..., -u + z1, -u.  LU takes no start.
+    Without the nonlinearity w = -u identically, so no solve is made.  LU takes no start;
+    CG starts from x0 = -u + sum_j c_j z_j, with residual f - sum_j c_j g_j (f = |u|^q)
+    whose 2-norm, CG's stopping measure, c minimises (the quartic's 5, -10, 10, -5, 1 is one c).
     """
-    u, zs = state.u, state.potentials
+    u, held = state.u, state.potentials
     if not cfg.nonlinearity:
         return -u, (), 0
-    x0 = (sum(((-1) ** j * comb(len(zs), j + 1) * z for j, z in enumerate(zs)), -u)
-          if op.dimension > DIRECT_MAX_UNKNOWNS else None)
-    rhs = -(op.matrix @ u) - np.abs(u) ** cfg.q
+    f = np.abs(u) ** cfg.q
+    rhs = op.neg @ u - f  # -op stored as neg, so neg @ u == -(op @ u) bit for bit
+    if op.dimension <= DIRECT_MAX_UNKNOWNS:
+        w, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter)
+        return w, (), iters
+    c = _least_squares([g for _, g in held], f)
+    x0 = sum((cj * z for cj, (z, _) in zip(c, held)), -u)
     w, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=x0)
-    return w, (w + u, *zs)[:EXTRAPOLATION_POINTS], iters
+    z = w + u
+    return w, ((z, op.neg @ z), *held)[:EXTRAPOLATION_POINTS], iters
+
+
+def _least_squares(columns: list, f: np.ndarray) -> list:
+    """c minimising |f - sum_j c_j columns[j]|_2 by single-pass modified Gram-Schmidt on
+    [columns | f] (each scaled by its max-abs, so no square overflows; stopped at a column
+    whose remaining norm is 0) and back substitution.  einsum keeps each dot on one thread."""
+    k = len(columns)
+    basis, scales, r = [], [], np.zeros((k, k + 1))
+    for j, a in enumerate([*columns, f]):
+        if len(basis) < j < k:  # the basis stopped at an earlier column
+            continue
+        scales.append(np.max(np.abs(a)))
+        v = a / (scales[-1] or 1.0)
+        for i, qi in enumerate(basis):
+            r[i, j] = np.einsum("i,i", qi, v)
+            v -= r[i, j] * qi
+        if j < k and (norm := np.sqrt(np.einsum("i,i", v, v))) > 0.0:
+            r[j, j] = norm
+            basis.append(v / norm)
+    m, d = len(basis), np.zeros(len(basis))
+    for i in reversed(range(m)):
+        d[i] = (r[i, k] - r[i, i + 1:m] @ d[i + 1:]) / r[i, i]
+    return [di * scales[-1] / s for di, s in zip(d, scales)]
 
 
 def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:

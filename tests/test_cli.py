@@ -359,12 +359,32 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def log_uniform(lo=-300.0, hi=300.0):
+    """Magnitudes spread evenly over the decades 10^lo .. 10^hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
 def bump_strategy():
+    coordinate = st.floats(-3.0, 3.0) | st.tuples(st.sampled_from([-1.0, 1.0]), log_uniform()).map(
+        lambda t: t[0] * t[1])
     return st.fixed_dictionaries({
-        "center": st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
-        "width": st.floats(0.2, 3.0),
+        "center": st.lists(coordinate, min_size=3, max_size=3),
+        "width": st.floats(0.2, 3.0) | log_uniform(),
         "amplitude": st.floats(-50.0, 50.0),
     })
+
+
+# a width or centre coordinate whose squares, before they are scaled by the width, leave
+# float range: the bump is evaluated outside the floating-point guard of the run
+EXTREME_BUMPS = {"narrow": {"width": 1e-200}, "far": {"center": [1e200, 0.2, 0.3]},
+                 "wide": {"width": 1e200}}
+
+
+def extreme_bump_config(name):
+    cfg = small_sim_config()
+    cfg["grid"].update(n_x=7, n_y=7, n_tau=7)
+    cfg["initial"] = {"center": [0.1, 0.2, 0.3], "width": 1.0, "amplitude": 5.0, **EXTREME_BUMPS[name]}
+    return cfg
 
 
 SIM_CONFIG = st.fixed_dictionaries({
@@ -410,6 +430,9 @@ def mutated_configs(draw):
 
 
 @settings(max_examples=3 * settings().max_examples)
+@example(extreme_bump_config("narrow"))
+@example(extreme_bump_config("far"))
+@example(extreme_bump_config("wide"))
 @given(SIM_CONFIG | mutated_configs())
 def test_simulate_exit_code_contract(cfg):
     with tempfile.TemporaryDirectory() as tmp:
@@ -418,6 +441,20 @@ def test_simulate_exit_code_contract(cfg):
         code, _, err = run_main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "t.csv")])
     assert code in (0, 2, 3) and "Traceback" not in err
     assert code != 2 or err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", sorted(EXTREME_BUMPS))
+def test_simulate_extreme_bump_is_its_limit_field(tmp_path, name):
+    # a vanishing width or a far centre leaves no mass on the grid; a huge width is flat
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(extreme_bump_config(name)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_main(["simulate", "--config", str(path), "--format", "json",
+                                 "--out", str(tmp_path / "t.json")])
+    assert (code, err) == (0, "")
+    first = json.loads((tmp_path / "t.json").read_text())["rows"][0]
+    assert first["max_norm"] == (5.0 if name == "wide" else 0.0)
 
 
 @settings(max_examples=6 * settings().max_examples // 5)

@@ -1,5 +1,5 @@
-"""Simulator reports against the committed corpus tests/golden/simulate.json,
-written by scripts/make_golden.py: `rows` and `summary` must be byte-identical."""
+"""Reports against the committed corpus in tests/golden/, written by
+scripts/make_golden.py: `rows` and `summary` must be byte-identical."""
 
 import importlib.util
 import json
@@ -18,13 +18,22 @@ ORDER = ("parabolic-13-a5", "hyperbolic-13-a5", "parabolic-25-a10", "parabolic-1
          "hyperbolic-13-a300", "linear-parabolic-13", "hyperbolic-25-a10")
 
 
-def test_simulate_reports_match_corpus(tmp_path):
-    corpus = json.loads(make_golden.GOLDEN.read_text())
-    assert sorted(ORDER) == sorted(corpus) == sorted(make_golden.CASES)
-    simulate._grid_operator.cache_clear()
-    for name in ORDER:
+def check_corpus(path, order, tmp_path):
+    corpus = json.loads(path.read_text())
+    cases, key = make_golden.CORPORA[path]
+    assert sorted(order) == sorted(corpus) == sorted(cases)
+    for name in order:
         entry = corpus[name]
-        assert entry["config"] == make_golden.CASES[name], name
-        got = make_golden.report_blocks(entry["config"], tmp_path)
+        assert entry[key] == cases[name], name
+        got = make_golden.report_blocks(entry[key], tmp_path)
         want = {"rows": entry["rows"], "summary": entry["summary"]}
         assert json.dumps(got) == json.dumps(want), name
+
+
+def test_simulate_reports_match_corpus(tmp_path):
+    simulate._grid_operator.cache_clear()
+    check_corpus(make_golden.GOLDEN_DIR / "simulate.json", ORDER, tmp_path)
+
+
+def test_other_reports_match_corpus(tmp_path):
+    check_corpus(make_golden.GOLDEN_DIR / "reports.json", tuple(make_golden.REPORTS), tmp_path)
