@@ -51,7 +51,8 @@ SIMULATE = {
 
 def other_reports() -> dict:
     """Capacity subcommands at n = 1, 2, 3 (subcritical q and q_c = Q/(Q-2), Q = 2n + 2,
-    with nonzero data norms), residual and identities at two seeds each, and verdict."""
+    with nonzero data norms), residual and identities at two seeds each, verdict, and
+    capacity reports at extreme kappa, ell, q, n and R."""
     critical, subcritical = {1: "2", 2: "3/2", 3: "4/3"}, {1: "3/2", 2: "5/4", 3: "6/5"}
     cases = {"lemma1": ["lemma1"]}
     for n in (1, 2, 3):
@@ -68,6 +69,19 @@ def other_reports() -> dict:
     for seed in (0, 7):
         cases[f"identities-s{seed}"] = ["identities", f"--seed={seed}"]
     cases["verdict"] = ["verdict"]
+    # the largest pow exponents of the scalar quad integrands, and R at both float ends
+    cases.update({
+        "lemma2-kappa50": ["lemma2", "--kappa=50", "--R=1.5,10,1e5,1e300"],
+        "bound-parabolic-crit-kappa1e3": ["bound-parabolic", "--q=2", "--kappa=1e3", "--T=1",
+                                          "--R=1.5,10,1e5,1e300", "--u0-norm=1"],
+        "bound-hyperbolic-sub-ell40": ["bound-hyperbolic", "--q=1.5", "--ell=40", "--T=1",
+                                       "--R=2,4,8,16", "--u0-norm=1", "--u1-norm=1"],
+        "lemma1-ell40": ["lemma1", "--q=1.5", "--ell=40", "--T=0.1,1,10"],
+        "scaling-I4-q100-n4": ["scaling", "--target=I4", "--q=100", "--n=4", "--R=1e-3,1,1e3,1e6"],
+        "scaling-I4-q1e6": ["scaling", "--target=I4", "--q=1e6", "--R=1e-3,1,1e3,1e6"],
+        "lemma2-n2-huge-R": ["lemma2", "--n=2", "--R=1e100,1e200,1e300,1.7e308"],
+        "scaling-I4-R-near-1": ["scaling", "--target=I4", "--q=1.5", "--R=1.0000000001,1.001,2,3"],
+    })
     return cases
 
 

@@ -19,11 +19,14 @@ gauge-sphere constant S_omega(s) = int_{|eta|=1} omega^s dsigma.  The
 sphere constant has a closed form from the Koranyi polar decomposition
 (Folland-Stein, Hardy Spaces on Homogeneous Groups, 1982), so every
 capacity path is deterministic and works for any n >= 1; all R- and
-T-dependence sits in the radial and time quadratures.
+T-dependence sits in the radial and time quadratures, whose radial
+integrands run on plain floats; each radial quadrature is computed once
+per (exponents, cutoff, R, weight) in a process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -257,6 +260,7 @@ def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEsti
     return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
 
 
+@functools.lru_cache(maxsize=256)
 def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
     """Radial quadrature of
     [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
@@ -264,11 +268,17 @@ def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool)
     if weighted:
         check_integrability(spec, e.q)
     q, qp, Q = e.q, e.q_prime, e.Q
+    try:  # float ** int reports only an errno tuple
+        R2 = R**2
+    except OverflowError:
+        R2 = 0.0
+    if R2 == 0.0:  # also when R^2 underflows
+        raise OverflowError(f"R^2 beyond floating-point range at R = {R:g}")
 
     def integrand(r):
         z = (r / R) ** 2
         v, d1, d2 = cutoff_eval(spec, z)
-        v, g = float(v), float((4.0 * z / R**2) * d2 + (2.0 * Q / R**2) * d1)
+        g = (4.0 * z / R2) * d2 + (2.0 * Q / R2) * d1
         if g == 0.0 or (weighted and v <= 0.0):
             return 0.0
         weight = -math.log(v) / (q - 1.0) if weighted else 0.0
@@ -277,6 +287,7 @@ def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool)
     return _radial_quad(integrand, R / math.sqrt(2.0), R)
 
 
+@functools.lru_cache(maxsize=256)
 def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
                      inv_log_power: Optional[float] = None) -> QuadratureEstimate:
     """Radial integral of the logarithmic family in the variable
@@ -291,7 +302,6 @@ def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
 
     def integrand(z):
         v, d1, d2 = cutoff_eval(spec, z)
-        v = float(v)
         if v <= 0.0:
             return 0.0
         if inv_log_power is None:

@@ -101,6 +101,13 @@ def parse_grid(text: str) -> list:
     return grid
 
 
+def parse_single(spec: RunSpec, name: str) -> float:
+    grid = parse_grid(spec.params[name])
+    if len(grid) != 1:
+        raise ParameterError(f"--{name} takes one value, not the grid {spec.params[name]!r}")
+    return grid[0]
+
+
 @functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -297,7 +304,7 @@ def cmd_scaling(spec: RunSpec) -> Report:
 def cmd_bound(spec: RunSpec, order: int) -> Report:
     """bound-parabolic (order 1) and bound-hyperbolic (order 2) over the R grid."""
     e = _exponents(spec)
-    T = parse_grid(spec.params["T"])[0]
+    T = parse_single(spec, "T")
     u0 = spec.params.get("u0_norm", 0.0)
     u1 = spec.params.get("u1_norm", 0.0)
     rows = []
@@ -370,8 +377,8 @@ def cmd_residual(spec: RunSpec) -> Report:
     if spec.params.get("n", 1) != 1:
         raise ParameterError("residual is implemented for n = 1 only")
     e = _exponents(spec)
-    T = parse_grid(spec.params["T"])[0]
-    R = parse_grid(spec.params["R"])[0]
+    T = parse_single(spec, "T")
+    R = parse_single(spec, "R")
     samples = spec.params.get("samples")
     samples = 200_000 if samples is None else samples  # --samples 0 is an error, not the default
     cfg = MCConfig(samples=samples, seed=spec.seed)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heislab.capacity as capacity
 from heislab.capacity import (
     CriticalSpatialFactor,
     Exponents,
@@ -24,6 +25,7 @@ from heislab.capacity import (
     verdict,
     young_constant,
 )
+from heislab.cli import main
 from heislab.cutoffs import CutoffSpec, ProductTestFunction, TemporalFactor, spatial_factor
 from heislab.errors import ParameterError
 from heislab.group import GroupPoint
@@ -313,6 +315,32 @@ def test_critical_bounds_stay_inside_log_envelope():
     ):
         quots = [builder(R).bound / log_envelope(e.Q, R) for R in (1e3, 1e5, 1e7, 1e9)]
         assert max(quots) / min(quots) <= 10.0
+
+
+@pytest.mark.parametrize("q", ["3/2", "2"], ids=["power", "logarithmic"])
+def test_hyperbolic_bound_reuses_the_parabolic_quadratures(tmp_path, monkeypatch, q):
+    # both bounds integrate the same spatial and data factors; the second run computes none
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    quads = (capacity._power_radial_quad, capacity._log_radial_quad)
+    out = tmp_path / "bound.json"
+    argv = ["--q", q, "--T", "10", "--R", "1e3,1e4,1e5,1e6", "--u0-norm", "1.5",
+            "--format", "json", "--out", str(out)]
+
+    def misses():
+        return [quad.cache_info().misses for quad in quads]
+
+    for quad in quads:
+        quad.cache_clear()
+    assert main(["bound-parabolic", *argv]) == 0
+    parabolic = misses()
+    assert max(parabolic) == 8  # spatial and data factor at each of the four R
+    assert main(["bound-hyperbolic", *argv, "--u1-norm", "0.7"]) == 0
+    assert misses() == parabolic
+    warm = out.read_bytes()
+    for quad in quads:
+        quad.cache_clear()
+    assert main(["bound-hyperbolic", *argv, "--u1-norm", "0.7"]) == 0
+    assert misses() == parabolic and out.read_bytes() == warm
 
 
 def test_verdict_table():

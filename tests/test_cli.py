@@ -545,6 +545,29 @@ def test_empty_or_non_finite_grid_exits_2(capsys, argv):
     assert err.count("\n") == 1 and "grid" in err
 
 
+# each used to exit 0 and report the first value only
+@pytest.mark.parametrize("argv, option", [
+    (["bound-parabolic", "--q", "1.5", "--T", "5,10", "--R", "8,16"], "--T"),
+    (["bound-hyperbolic", "--T", "5,10"], "--T"),
+    (["residual", "--T", "1,2", "--samples", "2000"], "--T"),
+    (["residual", "--R", "3,4", "--samples", "2000"], "--R"),
+], ids=["bound-parabolic-T", "bound-hyperbolic-T", "residual-T", "residual-R"])
+def test_single_value_option_given_a_grid_exits_2(capsys, argv, option):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{option} takes one value" in err
+
+
+# R^2 leaves float range; these used to print Python's errno tuple or "float division by zero"
+@pytest.mark.parametrize("grid, culprit", [("1e100,1e200,1e300,1.7e308", "R = 1e+200"),
+                                           ("1e-300,1e-200,1e-100,1", "R = 1e-300")])
+def test_radius_squared_out_of_range_names_r(capsys, grid, culprit):
+    assert main(["scaling", "--target", "I4", "--q", "1.5", "--R", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "R^2" in err and culprit in err
+    assert "(34," not in err and "division by zero" not in err
+
+
 @pytest.mark.parametrize("config, argv", [
     (b"{", ["simulate", "--config", "{tmp}/cfg.json"]),
     (b'{"equation": "\xff"}', ["simulate", "--config", "{tmp}/cfg.json"]),
