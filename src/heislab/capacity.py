@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,7 +51,7 @@ from .cutoffs import (
 )
 from .errors import ParameterError
 from .group import GroupPoint
-from .mc import MCConfig, MCEstimate, mc_integrate
+from .mc import MCConfig, MCEstimate, mc_integrate_vector
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool)
         R2 = R**2
     except OverflowError:
         R2 = 0.0
-    if R2 == 0.0:  # also when R^2 underflows
+    if R2 < 2.0 * Q / sys.float_info.max:  # R^2 underflows, or 2Q/R^2 overflows
         raise OverflowError(f"R^2 beyond floating-point range at R = {R:g}")
 
     def integrand(r):
@@ -335,6 +336,9 @@ def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = 
     else:
         psi_power = -spec.kappa / (e.q - 1.0) if weighted else 0.0
         radial = _log_radial_quad(e, spec, R, psi_power)
+        if weighted and radial.value == 0.0:  # the reports divide by the critical factor
+            raise OverflowError(
+                f"critical spatial factor underflows to 0 at kappa = {spec.kappa:g}, R = {R:g}")
     return _combine_sphere(radial, sphere_weight_constant(e.n, e.q_prime))
 
 
@@ -354,7 +358,7 @@ def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) 
             )
         return out
 
-    return mc_integrate(integrand, bounds, mc)
+    return mc_integrate_vector(integrand, bounds, mc, 1)[0]
 
 
 def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> CriticalSpatialFactor:

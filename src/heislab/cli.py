@@ -45,7 +45,6 @@ from .group import (
     GroupPoint,
     PolyField,
     RadialProfile,
-    affine_pullback,
     compose,
     dilate,
     dilation_matrix,
@@ -187,6 +186,11 @@ def _meta(spec: RunSpec) -> dict:
     }
 
 
+def _report(spec: RunSpec, rows: list, summary: dict) -> Report:
+    """The report of `spec`; its columns are the keys of its first row."""
+    return Report(_meta(spec), list(rows[0]), rows, summary)
+
+
 def _exponents(spec: RunSpec, q_value=None) -> Exponents:
     q = float(q_value if q_value is not None else parse_rational(spec.params["q"]))
     return Exponents(q=q, n=spec.params.get("n", 1),
@@ -223,7 +227,7 @@ def cmd_lemma1(spec: RunSpec) -> Report:
         "C2": time_integral_constant(e, 1),
         "C3": time_integral_constant(e, 2),
     }
-    return Report(_meta(spec), ["integral", "name", "T", "value", "closed_form", "rel_err"], rows, summary)
+    return _report(spec, rows, summary)
 
 
 def cmd_lemma2(spec: RunSpec) -> Report:
@@ -264,8 +268,7 @@ def cmd_lemma2(spec: RunSpec) -> Report:
         fit = scaling_fit(values, "log log R")
         summary["loglog_slope"] = fit.slope
         summary["loglog_max_rel_residual"] = fit.max_rel_residual
-    cols = ["R", "value", "abs_error", "term_sq", "term_lin", "envelope", "quotient"]
-    return Report(_meta(spec), cols, rows, summary)
+    return _report(spec, rows, summary)
 
 
 def cmd_scaling(spec: RunSpec) -> Report:
@@ -298,7 +301,7 @@ def cmd_scaling(spec: RunSpec) -> Report:
         "slope_error": abs(fit.slope - expected),
         "max_rel_residual": fit.max_rel_residual,
     }
-    return Report(_meta(spec), ["abscissa", "value", "fitted", "rel_residual"], rows, summary)
+    return _report(spec, rows, summary)
 
 
 def cmd_bound(spec: RunSpec, order: int) -> Report:
@@ -331,7 +334,7 @@ def cmd_bound(spec: RunSpec, order: int) -> Report:
         fit = scaling_fit(bounds, "log R")
         summary["slope"] = fit.slope
         summary["expected_slope"] = e.Q - 2.0 * e.q_prime
-    return Report(_meta(spec), list(rows[0].keys()), rows, summary)
+    return _report(spec, rows, summary)
 
 
 def cmd_verdict(spec: RunSpec) -> Report:
@@ -347,7 +350,7 @@ def cmd_verdict(spec: RunSpec) -> Report:
         "note": v.note,
     }]
     summary = {"verdict": f"{v.value}, q_c = {qc}"}
-    return Report(_meta(spec), ["n", "q", "q_c", "verdict", "note"], rows, summary)
+    return _report(spec, rows, summary)
 
 
 def _manufactured_candidate(q: float, R: float, order: int):
@@ -407,9 +410,8 @@ def cmd_residual(spec: RunSpec) -> Report:
         rep = weak_residual(cand, testfn, cfg, order)
         add_row(case, rep, pair_defect(defect, testfn, oracle_cfg))
 
-    cols = ["case", "lhs", "rhs", "residual", "stderr", "oracle", "oracle_stderr", "gap", "within_3sigma"]
     summary = {"all_within_3sigma": all(r["within_3sigma"] for r in rows)}
-    return Report(_meta(spec), cols, rows, summary)
+    return _report(spec, rows, summary)
 
 
 def cmd_simulate(spec: RunSpec) -> Report:
@@ -431,7 +433,7 @@ def cmd_simulate(spec: RunSpec) -> Report:
         "final_lq_norm": trace.rows[-1].lq_norm,
         "note": "illustrative discrete dynamics; no reference values exist",
     }
-    return Report(_meta(spec), ["step", "time", "max_norm", "lq_norm", "iterations"], rows, summary)
+    return _report(spec, rows, summary)
 
 
 def _identity_rows(seed: int, samples: int) -> list:
@@ -479,12 +481,11 @@ def _identity_rows(seed: int, samples: int) -> list:
         f = random_polynomial(1, rng)
         shift = rand_points(1, 1)
         shift = GroupPoint(shift.x[0], shift.y[0], shift.tau[0])
-        A, bvec = invariant_translation(shift)
-        g = affine_pullback(f, A, bvec)
+        g = f.pullback(*invariant_translation(shift))
         worst_li = max(worst_li, float(np.max(np.abs(
             sublaplacian(g, p1) - sublaplacian(f, compose(p1, shift))))))
         lam = 0.5 + float(rng.random())
-        gd = affine_pullback(f, dilation_matrix(lam, 1), np.zeros(3))
+        gd = f.pullback(dilation_matrix(lam, 1), np.zeros(3))
         worst_dh = max(worst_dh, float(np.max(np.abs(
             sublaplacian(gd, p1) - lam**2 * sublaplacian(f, dilate(lam, p1))))))
     add("left_invariance", worst_li, 1e-8)
@@ -535,7 +536,7 @@ def cmd_identities(spec: RunSpec) -> Report:
     samples = 100_000 if samples is None else samples
     rows = _identity_rows(spec.seed, samples)
     summary = {"all_pass": all(r["status"] == "pass" for r in rows)}
-    return Report(_meta(spec), ["identity", "measured", "threshold", "status"], rows, summary)
+    return _report(spec, rows, summary)
 
 
 _HANDLERS = {

@@ -133,22 +133,18 @@ class RadialProfile:
 
 
 class SmoothField:
-    """Scalar field on H^n with first and second derivative oracles.
+    """Scalar field on H^n with central-difference derivatives of step h.
 
-    If analytic oracles are not supplied, central differences with step h
-    are used (the mixed second derivative uses the 4-point cross formula).
-    Index pairs handed to the second-derivative oracle are canonicalised
-    (i <= j) so the oracle is symmetric by construction.
+    The mixed second derivative uses the 4-point cross formula.  Index pairs
+    are canonicalised (i <= j), so d2 is symmetric by construction.  This is
+    the finite-difference reference; PolyField carries exact derivatives.
     """
 
-    def __init__(self, value, grad=None, hess=None, h: float = 1e-4):
+    def __init__(self, value, h: float = 1e-4):
         if h <= 0:
             raise ParameterError("finite-difference step h must be positive")
         self._value = value
-        self._grad = grad
-        self._hess = hess
         self.h = h
-        self.kind = "analytic" if (grad is not None and hess is not None) else "central-difference"
 
     def value(self, p: GroupPoint):
         return self._value(p)
@@ -163,19 +159,12 @@ class SmoothField:
         return GroupPoint(moved, p.y, p.tau) if i < n else GroupPoint(p.x, moved, p.tau)
 
     def d1(self, p: GroupPoint, i: int):
-        if i < 0 or i > 2 * p.n:
-            raise ParameterError(f"coordinate index {i} out of range for n={p.n}")
-        if self._grad is not None:
-            return self._grad(p, i)
+        _check_index(p, i)
         h = self.h
         return (self._value(self._shifted(p, i, h)) - self._value(self._shifted(p, i, -h))) / (2 * h)
 
     def d2(self, p: GroupPoint, i: int, j: int):
-        if min(i, j) < 0 or max(i, j) > 2 * p.n:
-            raise ParameterError(f"coordinate pair ({i},{j}) out of range for n={p.n}")
-        i, j = (i, j) if i <= j else (j, i)
-        if self._hess is not None:
-            return self._hess(p, i, j)
+        i, j = _ordered_pair(p, i, j)
         h = self.h
         if i == j:
             return (
@@ -190,8 +179,19 @@ class SmoothField:
         return (pp - pm - mp + mm) / (4 * h * h)
 
 
-def horizontal_derivative(f: SmoothField, i: int, kind: str, p: GroupPoint):
-    """Apply X_i (kind "X") or Y_i (kind "Y") to f at p.  i is 1-based."""
+def _check_index(p: GroupPoint, i: int):
+    if i < 0 or i > 2 * p.n:
+        raise ParameterError(f"coordinate index {i} out of range for n={p.n}")
+
+
+def _ordered_pair(p: GroupPoint, i: int, j: int):
+    if min(i, j) < 0 or max(i, j) > 2 * p.n:
+        raise ParameterError(f"coordinate pair ({i},{j}) out of range for n={p.n}")
+    return (i, j) if i <= j else (j, i)
+
+
+def horizontal_derivative(f, i: int, kind: str, p: GroupPoint):
+    """Apply X_i (kind "X") or Y_i (kind "Y") to a field f with d1 at p.  i is 1-based."""
     n = p.n
     if not 1 <= i <= n:
         raise ParameterError(f"horizontal index {i} out of range 1..{n}")
@@ -202,8 +202,9 @@ def horizontal_derivative(f: SmoothField, i: int, kind: str, p: GroupPoint):
     raise ParameterError(f"kind must be 'X' or 'Y', got {kind!r}")
 
 
-def sublaplacian(f: SmoothField, p: GroupPoint):
-    """Delta f = Delta_(x,y) f + 4|(x,y)|^2 f_tt + 4 sum_i (y_i f_{x_i t} - x_i f_{y_i t})."""
+def sublaplacian(f, p: GroupPoint):
+    """Delta f = Delta_(x,y) f + 4|(x,y)|^2 f_tt + 4 sum_i (y_i f_{x_i t} - x_i f_{y_i t})
+    for any field f with a second-derivative oracle d2."""
     n = p.n
     t = 2 * n
     out = 0.0
@@ -227,13 +228,14 @@ def sublaplacian_radial(profile: RadialProfile, p: GroupPoint):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial fields and affine pullbacks.  These give exact oracles for the
-# identity checks (commutators, left invariance, dilation homogeneity).
+# Polynomial fields.  Their derivatives and affine pullbacks are polynomials
+# again, which gives exact oracles for the identity checks (commutators,
+# left invariance, dilation homogeneity).
 # ---------------------------------------------------------------------------
 
 
-class PolyField(SmoothField):
-    """Polynomial in the flat coordinates with exact derivative oracles.
+class PolyField:
+    """Polynomial in the flat coordinates with exact derivatives.
 
     coeffs maps exponent tuples of length 2n+1 to coefficients, e.g. for
     n=1 the monomial x*tau^2 is {(1, 0, 2): 1.0}.
@@ -251,7 +253,9 @@ class PolyField(SmoothField):
                 clean[exps] = clean.get(exps, 0.0) + float(c)
         self.coeffs = clean
         self._diff_cache = {}
-        super().__init__(self._evaluate, self._exact_d1, self._exact_d2)
+
+    def value(self, p: GroupPoint):
+        return self._evaluate(p)
 
     def _evaluate(self, p: GroupPoint):
         z = p.flat()
@@ -302,11 +306,29 @@ class PolyField(SmoothField):
                 out[key] = out.get(key, 0.0) + c1 * c2
         return PolyField(out, self.npairs)
 
-    def _exact_d1(self, p, i):
+    def d1(self, p: GroupPoint, i: int):
+        _check_index(p, i)
         return self.diff(i)._evaluate(p)
 
-    def _exact_d2(self, p, i, j):
+    def d2(self, p: GroupPoint, i: int, j: int):
+        i, j = _ordered_pair(p, i, j)
         return self.diff(i).diff(j)._evaluate(p)
+
+    def pullback(self, A: np.ndarray, b: np.ndarray) -> "PolyField":
+        """The expanded polynomial z -> f(A z + b)."""
+        d, n = self.ncoords, self.npairs
+        const = (0,) * d
+        units = [tuple(int(m == k) for m in range(d)) for k in range(d)]
+        rows = [PolyField({const: b[k], **{units[m]: A[k][m] for m in range(d)}}, n)
+                for k in range(d)]
+        out = PolyField({}, n)
+        for exps, c in self.coeffs.items():
+            term = PolyField({const: c}, n)
+            for k, e in enumerate(exps):
+                for _ in range(e):
+                    term = term * rows[k]
+            out = out + term
+        return out
 
 
 def horizontal_field(f: PolyField, i: int, kind: str) -> PolyField:
@@ -332,44 +354,6 @@ def random_polynomial(n: int, rng: np.random.Generator, degree: int = 3, terms: 
             exps = tuple(e if k == np.argmax(exps) else 0 for k, e in enumerate(exps))
         coeffs[exps] = coeffs.get(exps, 0.0) + float(rng.uniform(-1, 1))
     return PolyField(coeffs, n)
-
-
-def affine_pullback(f: SmoothField, A: np.ndarray, b: np.ndarray) -> SmoothField:
-    """The field g(z) = f(A z + b) with chain-rule oracles.
-
-    Analytic if f is analytic: grad g = A^T grad f, hess g = A^T H A.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = A.shape[0]
-    cols = [np.nonzero(A[:, i])[0] for i in range(d)]
-
-    def mapped(p: GroupPoint) -> GroupPoint:
-        z = p.flat()
-        return GroupPoint.from_flat(z @ A.T + b)
-
-    def value(p):
-        return f.value(mapped(p))
-
-    if f.kind != "analytic":
-        return SmoothField(value, h=f.h)
-
-    def grad(p, i):
-        mp = mapped(p)
-        out = 0.0
-        for k in cols[i]:
-            out = out + A[k, i] * f.d1(mp, k)
-        return out
-
-    def hess(p, i, j):
-        mp = mapped(p)
-        out = 0.0
-        for k in cols[i]:
-            for l in cols[j]:
-                out = out + A[k, i] * A[l, j] * f.d2(mp, k, l)
-        return out
-
-    return SmoothField(value, grad, hess)
 
 
 def invariant_translation(a: GroupPoint):

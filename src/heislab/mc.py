@@ -51,7 +51,8 @@ def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int) -> np.
 def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
     """Estimate `width` integrals at once over a coordinate box.
 
-    integrand(pts) receives an (m, dim) array and returns (m, width).
+    integrand(pts) receives an (m, dim) array and returns (m, width), or (m,)
+    when width is 1.
     Returns a list of MCEstimate sharing the same sample stream.
     """
     bounds = np.asarray(bounds, dtype=float)
@@ -76,12 +77,3 @@ def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
         MCEstimate(float(vol * mean[k]), float(stderr[k]), n, cfg.seed)
         for k in range(width)
     ]
-
-
-def mc_integrate(integrand, bounds, cfg: MCConfig) -> MCEstimate:
-    """Scalar version of mc_integrate_vector."""
-
-    def wrapped(pts):
-        return np.asarray(integrand(pts), dtype=float)[:, None]
-
-    return mc_integrate_vector(wrapped, bounds, cfg, 1)[0]

@@ -58,23 +58,6 @@ def format_number(v) -> str:
     return str(v)
 
 
-def to_builtin(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialisation."""
-    if isinstance(obj, dict):
-        return {str(k): to_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_builtin(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_builtin(v) for v in obj.tolist()]
-    return obj
-
-
 def emit(report: Report, fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(report.columns)]
@@ -82,12 +65,9 @@ def emit(report: Report, fmt: str) -> str:
             lines.append(",".join(format_number(row.get(c, "")) for c in report.columns))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "meta": to_builtin(report.meta),
-            "rows": to_builtin(report.rows),
-            "summary": to_builtin(report.summary),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        payload = {"meta": report.meta, "rows": report.rows, "summary": report.summary}
+        # numpy scalars and arrays that are not float subclasses become builtins
+        return json.dumps(payload, indent=2, default=lambda o: o.tolist()) + "\n"
     raise ValueError(f"unknown output format {fmt!r}")
 
 

@@ -389,7 +389,6 @@ class SimTrace:
     rows: list
     status: str  # "completed" | "blowup_threshold" | "solver_failure"
     status_step: Optional[int]
-    config: SimConfig
 
 
 def _solve_step(op: SparseOperator, state: SimState, cfg: SimConfig):
@@ -496,4 +495,4 @@ def run(cfg: SimConfig) -> SimTrace:
             status, status_step = "solver_failure", state.step + 1
         except (OverflowError, FloatingPointError):
             status, status_step = "blowup_threshold", state.step + 1
-    return SimTrace(rows, status, status_step, cfg)
+    return SimTrace(rows, status, status_step)

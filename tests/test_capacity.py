@@ -29,7 +29,7 @@ from heislab.cli import main
 from heislab.cutoffs import CutoffSpec, ProductTestFunction, TemporalFactor, spatial_factor
 from heislab.errors import ParameterError
 from heislab.group import GroupPoint
-from heislab.mc import MCConfig, mc_integrate
+from heislab.mc import MCConfig, mc_integrate_vector
 
 
 def annulus_sphere_oracle(n, s, cfg):
@@ -45,7 +45,7 @@ def annulus_sphere_oracle(n, s, cfg):
         inside = (r2 >= 0.25) & (r2 <= 1.0)
         return np.where(inside, (sq / np.where(inside, r2, 1.0)) ** s, 0.0)
 
-    est = mc_integrate(integrand, [[-1.0, 1.0]] * (2 * n + 1), cfg)
+    est = mc_integrate_vector(integrand, [[-1.0, 1.0]] * (2 * n + 1), cfg, 1)[0]
     scale = Q / (1.0 - 2.0 ** (-Q))
     return scale * est.value, scale * est.stderr
 

@@ -558,14 +558,27 @@ def test_single_value_option_given_a_grid_exits_2(capsys, argv, option):
     assert err.count("\n") == 1 and f"{option} takes one value" in err
 
 
-# R^2 leaves float range; these used to print Python's errno tuple or "float division by zero"
+# R^2 leaves float range; these used to print Python's errno tuple or "float division by zero",
+# and a subnormal R^2 (R = 1e-160) gave a NaN integrand and a message that did not name R
 @pytest.mark.parametrize("grid, culprit", [("1e100,1e200,1e300,1.7e308", "R = 1e+200"),
-                                           ("1e-300,1e-200,1e-100,1", "R = 1e-300")])
+                                           ("1e-300,1e-200,1e-100,1", "R = 1e-300"),
+                                           ("1e-160,1e-155,1e-150,1", "R = 1e-160")])
 def test_radius_squared_out_of_range_names_r(capsys, grid, culprit):
     assert main(["scaling", "--target", "I4", "--q", "1.5", "--R", grid]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "R^2" in err and culprit in err
     assert "(34," not in err and "division by zero" not in err
+
+
+@pytest.mark.parametrize("argv", [["lemma2", "--kappa", "1e10", "--R", "1.5,10,1e5,1e300"],
+                                  ["bound-parabolic", "--q", "2", "--kappa", "1e10",
+                                   "--R", "1.5,10,1e5,1e300"]])
+def test_critical_factor_underflow_names_kappa(capsys, argv):
+    # Psi^kappa underflows at every R; both used to exit with a bare "float division by zero"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kappa = 1e+10" in err and "R = 1.5" in err
+    assert "division by zero" not in err
 
 
 @pytest.mark.parametrize("config, argv", [

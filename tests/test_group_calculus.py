@@ -9,7 +9,6 @@ from heislab.group import (
     PolyField,
     RadialProfile,
     SmoothField,
-    affine_pullback,
     anisotropy_weight,
     compose,
     dilate,
@@ -25,7 +24,7 @@ from heislab.group import (
     sublaplacian,
     sublaplacian_radial,
 )
-from heislab.mc import MCConfig, mc_integrate
+from heislab.mc import MCConfig, mc_integrate_vector
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -92,7 +91,7 @@ def test_dilation_jacobian_volume_monte_carlo():
         half = pts / np.array([2.0, 2.0, 4.0])
         return np.all((half >= 0) & (half <= 1), axis=1).astype(float)
 
-    est = mc_integrate(indicator, [[0, 2], [0, 2], [0, 4]], MCConfig(400_000, seed=9))
+    est = mc_integrate_vector(indicator, [[0, 2], [0, 2], [0, 4]], MCConfig(400_000, seed=9), 1)[0]
     assert abs(est.value - 16.0) <= 4 * est.stderr + 1e-9
 
 
@@ -183,10 +182,24 @@ def test_translation_invariance_of_sublaplacian():
     for _ in range(5):
         f = random_polynomial(1, rng)
         a = point(*rng.uniform(-1, 1, 3))
-        A, b = invariant_translation(a)
-        g = affine_pullback(f, A, b)
+        g = f.pullback(*invariant_translation(a))
         err = np.max(np.abs(sublaplacian(g, p) - sublaplacian(f, compose(p, a))))
         assert err < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pullback_is_f_at_the_mapped_point(n):
+    rng = np.random.default_rng(10 + n)
+    p = rand_points(rng, n, 100)
+    for _ in range(5):
+        f = random_polynomial(n, rng)
+        shift = GroupPoint(*rng.uniform(-1, 1, (2, n)), rng.uniform(-1, 1))
+        for A, b in (invariant_translation(shift),
+                     (dilation_matrix(float(rng.uniform(0.5, 2.0)), n), np.zeros(2 * n + 1))):
+            mapped = GroupPoint.from_flat(p.flat() @ A.T + b)
+            want = f.value(mapped)
+            gap = np.abs(f.pullback(A, b).value(p) - want)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_dilation_homogeneity_of_sublaplacian():
@@ -195,22 +208,26 @@ def test_dilation_homogeneity_of_sublaplacian():
     for _ in range(5):
         f = random_polynomial(1, rng)
         lam = float(rng.uniform(0.5, 2.0))
-        g = affine_pullback(f, dilation_matrix(lam, 1), np.zeros(3))
+        g = f.pullback(dilation_matrix(lam, 1), np.zeros(3))
         err = np.max(np.abs(sublaplacian(g, p) - lam**2 * sublaplacian(f, dilate(lam, p))))
         assert err < 1e-8
 
 
 def test_smoothfield_kinds_and_symmetry():
+    # the exact field and its central-difference reference: both symmetric, both range-checked
     analytic = PolyField({(1, 1, 1): 1.0}, 1)
-    assert analytic.kind == "analytic"
     fd = SmoothField(lambda p: p.x[..., 0] * p.y[..., 0] * p.tau)
-    assert fd.kind == "central-difference"
     rng = np.random.default_rng(8)
     p = rand_points(rng, 1, 20)
     for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        a = fd.d2(p, i, j)
-        b = fd.d2(p, j, i)
-        assert np.array_equal(a, b)
+        for field in (analytic, fd):
+            assert np.array_equal(field.d2(p, i, j), field.d2(p, j, i))
+        assert np.allclose(fd.d2(p, i, j), analytic.d2(p, i, j), atol=1e-6)
+    for field in (analytic, fd):
+        with pytest.raises(ParameterError):
+            field.d1(p, 3)
+        with pytest.raises(ParameterError):
+            field.d2(p, -1, 0)
     with pytest.raises(ParameterError):
         SmoothField(lambda p: p.tau, h=0)
 
