@@ -10,13 +10,13 @@ import argparse
 import pathlib
 import sys
 
-from heislab.cli import build_parser, build_runspec, dispatch
+from heislab.cli import build_parser, dispatch
 from heislab.report import emit
 
 
 def run(argv, path):
-    spec = build_runspec(build_parser().parse_args(argv))
-    path.write_text(emit(dispatch(spec), spec.fmt))
+    args = build_parser().parse_args(argv)
+    path.write_text(emit(dispatch(args), args.format))
     print(f"wrote {path}")
 
 

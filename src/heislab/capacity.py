@@ -44,7 +44,6 @@ from .cutoffs import (
     check_integrability,
     check_radius,
     cutoff_eval,
-    default_log_power,
     default_power,
     log_brackets,
     spatial_factor,
@@ -81,7 +80,7 @@ class Exponents:
                 ratio = round(ratio)
             object.__setattr__(self, "ell", math.floor(ratio) + 1.0)
         if self.kappa is None:
-            object.__setattr__(self, "kappa", default_log_power(self.q))
+            object.__setattr__(self, "kappa", 2.0 * self.q / (self.q - 1.0) + 1.0)
         if not (math.isfinite(self.ell) and math.isfinite(self.kappa)):
             raise ParameterError("ell and kappa must be finite")
         if not self.ell > (self.q + 1) / (self.q - 1):
@@ -191,10 +190,13 @@ def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
             return math.exp(log_coef)
         return math.exp(log_coef + residual_exp * math.log(s))
 
-    y, err, info = quad(
-        regularised, 0.0, 1.0, weight="alg", wvar=(a, 0.0),
-        epsabs=0.0, epsrel=1e-11, limit=200, full_output=True,
-    )[:3]
+    try:
+        y, err, info = quad(
+            regularised, 0.0, 1.0, weight="alg", wvar=(a, 0.0),
+            epsabs=0.0, epsrel=1e-11, limit=200, full_output=True,
+        )[:3]
+    except OverflowError:  # math.exp reports only "math range error"
+        raise OverflowError(f"time integrand beyond floating-point range at q = {q}, T = {T:g}") from None
     return QuadratureEstimate(T * y, T * err, int(info["neval"]))
 
 
@@ -250,10 +252,14 @@ def sphere_weight_constant(n: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _radial_quad(integrand, lo: float, hi: float) -> QuadratureEstimate:
-    y, err, info = quad(
-        integrand, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=200, full_output=True
-    )[:3]
+def _radial_quad(integrand, lo: float, hi: float, q: float, R: float) -> QuadratureEstimate:
+    """quad of the radial integrand over [lo, hi]; q and R name an overflow."""
+    try:
+        y, err, info = quad(
+            integrand, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=200, full_output=True
+        )[:3]
+    except OverflowError:  # math.exp reports only "math range error"
+        raise OverflowError(f"radial integrand beyond floating-point range at q = {q}, R = {R:g}") from None
     return QuadratureEstimate(y, err, int(info["neval"]))
 
 
@@ -285,7 +291,7 @@ def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool)
         weight = -math.log(v) / (q - 1.0) if weighted else 0.0
         return math.exp(weight + qp * math.log(abs(g)) + (Q - 1) * math.log(r))
 
-    return _radial_quad(integrand, R / math.sqrt(2.0), R)
+    return _radial_quad(integrand, R / math.sqrt(2.0), R, q, R)
 
 
 @functools.lru_cache(maxsize=256)
@@ -315,7 +321,7 @@ def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
             amp = (1.0 - inv_log_power * qp) * math.log(L)
         return math.exp(psi_power * math.log(v) + amp + (Q - 2.0 * qp) * L * (1.0 + z))
 
-    return _radial_quad(integrand, 0.0, 1.0)
+    return _radial_quad(integrand, 0.0, 1.0, e.q, R)
 
 
 def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = True) -> QuadratureEstimate:
@@ -472,8 +478,8 @@ def capacity_bound(
     bound = 0.0
     for v in terms.values():
         bound += v
-    if not math.isfinite(bound):
-        raise OverflowError("capacity bound beyond floating-point range")
+    if not 0.0 < bound < math.inf:  # the reports divide by it: 0 is an underflow
+        raise OverflowError(f"capacity bound beyond floating-point range at R = {R:g}")
     return CapacityReport(bound, terms)
 
 

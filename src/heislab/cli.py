@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -58,7 +57,7 @@ from .group import (
     sublaplacian_radial,
     SmoothField,
 )
-from .mc import MCConfig
+from .mc import MCConfig, MCEstimate
 from .report import Report, emit, report_timestamp, write_output
 from .simulate import SimConfig, run
 from .weak_form import (
@@ -69,15 +68,6 @@ from .weak_form import (
 )
 
 DEFAULT_R_CRITICAL = "1e3,1e4,1e5,1e6,1e7,1e8,1e9"
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    subcommand: str
-    params: dict
-    fmt: str
-    out: str | None
-    seed: int | None  # None for subcommands that draw no samples
 
 
 def parse_rational(text: str) -> Fraction:
@@ -100,10 +90,11 @@ def parse_grid(text: str) -> list:
     return grid
 
 
-def parse_single(spec: RunSpec, name: str) -> float:
-    grid = parse_grid(spec.params[name])
+def parse_single(args: argparse.Namespace, name: str) -> float:
+    text = getattr(args, name)
+    grid = parse_grid(text)
     if len(grid) != 1:
-        raise ParameterError(f"--{name} takes one value, not the grid {spec.params[name]!r}")
+        raise ParameterError(f"--{name} takes one value, not the grid {text!r}")
     return grid[0]
 
 
@@ -117,9 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {"q": (str, "2"), "n": (int, 1), "ell": (float, None), "kappa": (float, None),
               "seed": (int, 0), "samples": (int, None)}
-    exponents = ("q", "n", "ell", "kappa")
 
-    def add_common(sp, *names):
+    def add_common(sp, *names):  # a subcommand takes only the options its report depends on
         for name in names:
             kind, default = shared[name]
             sp.add_argument(f"--{name}", type=kind, default=default)
@@ -127,28 +117,27 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("lemma1", help="time-integral quadrature vs closed forms")
-    add_common(sp, *exponents)
+    add_common(sp, "q", "ell")
     sp.add_argument("--T", type=str, default="10")
 
     sp = sub.add_parser("lemma2", help="critical logarithmic spatial factor vs its envelope")
-    add_common(sp, *exponents)
+    add_common(sp, "n", "kappa")  # q is the critical exponent for n
     sp.add_argument("--R", type=str, default=DEFAULT_R_CRITICAL)
-    sp.set_defaults(q=None)  # default: the critical exponent for the given n
 
     sp = sub.add_parser("scaling", help="log-log slope fits of the capacity integrals")
-    add_common(sp, *exponents)
+    add_common(sp, "q", "n", "ell")
     sp.add_argument("--target", choices=("I1", "I2", "I3", "I4"), required=True)
     sp.add_argument("--T", type=str, default="10,20,40,80")
     sp.add_argument("--R", type=str, default="8,16,32,64")
 
     sp = sub.add_parser("bound-parabolic", help="a-priori bound decay for the first-order equation")
-    add_common(sp, *exponents)
+    add_common(sp, "q", "n", "ell", "kappa")
     sp.add_argument("--T", type=str, default="10")
     sp.add_argument("--R", type=str, default="8,16,32,64")
     sp.add_argument("--u0-norm", type=float, default=0.0)
 
     sp = sub.add_parser("bound-hyperbolic", help="a-priori bound decay for the second-order equation")
-    add_common(sp, *exponents)
+    add_common(sp, "q", "n", "ell", "kappa")
     sp.add_argument("--T", type=str, default="10")
     sp.add_argument("--R", type=str, default="8,16,32,64")
     sp.add_argument("--u0-norm", type=float, default=0.0)
@@ -158,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, "q", "n")
 
     sp = sub.add_parser("residual", help="weak-formulation residual checks")
-    add_common(sp, *exponents, "seed", "samples")
+    add_common(sp, "q", "n", "ell", "seed", "samples")
     sp.add_argument("--T", type=str, default="2")
     sp.add_argument("--R", type=str, default="3")
 
@@ -171,30 +160,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_runspec(args: argparse.Namespace) -> RunSpec:
-    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "format", "out", "seed")}
-    return RunSpec(args.subcommand, params, args.format, args.out, vars(args).get("seed"))
-
-
-def _meta(spec: RunSpec) -> dict:
+def _meta(args: argparse.Namespace) -> dict:
+    params = vars(args)
     return {
         "version": __version__,
-        "subcommand": spec.subcommand,
-        "seed": spec.seed,
+        "subcommand": args.subcommand,
+        "seed": params.get("seed"),  # None for subcommands that draw no samples
         "timestamp": report_timestamp(),
-        "params": {k: v for k, v in sorted(spec.params.items())},
+        "params": {k: v for k, v in sorted(params.items())
+                   if k not in ("subcommand", "format", "out", "seed")},
     }
 
 
-def _report(spec: RunSpec, rows: list, summary: dict) -> Report:
-    """The report of `spec`; its columns are the keys of its first row."""
-    return Report(_meta(spec), list(rows[0]), rows, summary)
+def _report(args: argparse.Namespace, rows: list, summary: dict) -> Report:
+    """The report of `args`; its columns are the keys of its first row."""
+    return Report(_meta(args), list(rows[0]), rows, summary)
 
 
-def _exponents(spec: RunSpec, q_value=None) -> Exponents:
-    q = float(q_value if q_value is not None else parse_rational(spec.params["q"]))
-    return Exponents(q=q, n=spec.params.get("n", 1),
-                     ell=spec.params.get("ell"), kappa=spec.params.get("kappa"))
+def _exponents(args: argparse.Namespace, q=None) -> Exponents:
+    """Exponents from --q (or `q`) and whichever of --n, --ell and --kappa the subcommand takes."""
+    q = float(parse_rational(args.q) if q is None else q)
+    return Exponents(q, **{k: v for k, v in vars(args).items() if k in ("n", "ell", "kappa")})
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +188,12 @@ def _exponents(spec: RunSpec, q_value=None) -> Exponents:
 # ---------------------------------------------------------------------------
 
 
-def cmd_lemma1(spec: RunSpec) -> Report:
-    e = _exponents(spec)
+def cmd_lemma1(args: argparse.Namespace) -> Report:
+    e = _exponents(args)
     labels = ("C1*T", "C2*T^(1-q')", "C3*T^(1-2q')")
     rows = []
     worst = 0.0
-    for T in parse_grid(spec.params["T"]):
+    for T in parse_grid(args.T):
         for k in range(3):
             est = time_integral(e, T, k)
             closed = time_integral_constant(e, k) * T ** time_power(e, k)
@@ -227,21 +213,16 @@ def cmd_lemma1(spec: RunSpec) -> Report:
         "C2": time_integral_constant(e, 1),
         "C3": time_integral_constant(e, 2),
     }
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
-def cmd_lemma2(spec: RunSpec) -> Report:
-    n = spec.params.get("n", 1)
-    qc = critical_exponent(n)
-    q_in = qc if spec.params.get("q") is None else parse_rational(spec.params["q"])
-    if q_in != qc:
-        raise ParameterError(f"lemma2 requires the critical exponent q = {qc}")
-    e = _exponents(spec, q_value=qc)
+def cmd_lemma2(args: argparse.Namespace) -> Report:
+    e = _exponents(args, critical_exponent(args.n))
     spec_log = e.log_spec()
     rows = []
     quotients = []
     values = []
-    Rs = parse_grid(spec.params["R"])
+    Rs = parse_grid(args.R)
     for R in Rs:
         fac = spatial_integral_critical(e, spec_log, R)
         env = log_envelope(e.Q, R)
@@ -268,21 +249,21 @@ def cmd_lemma2(spec: RunSpec) -> Report:
         fit = scaling_fit(values, "log log R")
         summary["loglog_slope"] = fit.slope
         summary["loglog_max_rel_residual"] = fit.max_rel_residual
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
-def cmd_scaling(spec: RunSpec) -> Report:
-    e = _exponents(spec)
-    target = spec.params["target"]
+def cmd_scaling(args: argparse.Namespace) -> Report:
+    e = _exponents(args)
+    target = args.target
     rows = []
     if target in ("I1", "I2", "I3"):
         k = {"I1": 0, "I2": 1, "I3": 2}[target]
-        grid = parse_grid(spec.params["T"])
+        grid = parse_grid(args.T)
         samples = [(T, time_integral(e, T, k).value) for T in grid]
         expected = time_power(e, k)
         kind = "log T"
     else:
-        grid = parse_grid(spec.params["R"])
+        grid = parse_grid(args.R)
         cut = e.power_spec()
         samples = [(R, spatial_integral(e, cut, R).value) for R in grid]
         expected = e.Q - 2.0 * e.q_prime
@@ -301,22 +282,20 @@ def cmd_scaling(spec: RunSpec) -> Report:
         "slope_error": abs(fit.slope - expected),
         "max_rel_residual": fit.max_rel_residual,
     }
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
-def cmd_bound(spec: RunSpec, order: int) -> Report:
+def cmd_bound(args: argparse.Namespace, order: int) -> Report:
     """bound-parabolic (order 1) and bound-hyperbolic (order 2) over the R grid."""
-    e = _exponents(spec)
-    T = parse_single(spec, "T")
-    u0 = spec.params.get("u0_norm", 0.0)
-    u1 = spec.params.get("u1_norm", 0.0)
+    e = _exponents(args)
+    T = parse_single(args, "T")
+    u1 = getattr(args, "u1_norm", 0.0)  # bound-hyperbolic only
     rows = []
     bounds = []
-    for R in parse_grid(spec.params["R"]):
-        rep = capacity_bound(e, T, R, order, u0, u1)
+    for R in parse_grid(args.R):
+        rep = capacity_bound(e, T, R, order, args.u0_norm, u1)
         row = {"R": R, "bound": rep.bound}
         row.update(rep.breakdown)
-        # a previous bound of 0 (underflow) raises ZeroDivisionError: both exit 2
         row["ratio_to_prev"] = rep.bound / bounds[-1][1] if bounds else float("nan")
         if bounds and not math.isfinite(row["ratio_to_prev"]):
             raise OverflowError("ratio of consecutive bounds beyond floating-point range")
@@ -330,16 +309,16 @@ def cmd_bound(spec: RunSpec, order: int) -> Report:
     if e.is_critical():
         quots = [b / log_envelope(e.Q, R) for R, b in bounds]
         summary["envelope_quotient_spread"] = max(quots) / min(quots)
-    elif len(bounds) >= 4 and all(b > 0 for _, b in bounds):
+    elif len(bounds) >= 4:
         fit = scaling_fit(bounds, "log R")
         summary["slope"] = fit.slope
         summary["expected_slope"] = e.Q - 2.0 * e.q_prime
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
-def cmd_verdict(spec: RunSpec) -> Report:
-    n = spec.params.get("n", 1)
-    qf = parse_rational(spec.params["q"])
+def cmd_verdict(args: argparse.Namespace) -> Report:
+    n = args.n
+    qf = parse_rational(args.q)
     v = verdict(n, qf)
     qc = critical_exponent(n)
     rows = [{
@@ -350,7 +329,7 @@ def cmd_verdict(spec: RunSpec) -> Report:
         "note": v.note,
     }]
     summary = {"verdict": f"{v.value}, q_c = {qc}"}
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
 def _manufactured_candidate(q: float, R: float, order: int):
@@ -376,47 +355,41 @@ def _manufactured_candidate(q: float, R: float, order: int):
     return cand, defect
 
 
-def cmd_residual(spec: RunSpec) -> Report:
-    if spec.params.get("n", 1) != 1:
+def cmd_residual(args: argparse.Namespace) -> Report:
+    if args.n != 1:
         raise ParameterError("residual is implemented for n = 1 only")
-    e = _exponents(spec)
-    T = parse_single(spec, "T")
-    R = parse_single(spec, "R")
-    samples = spec.params.get("samples")
-    samples = 200_000 if samples is None else samples  # --samples 0 is an error, not the default
-    cfg = MCConfig(samples=samples, seed=spec.seed)
-    oracle_cfg = MCConfig(samples=2 * samples, seed=spec.seed + 1)
+    e = _exponents(args)
+    T = parse_single(args, "T")
+    R = parse_single(args, "R")
+    samples = 200_000 if args.samples is None else args.samples  # --samples 0 is an error, not the default
+    cfg = MCConfig(samples=samples, seed=args.seed)
+    oracle_cfg = MCConfig(samples=2 * samples, seed=args.seed + 1)
     testfn = ProductTestFunction(TemporalFactor(T, e.ell), e.power_spec(), R)
     rows = []
 
-    def add_row(case, rep, oracle=None):
-        row = {"case": case, "lhs": rep.lhs, "rhs": rep.rhs,
-               "residual": rep.residual, "stderr": rep.error}
-        if oracle is None:
-            row.update({"oracle": 0.0, "oracle_stderr": 0.0,
-                        "gap": abs(rep.residual), "within_3sigma": abs(rep.residual) <= 3 * max(rep.error, 1e-300)})
-        else:
-            gap = abs(rep.residual - oracle.value)
-            three = 3.0 * float(np.hypot(rep.error, oracle.stderr))
-            row.update({"oracle": oracle.value, "oracle_stderr": oracle.stderr,
-                        "gap": gap, "within_3sigma": gap <= three})
-        rows.append(row)
+    def add_row(case, rep, oracle):
+        gap = abs(rep.residual - oracle.value)
+        rows.append({"case": case, "lhs": rep.lhs, "rhs": rep.rhs,
+                     "residual": rep.residual, "stderr": rep.error,
+                     "oracle": oracle.value, "oracle_stderr": oracle.stderr, "gap": gap,
+                     "within_3sigma": gap <= 3.0 * float(np.hypot(rep.error, oracle.stderr))})
 
     zero = CandidateSolution(terms=(), u1=lambda p: np.zeros(p.tau.shape), q=e.q)
-    add_row("zero_parabolic", weak_residual(zero, testfn, cfg, 1))
-    add_row("zero_hyperbolic", weak_residual(zero, testfn, cfg, 2))
+    no_defect = MCEstimate(0.0, 0.0)  # the zero candidate solves both equations exactly
+    add_row("zero_parabolic", weak_residual(zero, testfn, cfg, 1), no_defect)
+    add_row("zero_hyperbolic", weak_residual(zero, testfn, cfg, 2), no_defect)
     for order, case in ((1, "manufactured_parabolic"), (2, "manufactured_hyperbolic")):
         cand, defect = _manufactured_candidate(e.q, R, order)
         rep = weak_residual(cand, testfn, cfg, order)
         add_row(case, rep, pair_defect(defect, testfn, oracle_cfg))
 
     summary = {"all_within_3sigma": all(r["within_3sigma"] for r in rows)}
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
-def cmd_simulate(spec: RunSpec) -> Report:
+def cmd_simulate(args: argparse.Namespace) -> Report:
     try:
-        with open(spec.params["config"], encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: malformed JSON or not UTF-8
         raise ParameterError(f"cannot read config: {exc}") from exc
@@ -433,7 +406,7 @@ def cmd_simulate(spec: RunSpec) -> Report:
         "final_lq_norm": trace.rows[-1].lq_norm,
         "note": "illustrative discrete dynamics; no reference values exist",
     }
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
 def _identity_rows(seed: int, samples: int) -> list:
@@ -531,20 +504,19 @@ def _identity_rows(seed: int, samples: int) -> list:
     return rows
 
 
-def cmd_identities(spec: RunSpec) -> Report:
-    samples = spec.params.get("samples")
-    samples = 100_000 if samples is None else samples
-    rows = _identity_rows(spec.seed, samples)
+def cmd_identities(args: argparse.Namespace) -> Report:
+    samples = 100_000 if args.samples is None else args.samples
+    rows = _identity_rows(args.seed, samples)
     summary = {"all_pass": all(r["status"] == "pass" for r in rows)}
-    return _report(spec, rows, summary)
+    return _report(args, rows, summary)
 
 
 _HANDLERS = {
     "lemma1": cmd_lemma1,
     "lemma2": cmd_lemma2,
     "scaling": cmd_scaling,
-    "bound-parabolic": lambda spec: cmd_bound(spec, 1),
-    "bound-hyperbolic": lambda spec: cmd_bound(spec, 2),
+    "bound-parabolic": lambda args: cmd_bound(args, 1),
+    "bound-hyperbolic": lambda args: cmd_bound(args, 2),
     "verdict": cmd_verdict,
     "residual": cmd_residual,
     "simulate": cmd_simulate,
@@ -552,15 +524,14 @@ _HANDLERS = {
 }
 
 
-def dispatch(spec: RunSpec) -> Report:
-    return _HANDLERS[spec.subcommand](spec)
+def dispatch(args: argparse.Namespace) -> Report:
+    return _HANDLERS[args.subcommand](args)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = build_runspec(args)
     try:
-        report = dispatch(spec)
+        report = dispatch(args)
     except ParameterError as exc:
         print(f"heislab: parameter error: {exc}", file=sys.stderr)
         return 2
@@ -571,7 +542,7 @@ def main(argv=None) -> int:
         print(f"heislab: parameter error: numbers out of floating-point range ({exc})", file=sys.stderr)
         return 2
     try:
-        write_output(emit(report, spec.fmt), spec.out)
+        write_output(emit(report, args.format), args.out)
     except OSError as exc:
         print(f"heislab: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -58,17 +58,6 @@ def default_power(q: float) -> int:
     return int(math.ceil(min_power(q))) + 1
 
 
-def min_log_power(q: float) -> float:
-    """Constraint floor for the logarithmic family: kappa > 2q/(q-1)."""
-    if q <= 1:
-        raise ParameterError("q must exceed 1")
-    return 2.0 * q / (q - 1.0)
-
-
-def default_log_power(q: float) -> float:
-    return min_log_power(q) + 1.0
-
-
 @dataclass(frozen=True)
 class CutoffSpec:
     """Parameters of one cutoff family.

@@ -32,8 +32,6 @@ class MCConfig:
 class MCEstimate:
     value: float
     stderr: float
-    samples: int
-    seed: int
 
 
 def _chunk_generator(seed: int, index: int) -> np.random.Generator:
@@ -73,7 +71,4 @@ def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
     mean = s1 / n
     var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
     stderr = vol * np.sqrt(var / n)
-    return [
-        MCEstimate(float(vol * mean[k]), float(stderr[k]), n, cfg.seed)
-        for k in range(width)
-    ]
+    return [MCEstimate(float(vol * mean[k]), float(stderr[k])) for k in range(width)]

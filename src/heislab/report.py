@@ -5,7 +5,7 @@ a dot decimal point; values with |v| outside [1e-4, 1e6] switch to
 scientific notation.  All float formatting round-trips bit-exactly.
 JSON output is the object {"meta": ..., "rows": ..., "summary": ...}.
 
-Repeated runs of the same seeded RunSpec must emit byte-identical
+Repeated runs of the same seeded command line must emit byte-identical
 reports, so the metadata timestamp honours SOURCE_DATE_EPOCH (the
 reproducible-build convention) instead of the wall clock when set.
 """

@@ -26,7 +26,7 @@ from heislab.capacity import (
     time_power,
     verdict,
 )
-from heislab.cli import build_parser, build_runspec, dispatch
+from heislab.cli import build_parser, dispatch
 from heislab.cutoffs import GaugeBump, ProductTestFunction, TemporalFactor
 from heislab.group import (
     GroupPoint,
@@ -332,8 +332,8 @@ def test_criterion_9_deterministic_reports(monkeypatch, tmp_path):
     t0 = time.perf_counter()
 
     def run_bytes(argv):
-        spec = build_runspec(build_parser().parse_args(argv))
-        return emit(dispatch(spec), spec.fmt).encode()
+        args = build_parser().parse_args(argv)
+        return emit(dispatch(args), args.format).encode()
 
     cfg = {
         "equation": "hyperbolic", "q": 1.5, "nonlinearity": True,

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heislab.capacity import Exponents
-from heislab.cli import RunSpec, build_parser, build_runspec, dispatch, main
+from heislab.cli import build_parser, dispatch, main
 from heislab.report import Report, emit, format_number
 from heislab.simulate import SimConfig
 
@@ -26,7 +26,7 @@ def pinned_timestamp(monkeypatch):
 
 
 def run_spec(argv):
-    return build_runspec(build_parser().parse_args(argv))
+    return build_parser().parse_args(argv)
 
 
 def test_lemma1_rows_and_schema():
@@ -329,6 +329,13 @@ def test_zero_samples_is_a_parameter_error(capsys, sub):
     ["simulate", "--config", "{cfg}", "--samples", "10"],
     ["verdict", "--kappa", "7"],
     ["identities", "--samples", "2000", "--q", "0.5"],
+    # exponents the report does not depend on: validated, echoed and then ignored
+    pytest.param(["lemma1", "--n", "2"], id="lemma1-n"),
+    pytest.param(["lemma1", "--kappa", "7"], id="lemma1-kappa"),
+    pytest.param(["lemma2", "--q", "2"], id="lemma2-q"),
+    pytest.param(["lemma2", "--ell", "4"], id="lemma2-ell"),
+    pytest.param(["scaling", "--target", "I4", "--kappa", "7"], id="scaling-kappa"),
+    pytest.param(["residual", "--kappa", "7", "--samples", "2000"], id="residual-kappa"),
 ], ids=lambda argv: argv[0])
 def test_unread_options_exit_2(tmp_path, capsys, argv):
     cfg = tmp_path / "cfg.json"
@@ -341,13 +348,6 @@ def test_unread_options_exit_2(tmp_path, capsys, argv):
         main([arg.format(cfg=cfg) for arg in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_dispatch_roundtrip_runspec():
-    spec = run_spec(["lemma1", "--q", "2", "--T", "10"])
-    assert isinstance(spec, RunSpec)
-    assert spec.subcommand == "lemma1"
-    assert spec.fmt == "csv"
 
 
 # --- exit-code contract: 0, 2 or 3, never a traceback; exit 2 prints one stderr line
@@ -479,11 +479,20 @@ def log_grid(lo, hi):
     return st.lists(st.floats(lo, hi).map(lambda x: repr(10.0**x)), min_size=1, max_size=5).map(",".join)
 
 
+# the exponent options each capacity subcommand takes (lemma2's q is the critical one)
+EXPONENT_OPTIONS = {"lemma1": ("q", "ell"), "lemma2": ("n", "kappa"), "scaling": ("q", "n", "ell"),
+                    "bound-parabolic": ("q", "n", "ell", "kappa"),
+                    "bound-hyperbolic": ("q", "n", "ell", "kappa")}
+
+
 @st.composite
 def capacity_argv(draw):
-    sub = draw(st.sampled_from(["lemma1", "lemma2", "scaling", "bound-parabolic", "bound-hyperbolic"]))
-    argv = [sub, f"--n={draw(st.sampled_from([1, 2, 3]))}"]
-    if sub != "lemma2" or draw(st.booleans()):  # lemma2 defaults to the critical q
+    sub = draw(st.sampled_from(list(EXPONENT_OPTIONS)))
+    options = EXPONENT_OPTIONS[sub]
+    argv = [sub]
+    if "n" in options:
+        argv.append(f"--n={draw(st.sampled_from([1, 2, 3]))}")
+    if "q" in options:
         argv.append(f"--q={draw(st.sampled_from(CAPACITY_QS))}")
     if sub == "scaling":
         argv.append(f"--target={draw(st.sampled_from(['I1', 'I2', 'I3', 'I4']))}")
@@ -492,6 +501,8 @@ def capacity_argv(draw):
     if sub != "lemma1":
         argv.append(f"--R={draw(log_grid(-3, 9))}")
     for flag in ("ell", "kappa"):
+        if flag not in options:
+            continue
         value = draw(st.sampled_from([None, None, None, *EXTREMES]))
         if value is not None:
             argv.append(f"--{flag}={value}")
@@ -512,7 +523,7 @@ def non_finite_paths(obj, path=()):
 
 
 @settings(max_examples=2 * settings().max_examples)
-@example(argv=["lemma1", "--n", "2", "--q", "1.01", "--T", "27232"])  # used to raise ZeroDivisionError
+@example(argv=["lemma1", "--q", "1.01", "--T", "27232"])  # used to raise ZeroDivisionError
 # these used to exit 0 with NaN or Infinity in the report
 @example(argv=["bound-parabolic", "--ell", "inf"])
 @example(argv=["lemma2", "--kappa", "inf"])
@@ -579,6 +590,26 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "kappa = 1e+10" in err and "R = 1.5" in err
     assert "division by zero" not in err
+
+
+# each used to exit 2 with a bare "float division by zero" (a bound underflows to 0, and
+# ratio_to_prev divides by it) or "math range error" (math.exp in a quadrature integrand)
+@pytest.mark.parametrize("argv, culprit", [
+    (["bound-parabolic", "--q", "1.05", "--R", "1e50,1e150"], "bound beyond floating-point range at R = 1e+50"),
+    (["bound-parabolic", "--q", "1.01", "--R", "1e9,1e8"], "bound beyond floating-point range at R = 1e+09"),
+    (["scaling", "--target", "I4", "--q", "1.5", "--R", "1e-153,1,2,3"],
+     "radial integrand beyond floating-point range at q = 1.5, R = 1e-153"),
+    (["scaling", "--target", "I4", "--q", "1.01"], "radial integrand beyond floating-point range at q = 1.01, R = 8"),
+    (["lemma1", "--q", "1.5", "--T", "1e-155"], "time integrand beyond floating-point range at q = 1.5, T = 1e-155"),
+    (["bound-parabolic", "--q", "1.5", "--T", "1e-155"],
+     "time integrand beyond floating-point range at q = 1.5, T = 1e-155"),
+], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
+        "bound-tiny-T"])
+def test_out_of_range_names_the_input(capsys, argv, culprit):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and culprit in err
+    assert "division by zero" not in err and "math range error" not in err
 
 
 @pytest.mark.parametrize("config, argv", [
