@@ -163,6 +163,19 @@ class Verdict(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _quad(integrand, lo: float, hi: float, kind: str, inputs: str, **weight) -> QuadratureEstimate:
+    """scipy quad of `integrand` over [lo, hi], with the time integral's algebraic
+    `weight` if given; an overflow names the `kind` of quadrature and its `inputs`."""
+    try:
+        y, err, info = quad(integrand, lo, hi, epsabs=0.0 if weight else 1e-300, epsrel=1e-11,
+                            limit=200, full_output=True, **weight)[:3]
+    except OverflowError:  # math.exp reports only "math range error"
+        raise OverflowError(f"{kind} integrand beyond floating-point range at {inputs}") from None
+    if not (math.isfinite(y) and math.isfinite(err)):
+        raise OverflowError(f"{kind} quadrature beyond floating-point range at {inputs}")
+    return QuadratureEstimate(y, err, int(info["neval"]))
+
+
 def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
     """Quadrature value of I_k(T) for k in {0, 1, 2}.
 
@@ -190,14 +203,9 @@ def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
             return math.exp(log_coef)
         return math.exp(log_coef + residual_exp * math.log(s))
 
-    try:
-        y, err, info = quad(
-            regularised, 0.0, 1.0, weight="alg", wvar=(a, 0.0),
-            epsabs=0.0, epsrel=1e-11, limit=200, full_output=True,
-        )[:3]
-    except OverflowError:  # math.exp reports only "math range error"
-        raise OverflowError(f"time integrand beyond floating-point range at q = {q}, T = {T:g}") from None
-    return QuadratureEstimate(T * y, T * err, int(info["neval"]))
+    est = _quad(regularised, 0.0, 1.0, "time", f"q = {q}, T = {T:g}, ell = {ell:g}",
+                weight="alg", wvar=(a, 0.0))
+    return QuadratureEstimate(T * est.value, T * est.abs_error, est.nodes)
 
 
 def time_integral_constant(e: Exponents, k: int) -> float:
@@ -252,23 +260,12 @@ def sphere_weight_constant(n: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _radial_quad(integrand, lo: float, hi: float, q: float, R: float) -> QuadratureEstimate:
-    """quad of the radial integrand over [lo, hi]; q and R name an overflow."""
-    try:
-        y, err, info = quad(
-            integrand, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=200, full_output=True
-        )[:3]
-    except OverflowError:  # math.exp reports only "math range error"
-        raise OverflowError(f"radial integrand beyond floating-point range at q = {q}, R = {R:g}") from None
-    return QuadratureEstimate(y, err, int(info["neval"]))
-
-
 def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEstimate:
     return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
 
 
 @functools.lru_cache(maxsize=256)
-def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
+def _power_radial(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
     """Radial quadrature of
     [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
     over the support annulus R/sqrt(2) <= r <= R, the bracket only when weighted."""
@@ -291,12 +288,12 @@ def _power_radial_quad(e: Exponents, spec: CutoffSpec, R: float, weighted: bool)
         weight = -math.log(v) / (q - 1.0) if weighted else 0.0
         return math.exp(weight + qp * math.log(abs(g)) + (Q - 1) * math.log(r))
 
-    return _radial_quad(integrand, R / math.sqrt(2.0), R, q, R)
+    return _quad(integrand, R / math.sqrt(2.0), R, "radial", f"q = {q}, R = {R:g}")
 
 
 @functools.lru_cache(maxsize=256)
-def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
-                     inv_log_power: Optional[float] = None) -> QuadratureEstimate:
+def _log_radial(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
+                inv_log_power: Optional[float] = None) -> QuadratureEstimate:
     """Radial integral of the logarithmic family in the variable
     z = ln(r/sqrt R)/ln(sqrt R), where r = exp(L(1+z)) and L = ln(sqrt R).
 
@@ -321,7 +318,7 @@ def _log_radial_quad(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
             amp = (1.0 - inv_log_power * qp) * math.log(L)
         return math.exp(psi_power * math.log(v) + amp + (Q - 2.0 * qp) * L * (1.0 + z))
 
-    return _radial_quad(integrand, 0.0, 1.0, e.q, R)
+    return _quad(integrand, 0.0, 1.0, "radial", f"q = {e.q}, kappa = {spec.kappa:g}, R = {R:g}")
 
 
 def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = True) -> QuadratureEstimate:
@@ -338,10 +335,10 @@ def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = 
         )
     check_radius(spec, R)
     if spec.family == "power":
-        radial = _power_radial_quad(e, spec, R, weighted)
+        radial = _power_radial(e, spec, R, weighted)
     else:
         psi_power = -spec.kappa / (e.q - 1.0) if weighted else 0.0
-        radial = _log_radial_quad(e, spec, R, psi_power)
+        radial = _log_radial(e, spec, R, psi_power)
         if weighted and radial.value == 0.0:  # the reports divide by the critical factor
             raise OverflowError(
                 f"critical spatial factor underflows to 0 at kappa = {spec.kappa:g}, R = {R:g}")
@@ -384,8 +381,8 @@ def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> Criti
     total = spatial_integral(e, spec, R)
     qp, k = e.q_prime, spec.kappa
     sphere = sphere_weight_constant(e.n, qp)
-    term_sq = _log_radial_quad(e, spec, R, k - 2.0 * qp, 2.0)
-    term_lin = _log_radial_quad(e, spec, R, k - qp, 1.0)
+    term_sq = _log_radial(e, spec, R, k - 2.0 * qp, 2.0)
+    term_lin = _log_radial(e, spec, R, k - qp, 1.0)
     return CriticalSpatialFactor(
         total, _combine_sphere(term_sq, sphere), _combine_sphere(term_lin, sphere)
     )

@@ -23,12 +23,13 @@ quadrature costs one spatial evaluation, not one per time node.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .group import GroupPoint, _norm4, compose, inverse
 
 
@@ -138,17 +139,20 @@ class TemporalFactor:
         if k not in (0, 1, 2):
             raise ParameterError("order must be 0, 1 or 2")
         ell, T = self.ell, self.T
-        try:  # only k = 2 squares T, so only it can leave the float range
-            return (1.0, -(ell / T))[k] if k < 2 else ell * (ell - 1) / T**2
+        try:  # float ** int reports only an errno tuple; float / float overflows to inf
+            c = (1.0, -(ell / T))[k] if k < 2 else ell * (ell - 1) / T**2
         except (OverflowError, ZeroDivisionError):
-            raise ParameterError(f"ell(ell-1)/T^2 beyond floating-point range at T = {T:g}") from None
+            c = math.inf
+        if not math.isfinite(c):
+            raise ParameterError(f"{('ell/T', 'ell(ell-1)/T^2')[k - 1]} beyond floating-point range at T = {T:g}")
+        return c
 
 
 def temporal_eval(tf: TemporalFactor, t, order: int):
     """Derivative of order 0, 1 or 2 of (1 - t/T)^ell at t."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > tf.T):
-        raise DomainError("t outside [0, T]")
+        raise ParameterError("t outside [0, T]")
     with np.errstate(divide="ignore"):
         return tf.coefficient(order) * (1.0 - t / tf.T) ** (tf.ell - order)
 
@@ -200,7 +204,7 @@ def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
         radial = (4.0 * r2 / R**4) * d2 + (2.0 * p.Q / R**2) * d1
     else:
         if np.any(r2 <= 0.0):
-            raise DomainError("logarithmic cutoff is undefined at the origin")
+            raise ParameterError("logarithmic cutoff is undefined at the origin")
         L = 0.5 * math.log(R)
         psi, d1, d2 = cutoff_eval(spec, (0.5 * np.log(r2) - L) / L)
         b1, b2 = log_brackets(spec, p.Q, psi, d1, d2)
@@ -218,6 +222,9 @@ class ProductTestFunction:
 
     def __init__(self, time_factor: TemporalFactor, spec: CutoffSpec, R: float):
         check_radius(spec, R)
+        R4 = (R * R) * (R * R)  # in Delta phi2, in a bump of radius ~R, and in the box volume 8 R^4
+        if not sys.float_info.min <= R4 <= sys.float_info.max / 8.0:
+            raise OverflowError(f"R^2 beyond floating-point range at R = {R:g}")
         self.time_factor = time_factor
         self.spec = spec
         self.R = float(R)

@@ -1,25 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per error exit code."""
 
 
-class HeislabError(Exception):
-    """Base class for package errors."""
+class ParameterError(ValueError):
+    """An input violates its documented constraint (exit code 2)."""
 
 
-class DimensionMismatch(HeislabError, ValueError):
-    """Operands live on Heisenberg groups with different n."""
-
-
-class DomainError(HeislabError, ValueError):
-    """Evaluation requested outside an operation's domain."""
-
-
-class ParameterError(HeislabError, ValueError):
-    """A parameter violates its documented constraint."""
-
-
-class SolverFailure(HeislabError, RuntimeError):
-    """Iterative linear solve did not converge."""
-
-
-class OperatorError(HeislabError, RuntimeError):
-    """Operator lacks a property the solver requires."""
+class SolverFailure(RuntimeError):
+    """A linear solve failed: no convergence, or a CG breakdown (exit code 3)."""

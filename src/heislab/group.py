@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +44,9 @@ class GroupPoint:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
         if self.x.ndim == 0 or self.y.ndim == 0:
-            raise DimensionMismatch("x and y must carry a trailing axis of length n")
+            raise ParameterError("x and y must carry a trailing axis of length n")
         if self.x.shape[-1] != self.y.shape[-1]:
-            raise DimensionMismatch(
-                f"x has n={self.x.shape[-1]} but y has n={self.y.shape[-1]}"
-            )
+            raise ParameterError(f"x has n={self.x.shape[-1]} but y has n={self.y.shape[-1]}")
 
     @property
     def n(self) -> int:
@@ -68,7 +66,7 @@ class GroupPoint:
         z = np.asarray(z, dtype=float)
         n = (z.shape[-1] - 1) // 2
         if z.shape[-1] != 2 * n + 1:
-            raise DimensionMismatch("flat coordinate length must be odd (2n+1)")
+            raise ParameterError("flat coordinate length must be odd (2n+1)")
         return cls(z[..., :n], z[..., n : 2 * n], z[..., 2 * n])
 
     def __repr__(self):
@@ -87,7 +85,7 @@ def origin(n: int = 1) -> GroupPoint:
 def compose(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     """Group product a o b."""
     if a.n != b.n:
-        raise DimensionMismatch(f"cannot compose points with n={a.n} and n={b.n}")
+        raise ParameterError(f"cannot compose points with n={a.n} and n={b.n}")
     twist = 2.0 * np.sum(a.x * b.y - b.x * a.y, axis=-1)
     return GroupPoint(a.x + b.x, a.y + b.y, a.tau + b.tau + twist)
 
@@ -119,7 +117,7 @@ def anisotropy_weight(p: GroupPoint) -> np.ndarray:
     """The factor (|x|^2+|y|^2)/r^2 in [0, 1]; undefined at the origin."""
     sq, r2 = _norm4(p)
     if np.any(r2 == 0.0):
-        raise DomainError("anisotropy weight is undefined at the origin")
+        raise ParameterError("anisotropy weight is undefined at the origin")
     return sq / r2
 
 
@@ -221,7 +219,7 @@ def sublaplacian_radial(profile: RadialProfile, p: GroupPoint):
     """For u(eta) = phi(|eta|): Delta u = omega(eta) (phi'' + (Q-1)/r phi')."""
     r = gauge_norm(p)
     if np.any(r == 0.0):
-        raise DomainError("radial sub-Laplacian is undefined at the origin")
+        raise ParameterError("radial sub-Laplacian is undefined at the origin")
     w = anisotropy_weight(p)
     Q = p.Q
     return w * (profile.d2(r) + (Q - 1) / r * profile.d1(r))

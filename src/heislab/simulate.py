@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import OperatorError, ParameterError, SolverFailure
+from .errors import ParameterError, SolverFailure
 
 # LU fill: 2 MB at 13^3 nodes, 8.4 MB at 17^3, 10.9 MB at 18^3, 14 MB at 19^3, 62 MB at 25^3.
 # A cold 30-step run (median of 5, either equation) takes 3.3, 3.9 and 5.1 ms a step by LU
@@ -219,7 +219,7 @@ def solve_linear(
     conjugate gradients from x0 until |r| < tol |rhs|, returning (x, iterations).
 
     Raises OverflowError for a non-finite direct solution or CG right-hand side,
-    SolverFailure when CG exhausts max_iter (default 10 n), OperatorError on r.Mr or p.Ap <= 0.
+    SolverFailure when CG exhausts max_iter (default 10 n) or breaks down (r.Mr or p.Ap <= 0).
     """
     rhs = np.asarray(rhs, dtype=float)
     if op.dimension <= DIRECT_MAX_UNKNOWNS:
@@ -248,7 +248,7 @@ def solve_linear(
         ap = a @ p
         pap = np.einsum("i,i", p, ap)
         if not (rz > 0 and pap > 0):
-            raise OperatorError("conjugate gradients broke down; operator not positive definite")
+            raise SolverFailure("conjugate gradients broke down; operator not positive definite")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap

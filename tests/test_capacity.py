@@ -321,7 +321,7 @@ def test_critical_bounds_stay_inside_log_envelope():
 def test_hyperbolic_bound_reuses_the_parabolic_quadratures(tmp_path, monkeypatch, q):
     # both bounds integrate the same spatial and data factors; the second run computes none
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    quads = (capacity._power_radial_quad, capacity._log_radial_quad)
+    quads = (capacity._power_radial, capacity._log_radial)
     out = tmp_path / "bound.json"
     argv = ["--q", q, "--T", "10", "--R", "1e3,1e4,1e5,1e6", "--u0-norm", "1.5",
             "--format", "json", "--out", str(out)]

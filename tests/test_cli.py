@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heislab import cli, errors
 from heislab.capacity import Exponents
 from heislab.cli import build_parser, dispatch, main
 from heislab.report import Report, emit, format_number
@@ -458,15 +459,20 @@ def test_simulate_extreme_bump_is_its_limit_field(tmp_path, name):
 
 
 @settings(max_examples=6 * settings().max_examples // 5)
-@example(n=1, q="1e400", samples=100)  # beyond float range: used to raise OverflowError
+@example(n=1, q="1e400", samples=100, R=3.0, T=2.0)  # beyond float range: used to raise OverflowError
+@example(n=1, q="2", samples=200, R=1e-100, T=2.0)  # used to exit 0 with NaN rows
+@example(n=1, q="2", samples=200, R=3.0, T=1e-153)  # ell(ell-1)/T^2 used to overflow to inf
 @given(n=st.sampled_from([1, 1, 1, 0, 2, -1]),
        q=st.one_of(st.fractions("11/10", 4).map(str), st.floats().map(repr),
                    st.sampled_from(["2", "3/2", "1", "0", "-2", "1/0", "1e400", "abc", ""])),
-       samples=st.integers(-5, 2000))
-def test_residual_exit_code_contract(n, q, samples):
-    code, _, err = run_main(["residual", f"--n={n}", f"--q={q}", f"--samples={samples}"])
+       samples=st.integers(-5, 2000), R=log_uniform(-200.0, 200.0), T=log_uniform(-200.0, 200.0))
+def test_residual_exit_code_contract(n, q, samples, R, T):
+    code, out, err = run_main(["residual", f"--n={n}", f"--q={q}", f"--samples={samples}",
+                               f"--R={R!r}", f"--T={T!r}", "--format=json"])
     assert code in (0, 2, 3) and "Traceback" not in err
     assert code != 2 or err.count("\n") == 1, err
+    if code == 0:
+        assert non_finite_paths(json.loads(out)) == []
 
 
 CAPACITY_QS = ["1.00001", "1.0001", "1.001", "1.01", "1.1", "4/3", "3/2", "2", "3", "5"]
@@ -539,7 +545,7 @@ def non_finite_paths(obj, path=()):
 def test_capacity_exit_code_contract(argv):
     code, out, err = run_main([*argv, "--format=json"])
     assert code in (0, 2) and "Traceback" not in err
-    assert code != 2 or err.count("\n") == 1, err
+    assert code != 2 or (err.count("\n") == 1 and "quadrature value or error" not in err), err
     if code == 0:
         # the first bound has no predecessor, so its ratio_to_prev is NaN by design
         assert set(non_finite_paths(json.loads(out))) <= {("rows", 0, "ratio_to_prev")}
@@ -603,13 +609,47 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     (["lemma1", "--q", "1.5", "--T", "1e-155"], "time integrand beyond floating-point range at q = 1.5, T = 1e-155"),
     (["bound-parabolic", "--q", "1.5", "--T", "1e-155"],
      "time integrand beyond floating-point range at q = 1.5, T = 1e-155"),
+    # scipy returns these non-finite without raising; they used to name no input
+    (["lemma2", "--kappa", "1e300"], "radial quadrature beyond floating-point range at q = 2.0, kappa = 1e+300, R = 1000"),
+    (["lemma1", "--ell", "1e308"], "time quadrature beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
-        "bound-tiny-T"])
+        "bound-tiny-T", "lemma2-huge-kappa", "lemma1-huge-ell"])
 def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and culprit in err
     assert "division by zero" not in err and "math range error" not in err
+    assert "quadrature value or error" not in err
+
+
+# R^4 leaves float range in the residual's test function, bump and Monte Carlo box: R = 1e-100
+# used to exit 0 with NaN rows and R = 1e100 with Python's errno tuple
+@pytest.mark.parametrize("R", ["1e-100", "1e100"])
+def test_residual_radius_out_of_range_names_r(capsys, R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["residual", "--R", R, "--samples", "200"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"R^2 beyond floating-point range at R = {float(R):g}" in err
+    assert "(34," not in err
+
+
+def test_capacity_radius_is_not_bounded_by_the_residual_range():
+    report = dispatch(run_spec(["scaling", "--target", "I4", "--q", "1.5", "--R", "1e80,1e90,1e100,1e110"]))
+    assert all(math.isfinite(r["value"]) for r in report.rows)
+
+
+ERROR_TYPES = [cls for cls in vars(errors).values() if isinstance(cls, type) and cls.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_error_type_maps_to_an_exit_code(monkeypatch, error):
+    def fail(args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "dispatch", fail)
+    code, _, err = run_main(["verdict"])
+    assert code in (2, 3) and err.count("\n") == 1 and "injected" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("config, argv", [

@@ -15,7 +15,7 @@ from heislab.cutoffs import (
     spatial_factor,
     temporal_eval,
 )
-from heislab.errors import DomainError, ParameterError
+from heislab.errors import ParameterError
 from heislab.group import (
     GroupPoint,
     SmoothField,
@@ -108,9 +108,9 @@ def test_temporal_eval():
     assert temporal_eval(tf, 10.0, 0) == pytest.approx(0.0)
     assert temporal_eval(tf, 5.0, 1) == pytest.approx(-0.05)
     assert temporal_eval(tf, 5.0, 2) == pytest.approx(12 / 100 * 0.25)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         temporal_eval(tf, -0.1, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         temporal_eval(tf, 10.1, 0)
     with pytest.raises(ParameterError):
         temporal_eval(tf, 5.0, 3)
@@ -157,7 +157,7 @@ def test_psi_eval_support():
     product = ProductTestFunction(tf, spec, R)
     assert product.spatial(far) == (v, lap)
     assert product.temporal(0.0)[2] * product.spatial(near)[0] == pytest.approx(4 * 3 / 100.0 * 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         spatial_factor(spec, R, origin(1))
     with pytest.raises(ParameterError):
         spatial_factor(spec, 0.5, near)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import cg, eigsh
 
 import heislab.simulate as simulate
-from heislab.errors import OperatorError, ParameterError, SolverFailure
+from heislab.errors import ParameterError, SolverFailure
 from heislab.simulate import (
     DIRECT_MAX_UNKNOWNS,
     BumpSpec,
@@ -206,7 +206,7 @@ def test_cg_breakdown_on_indefinite_operator(shift):
     shifted = simulate.SparseOperator((op.matrix + shift * sp.identity(op.dimension)).tocsr())
     assert (shifted.jacobi > 0).all() == (shift == 5.0)
     rhs = np.random.default_rng(3).normal(size=op.dimension)
-    with pytest.raises(OperatorError):
+    with pytest.raises(SolverFailure):
         solve_linear(shifted, rhs)
 
 
@@ -498,6 +498,18 @@ def test_initial_norms_beyond_float_range_raise_overflow(equation):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="initial state"):
             run(cfg)
+
+
+def test_cg_breakdown_in_a_run_is_a_solver_failure(monkeypatch):
+    # a breakdown ends the run like an exhausted budget, with a report and status solver_failure
+    grid = build_grid(GRID19)
+    op = assemble_sublaplacian(grid)
+    shifted = simulate.SparseOperator((op.matrix + 5.0 * sp.identity(op.dimension)).tocsr())
+    monkeypatch.setattr(simulate, "_grid_operator", lambda config: (grid, shifted))
+    cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=5, grid=GRID19,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 3.0))
+    tr = run(cfg)
+    assert tr.status == "solver_failure" and tr.status_step == 1 and len(tr.rows) == 1
 
 
 def test_max_iter_on_finite_data_stays_solver_failure():
