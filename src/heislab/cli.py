@@ -43,18 +43,17 @@ from .errors import ParameterError, SolverFailure
 from .group import (
     GroupPoint,
     PolyField,
-    RadialProfile,
     compose,
     dilate,
     dilation_matrix,
     gauge_norm,
+    gauge_radial,
     horizontal_derivative,
     horizontal_field,
     inverse,
     invariant_translation,
     random_polynomial,
     sublaplacian,
-    sublaplacian_radial,
     SmoothField,
 )
 from .mc import MCConfig, MCEstimate
@@ -468,16 +467,14 @@ def _identity_rows(seed: int, samples: int) -> list:
     add("left_invariance", worst_li, 1e-8)
     add("dilation_homogeneity", worst_dh, 1e-8)
 
-    # radial identity on polynomial gauge powers c0 + c1 r^4 + c2 r^8
+    # gauge-radial formula on polynomial gauge powers c0 + c1 r^4 + c2 r^8
     r4 = PolyField({(4, 0, 0): 1.0, (2, 2, 0): 2.0, (0, 4, 0): 1.0, (0, 0, 2): 1.0}, 1)
     c0, c1, c2 = (float(rng.uniform(-1, 1)) for _ in range(3))
-    f = (r4 * r4).scaled(c2) + r4.scaled(c1) + PolyField({(0, 0, 0): c0}, 1)
-    prof = RadialProfile(
-        lambda r: c0 + c1 * r**4 + c2 * r**8,
-        lambda r: 4 * c1 * r**3 + 8 * c2 * r**7,
-        lambda r: 12 * c1 * r**2 + 56 * c2 * r**6,
-    )
-    worst_rad = float(np.max(np.abs(sublaplacian(f, p1) - sublaplacian_radial(prof, p1))))
+    f = (r4 * r4 * PolyField({(0, 0, 0): c2}, 1) + r4 * PolyField({(0, 0, 0): c1}, 1)
+         + PolyField({(0, 0, 0): c0}, 1))
+    _, lap = gauge_radial(p1, 1.0, lambda s: (
+        c0 + c1 * s**2 + c2 * s**4, 2 * c1 * s + 4 * c2 * s**3, 2 * c1 + 12 * c2 * s**2))
+    worst_rad = float(np.max(np.abs(sublaplacian(f, p1) - lap)))
     add("radial_identity", worst_rad, 1e-8)
 
     # self-adjointness on three bump pairs

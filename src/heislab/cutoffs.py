@@ -12,9 +12,10 @@ z = ln(r/sqrt(R)) / ln(sqrt(R)), then raised to the power kappa.
 
 Spatial factors are gauge-radial, so their sub-Laplacians come from the
 radial identity Delta u = omega (phi'' + (Q-1)/r phi') with exact chain
-rules; no finite differences are involved.  The time factor is
-(1 - t/T)^ell, and products separate: Delta d_t^k(phi1 phi2) =
-(d_t^k phi1) Delta phi2.  A product test function therefore hands out its
+rules; no finite differences are involved.  The power family and the
+gauge bumps are profiles of r^2 and take it from `group.gauge_radial`.
+The time factor is (1 - t/T)^ell, and products separate:
+Delta d_t^k(phi1 phi2) = (d_t^k phi1) Delta phi2.  A product test function therefore hands out its
 factors apart: (phi2, Delta phi2) once per set of spatial points and
 (phi1, phi1', phi1'') as vectors over all time nodes, so a space-time
 quadrature costs one spatial evaluation, not one per time node.
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .group import GroupPoint, _norm4, compose, inverse
+from .group import GroupPoint, _norm4, compose, gauge_radial, inverse
 
 
 def smoothstep_complement(s):
@@ -179,18 +180,10 @@ def log_brackets(spec: CutoffSpec, Q: int, psi, d1, d2):
     return b1, b2
 
 
-def _omega(sq, r2):
-    """Anisotropy weight omega = (|x|^2+|y|^2)/r^2 of the radial identity,
-    set to 0 at the origin, where the radial factors it multiplies vanish."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(r2 > 0.0, sq / np.where(r2 > 0.0, r2, 1.0), 0.0)
-
-
 def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
     """Spatial factor phi2 of either family and its sub-Laplacian Delta phi2.
 
-    Power family: phi2 = Phi(r^2/R^2) and
-    Delta phi2 = omega(eta) [ (4 r^2 / R^4) Phi'' + (2 Q / R^2) Phi' ].
+    Power family: phi2 = Phi(r^2/R^2), a `gauge_radial` field with rho2 = R^2.
     At the origin (r = 0) the cutoff is flat, so Delta phi2 = 0 there.
 
     Logarithmic family: phi2 = Psi^kappa(z) with z = ln(r/sqrt(R)) / ln(sqrt(R))
@@ -198,19 +191,15 @@ def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
     with the brackets of `log_brackets`; it is undefined at the origin.
     """
     check_radius(spec, R)
-    sq, r2 = _norm4(p)
     if spec.family == "power":
-        v, d1, d2 = cutoff_eval(spec, r2 / R**2)
-        radial = (4.0 * r2 / R**4) * d2 + (2.0 * p.Q / R**2) * d1
-    else:
-        if np.any(r2 <= 0.0):
-            raise ParameterError("logarithmic cutoff is undefined at the origin")
-        L = 0.5 * math.log(R)
-        psi, d1, d2 = cutoff_eval(spec, (0.5 * np.log(r2) - L) / L)
-        b1, b2 = log_brackets(spec, p.Q, psi, d1, d2)
-        v = psi**spec.kappa
-        radial = (b1 / L**2 + b2 / L) / r2
-    return v, _omega(sq, r2) * radial
+        return gauge_radial(p, R**2, lambda s: cutoff_eval(spec, s))
+    sq, r2 = _norm4(p)
+    if np.any(r2 <= 0.0):
+        raise ParameterError("logarithmic cutoff is undefined at the origin")
+    L = 0.5 * math.log(R)
+    psi, d1, d2 = cutoff_eval(spec, (0.5 * np.log(r2) - L) / L)
+    b1, b2 = log_brackets(spec, p.Q, psi, d1, d2)
+    return psi**spec.kappa, sq / r2 * ((b1 / L**2 + b2 / L) / r2)
 
 
 class ProductTestFunction:
@@ -270,10 +259,5 @@ class GaugeBump:
 
     def spatial(self, p: GroupPoint):
         """(value, Delta value) at the points p, from one shared pass."""
-        sq, r2 = _norm4(compose(p, inverse(self.center)))
-        rho2 = self.radius**2
-        v, t1, t2 = smoothstep_complement(r2 / rho2)
-        # phi(r) = A Theta(r^2/rho^2):  phi'' + (Q-1)/r phi'
-        #   = A [ 4 r^2/rho^4 Theta'' + 2/rho^2 Theta' + (Q-1) 2/rho^2 Theta' ]
-        radial = 4.0 * r2 / rho2**2 * t2 + 2.0 * p.Q / rho2 * t1
-        return self.amplitude * v, self.amplitude * _omega(sq, r2) * radial
+        v, lap = gauge_radial(compose(p, inverse(self.center)), self.radius**2, smoothstep_complement)
+        return self.amplitude * v, self.amplitude * lap

@@ -21,7 +21,6 @@ oracles address coordinates by flat index in the order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -113,23 +112,6 @@ def dilate(lam: float, a: GroupPoint) -> GroupPoint:
     return GroupPoint(lam * a.x, lam * a.y, lam * lam * a.tau)
 
 
-def anisotropy_weight(p: GroupPoint) -> np.ndarray:
-    """The factor (|x|^2+|y|^2)/r^2 in [0, 1]; undefined at the origin."""
-    sq, r2 = _norm4(p)
-    if np.any(r2 == 0.0):
-        raise ParameterError("anisotropy weight is undefined at the origin")
-    return sq / r2
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """A C^2 profile phi(r) on r >= 0 with explicit first two derivatives."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-
-
 class SmoothField:
     """Scalar field on H^n with central-difference derivatives of step h.
 
@@ -215,14 +197,18 @@ def sublaplacian(f, p: GroupPoint):
     return out
 
 
-def sublaplacian_radial(profile: RadialProfile, p: GroupPoint):
-    """For u(eta) = phi(|eta|): Delta u = omega(eta) (phi'' + (Q-1)/r phi')."""
-    r = gauge_norm(p)
-    if np.any(r == 0.0):
-        raise ParameterError("radial sub-Laplacian is undefined at the origin")
-    w = anisotropy_weight(p)
-    Q = p.Q
-    return w * (profile.d2(r) + (Q - 1) / r * profile.d1(r))
+def gauge_radial(p: GroupPoint, rho2: float, profile):
+    """(u, Delta u) at p for u(eta) = f(|eta|^2 / rho2), where profile(s) gives (f, f', f''):
+    Delta u = omega (4 |eta|^2 / rho2^2 f'' + 2 Q / rho2 f'), with omega = (|x|^2+|y|^2)/|eta|^2,
+    is the radial identity Delta phi = omega (phi'' + (Q-1)/r phi').  omega is taken as 0 at
+    the origin, where a profile flat at s = 0 has Delta u = 0."""
+    Q, (sq, r2) = p.Q, _norm4(p)
+    del p  # a point translated for this call (GaugeBump) is freed before the profile runs
+    v, d1, d2 = profile(r2 / rho2)
+    radial = 4.0 * r2 / rho2**2 * d2 + 2.0 * Q / rho2 * d1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        omega = np.where(r2 > 0.0, sq / np.where(r2 > 0.0, r2, 1.0), 0.0)
+    return v, omega * radial
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +239,6 @@ class PolyField:
         self._diff_cache = {}
 
     def value(self, p: GroupPoint):
-        return self._evaluate(p)
-
-    def _evaluate(self, p: GroupPoint):
         z = p.flat()
         out = np.zeros(z.shape[:-1])
         for exps, c in sorted(self.coeffs.items()):
@@ -279,17 +262,6 @@ class PolyField:
         self._diff_cache[i] = field
         return field
 
-    def mul_coord(self, i: int) -> "PolyField":
-        out = {}
-        for exps, c in self.coeffs.items():
-            raised = list(exps)
-            raised[i] += 1
-            out[tuple(raised)] = out.get(tuple(raised), 0.0) + c
-        return PolyField(out, self.npairs)
-
-    def scaled(self, a: float) -> "PolyField":
-        return PolyField({e: a * c for e, c in self.coeffs.items()}, self.npairs)
-
     def __add__(self, other: "PolyField") -> "PolyField":
         out = dict(self.coeffs)
         for exps, c in other.coeffs.items():
@@ -306,11 +278,11 @@ class PolyField:
 
     def d1(self, p: GroupPoint, i: int):
         _check_index(p, i)
-        return self.diff(i)._evaluate(p)
+        return self.diff(i).value(p)
 
     def d2(self, p: GroupPoint, i: int, j: int):
         i, j = _ordered_pair(p, i, j)
-        return self.diff(i).diff(j)._evaluate(p)
+        return self.diff(i).diff(j).value(p)
 
     def pullback(self, A: np.ndarray, b: np.ndarray) -> "PolyField":
         """The expanded polynomial z -> f(A z + b)."""
@@ -335,10 +307,14 @@ def horizontal_field(f: PolyField, i: int, kind: str) -> PolyField:
     if not 1 <= i <= n:
         raise ParameterError(f"horizontal index {i} out of range 1..{n}")
     t = 2 * n
+
+    def monomial(k, c):  # c z_k
+        return PolyField({tuple(int(m == k) for m in range(t + 1)): c}, n)
+
     if kind == "X":
-        return f.diff(i - 1) + f.diff(t).mul_coord(n + i - 1).scaled(2.0)
+        return f.diff(i - 1) + f.diff(t) * monomial(n + i - 1, 2.0)
     if kind == "Y":
-        return f.diff(n + i - 1) + f.diff(t).mul_coord(i - 1).scaled(-2.0)
+        return f.diff(n + i - 1) + f.diff(t) * monomial(i - 1, -2.0)
     raise ParameterError(f"kind must be 'X' or 'Y', got {kind!r}")
 
 

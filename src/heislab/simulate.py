@@ -107,6 +107,9 @@ def build_grid(config: GridConfig) -> Grid:
     ls = (config.l_x, config.l_y, config.l_tau)
     ns = (config.n_x, config.n_y, config.n_tau)
     h = tuple(2.0 * L / N for L, N in zip(ls, ns))
+    for name, L, step in zip(("l_x", "l_y", "l_tau"), ls, h):  # so that 1/h^2 is a normal float
+        if not 1.0 / sys.float_info.max <= step * step <= 1.0 / sys.float_info.min:
+            raise ParameterError(f"{name} = {L:g} gives a grid spacing beyond floating-point range")
     axes = tuple(
         -L + (np.arange(N) + 0.5) * step for L, N, step in zip(ls, ns, h)
     )
@@ -190,12 +193,17 @@ def assemble_sublaplacian(grid: Grid) -> SparseOperator:
     """L_h = -(D_X^T D_X + D_Y^T D_Y).
 
     The product is symmetrised entrywise so L_h equals its transpose
-    exactly, not merely to rounding.
+    exactly, not merely to rounding.  Raises ParameterError when a row sum of
+    |L_h| leaves float range, as -L_h u then can for data of size 1.
     """
     dx = _difference_matrix(grid, "X")
     dy = _difference_matrix(grid, "Y")
     m = (dx.T @ dx + dy.T @ dy).tocsr()
     sym = (m + m.T) * 0.5
+    if not np.isfinite(abs(sym).sum(axis=1)).all():
+        c = grid.config
+        raise ParameterError(f"grid operator beyond floating-point range at "
+                             f"l_x = {c.l_x:g}, l_y = {c.l_y:g}, l_tau = {c.l_tau:g}")
     return SparseOperator((-sym).tocsr())
 
 

@@ -388,6 +388,32 @@ def extreme_bump_config(name):
     return cfg
 
 
+# box sizes whose grid operator leaves float range (1/h^2 is not a normal float, or a row
+# sum of |L_h| overflows, so -L_h u does for data of size 1): an LU solve of such an operator
+# raised 'Factor is exactly singular', a CG run reported a blow-up at step 1
+BAD_BOXES = {f"{key}={value}": {key: float(value)} for key, values in (
+    ("l_x", ("1e155", "1e200", "1e300", "1e-155", "1e-200", "1e-320")),
+    ("l_y", ("1e155", "1e200", "1e300", "1e-155", "1e-200", "1e-320")),
+    ("l_tau", ("1e-153", "1e-155", "1e-200", "1e-320"))) for value in values}
+BAD_BOXES["l_y=1e100,l_tau=1e-100"] = {"l_y": 1e100, "l_tau": 1e-100}
+
+
+def box_config(box, nodes=5):
+    cfg = {**small_sim_config(), "dt": 5e-3}
+    cfg["grid"].update(box, n_x=nodes, n_y=nodes, n_tau=nodes)
+    return cfg
+
+
+@pytest.mark.parametrize("nodes", [5, 19])
+@pytest.mark.parametrize("box", sorted(BAD_BOXES))
+def test_simulate_box_beyond_float_range_exits_2(tmp_path, capsys, box, nodes):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(box_config(BAD_BOXES[box], nodes)))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and all(key in err for key in BAD_BOXES[box]), err
+
+
 SIM_CONFIG = st.fixed_dictionaries({
     "equation": st.sampled_from(["parabolic", "hyperbolic"]),
     "q": st.floats(1.1, 3.0),
@@ -395,7 +421,8 @@ SIM_CONFIG = st.fixed_dictionaries({
     "dt": st.floats(1e-3, 0.05),
     "steps": st.integers(1, 5),
     "grid": st.fixed_dictionaries({
-        "l_x": st.floats(0.5, 4.0), "l_y": st.floats(0.5, 4.0), "l_tau": st.floats(0.5, 9.0),
+        "l_x": st.floats(0.5, 4.0) | log_uniform(), "l_y": st.floats(0.5, 4.0) | log_uniform(),
+        "l_tau": st.floats(0.5, 9.0) | log_uniform(),
         "n_x": st.integers(3, 9), "n_y": st.integers(3, 9), "n_tau": st.integers(3, 9),
     }),
     "initial": bump_strategy(),
@@ -434,6 +461,8 @@ def mutated_configs(draw):
 @example(extreme_bump_config("narrow"))
 @example(extreme_bump_config("far"))
 @example(extreme_bump_config("wide"))
+@example(box_config({"l_x": 1e160}))  # both used to raise through main
+@example(box_config({"l_y": 1e100, "l_tau": 1e-100}))
 @given(SIM_CONFIG | mutated_configs())
 def test_simulate_exit_code_contract(cfg):
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,13 +7,12 @@ from heislab.errors import ParameterError
 from heislab.group import (
     GroupPoint,
     PolyField,
-    RadialProfile,
     SmoothField,
-    anisotropy_weight,
     compose,
     dilate,
     dilation_matrix,
     gauge_norm,
+    gauge_radial,
     horizontal_derivative,
     horizontal_field,
     invariant_translation,
@@ -22,7 +21,6 @@ from heislab.group import (
     point,
     random_polynomial,
     sublaplacian,
-    sublaplacian_radial,
 )
 from heislab.mc import MCConfig, mc_integrate_vector
 
@@ -95,14 +93,6 @@ def test_dilation_jacobian_volume_monte_carlo():
     assert abs(est.value - 16.0) <= 4 * est.stderr + 1e-9
 
 
-def test_anisotropy_weight():
-    assert anisotropy_weight(point(0.3, 0.4, 0)) == pytest.approx(1.0)
-    assert anisotropy_weight(point(0, 0, 5)) == pytest.approx(0.0)
-    assert anisotropy_weight(point(1, 1, 2)) == pytest.approx(2 / np.sqrt(8))
-    with pytest.raises(ParameterError):
-        anisotropy_weight(origin(1))
-
-
 def test_horizontal_derivative_examples():
     rng = np.random.default_rng(1)
     p = rand_points(rng, 1, 40)
@@ -151,29 +141,42 @@ def test_sublaplacian_examples():
     assert sublaplacian(r4, point(1, 0, 0)) == pytest.approx(24.0)
 
 
-def test_sublaplacian_radial():
-    prof = RadialProfile(lambda r: r**4, lambda r: 4 * r**3, lambda r: 12 * r**2)
-    assert sublaplacian_radial(prof, point(1, 0, 0)) == pytest.approx(24.0)
-    const = RadialProfile(lambda r: np.ones_like(r), lambda r: 0 * r, lambda r: 0 * r)
-    assert sublaplacian_radial(const, point(0.4, -0.2, 0.7)) == pytest.approx(0.0)
-    assert sublaplacian_radial(prof, point(0, 0, 1)) == pytest.approx(0.0)  # weight vanishes
-    with pytest.raises(ParameterError):
-        sublaplacian_radial(prof, origin(1))
+def test_gauge_radial_examples():
+    # f(s) = s: Delta |eta|^2 = 2Q omega, with omega = (|x|^2+|y|^2)/|eta|^2 taken as 0 at the origin
+    def identity(s):
+        return s, np.ones_like(s), np.zeros_like(s)
+
+    for p, omega in ((point(0.3, 0.4, 0), 1.0), (point(0, 0, 5), 0.0),
+                     (point(1, 1, 2), 2 / np.sqrt(8)), (origin(1), 0.0)):
+        v, lap = gauge_radial(p, 1.0, identity)
+        assert v == pytest.approx(gauge_norm(p) ** 2)
+        assert lap == pytest.approx(2 * p.Q * omega)
+    p = point(0.2, -0.7, 0.4)
+    assert gauge_radial(p, 4.0, identity)[1] == pytest.approx(gauge_radial(p, 1.0, identity)[1] / 4)
+    assert gauge_radial(point(0.4, -0.2, 0.7), 2.0, lambda s: (1.0 + 0 * s, 0 * s, 0 * s))[1] == 0.0
+    # f(s) = s^2 at rho2 = 1 is |eta|^4, whose sub-Laplacian at (1, 0, 0) is 24
+    assert gauge_radial(point(1, 0, 0), 1.0, lambda s: (s * s, 2 * s, 2 + 0 * s))[1] == pytest.approx(24.0)
 
 
-def test_radial_consistency_random_profiles():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gauge_radial_is_exact(n):
+    # c0 + c1 r^4 + c2 r^8 with r^4 = (sum z_k^2)^2 + tau^2, against the polynomial's sub-Laplacian
     rng = np.random.default_rng(5)
-    p = rand_points(rng, 1, 100)
-    r4 = PolyField({(4, 0, 0): 1.0, (2, 2, 0): 2.0, (0, 4, 0): 1.0, (0, 0, 2): 1.0}, 1)
+    p = rand_points(rng, n, 100)
+    d = 2 * n + 1
+
+    def monomial(k, e, c=1.0):  # c z_k^e
+        return PolyField({tuple(e * (m == k) for m in range(d)): c}, n)
+
+    sq = sum((monomial(k, 2) for k in range(1, 2 * n)), monomial(0, 2))
+    r4 = sq * sq + monomial(d - 1, 2)
     for _ in range(5):
         c0, c1, c2 = rng.uniform(-1, 1, 3)
-        f = (r4 * r4).scaled(c2) + r4.scaled(c1) + PolyField({(0, 0, 0): c0}, 1)
-        prof = RadialProfile(
-            lambda r: c0 + c1 * r**4 + c2 * r**8,
-            lambda r: 4 * c1 * r**3 + 8 * c2 * r**7,
-            lambda r: 12 * c1 * r**2 + 56 * c2 * r**6,
-        )
-        assert np.max(np.abs(sublaplacian(f, p) - sublaplacian_radial(prof, p))) < 1e-8
+        f = r4 * r4 * monomial(0, 0, c2) + r4 * monomial(0, 0, c1) + monomial(0, 0, c0)
+        v, lap = gauge_radial(p, 1.0, lambda s: (
+            c0 + c1 * s**2 + c2 * s**4, 2 * c1 * s + 4 * c2 * s**3, 2 * c1 + 12 * c2 * s**2))
+        assert np.max(np.abs(v - f.value(p))) < 1e-12
+        assert np.max(np.abs(sublaplacian(f, p) - lap)) < 1e-8
 
 
 def test_translation_invariance_of_sublaplacian():
