@@ -141,11 +141,12 @@ def test_sublaplacian_examples():
     assert sublaplacian(r4, point(1, 0, 0)) == pytest.approx(24.0)
 
 
-def test_gauge_radial_examples():
-    # f(s) = s: Delta |eta|^2 = 2Q omega, with omega = (|x|^2+|y|^2)/|eta|^2 taken as 0 at the origin
-    def identity(s):
-        return s, np.ones_like(s), np.zeros_like(s)
+def identity(s):
+    return s, np.ones_like(s), np.zeros_like(s)
 
+
+def test_anisotropy_weight():
+    # f(s) = s: Delta |eta|^2 = 2Q omega, with omega = (|x|^2+|y|^2)/|eta|^2 taken as 0 at the origin
     for p, omega in ((point(0.3, 0.4, 0), 1.0), (point(0, 0, 5), 0.0),
                      (point(1, 1, 2), 2 / np.sqrt(8)), (origin(1), 0.0)):
         v, lap = gauge_radial(p, 1.0, identity)
@@ -153,9 +154,16 @@ def test_gauge_radial_examples():
         assert lap == pytest.approx(2 * p.Q * omega)
     p = point(0.2, -0.7, 0.4)
     assert gauge_radial(p, 4.0, identity)[1] == pytest.approx(gauge_radial(p, 1.0, identity)[1] / 4)
-    assert gauge_radial(point(0.4, -0.2, 0.7), 2.0, lambda s: (1.0 + 0 * s, 0 * s, 0 * s))[1] == 0.0
+
+
+def test_sublaplacian_radial():
     # f(s) = s^2 at rho2 = 1 is |eta|^4, whose sub-Laplacian at (1, 0, 0) is 24
-    assert gauge_radial(point(1, 0, 0), 1.0, lambda s: (s * s, 2 * s, 2 + 0 * s))[1] == pytest.approx(24.0)
+    def square(s):
+        return s * s, 2 * s, 2 + 0 * s
+
+    assert gauge_radial(point(1, 0, 0), 1.0, square)[1] == pytest.approx(24.0)
+    assert gauge_radial(point(0.4, -0.2, 0.7), 2.0, lambda s: (1.0 + 0 * s, 0 * s, 0 * s))[1] == 0.0
+    assert gauge_radial(point(0, 0, 1), 1.0, square)[1] == pytest.approx(0.0)  # omega vanishes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
