@@ -37,7 +37,7 @@ def main():
                 blowup_threshold=args.threshold, solver_max_iter=5000,
             )
             trace = run(cfg)
-            peak = max(r.max_norm for r in trace.rows)
+            peak = max(r["max_norm"] for r in trace.rows)
             row = {
                 "equation": equation,
                 "amplitude": amplitude,
@@ -45,7 +45,7 @@ def main():
                 "status_step": trace.status_step,
                 "steps_run": len(trace.rows) - 1,
                 "peak_max_norm": peak,
-                "final_max_norm": trace.rows[-1].max_norm,
+                "final_max_norm": trace.rows[-1]["max_norm"],
             }
             summary.append(row)
             print(f"{equation:10s} amp={amplitude:5.1f}  {trace.status:18s} "

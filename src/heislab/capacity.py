@@ -101,7 +101,8 @@ class Exponents:
         return 2 * self.n + 2
 
     def is_critical(self) -> bool:
-        return abs(self.q - self.Q / (self.Q - 2.0)) <= 1e-12
+        """q is the double nearest q_c = Q/(Q-2), as the CLI parses 2, 3/2 and 4/3."""
+        return self.q == float(critical_exponent(self.n))
 
     def power_spec(self) -> CutoffSpec:
         return CutoffSpec.power(default_power(self.q))

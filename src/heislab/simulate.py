@@ -11,11 +11,12 @@ sub-Laplacian is assembled in divergence form
 from forward-difference discretisations of X = d/dx + 2y d/dtau and
 Y = d/dy - 2x d/dtau with coefficients sampled at nodes, each a sum of
 Kronecker products of 1-D factors (difference, truncated identity,
-coefficient diagonal) over the x, y and tau axes.  This makes L_h
-symmetric negative semidefinite by construction, so each step's linear
-solve for w = d/dt u (or the acceleration a) uses -L_h's LU factors, made
-once per grid (run() keeps the last grid's operator for the next run on it),
-up to DIRECT_MAX_UNKNOWNS unknowns, else Jacobi-preconditioned conjugate
+coefficient diagonal) over the x, y and tau axes.  This makes -L_h
+symmetric positive semidefinite by construction, and it is the one matrix
+stored.  Each step solves the SPD system -L_h w = |u|^q - (-L_h) u for
+w = d/dt u (or the acceleration a): by LU factors, made once per grid (run()
+keeps the last grid's operator for the next run on it), up to
+DIRECT_MAX_UNKNOWNS unknowns, else by Jacobi-preconditioned conjugate
 gradients on -L_h stored by diagonals (DIA), started from the combination of the last
 EXTRAPOLATION_POINTS steps' nonlinear potentials with the smallest residual (see _solve_step).
 Time stepping is explicit Euler (first order) or leapfrog with a Taylor
@@ -110,29 +111,32 @@ def build_grid(config: GridConfig) -> Grid:
     for name, L, step in zip(("l_x", "l_y", "l_tau"), ls, h):  # so that 1/h^2 is a normal float
         if not 1.0 / sys.float_info.max <= step * step <= 1.0 / sys.float_info.min:
             raise ParameterError(f"{name} = {L:g} gives a grid spacing beyond floating-point range")
-    axes = tuple(
-        -L + (np.arange(N) + 0.5) * step for L, N, step in zip(ls, ns, h)
-    )
-    return Grid(config, axes, h)
+    axes = tuple(-L + (np.arange(N) + 0.5) * step for L, N, step in zip(ls, ns, h))
+    grid = Grid(config, axes, h)
+    # so that the Lq norm of data of size 1, sum |u|^q * cell volume, is a positive float
+    if not sys.float_info.min <= grid.cell_volume <= sys.float_info.max / grid.n_interior:
+        raise ParameterError(f"l_x = {config.l_x:g}, l_y = {config.l_y:g}, l_tau = {config.l_tau:g} "
+                             f"give a cell volume beyond floating-point range")
+    return grid
 
 
 @dataclass
 class SparseOperator:
-    """Symmetric operator on interior unknowns in CSR form; -op (CSR up to
-    DIRECT_MAX_UNKNOWNS, else DIA for the CG mat-vec), its SuperLU factors and its
-    Jacobi preconditioner 1 / diag(-op) are built on first use and kept with the
+    """-L_h on interior unknowns, symmetric positive semidefinite (CSR up to
+    DIRECT_MAX_UNKNOWNS, else DIA for the CG mat-vec); its SuperLU factors and its
+    Jacobi preconditioner 1 / diag(-L_h) are built on first use and kept with the
     operator, which run() keeps while later runs use its grid (see _grid_operator)."""
 
-    matrix: sp.csr_matrix
+    neg: sp.spmatrix
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.neg.shape[0]
 
-    @cached_property
-    def neg(self) -> sp.spmatrix:
-        neg = (-self.matrix).tocsr()
-        return neg.todia() if self.dimension > DIRECT_MAX_UNKNOWNS else neg
+    @property
+    def matrix(self) -> sp.spmatrix:
+        """L_h itself, in the storage of neg."""
+        return -self.neg
 
     @cached_property
     def lu(self):
@@ -141,20 +145,6 @@ class SparseOperator:
     @cached_property
     def jacobi(self) -> np.ndarray:
         return 1.0 / self.neg.diagonal()
-
-
-@dataclass(frozen=True)
-class GridField:
-    values: np.ndarray
-    grid: Grid
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def lq_norm(self, q: float) -> float:
-        return float(
-            (np.sum(np.abs(self.values) ** q) * self.grid.cell_volume) ** (1.0 / q)
-        )
 
 
 def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
@@ -190,59 +180,59 @@ def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
 
 
 def assemble_sublaplacian(grid: Grid) -> SparseOperator:
-    """L_h = -(D_X^T D_X + D_Y^T D_Y).
+    """-L_h = D_X^T D_X + D_Y^T D_Y, stored as DIA above DIRECT_MAX_UNKNOWNS unknowns.
 
-    The product is symmetrised entrywise so L_h equals its transpose
+    The product is symmetrised entrywise so -L_h equals its transpose
     exactly, not merely to rounding.  Raises ParameterError when a row sum of
     |L_h| leaves float range, as -L_h u then can for data of size 1.
     """
-    dx = _difference_matrix(grid, "X")
-    dy = _difference_matrix(grid, "Y")
+    dx, dy = (_difference_matrix(grid, which) for which in "XY")
     m = (dx.T @ dx + dy.T @ dy).tocsr()
     sym = (m + m.T) * 0.5
+    del dx, dy, m  # freed before the DIA copy is made, which sets assembly's peak memory
     if not np.isfinite(abs(sym).sum(axis=1)).all():
         c = grid.config
         raise ParameterError(f"grid operator beyond floating-point range at "
                              f"l_x = {c.l_x:g}, l_y = {c.l_y:g}, l_tau = {c.l_tau:g}")
-    return SparseOperator((-sym).tocsr())
+    return SparseOperator(sym.todia() if sym.shape[0] > DIRECT_MAX_UNKNOWNS else sym.tocsr())
 
 
 @lru_cache(maxsize=1)
 def _grid_operator(config: GridConfig):
-    """(grid, L_h) for `config`, kept for the next run while it uses the same grid, so
-    that run skips assembly and reuses the operator's -L_h, LU factors and Jacobi diagonal."""
+    """(grid, -L_h) for `config`, kept for the next run while it uses the same grid, so
+    that run skips assembly and reuses the operator's LU factors and Jacobi diagonal."""
     grid = build_grid(config)
     return grid, assemble_sublaplacian(grid)
 
 
 def solve_linear(
     op: SparseOperator,
-    rhs: np.ndarray,
+    b: np.ndarray,
     tol: float = 1e-10,
     max_iter: Optional[int] = None,
     x0: Optional[np.ndarray] = None,
 ):
-    """Solve op x = rhs (-op SPD): by the cached LU factors up to
+    """Solve -L_h x = b (op.neg x = b): by the cached LU factors up to
     DIRECT_MAX_UNKNOWNS unknowns, returning (x, 0), else by Jacobi-preconditioned
-    conjugate gradients from x0 until |r| < tol |rhs|, returning (x, iterations).
+    conjugate gradients from x0 until |r| < tol |b|, returning (x, iterations).
 
     Raises OverflowError for a non-finite direct solution or CG right-hand side,
     SolverFailure when CG exhausts max_iter (default 10 n) or breaks down (r.Mr or p.Ap <= 0).
     """
-    rhs = np.asarray(rhs, dtype=float)
+    b = np.asarray(b, dtype=float)
     if op.dimension <= DIRECT_MAX_UNKNOWNS:
-        x = op.lu.solve(-rhs)
+        x = op.lu.solve(b)
         if not np.isfinite(x).all():  # SuperLU raises no floating-point errors
             raise OverflowError("direct solve beyond floating-point range")
         return x, 0
-    # CG runs on rhs / max|rhs|, so no square under- or overflows; einsum keeps each
+    # CG runs on b / max|b|, so no square under- or overflows; einsum keeps each
     # reduction on one thread, where BLAS dot and norm split it over every core
-    scale = np.max(np.abs(rhs))
+    scale = np.max(np.abs(b))
     if not np.isfinite(scale):
         raise OverflowError("conjugate gradients: right-hand side beyond floating-point range")
     if scale == 0.0:
-        return np.zeros_like(rhs), 0
-    a, m, b = op.neg, op.jacobi, -rhs / scale
+        return np.zeros_like(b), 0
+    a, m, b = op.neg, op.jacobi, b / scale
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float) / scale
     r, p, rz_prev, iters = b - a @ x, np.zeros_like(b), 1.0, 0
     stop = tol**2 * np.einsum("i,i", b, b)
@@ -385,23 +375,15 @@ class SimState:
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    time: float
-    max_norm: float
-    lq_norm: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class SimTrace:
-    rows: list
+    rows: list  # report rows: dicts of step, time, max_norm, lq_norm and iterations
     status: str  # "completed" | "blowup_threshold" | "solver_failure"
     status_step: Optional[int]
 
 
 def _solve_step(op: SparseOperator, state: SimState, cfg: SimConfig):
-    """Solve op w = -op u - |u|^q for w = du/dt (or the acceleration); return w,
-    the held (z, g) pairs with z = w + u = (-op)^-1 |u|^q and its image g = -op z
+    """Solve -L_h w = |u|^q - (-L_h) u for w = du/dt (or the acceleration); return w,
+    the held (z, g) pairs with z = w + u = (-L_h)^-1 |u|^q and its image g = -L_h z
     prepended (CG only), and the iterations.
 
     Without the nonlinearity w = -u identically, so no solve is made.  LU takes no start;
@@ -412,13 +394,13 @@ def _solve_step(op: SparseOperator, state: SimState, cfg: SimConfig):
     if not cfg.nonlinearity:
         return -u, (), 0
     f = np.abs(u) ** cfg.q
-    rhs = op.neg @ u - f  # -op stored as neg, so neg @ u == -(op @ u) bit for bit
+    b = f - op.neg @ u
     if op.dimension <= DIRECT_MAX_UNKNOWNS:
-        w, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter)
+        w, iters = solve_linear(op, b, cfg.solver_tol, cfg.solver_max_iter)
         return w, (), iters
     c = _least_squares([g for _, g in held], f)
     x0 = sum((cj * z for cj, (z, _) in zip(c, held)), -u)
-    w, iters = solve_linear(op, rhs, cfg.solver_tol, cfg.solver_max_iter, x0=x0)
+    w, iters = solve_linear(op, b, cfg.solver_tol, cfg.solver_max_iter, x0=x0)
     z = w + u
     return w, ((z, op.neg @ z), *held)[:EXTRAPOLATION_POINTS], iters
 
@@ -447,14 +429,14 @@ def _least_squares(columns: list, f: np.ndarray) -> list:
 
 
 def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
-    """One explicit Euler step: solve op w = -op u - |u|^q, then u += dt w."""
+    """One explicit Euler step: solve -L_h w = |u|^q - (-L_h) u, then u += dt w."""
     w, zs, iters = _solve_step(op, state, cfg)
     return SimState(state.u + cfg.dt * w, state.t + cfg.dt, state.step + 1,
                     last_iterations=iters, potentials=zs)
 
 
 def step_hyperbolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
-    """One leapfrog step: solve op a = -op u - |u|^q, then
+    """One leapfrog step: solve -L_h a = |u|^q - (-L_h) u, then
     u_next = 2u - u_prev + dt^2 a."""
     a, zs, iters = _solve_step(op, state, cfg)
     u_next = 2.0 * state.u - state.u_prev + cfg.dt**2 * a
@@ -470,16 +452,18 @@ def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimCon
 
 
 def run(cfg: SimConfig) -> SimTrace:
-    """Step the configured equation, recording norms until the step budget, the
-    blow-up threshold or a solver failure; a step that overflows is not taken,
+    """Step the configured equation, recording a report row per step until the step
+    budget, the blow-up threshold or a solver failure; a step that overflows is not taken,
     initial norms that overflow raise OverflowError (no first row exists)."""
     grid, op = _grid_operator(cfg.grid)
     u = cfg.initial.evaluate(grid)
     rows = []
 
     def record(state: SimState) -> SimState:
-        f = GridField(state.u, grid)
-        rows.append(TraceRow(state.t, f.max_norm(), f.lq_norm(cfg.q), state.last_iterations))
+        a = np.abs(state.u)
+        rows.append({"step": state.step, "time": state.t, "max_norm": float(np.max(a)),
+                     "lq_norm": float((np.sum(a**cfg.q) * grid.cell_volume) ** (1.0 / cfg.q)),
+                     "iterations": state.last_iterations})
         return state
 
     status, status_step = "completed", None
@@ -496,7 +480,7 @@ def run(cfg: SimConfig) -> SimTrace:
                 state = record(taylor_start(u, u1, op, cfg))
             for _ in range(state.step, cfg.steps):
                 state = record(step(state, op, cfg))
-                if rows[-1].max_norm >= cfg.blowup_threshold:
+                if rows[-1]["max_norm"] >= cfg.blowup_threshold:
                     status, status_step = "blowup_threshold", state.step
                     break
         except SolverFailure:

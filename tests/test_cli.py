@@ -305,6 +305,21 @@ def test_residual_subcommand():
         assert tuple(row[k] for k in keys) == pinned[row["case"]]
 
 
+def test_residual_at_small_radius_pairs_a_manufactured_candidate():
+    # the candidate's bump is dilated with R, so it overlaps the test function's support
+    report = dispatch(run_spec(["residual", "--q", "2", "--R", "0.1", "--samples", "2000"]))
+    for row in report.rows[2:]:
+        assert row["lhs"] != 0.0 and row["oracle"] != 0.0, row
+
+
+def test_near_critical_q_is_not_critical():
+    # the bound and the verdict agree: q_c + 1e-13 is supercritical, not critical
+    report = dispatch(run_spec(["bound-parabolic", "--q", "2.0000000000001"]))
+    assert report.summary["critical"] is False
+    verdict = dispatch(run_spec(["verdict", "--q", "2.0000000000001"]))
+    assert verdict.rows[0]["verdict"] == "SupercriticalNoConclusion"
+
+
 @pytest.mark.parametrize("n", ["0", "2", "3"])
 def test_residual_rejects_n_other_than_1(capsys, n):
     # residual evaluates n = 1 points, bumps and boxes only
@@ -396,6 +411,11 @@ BAD_BOXES = {f"{key}={value}": {key: float(value)} for key, values in (
     ("l_y", ("1e155", "1e200", "1e300", "1e-155", "1e-200", "1e-320")),
     ("l_tau", ("1e-153", "1e-155", "1e-200", "1e-320"))) for value in values}
 BAD_BOXES["l_y=1e100,l_tau=1e-100"] = {"l_y": 1e100, "l_tau": 1e-100}
+# boxes whose cell volume h_x h_y h_tau leaves float range, or times the interior node count
+# overflows: the Lq norm of data of size 1 read Infinity (a claimed blow-up) or 0
+for value in ("1e150", "1e-150"):
+    BAD_BOXES[f"l_x=l_y=l_tau={value}"] = dict.fromkeys(("l_x", "l_y", "l_tau"), float(value))
+BAD_BOXES["l_x=l_y=1e120,l_tau=1e100"] = {"l_x": 1e120, "l_y": 1e120, "l_tau": 1e100}
 
 
 def box_config(box, nodes=5):
@@ -463,14 +483,18 @@ def mutated_configs(draw):
 @example(extreme_bump_config("wide"))
 @example(box_config({"l_x": 1e160}))  # both used to raise through main
 @example(box_config({"l_y": 1e100, "l_tau": 1e-100}))
+@example(box_config(dict.fromkeys(("l_x", "l_y", "l_tau"), 1e150)))  # used to report lq_norm Infinity
 @given(SIM_CONFIG | mutated_configs())
 def test_simulate_exit_code_contract(cfg):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "t.json"
         path.write_text(json.dumps(cfg))
-        code, _, err = run_main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "t.csv")])
+        code, _, err = run_main(["simulate", "--config", str(path), "--format", "json", "--out", str(out)])
+        report = json.loads(out.read_text()) if code in (0, 3) else None
     assert code in (0, 2, 3) and "Traceback" not in err
     assert code != 2 or err.count("\n") == 1, err
+    if report is not None:
+        assert non_finite_paths(report) == []
 
 
 @pytest.mark.parametrize("name", sorted(EXTREME_BUMPS))

@@ -1,5 +1,7 @@
+import json
 import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -13,7 +15,6 @@ from heislab.simulate import (
     DIRECT_MAX_UNKNOWNS,
     BumpSpec,
     GridConfig,
-    GridField,
     SimConfig,
     SimState,
     assemble_sublaplacian,
@@ -25,6 +26,7 @@ from heislab.simulate import (
     taylor_start,
 )
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GRID9 = GridConfig(3.0, 3.0, 9.0, 9, 9, 9)
 # 17^3 = 4913 interior unknowns: the smallest cube grid solved by conjugate gradients
 GRID19 = GridConfig(3.0, 3.0, 9.0, 19, 19, 19)
@@ -186,7 +188,7 @@ def test_solve_linear():
         solve_linear(op, np.full(op.dimension, np.inf))
     rng = np.random.default_rng(1)
     w = rng.normal(size=op.dimension)
-    rhs = op.matrix @ w
+    rhs = op.neg @ w
     x, iters = solve_linear(op, rhs, tol=1e-10, max_iter=10 * op.dimension)
     assert np.max(np.abs(x - w)) < 1e-8
     assert iters <= 10 * op.dimension
@@ -199,11 +201,11 @@ def test_solve_linear():
 
 @pytest.mark.parametrize("shift", [5.0, 50.0])
 def test_cg_breakdown_on_indefinite_operator(shift):
-    # L_h + shift I is symmetric but indefinite: at 5 every diagonal entry of -op is
-    # still positive, so p.Ap <= 0 stops CG; at 50 some are not, so r.Mr <= 0 does.
-    # Either proves -op is not positive definite, so CG's guarantees are gone.
+    # -L_h - shift I is symmetric but indefinite: at 5 every diagonal entry is still
+    # positive, so p.Ap <= 0 stops CG; at 50 some are not, so r.Mr <= 0 does.
+    # Either proves it is not positive definite, so CG's guarantees are gone.
     op = assemble_sublaplacian(build_grid(GRID19))
-    shifted = simulate.SparseOperator((op.matrix + shift * sp.identity(op.dimension)).tocsr())
+    shifted = simulate.SparseOperator((op.neg - shift * sp.identity(op.dimension)).tocsr())
     assert (shifted.jacobi > 0).all() == (shift == 5.0)
     rhs = np.random.default_rng(3).normal(size=op.dimension)
     with pytest.raises(SolverFailure):
@@ -223,22 +225,22 @@ def test_warm_started_cg_run_matches_lu(fresh_operators, monkeypatch, equation):
     kappa = (eigsh(neg, k=1, which="LA", return_eigenvectors=False)[0]
              / eigsh(neg, k=1, sigma=0, which="LM", return_eigenvectors=False)[0])
     for field in ("max_norm", "lq_norm"):
-        cg_value, lu_value = getattr(tr.rows[-1], field), getattr(direct.rows[-1], field)
+        cg_value, lu_value = tr.rows[-1][field], direct.rows[-1][field]
         assert abs(cg_value - lu_value) <= steps * kappa * tol * abs(lu_value)
     # from the sixth step on, all EXTRAPOLATION_POINTS potentials are held and the
     # minimal-residual start pays off
-    first = tr.rows[1].iterations
-    assert all(d.iterations == 0 for d in direct.rows) and first > 0
-    assert np.mean([r.iterations for r in tr.rows[6:]]) <= 0.25 * first
+    first = tr.rows[1]["iterations"]
+    assert all(d["iterations"] == 0 for d in direct.rows) and first > 0
+    assert np.mean([r["iterations"] for r in tr.rows[6:]]) <= 0.25 * first
 
 
 def captured_starts(monkeypatch):
     """Replace solve_linear by a stub that records each x0 and returns (zeros, 0)."""
     starts = []
 
-    def recording_solve(op, rhs, tol=1e-10, max_iter=None, x0=None):
+    def recording_solve(op, b, tol=1e-10, max_iter=None, x0=None):
         starts.append(x0)
-        return np.zeros_like(rhs), 0
+        return np.zeros_like(b), 0
 
     monkeypatch.setattr(simulate, "solve_linear", recording_solve)
     return starts
@@ -324,7 +326,6 @@ def test_cg_operator_stored_by_diagonals(nodes):
     # 18^3 nodes have exactly 4096 interior unknowns, the last grid solved by LU
     op = assemble_sublaplacian(build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes)))
     assert op.neg.format == ("dia" if op.dimension > DIRECT_MAX_UNKNOWNS else "csr")
-    assert op.matrix.format == "csr"
     x = np.random.default_rng(nodes).normal(size=op.dimension)
     assert np.array_equal(op.neg @ x, op.matrix @ (-x))
     assert np.array_equal(op.jacobi, 1.0 / -op.matrix.diagonal())
@@ -395,9 +396,9 @@ def test_run_parabolic_linear_decay():
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     tr = run(cfg)
     assert tr.status == "completed"
-    ratio = tr.rows[-1].max_norm / tr.rows[0].max_norm
+    ratio = tr.rows[-1]["max_norm"] / tr.rows[0]["max_norm"]
     assert abs(ratio - np.exp(-1)) <= 1e-3
-    times = [r.time for r in tr.rows]
+    times = [r["time"] for r in tr.rows]
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -407,7 +408,7 @@ def test_run_hyperbolic_amplitude_recovery():
                     steps=steps, grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     tr = run(cfg)
     assert tr.status == "completed"
-    assert abs(tr.rows[-1].max_norm / tr.rows[0].max_norm - 1.0) <= 1e-2
+    assert abs(tr.rows[-1]["max_norm"] / tr.rows[0]["max_norm"] - 1.0) <= 1e-2
 
 
 def test_run_zero_data_stays_zero():
@@ -416,7 +417,7 @@ def test_run_zero_data_stays_zero():
         cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=True, dt=0.01, steps=20,
                         grid=grid, initial=BumpSpec((0, 0, 0), 1.0, 0.0))
         tr = run(cfg)
-        assert tr.status == "completed" and all(r.max_norm == 0.0 for r in tr.rows)
+        assert tr.status == "completed" and all(r["max_norm"] == 0.0 for r in tr.rows)
 
 
 def test_run_blowup_threshold_is_a_result():
@@ -427,18 +428,23 @@ def test_run_blowup_threshold_is_a_result():
     tr = run(cfg)
     assert tr.status == "blowup_threshold"
     assert tr.status_step is not None and tr.status_step < 2000
-    assert tr.rows[-1].max_norm >= 1e4 or not np.isfinite(tr.rows[-1].max_norm)
+    assert tr.rows[-1]["max_norm"] >= 1e4 or not np.isfinite(tr.rows[-1]["max_norm"])
     # late-stage growth is monotone in the trace
-    tail = [r.max_norm for r in tr.rows[-10:]]
+    tail = [r["max_norm"] for r in tr.rows[-10:]]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
 
 
 def test_lq_norm_bookkeeping():
-    g = build_grid(GridConfig(2.0, 2.0, 2.0, 10, 10, 10))
-    ones = GridField(np.ones(g.n_interior), g)
+    # a bump of width 1e150 is 1 at every node to rounding, so row 0 holds the norms of ones
+    grid = GridConfig(2.0, 2.0, 2.0, 10, 10, 10)
+    g = build_grid(grid)
     interior_volume = g.n_interior * g.cell_volume
     for q in (1.5, 2.0, 3.0):
-        assert ones.lq_norm(q) == pytest.approx(interior_volume ** (1 / q))
+        cfg = SimConfig("parabolic", q=q, nonlinearity=False, dt=0.01, steps=1, grid=grid,
+                        initial=BumpSpec((0.0, 0.0, 0.0), 1e150, 1.0))
+        first = run(cfg).rows[0]
+        assert (first["step"], first["time"], first["max_norm"], first["iterations"]) == (0, 0.0, 1.0, 0)
+        assert first["lq_norm"] == pytest.approx(interior_volume ** (1 / q))
 
 
 def test_config_validation_and_json_mirror():
@@ -472,8 +478,8 @@ def test_overflow_beyond_float_range_is_blowup(equation, overflow_step):
     tr = run(cfg)
     assert tr.status == "blowup_threshold"
     assert tr.status_step == overflow_step and len(tr.rows) == overflow_step
-    assert 1e100 < tr.rows[-1].max_norm < cfg.blowup_threshold
-    assert np.isfinite(tr.rows[-1].lq_norm)
+    assert 1e100 < tr.rows[-1]["max_norm"] < cfg.blowup_threshold
+    assert np.isfinite(tr.rows[-1]["lq_norm"])
 
 
 def test_cg_and_lu_leave_float_range_at_the_same_step(fresh_operators, monkeypatch):
@@ -485,7 +491,7 @@ def test_cg_and_lu_leave_float_range_at_the_same_step(fresh_operators, monkeypat
     direct = run(cfg)
     assert tr.status == direct.status == "blowup_threshold"
     assert tr.status_step == direct.status_step == 88
-    assert 1e170 < tr.rows[-1].max_norm < cfg.blowup_threshold
+    assert 1e170 < tr.rows[-1]["max_norm"] < cfg.blowup_threshold
 
 
 @pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
@@ -504,7 +510,7 @@ def test_cg_breakdown_in_a_run_is_a_solver_failure(monkeypatch):
     # a breakdown ends the run like an exhausted budget, with a report and status solver_failure
     grid = build_grid(GRID19)
     op = assemble_sublaplacian(grid)
-    shifted = simulate.SparseOperator((op.matrix + 5.0 * sp.identity(op.dimension)).tocsr())
+    shifted = simulate.SparseOperator((op.neg - 5.0 * sp.identity(op.dimension)).tocsr())
     monkeypatch.setattr(simulate, "_grid_operator", lambda config: (grid, shifted))
     cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=5, grid=GRID19,
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 3.0))
@@ -518,7 +524,7 @@ def test_max_iter_on_finite_data_stays_solver_failure():
                     solver_tol=1e-14, solver_max_iter=1)
     tr = run(cfg)
     assert tr.status == "solver_failure" and tr.status_step == 1
-    assert all(np.isfinite(r.max_norm) for r in tr.rows)
+    assert all(np.isfinite(r["max_norm"]) for r in tr.rows)
 
 
 @pytest.mark.parametrize("nodes", [9, 13])
@@ -526,9 +532,9 @@ def test_direct_solve_matches_cg(nodes):
     g = build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes))
     op = assemble_sublaplacian(g)
     u = BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0).evaluate(g)
-    rhs = -(op.matrix @ u) - np.abs(u) ** 1.5
-    x, iters = solve_linear(op, rhs, x0=-u)
-    ref, info = cg(op.neg, -rhs, rtol=1e-12, atol=0.0)
+    b = np.abs(u) ** 1.5 - op.neg @ u
+    x, iters = solve_linear(op, b, x0=-u)
+    ref, info = cg(op.neg, b, rtol=1e-12, atol=0.0)
     assert iters == 0 and info == 0
     assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
 
@@ -593,4 +599,29 @@ def test_linear_mode_makes_no_solve(monkeypatch, equation):
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0))
     tr = run(cfg)
     assert tr.status == "completed" and len(tr.rows) == 21
-    assert all(r.iterations == 0 for r in tr.rows)
+    assert all(r["iterations"] == 0 for r in tr.rows)
+
+
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_benchmark_reference_generator_reproduces_its_numbers(monkeypatch, equation):
+    # perfbench/make_sim_reference.py steps with its own loop and an LU solve of op.matrix;
+    # on the 13^3 sweep grid at the blow-up amplitude it must still give sim_reference.json
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import make_sim_reference
+    import workloads
+
+    cfg, checkpoints = next((c, k) for c, k in workloads.reference_menu()
+                            if c["equation"] == equation and c["grid"]["n_x"] == workloads.SWEEP_N
+                            and c["initial"]["amplitude"] == workloads.HIGH_AMPLITUDE)
+    stored = json.loads(workloads.SIM_REFERENCE.read_text())[workloads.config_key(cfg)]
+    grid, matrix, lu, kappa = make_sim_reference.operator(cfg["grid"])
+    rows, blowup = make_sim_reference.trajectory(cfg, grid, matrix, lu)
+    assert kappa == pytest.approx(stored["kappa"], rel=1e-12, abs=0.0)
+    for steps in checkpoints:
+        want = stored["checkpoints"][str(steps)]
+        blew = blowup is not None and blowup <= steps
+        assert (want["status"], want["status_step"]) == (("blowup_threshold", blowup) if blew
+                                                         else ("completed", -1))
+        peak, lq = rows[(blowup if blew else steps) - 1]
+        assert peak == pytest.approx(want["max_norm"], rel=1e-12, abs=0.0)
+        assert lq == pytest.approx(want["lq_norm"], rel=1e-12, abs=0.0)
