@@ -8,8 +8,9 @@ argvs of every other subcommand.  A case stores the report's `rows` and
 left out).  tests/test_golden.py reruns every case and asserts that the two
 blocks are byte-identical.  Regenerate only the cases whose reports change
 on purpose, and say which moved and why; the other entries are rewritten
-byte for byte.  For each rewritten case the script prints whether its
-status moved and else the largest relative change of a number in its rows.
+byte for byte.  For each rewritten case the script prints whether it is
+byte-identical, else whether its status moved, and else the largest relative
+change of a number in its rows and in its summary.
 
 Usage:
     PYTHONPATH=src python scripts/make_golden.py                    # every case
@@ -18,6 +19,7 @@ Usage:
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -106,17 +108,25 @@ def report_blocks(case, workdir: pathlib.Path) -> dict:
     return {"rows": report["rows"], "summary": report["summary"]}
 
 
+def largest_change(old: list, new: list) -> float:
+    """Largest relative change of a float between two lists of dicts, key by key."""
+    pairs = [(a[key], b[key]) for a, b in zip(old, new) for key in a
+             if isinstance(a[key], float) and isinstance(b.get(key), float)]
+    return max((abs(b - a) / abs(a) for a, b in pairs if a and math.isfinite(a)), default=0.0)
+
+
 def change(old: dict, new: dict) -> str:
-    """How a rewritten entry moved: its status, status step and row count, and else the
-    largest relative change of a number in its rows."""
+    """How a rewritten entry moved: not at all, its status, status step or row count,
+    or else the largest relative change of a number in its rows and in its summary."""
+    if json.dumps(old) == json.dumps(new):
+        return "byte-identical"
     keys = ("status", "status_step")
     if (len(old["rows"]) != len(new["rows"])
             or any(old["summary"].get(k) != new["summary"].get(k) for k in keys)):
         return "status, status step or row count moved"
-    pairs = [(a[key], b[key]) for a, b in zip(old["rows"], new["rows"]) for key in a
-             if isinstance(a[key], float) and isinstance(b.get(key), float)]
-    largest = max((abs(b - a) / abs(a) for a, b in pairs if a), default=0.0)
-    return f"status kept, largest relative change in rows {largest:.3g}"
+    rows = largest_change(old["rows"], new["rows"])
+    summary = largest_change([old["summary"]], [new["summary"]])
+    return f"status kept, largest relative change {rows:.3g} in rows, {summary:.3g} in summary"
 
 
 def main():

@@ -18,10 +18,9 @@ degree zero, so the integral splits into a 1-D radial quadrature times a
 gauge-sphere constant S_omega(s) = int_{|eta|=1} omega^s dsigma.  The
 sphere constant has a closed form from the Koranyi polar decomposition
 (Folland-Stein, Hardy Spaces on Homogeneous Groups, 1982), so every
-capacity path is deterministic and works for any n >= 1; all R- and
-T-dependence sits in the radial and time quadratures, whose radial
-integrands run on plain floats; each radial quadrature is computed once
-per (exponents, cutoff, R, weight) in a process.
+capacity path is deterministic and works for any n >= 1.  Bounds take T from
+the closed forms C_k T^(1-k q') and R from radial quadratures on plain floats,
+each computed once per (exponents, cutoff, R, weight) in a process.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ def _quad(integrand, lo: float, hi: float, kind: str, inputs: str, **weight) -> 
 
 
 def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
-    """Quadrature value of I_k(T) for k in {0, 1, 2}.
+    """Quadrature value of I_k(T) for k in {0, 1, 2}, the check of `time_integral_closed`.
 
     Substituting s = 1 - t/T turns the integrand into coef^(q') s^a with
     a = ell - k q' > -1, so the endpoint singularity at t = T becomes an
@@ -232,9 +231,15 @@ def time_integral_constant(e: Exponents, k: int) -> float:
     raise ParameterError("time integral order k must be 0, 1 or 2")
 
 
-def time_power(e: Exponents, k: int) -> float:
-    """T-exponent of I_k: 1 - k q'."""
-    return 1.0 - k * e.q_prime
+def time_integral_closed(e: Exponents, T: float, k: int) -> float:
+    """I_k(T) = C_k T^(1 - k q'), the time factor of the capacity bounds."""
+    try:  # float ** float reports only an errno tuple
+        value = time_integral_constant(e, k) * T ** (1.0 - k * e.q_prime)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"time factor I{k + 1} beyond floating-point range at q = {e.q}, T = {T:g}, ell = {e.ell:g}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +456,19 @@ def capacity_bound(
       + 2 ||u1||_q (data factor)^(1/q')           (order 2 only)
       + 2 |d_t^(order-1) phi1(0)| ||u0||_q (data factor)^(1/q'),
 
-    where |d_t phi1(0)| = ell/T.  The subcritical path (power cutoff) scales
-    like R^(Q-2q'); at the critical exponent the logarithmic cutoff is used
-    instead and the bound decays inside the (ln R) envelope.  For order 2,
-    subcritical totals group as const * R^(Q-2q') * (T^(1-2q') + T + 1 + 1/T).
+    where |d_t phi1(0)| = ell/T and I_k(T) = C_k T^(1-k q').  With the power cutoff,
+    the Young terms scale like R^(Q-2q') and the data terms like R^((Q-2q')/q'), so
+    order 2 totals R^(Q-2q') (a T^(1-2q') + b T) + R^((Q-2q')/q') (c + d/T).  At q_c
+    the logarithmic cutoff is used and the bound decays inside the (ln R) envelope.
     """
     if order not in (1, 2):
         raise ParameterError("time order must be 1 or 2")
     if not (0 <= u0_norm < math.inf and 0 <= u1_norm < math.inf):
         raise ParameterError("data norms must be finite and nonnegative")
     cq = young_constant(e.q)
-    i1 = time_integral(e, T, 0).value
-    i_order = time_integral(e, T, order).value
+    u0_coef = abs(TemporalFactor(T, e.ell).coefficient(order - 1))  # checks T > 0 first
+    i1 = time_integral_closed(e, T, 0)
+    i_order = time_integral_closed(e, T, order)
     spec = e.log_spec() if e.is_critical() else e.power_spec()
     spatial = spatial_integral(e, spec, R).value
     data = spatial_integral(e, spec, R, weighted=False).value
@@ -471,7 +477,6 @@ def capacity_bound(
              "term_lap": 2.0 * cq * i1 * spatial}
     if order == 2:
         terms["term_data_u1"] = 2.0 * u1_norm * data_root
-    u0_coef = abs(TemporalFactor(T, e.ell).coefficient(order - 1))
     terms["term_data_u0"] = 2.0 * u0_coef * u0_norm * data_root
     bound = 0.0
     for v in terms.values():

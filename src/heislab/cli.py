@@ -34,8 +34,8 @@ from .capacity import (
     spatial_integral,
     spatial_integral_critical,
     time_integral,
+    time_integral_closed,
     time_integral_constant,
-    time_power,
     verdict,
 )
 from .cutoffs import GaugeBump, ProductTestFunction, TemporalFactor
@@ -195,7 +195,7 @@ def cmd_lemma1(args: argparse.Namespace) -> Report:
     for T in parse_grid(args.T):
         for k in range(3):
             est = time_integral(e, T, k)
-            closed = time_integral_constant(e, k) * T ** time_power(e, k)
+            closed = time_integral_closed(e, T, k)
             rel = abs(est.value - closed) / abs(closed)
             worst = max(worst, rel)
             rows.append({
@@ -259,7 +259,7 @@ def cmd_scaling(args: argparse.Namespace) -> Report:
         k = {"I1": 0, "I2": 1, "I3": 2}[target]
         grid = parse_grid(args.T)
         samples = [(T, time_integral(e, T, k).value) for T in grid]
-        expected = time_power(e, k)
+        expected = 1.0 - k * e.q_prime
         kind = "log T"
     else:
         grid = parse_grid(args.R)

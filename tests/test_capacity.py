@@ -20,8 +20,8 @@ from heislab.capacity import (
     spatial_integral_critical,
     sphere_weight_constant,
     time_integral,
+    time_integral_closed,
     time_integral_constant,
-    time_power,
     verdict,
     young_constant,
 )
@@ -74,7 +74,7 @@ def test_time_integral_matches_closed_form(q, ell, T):
     e = Exponents(q=q, ell=ell)
     for k in range(3):
         est = time_integral(e, T, k)
-        closed = time_integral_constant(e, k) * T ** time_power(e, k)
+        closed = time_integral_closed(e, T, k)
         assert abs(est.value - closed) / abs(closed) <= 1e-8
         assert est.abs_error < abs(closed)
         assert est.nodes > 0
@@ -284,6 +284,26 @@ def test_parabolic_bound_doubling_and_decay():
     # zero data keeps only the two Young terms
     rep = capacity_bound(e, 10.0, 8.0, 1, 0.0)
     assert rep.breakdown["term_data_u0"] == 0.0
+
+
+@pytest.mark.parametrize("q", [1.05, 1.2, 4 / 3, 1.5, 2.0, 3.0])
+def test_bound_time_factors_are_closed_forms(monkeypatch, q):
+    # capacity_bound integrates no time factor, yet its Young terms are
+    # 2 C(q) I_k(T) I4(R) with the quadrature's I_k(T), to 1e-12
+    e = Exponents(q=q)
+    spatial = spatial_integral(e, e.log_spec() if e.is_critical() else e.power_spec(), 8.0).value
+    quadrature = capacity.time_integral
+
+    def fail(*args):
+        raise AssertionError("capacity_bound integrated a time factor")
+
+    monkeypatch.setattr(capacity, "time_integral", fail)
+    for T in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6, 1e10, 1e20, 1e30):
+        for order in (1, 2):
+            terms = capacity_bound(e, T, 8.0, order, 1.0, 1.0).breakdown
+            for name, k in (("term_lap", 0), ("term_lap_d" + "t" * order, order)):
+                want = 2.0 * young_constant(q) * quadrature(e, T, k).value * spatial
+                assert terms[name] == pytest.approx(want, rel=1e-12, abs=0.0), (T, order, name)
 
 
 def test_parabolic_bound_data_term():

@@ -594,11 +594,16 @@ def non_finite_paths(obj, path=()):
 @example(argv=["bound-parabolic", "--q", "1.05", "--R", "1e7,1e-2"])  # ratio_to_prev Infinity
 @example(argv=["bound-parabolic", "--q", "1.01", "--R", "1e9,1e8"])  # bounds underflow to 0, ratio NaN
 @example(argv=["bound-parabolic", "--q", "1.1", "--T", "1", "--R", "1,1,1,1"])  # used to raise LinAlgError
+# the closed-form time factors leave float range in T ** (1 - k q') and ell ** q'
+@example(argv=["bound-hyperbolic", "--q", "1.5", "--T", "1e-155"])
+@example(argv=["bound-parabolic", "--ell", "1e200"])
+@example(argv=["bound-parabolic", "--q", "1.5", "--ell", "1e150"])
 @given(argv=capacity_argv())
 def test_capacity_exit_code_contract(argv):
     code, out, err = run_main([*argv, "--format=json"])
     assert code in (0, 2) and "Traceback" not in err
     assert code != 2 or (err.count("\n") == 1 and "quadrature value or error" not in err), err
+    assert "(34," not in err and "math range error" not in err, err
     if code == 0:
         # the first bound has no predecessor, so its ratio_to_prev is NaN by design
         assert set(non_finite_paths(json.loads(out))) <= {("rows", 0, "ratio_to_prev")}
@@ -661,17 +666,27 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     (["scaling", "--target", "I4", "--q", "1.01"], "radial integrand beyond floating-point range at q = 1.01, R = 8"),
     (["lemma1", "--q", "1.5", "--T", "1e-155"], "time integrand beyond floating-point range at q = 1.5, T = 1e-155"),
     (["bound-parabolic", "--q", "1.5", "--T", "1e-155"],
-     "time integrand beyond floating-point range at q = 1.5, T = 1e-155"),
+     "time factor I2 beyond floating-point range at q = 1.5, T = 1e-155, ell = 6"),
+    # float ** float reports only an errno tuple for these closed-form time factors
+    (["bound-hyperbolic", "--q", "1.5", "--T", "1e-155"],
+     "time factor I3 beyond floating-point range at q = 1.5, T = 1e-155, ell = 6"),
+    (["bound-parabolic", "--ell", "1e200"],
+     "time factor I2 beyond floating-point range at q = 2.0, T = 10, ell = 1e+200"),
+    (["bound-parabolic", "--q", "1.5", "--ell", "1e150"],
+     "time factor I2 beyond floating-point range at q = 1.5, T = 10, ell = 1e+150"),
+    # I3(T) = C_2 T^(-5) is finite at T = 1e-60, and the bound is not
+    (["bound-hyperbolic", "--q", "1.5", "--T", "1e-60"], "bound beyond floating-point range at R = 8"),
     # scipy returns these non-finite without raising; they used to name no input
     (["lemma2", "--kappa", "1e300"], "radial quadrature beyond floating-point range at q = 2.0, kappa = 1e+300, R = 1000"),
     (["lemma1", "--ell", "1e308"], "time quadrature beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
-        "bound-tiny-T", "lemma2-huge-kappa", "lemma1-huge-ell"])
+        "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-huge-ell", "bound-huge-ell-q1.5",
+        "bound-hyperbolic-overflow", "lemma2-huge-kappa", "lemma1-huge-ell"])
 def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and culprit in err
-    assert "division by zero" not in err and "math range error" not in err
+    assert "division by zero" not in err and "math range error" not in err and "(34," not in err
     assert "quadrature value or error" not in err
 
 
@@ -736,11 +751,16 @@ def test_parabolic_bound_needs_no_second_time_coefficient():
     assert [f"{r['bound']:.4g}" for r in report.rows] == ["6.578e+206", "1.645e+206"]
 
 
-def test_hyperbolic_bound_overflow_names_the_time_coefficient(capsys):
-    assert main(["bound-hyperbolic", "--q", "3/2", "--T", "1e200", "--R", "8,16"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "ell(ell-1)/T^2" in err and "T = 1e+200" in err
-    assert "(34," not in err
+def test_hyperbolic_bound_at_huge_T_equals_the_parabolic():
+    # the bounds take I_k(T) in closed form, so ell(ell-1)/T^2, which overflows at
+    # T = 1e200, is never formed; the run used to exit 2 on it
+    argv = ["--q", "3/2", "--T", "1e200", "--R", "8,16"]
+    hyperbolic = dispatch(run_spec(["bound-hyperbolic", *argv])).rows
+    parabolic = dispatch(run_spec(["bound-parabolic", *argv])).rows
+    assert [f"{r['bound']:.4g}" for r in hyperbolic] == ["6.578e+206", "1.645e+206"]
+    assert [r["bound"] for r in hyperbolic] == [r["bound"] for r in parabolic]
+    # I3(T) = C_2 T^(-5) underflows, as I2(T) = C_1 T^(-2) does in the parabolic bound
+    assert [r["term_lap_dtt"] for r in hyperbolic] == [r["term_lap_dt"] for r in parabolic] == [0.0, 0.0]
 
 
 def test_vacuous_residual_exits_2(capsys):

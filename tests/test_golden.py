@@ -37,3 +37,11 @@ def test_simulate_reports_match_corpus(tmp_path):
 
 def test_other_reports_match_corpus(tmp_path):
     check_corpus(make_golden.GOLDEN_DIR / "reports.json", tuple(make_golden.REPORTS), tmp_path)
+
+
+def test_change_reports_identity_and_summary_floats():
+    entry = {"argv": ["bound-parabolic"], "rows": [{"R": 8.0, "bound": 2.0, "ratio_to_prev": float("nan")}],
+             "summary": {"critical": False, "slope": -2.0}}
+    assert make_golden.change(entry, json.loads(json.dumps(entry))) == "byte-identical"
+    moved = {**entry, "summary": {"critical": False, "slope": -2.5}}
+    assert make_golden.change(entry, moved) == "status kept, largest relative change 0 in rows, 0.25 in summary"
