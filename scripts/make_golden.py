@@ -10,7 +10,8 @@ blocks are byte-identical.  Regenerate only the cases whose reports change
 on purpose, and say which moved and why; the other entries are rewritten
 byte for byte.  For each rewritten case the script prints whether it is
 byte-identical, else whether its status moved, and else the largest relative
-change of a number in its rows and in its summary.
+change of a number in its rows and in its summary and, by its first column,
+each row that moved (e.g. `identity=commutator_cross_zero`).
 
 Usage:
     PYTHONPATH=src python scripts/make_golden.py                    # every case
@@ -115,9 +116,20 @@ def largest_change(old: list, new: list) -> float:
     return max((abs(b - a) / abs(a) for a, b in pairs if a and math.isfinite(a)), default=0.0)
 
 
+def moved_rows(old: list, new: list) -> list:
+    """`column=value` of the first column of each row that differs between old and new."""
+    names = []
+    for a, b in zip(old, new):
+        if json.dumps(a) != json.dumps(b):
+            key = next(iter(a))
+            names.append(f"{key}={a[key]}")
+    return names
+
+
 def change(old: dict, new: dict) -> str:
     """How a rewritten entry moved: not at all, its status, status step or row count,
-    or else the largest relative change of a number in its rows and in its summary."""
+    or else the largest relative change of a number in its rows and in its summary,
+    followed by the rows that moved."""
     if json.dumps(old) == json.dumps(new):
         return "byte-identical"
     keys = ("status", "status_step")
@@ -126,7 +138,9 @@ def change(old: dict, new: dict) -> str:
         return "status, status step or row count moved"
     rows = largest_change(old["rows"], new["rows"])
     summary = largest_change([old["summary"]], [new["summary"]])
-    return f"status kept, largest relative change {rows:.3g} in rows, {summary:.3g} in summary"
+    out = f"status kept, largest relative change {rows:.3g} in rows, {summary:.3g} in summary"
+    moved = moved_rows(old["rows"], new["rows"])
+    return f"{out}; rows moved: {', '.join(moved)}" if moved else out
 
 
 def main():

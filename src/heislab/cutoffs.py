@@ -239,25 +239,22 @@ class ProductTestFunction:
 class GaugeBump:
     """C^2 bump supported in a left-translated gauge ball.
 
-    value(eta) = A Theta(|eta o c^{-1}|^2 / rho^2).  `spatial` returns the
+    value(eta) = Theta(|eta o c^{-1}|^2 / rho^2).  `spatial` returns the
     value and its exact sub-Laplacian from one translation and one
     smoothstep evaluation: Delta is invariant under eta -> eta o c^{-1},
     so it equals the radial formula evaluated at the translated point.
     """
 
-    def __init__(self, center: GroupPoint, radius: float = 1.0, amplitude: float = 1.0):
+    def __init__(self, center: GroupPoint, radius: float = 1.0):
         if not radius > 0:
             raise ParameterError("bump radius must be positive")
         self.center = center
         self.radius = float(radius)
-        self.amplitude = float(amplitude)
 
     def value(self, p: GroupPoint):
         _, r2 = _norm4(compose(p, inverse(self.center)))
-        v, _, _ = smoothstep_complement(r2 / self.radius**2)
-        return self.amplitude * v
+        return smoothstep_complement(r2 / self.radius**2)[0]
 
     def spatial(self, p: GroupPoint):
         """(value, Delta value) at the points p, from one shared pass."""
-        v, lap = gauge_radial(compose(p, inverse(self.center)), self.radius**2, smoothstep_complement)
-        return self.amplitude * v, self.amplitude * lap
+        return gauge_radial(compose(p, inverse(self.center)), self.radius**2, smoothstep_complement)

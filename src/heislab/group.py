@@ -13,8 +13,8 @@ horizontal fields
 generate the sub-Laplacian  Delta = sum_i (X_i^2 + Y_i^2).
 
 Everything here is vectorised: x and y carry shape (..., n), tau carries
-the matching batch shape (...), and results broadcast.  Derivative
-oracles address coordinates by flat index in the order
+the matching batch shape (...), and results broadcast.  Fields expose
+value(p) and d2(p, i, j), with coordinates indexed in the flat order
 (x_1..x_n, y_1..y_n, tau); index 2n is always tau.
 """
 
@@ -138,11 +138,6 @@ class SmoothField:
         moved[..., i % n] += delta
         return GroupPoint(moved, p.y, p.tau) if i < n else GroupPoint(p.x, moved, p.tau)
 
-    def d1(self, p: GroupPoint, i: int):
-        _check_index(p, i)
-        h = self.h
-        return (self._value(self._shifted(p, i, h)) - self._value(self._shifted(p, i, -h))) / (2 * h)
-
     def d2(self, p: GroupPoint, i: int, j: int):
         i, j = _ordered_pair(p, i, j)
         h = self.h
@@ -159,27 +154,10 @@ class SmoothField:
         return (pp - pm - mp + mm) / (4 * h * h)
 
 
-def _check_index(p: GroupPoint, i: int):
-    if i < 0 or i > 2 * p.n:
-        raise ParameterError(f"coordinate index {i} out of range for n={p.n}")
-
-
 def _ordered_pair(p: GroupPoint, i: int, j: int):
     if min(i, j) < 0 or max(i, j) > 2 * p.n:
         raise ParameterError(f"coordinate pair ({i},{j}) out of range for n={p.n}")
     return (i, j) if i <= j else (j, i)
-
-
-def horizontal_derivative(f, i: int, kind: str, p: GroupPoint):
-    """Apply X_i (kind "X") or Y_i (kind "Y") to a field f with d1 at p.  i is 1-based."""
-    n = p.n
-    if not 1 <= i <= n:
-        raise ParameterError(f"horizontal index {i} out of range 1..{n}")
-    if kind == "X":
-        return f.d1(p, i - 1) + 2.0 * p.y[..., i - 1] * f.d1(p, 2 * n)
-    if kind == "Y":
-        return f.d1(p, n + i - 1) - 2.0 * p.x[..., i - 1] * f.d1(p, 2 * n)
-    raise ParameterError(f"kind must be 'X' or 'Y', got {kind!r}")
 
 
 def sublaplacian(f, p: GroupPoint):
@@ -250,8 +228,11 @@ class PolyField:
         return out
 
     def diff(self, i: int) -> "PolyField":
+        """The exact partial derivative along flat coordinate i (0..2n, 2n is tau)."""
         if i in self._diff_cache:
             return self._diff_cache[i]
+        if not 0 <= i < self.ncoords:
+            raise ParameterError(f"coordinate index {i} out of range for n={self.npairs}")
         out = {}
         for exps, c in self.coeffs.items():
             if exps[i] > 0:
@@ -275,10 +256,6 @@ class PolyField:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0.0) + c1 * c2
         return PolyField(out, self.npairs)
-
-    def d1(self, p: GroupPoint, i: int):
-        _check_index(p, i)
-        return self.diff(i).value(p)
 
     def d2(self, p: GroupPoint, i: int, j: int):
         i, j = _ordered_pair(p, i, j)
@@ -318,13 +295,13 @@ def horizontal_field(f: PolyField, i: int, kind: str) -> PolyField:
     raise ParameterError(f"kind must be 'X' or 'Y', got {kind!r}")
 
 
-def random_polynomial(n: int, rng: np.random.Generator, degree: int = 3, terms: int = 6) -> PolyField:
-    """Random polynomial with integer-grid exponents and O(1) coefficients."""
+def random_polynomial(n: int, rng: np.random.Generator) -> PolyField:
+    """Random polynomial of six terms of degree at most 3 with O(1) coefficients."""
     ncoords = 2 * n + 1
     coeffs = {}
-    for _ in range(terms):
-        exps = tuple(int(e) for e in rng.integers(0, degree + 1, size=ncoords))
-        if sum(exps) > degree:
+    for _ in range(6):
+        exps = tuple(int(e) for e in rng.integers(0, 4, size=ncoords))
+        if sum(exps) > 3:
             exps = tuple(e if k == np.argmax(exps) else 0 for k, e in enumerate(exps))
         coeffs[exps] = coeffs.get(exps, 0.0) + float(rng.uniform(-1, 1))
     return PolyField(coeffs, n)

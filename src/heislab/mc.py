@@ -34,7 +34,7 @@ class MCEstimate:
     stderr: float
 
 
-def _chunk_generator(seed: int, index: int) -> np.random.Generator:
+def chunk_generator(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed % 2**64, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -42,7 +42,7 @@ def _chunk_generator(seed: int, index: int) -> np.random.Generator:
 def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int) -> np.ndarray:
     """Uniform points in the box for chunk `index`, shape (count, dim)."""
     bounds = np.asarray(bounds, dtype=float)
-    u = _chunk_generator(cfg.seed, index).random((count, bounds.shape[0]))
+    u = chunk_generator(cfg.seed, index).random((count, bounds.shape[0]))
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .group import GroupPoint
-from .mc import MCConfig, MCEstimate, mc_integrate_vector, sample_box
+from .mc import MCConfig, MCEstimate, chunk_generator, mc_integrate_vector, sample_box
 
 
 TIME_NODES = 64  # Gauss-Legendre nodes of every time integral
@@ -151,7 +151,7 @@ def pair_defect(terms, testfn, cfg: MCConfig) -> MCEstimate:
 def _check_supported_inside(f, box: np.ndarray, scale: float):
     """Sample each box face; the spatial factor f must vanish there."""
     d = box.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
+    rng = chunk_generator(11, 0)
     for axis in range(d):
         for side in range(2):
             pts = box[:, 0] + rng.random((64, d)) * (box[:, 1] - box[:, 0])

@@ -214,8 +214,8 @@ def test_product_test_function():
 
 def test_gauge_bump_center_and_support():
     c = point(0.4, -0.3, 0.6)
-    b = GaugeBump(center=c, radius=1.5, amplitude=2.0)
-    assert b.value(c) == pytest.approx(2.0)
+    b = GaugeBump(center=c, radius=1.5)
+    assert b.value(c) == pytest.approx(1.0)
     far = point(5.0, 5.0, 20.0)
     assert b.value(far) == 0.0
     assert b.spatial(far) == (0.0, 0.0)
@@ -228,7 +228,7 @@ BUMP_CENTERS = {1: point(0.4, -0.3, 0.6),
 def test_gauge_bump_exact_lap_matches_fd():
     rng = np.random.default_rng(13)
     for n, center in BUMP_CENTERS.items():
-        b = GaugeBump(center=center, radius=1.7, amplitude=2.0)
+        b = GaugeBump(center=center, radius=1.7)
         p = rand_points(rng, 200, scale=1.0, n=n)
         err = np.max(np.abs(b.spatial(p)[1] - sublaplacian(SmoothField(b.value, h=1e-3), p)))
         assert err < 5e-4
@@ -237,7 +237,7 @@ def test_gauge_bump_exact_lap_matches_fd():
 @pytest.mark.parametrize("n", [1, 2])
 def test_gauge_bump_spatial_value_is_value_bit_for_bit(n):
     rng = np.random.default_rng(29)
-    b = GaugeBump(center=BUMP_CENTERS[n], radius=1.2, amplitude=-1.5)
+    b = GaugeBump(center=BUMP_CENTERS[n], radius=1.2)
     # points on both sides of the bump's support boundary
     p = rand_points(rng, 400, scale=1.0, tau_scale=1.0, n=n)
     value, lap = b.spatial(p)

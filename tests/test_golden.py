@@ -45,3 +45,17 @@ def test_change_reports_identity_and_summary_floats():
     assert make_golden.change(entry, json.loads(json.dumps(entry))) == "byte-identical"
     moved = {**entry, "summary": {"critical": False, "slope": -2.5}}
     assert make_golden.change(entry, moved) == "status kept, largest relative change 0 in rows, 0.25 in summary"
+
+
+def test_change_names_the_rows_that_moved():
+    # a value that moves to 0.0 shows as a relative change of 1 whatever its size; the row name says which
+    entry = {"argv": ["identities"], "summary": {"all_pass": True},
+             "rows": [{"identity": "associativity", "measured": 0.0},
+                      {"identity": "commutator_cross_zero", "measured": 3.55e-15},
+                      {"identity": "commutator_XY_minus4", "measured": 4.44e-15}]}
+    moved = json.loads(json.dumps(entry))
+    moved["rows"][1]["measured"] = 0.0
+    moved["rows"][2]["measured"] = 1.78e-15
+    assert make_golden.change(entry, moved) == (
+        "status kept, largest relative change 1 in rows, 0 in summary; "
+        "rows moved: identity=commutator_cross_zero, identity=commutator_XY_minus4")

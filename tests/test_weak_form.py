@@ -4,7 +4,7 @@ import pytest
 from heislab.cutoffs import CutoffSpec, GaugeBump, ProductTestFunction, TemporalFactor
 from heislab.errors import ParameterError
 from heislab.group import GroupPoint, point
-from heislab.mc import MCConfig, mc_integrate_vector
+from heislab.mc import MCConfig, chunk_generator, mc_integrate_vector
 from heislab.weak_form import (
     TIME_NODES,
     CandidateSolution,
@@ -311,6 +311,14 @@ def test_selfadjointness_rejects_malformed_box():
     for box in (BOX[:2], BOX[:, :1], np.zeros((4, 2)), BOX.ravel()):
         with pytest.raises(ParameterError):
             selfadjointness_residual(f, f, box, MCConfig(samples=2_000, seed=0))
+
+
+@pytest.mark.parametrize("seed, index", [(0, 1), (7, 1), (11, 0), (-1, 3)])
+def test_chunk_generator_is_philox_keyed_seed_index(seed, index):
+    # identities draws from (seed, 1) and the box-boundary probe from (11, 0)
+    key = np.array([seed % 2**64, index], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).random(8)
+    assert np.array_equal(chunk_generator(seed, index).random(8), want)
 
 
 def test_selfadjointness_rejects_boundary_support():
