@@ -10,12 +10,18 @@ horizontal fields
 
     X_i = d/dx_i + 2 y_i d/dtau,     Y_i = d/dy_i - 2 x_i d/dtau
 
-generate the sub-Laplacian  Delta = sum_i (X_i^2 + Y_i^2).
+generate the sub-Laplacian  Delta = sum_i (X_i^2 + Y_i^2).  In coordinates,
+
+    Delta f = Delta_(x,y) f + 4 |(x,y)|^2 f_tautau + 4 sum_i (y_i f_(x_i tau) - x_i f_(y_i tau)).
+
+`sublaplacian` evaluates it exactly on polynomial fields by nesting
+`horizontal_field`; `fd_sublaplacian` is its central-difference reference
+for any field, built on the group law.
 
 Everything here is vectorised: x and y carry shape (..., n), tau carries
 the matching batch shape (...), and results broadcast.  Fields expose
-value(p) and d2(p, i, j), with coordinates indexed in the flat order
-(x_1..x_n, y_1..y_n, tau); index 2n is always tau.
+value(p), with coordinates indexed in the flat order (x_1..x_n, y_1..y_n,
+tau); index 2n is always tau.
 """
 
 from __future__ import annotations
@@ -112,67 +118,20 @@ def dilate(lam: float, a: GroupPoint) -> GroupPoint:
     return GroupPoint(lam * a.x, lam * a.y, lam * lam * a.tau)
 
 
-class SmoothField:
-    """Scalar field on H^n with central-difference derivatives of step h.
+def fd_sublaplacian(value, p: GroupPoint, h: float):
+    """Central-difference Delta f at p for any field value(p), from the group law.
 
-    The mixed second derivative uses the 4-point cross formula.  Index pairs
-    are canonicalised (i <= j), so d2 is symmetric by construction.  This is
-    the finite-difference reference; PolyField carries exact derivatives.
+    s -> (s e_k, 0, 0) o p has velocity X_k and s -> (0, s e_k, 0) o p has
+    velocity Y_k, so sum_k (f(a_h o p) - 2 f(p) + f(a_-h o p)) / h^2 over these
+    2n translations is Delta f + O(h^2), from 1 + 4n evaluations.
     """
-
-    def __init__(self, value, h: float = 1e-4):
-        if h <= 0:
-            raise ParameterError("finite-difference step h must be positive")
-        self._value = value
-        self.h = h
-
-    def value(self, p: GroupPoint):
-        return self._value(p)
-
-    @staticmethod
-    def _shifted(p: GroupPoint, i: int, delta: float) -> GroupPoint:
-        n = p.n
-        if i == 2 * n:
-            return GroupPoint(p.x, p.y, p.tau + delta)
-        moved = (p.x if i < n else p.y).copy()
-        moved[..., i % n] += delta
-        return GroupPoint(moved, p.y, p.tau) if i < n else GroupPoint(p.x, moved, p.tau)
-
-    def d2(self, p: GroupPoint, i: int, j: int):
-        i, j = _ordered_pair(p, i, j)
-        h = self.h
-        if i == j:
-            return (
-                self._value(self._shifted(p, i, h))
-                - 2.0 * self._value(p)
-                + self._value(self._shifted(p, i, -h))
-            ) / (h * h)
-        pp = self._value(self._shifted(self._shifted(p, i, h), j, h))
-        pm = self._value(self._shifted(self._shifted(p, i, h), j, -h))
-        mp = self._value(self._shifted(self._shifted(p, i, -h), j, h))
-        mm = self._value(self._shifted(self._shifted(p, i, -h), j, -h))
-        return (pp - pm - mp + mm) / (4 * h * h)
-
-
-def _ordered_pair(p: GroupPoint, i: int, j: int):
-    if min(i, j) < 0 or max(i, j) > 2 * p.n:
-        raise ParameterError(f"coordinate pair ({i},{j}) out of range for n={p.n}")
-    return (i, j) if i <= j else (j, i)
-
-
-def sublaplacian(f, p: GroupPoint):
-    """Delta f = Delta_(x,y) f + 4|(x,y)|^2 f_tt + 4 sum_i (y_i f_{x_i t} - x_i f_{y_i t})
-    for any field f with a second-derivative oracle d2."""
-    n = p.n
-    t = 2 * n
+    if not h > 0:
+        raise ParameterError("finite-difference step h must be positive")
+    centre = value(p)
     out = 0.0
-    for i in range(n):
-        out = out + f.d2(p, i, i) + f.d2(p, n + i, n + i)
-    sq = np.sum(p.x * p.x, axis=-1) + np.sum(p.y * p.y, axis=-1)
-    out = out + 4.0 * sq * f.d2(p, t, t)
-    for i in range(n):
-        out = out + 4.0 * (p.y[..., i] * f.d2(p, i, t) - p.x[..., i] * f.d2(p, n + i, t))
-    return out
+    for a in map(GroupPoint.from_flat, h * np.eye(2 * p.n + 1)[: 2 * p.n]):  # h e_k, k < 2n
+        out = out + (value(compose(a, p)) - 2.0 * centre + value(compose(inverse(a), p)))
+    return out / (h * h)
 
 
 def gauge_radial(p: GroupPoint, rho2: float, profile):
@@ -257,10 +216,6 @@ class PolyField:
                 out[key] = out.get(key, 0.0) + c1 * c2
         return PolyField(out, self.npairs)
 
-    def d2(self, p: GroupPoint, i: int, j: int):
-        i, j = _ordered_pair(p, i, j)
-        return self.diff(i).diff(j).value(p)
-
     def pullback(self, A: np.ndarray, b: np.ndarray) -> "PolyField":
         """The expanded polynomial z -> f(A z + b)."""
         d, n = self.ncoords, self.npairs
@@ -293,6 +248,13 @@ def horizontal_field(f: PolyField, i: int, kind: str) -> PolyField:
     if kind == "Y":
         return f.diff(n + i - 1) + f.diff(t) * monomial(i - 1, -2.0)
     raise ParameterError(f"kind must be 'X' or 'Y', got {kind!r}")
+
+
+def sublaplacian(f: PolyField, p: GroupPoint):
+    """Delta f = sum_i X_i(X_i f) + Y_i(Y_i f) at p, exact, from the nested frame."""
+    squares = (horizontal_field(horizontal_field(f, i, kind), i, kind)
+               for i in range(1, f.npairs + 1) for kind in "XY")
+    return sum(squares, PolyField({}, f.npairs)).value(p)
 
 
 def random_polynomial(n: int, rng: np.random.Generator) -> PolyField:

@@ -33,6 +33,7 @@ from heislab.group import (
     compose,
     dilate,
     dilation_matrix,
+    fd_sublaplacian,
     gauge_radial,
     horizontal_field,
     invariant_translation,
@@ -162,6 +163,11 @@ def test_criterion_4_group_calculus_identities():
     _, lap = gauge_radial(p1, 1.0, lambda s: (
         c0 + c1 * s**2 + c2 * s**4, 2 * c1 * s + 4 * c2 * s**3, 2 * c1 + 12 * c2 * s**2))
     errs["radial"] = float(np.max(np.abs(sublaplacian(f, p1) - lap)))
+    law = 0.0
+    for _ in range(5):  # the frame's Delta against central differences along the group law
+        f = random_polynomial(1, rng)
+        law = max(law, float(np.max(np.abs(fd_sublaplacian(f.value, p1, 0.1) - sublaplacian(f, p1)))))
+    errs["group_law"] = law
     elapsed = time.perf_counter() - t0
     ok = max(errs.values()) <= 1e-8 and elapsed < 5.0
     detail = ", ".join(f"{k} {v:.1e}" for k, v in errs.items())

@@ -775,6 +775,17 @@ def test_vacuous_residual_exits_2(capsys):
     assert err.count("\n") == 1 and "phi1" in err
 
 
+# no sample lands in a support: every estimate and its standard error read 0, and
+# identities reported all_pass, residual within_3sigma, on a check that saw nothing
+@pytest.mark.parametrize("argv", [["identities", "--samples", "2", "--seed", "0"],
+                                  ["residual", "--samples", "2", "--seed", "3"]],
+                         ids=lambda argv: argv[0])
+def test_empty_monte_carlo_support_exits_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--samples 2" in err
+
+
 def readme_blocks(lang):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return re.findall(rf"^```{lang}\n(.*?)^```", text, flags=re.M | re.S)

@@ -7,10 +7,10 @@ from heislab.errors import ParameterError
 from heislab.group import (
     GroupPoint,
     PolyField,
-    SmoothField,
     compose,
     dilate,
     dilation_matrix,
+    fd_sublaplacian,
     gauge_norm,
     gauge_radial,
     horizontal_field,
@@ -233,34 +233,37 @@ def test_dilation_homogeneity_of_sublaplacian():
         assert err < 1e-8
 
 
-def test_smoothfield_kinds_and_symmetry():
-    # the exact field and its central-difference reference: both symmetric, both range-checked
-    analytic = PolyField({(1, 1, 1): 1.0}, 1)
-    fd = SmoothField(lambda p: p.x[..., 0] * p.y[..., 0] * p.tau)
-    rng = np.random.default_rng(8)
-    p = rand_points(rng, 1, 20)
-    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        for field in (analytic, fd):
-            assert np.array_equal(field.d2(p, i, j), field.d2(p, j, i))
-        assert np.allclose(fd.d2(p, i, j), analytic.d2(p, i, j), atol=1e-6)
-    for field in (analytic, fd):
-        with pytest.raises(ParameterError):
-            field.d2(p, -1, 0)
-    with pytest.raises(ParameterError):
-        SmoothField(lambda p: p.tau, h=0)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_sublaplacian_is_exact_on_cubics(n):
+    # a translation curve is linear in s, so a cubic stays a cubic along it and the
+    # central difference along the group law is exact up to rounding, even at h = 0.1;
+    # at n >= 2 random_polynomial draws mostly pure powers, whose Delta does not see the
+    # sign of the twist, so each cubic is also checked through a translate, which mixes x, y, tau
+    rng = np.random.default_rng(20 + n)
+    p = rand_points(rng, n, 100)
+    for _ in range(5):
+        f = random_polynomial(n, rng)
+        shift = GroupPoint(*rng.uniform(-1, 1, (2, n)), rng.uniform(-1, 1))
+        for g in (f, f.pullback(*invariant_translation(shift))):
+            assert np.max(np.abs(fd_sublaplacian(g.value, p, 0.1) - sublaplacian(g, p))) < 1e-10
 
 
-def test_fd_second_derivative_order():
+def test_fd_sublaplacian_order():
     rng = np.random.default_rng(9)
     p = rand_points(rng, 1, 50)
 
     def smooth(pt):
         return np.sin(pt.x[..., 0]) * np.cos(pt.y[..., 0]) * np.exp(pt.tau / 3)
 
-    exact = -np.sin(p.x[..., 0]) * np.cos(p.y[..., 0]) * np.exp(p.tau / 3)
+    x, y, e = p.x[..., 0], p.y[..., 0], np.exp(p.tau / 3)
+    exact = ((4 * (x * x + y * y) / 9 - 2) * smooth(p)
+             + 4 / 3 * e * (y * np.cos(x) * np.cos(y) + x * np.sin(x) * np.sin(y)))
     errs = []
     for h in (1e-2, 5e-3):
-        errs.append(np.max(np.abs(SmoothField(smooth, h=h).d2(p, 0, 0) - exact)))
+        errs.append(np.max(np.abs(fd_sublaplacian(smooth, p, h) - exact)))
     order = np.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2
+    for h in (0.0, -1e-3):
+        with pytest.raises(ParameterError):
+            fd_sublaplacian(smooth, p, h)
 
