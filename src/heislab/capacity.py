@@ -34,8 +34,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import beta
 
 from .cutoffs import (
     CutoffSpec,
@@ -166,6 +164,7 @@ class Verdict(Enum):
 def _quad(integrand, lo: float, hi: float, kind: str, inputs: str, **weight) -> QuadratureEstimate:
     """scipy quad of `integrand` over [lo, hi], with the time integral's algebraic
     `weight` if given; an overflow names the `kind` of quadrature and its `inputs`."""
+    from scipy.integrate import quad
     try:
         y, err, info = quad(integrand, lo, hi, epsabs=0.0 if weight else 1e-300, epsrel=1e-11,
                             limit=200, full_output=True, **weight)[:3]
@@ -258,6 +257,7 @@ def sphere_weight_constant(n: int, s: float) -> float:
         raise ParameterError("n must be a positive integer")
     if s < 0:
         raise ParameterError("weight power s must be nonnegative")
+    from scipy.special import beta
     return 2.0 * math.pi**n / math.gamma(n) * float(beta((s + n) / 2.0, 0.5))
 
 

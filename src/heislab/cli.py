@@ -535,6 +535,7 @@ def dispatch(args: argparse.Namespace) -> Report:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        report_timestamp()  # before scipy loads: its numpy.f2py raises on a malformed SOURCE_DATE_EPOCH
         report = dispatch(args)
     except ParameterError as exc:
         print(f"heislab: parameter error: {exc}", file=sys.stderr)

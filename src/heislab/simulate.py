@@ -38,13 +38,14 @@ from __future__ import annotations
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, SolverFailure
+
+if TYPE_CHECKING:  # scipy.sparse itself loads at the first assembly
+    import scipy.sparse as sp
 
 # LU fill: 2 MB at 13^3 nodes, 8.4 MB at 17^3, 10.9 MB at 18^3, 14 MB at 19^3, 62 MB at 25^3.
 # A cold 30-step run (median of 5, either equation) takes 3.3, 3.9 and 5.1 ms a step by LU
@@ -140,6 +141,7 @@ class SparseOperator:
 
     @cached_property
     def lu(self):
+        from scipy.sparse.linalg import splu
         return splu(self.neg.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
     @cached_property
@@ -159,6 +161,7 @@ def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
     exists.  Values at boundary-layer nodes are fixed to zero, so each factor
     keeps its interior columns only.
     """
+    import scipy.sparse as sp
     (nx, ny, nt), (x, y, _), (hx, hy, ht) = grid.shape, grid.axes, grid.h
 
     def cut(n):

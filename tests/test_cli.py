@@ -173,6 +173,56 @@ def test_malformed_source_date_epoch_before_start_up_exits_2(child_env):
     assert proc.stderr.count("\n") == 1 and "SOURCE_DATE_EPOCH" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["bound-parabolic", "simulate"])
+def test_malformed_source_date_epoch_exits_2_in_commands_that_load_scipy(tmp_path, child_env, command):
+    # verdict loads no scipy; these two do, and scipy's numpy.f2py raises on the value at import
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_sim_config()))
+    argv = {"bound-parabolic": ["--n", "1", "--q", "1.5"], "simulate": ["--config", str(path)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "heislab.cli", command, *argv],
+                          env={**child_env, "SOURCE_DATE_EPOCH": "abc"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "SOURCE_DATE_EPOCH" in proc.stderr
+
+
+# Run in one fresh interpreter: the heislab modules that `import heislab.cli` loads, and the
+# scipy modules loaded after it and after each command run in turn by cli.main
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import heislab.cli
+loaded = {"heislab": sorted(m for m in sys.modules if m.startswith("heislab.")),
+          "heislab.cli": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert heislab.cli.main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_scipy_they_use(tmp_path, child_env, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from spans import LAYERS
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_sim_config()))
+    commands = [["verdict", "--n", "1", "--q", "1.5"], ["residual", "--samples", "1024"],
+                ["identities", "--samples", "2000"], ["simulate", "--config", str(path)]]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+                          env={**child_env, "SOURCE_DATE_EPOCH": "0"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    # the span tracer wraps every layer module it finds in sys.modules after this import
+    assert {f"heislab.{layer}" for layer in LAYERS} <= set(loaded["heislab"])
+    for stage in ("heislab.cli", "verdict", "residual", "identities"):
+        assert loaded[stage] == [], stage
+    assert "scipy.sparse" in loaded["simulate"] and "scipy.integrate" not in loaded["simulate"]
+
+
 BAD_BUMPS = {
     "zero_width": ("initial", "width", 0),
     "negative_width": ("initial", "width", -1.0),
