@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -332,27 +333,33 @@ def cmd_verdict(args: argparse.Namespace) -> Report:
     return _report(args, rows, summary)
 
 
-def _manufactured_candidate(q: float, R: float, order: int):
-    """Separable candidate a(t) * bump(eta) and its strong-form defect, both
-    as terms ((time factor, spatial factor), ...).
-
-    The bump overlaps the cutoff transition so the Delta-phi terms of the
-    weak identity are genuinely exercised.
+def _manufactured_cases(q: float, R: float):
+    """(case, (candidate a(t) * bump(eta), time order), strong-form defect as
+    terms ((time factor, spatial factor), ...)) for both orders.  The bump
+    overlaps the cutoff transition so the Delta-phi terms of the weak
+    identity are genuinely exercised.
     """
     center = dilate(R / 3.0, GroupPoint(np.array([0.2]), np.array([-0.1]), 0.05))
-    bump = GaugeBump(center=center, radius=0.75 * R)
+    spatial, memo = GaugeBump(center=center, radius=0.75 * R).spatial, weakref.WeakKeyDictionary()
+
+    def bump(p):  # (value, Delta value), once per set of points while they live
+        if p not in memo:
+            memo[p] = spatial(p)
+        return memo[p]
 
     def a(t):
         return np.exp(-0.5 * t)
 
-    def u1(p):  # u_t(0, .) = a'(0) bump
-        return -0.5 * a(0.0) * bump.value(p)
+    b = lambda p: bump(p)[0]  # one callable, so a pass evaluates it once per chunk
 
-    ratio = 0.25 if order == 2 else -0.5  # a^(order) / a: a'' = a / 4, a' = -a / 2
-    defect = ((lambda t: ratio * a(t) + a(t), lambda p: bump.spatial(p)[1]),
-              (lambda t: np.abs(a(t)) ** q, lambda p: np.abs(bump.value(p)) ** q))
-    cand = CandidateSolution(terms=((a, bump.value),), u1=u1 if order == 2 else None, q=q)
-    return cand, defect
+    def u1(p):  # u_t(0, .) = a'(0) bump
+        return -0.5 * a(0.0) * b(p)
+
+    power = (lambda t: np.abs(a(t)) ** q, lambda p: np.abs(b(p)) ** q)
+    # ratio = a^(order) / a: a' = -a / 2, a'' = a / 4
+    return [(f"manufactured_{name}", (CandidateSolution(((a, b),), u1 if order == 2 else None, q), order),
+             ((lambda t, ratio=ratio: ratio * a(t) + a(t), lambda p: bump(p)[1]), power))
+            for name, order, ratio in (("parabolic", 1, -0.5), ("hyperbolic", 2, 0.25))]
 
 
 def cmd_residual(args: argparse.Namespace) -> Report:
@@ -365,29 +372,24 @@ def cmd_residual(args: argparse.Namespace) -> Report:
     cfg = MCConfig(samples=samples, seed=args.seed)
     oracle_cfg = MCConfig(samples=2 * samples, seed=args.seed + 1)
     testfn = ProductTestFunction(TemporalFactor(T, e.ell), e.power_spec(), R)
-    rows = []
-
-    def add_row(case, rep, oracle):
-        gap = abs(rep.residual - oracle.value)
-        rows.append({"case": case, "lhs": rep.lhs, "rhs": rep.rhs,
-                     "residual": rep.residual, "stderr": rep.error,
-                     "oracle": oracle.value, "oracle_stderr": oracle.stderr, "gap": gap,
-                     "within_3sigma": gap <= 3.0 * float(np.hypot(rep.error, oracle.stderr))})
-
     zero = CandidateSolution(terms=(), u1=lambda p: np.zeros(p.tau.shape), q=e.q)
-    no_defect = MCEstimate(0.0, 0.0)  # the zero candidate solves both equations exactly
+    cases = [("zero_parabolic", (zero, 1), None), ("zero_hyperbolic", (zero, 2), None)] + _manufactured_cases(e.q, R)
+    rows = []
     with np.errstate(over="raise", invalid="raise"):  # no inf or NaN reaches the rows
         try:
-            add_row("zero_parabolic", weak_residual(zero, testfn, cfg, 1), no_defect)
-            add_row("zero_hyperbolic", weak_residual(zero, testfn, cfg, 2), no_defect)
-            for order, case in ((1, "manufactured_parabolic"), (2, "manufactured_hyperbolic")):
-                cand, defect = _manufactured_candidate(e.q, R, order)
-                rep = weak_residual(cand, testfn, cfg, order)
-                oracle = pair_defect(defect, testfn, oracle_cfg)
-                if rep.error == 0.0 or oracle.stderr == 0.0:
+            # one pass per sample set: the four weak rows, then the two oracle rows
+            reps = weak_residual([c for _, c, _ in cases], testfn, cfg)
+            # the zero candidate solves both equations exactly
+            oracles = [MCEstimate(0.0, 0.0)] * 2 + pair_defect([d for _, _, d in cases[2:]], testfn, oracle_cfg)
+            for (case, _, defect), rep, oracle in zip(cases, reps, oracles):
+                if defect and (rep.error == 0.0 or oracle.stderr == 0.0):
                     raise ParameterError(f"--samples {samples} puts no sample in the support of "
                                          f"the {case} candidate; the check would be vacuous")
-                add_row(case, rep, oracle)
+                gap = abs(rep.residual - oracle.value)
+                rows.append({"case": case, "lhs": rep.lhs, "rhs": rep.rhs,
+                             "residual": rep.residual, "stderr": rep.error,
+                             "oracle": oracle.value, "oracle_stderr": oracle.stderr, "gap": gap,
+                             "within_3sigma": gap <= 3.0 * float(np.hypot(rep.error, oracle.stderr))})
         except FloatingPointError:
             raise OverflowError(f"weak-form residual beyond floating-point range at T = {T:g}, R = {R:g}") from None
 

@@ -261,10 +261,9 @@ def random_polynomial(n: int, rng: np.random.Generator) -> PolyField:
     """Random polynomial of six terms of degree at most 3 with O(1) coefficients."""
     ncoords = 2 * n + 1
     coeffs = {}
-    for _ in range(6):
-        exps = tuple(int(e) for e in rng.integers(0, 4, size=ncoords))
-        if sum(exps) > 3:
-            exps = tuple(e if k == np.argmax(exps) else 0 for k, e in enumerate(exps))
+    for _ in range(6):  # a degree from 0 to 3, then that many coordinates, with repeats
+        coords = rng.integers(0, ncoords, size=int(rng.integers(0, 4)))
+        exps = tuple(int(e) for e in np.bincount(coords, minlength=ncoords))
         coeffs[exps] = coeffs.get(exps, 0.0) + float(rng.uniform(-1, 1))
     return PolyField(coeffs, n)
 

@@ -46,11 +46,17 @@ def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int) -> np.
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 
+def _column_sums(vals: np.ndarray):
+    return vals.sum(axis=0), (vals * vals).sum(axis=0)
+
+
 def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
     """Estimate `width` integrals at once over a coordinate box.
 
     integrand(pts) receives an (m, dim) array and returns (m, width), or (m,)
-    when width is 1.
+    when width is 1, or an iterable of (m, w_i) blocks of total width `width`,
+    each summed on its own: numpy sums a one-column block pairwise but each
+    column of a wider C-ordered block in row order, so stacking moves bits.
     Returns a list of MCEstimate sharing the same sample stream.
     """
     bounds = np.asarray(bounds, dtype=float)
@@ -61,10 +67,12 @@ def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
     index = 0
     while done < cfg.samples:
         m = min(CHUNK, cfg.samples - done)
-        pts = sample_box(bounds, cfg, index, m)
-        vals = np.asarray(integrand(pts), dtype=float).reshape(m, width)
-        s1 += vals.sum(axis=0)
-        s2 += (vals * vals).sum(axis=0)
+        out = integrand(sample_box(bounds, cfg, index, m))
+        # map lets each block go once summed, before the next one is made
+        sums = list(map(lambda b: _column_sums(np.asarray(b, dtype=float).reshape(m, -1)),
+                        (out,) if isinstance(out, np.ndarray) else out))
+        s1 += np.concatenate([a for a, _ in sums]).reshape(width)
+        s2 += np.concatenate([b for _, b in sums]).reshape(width)
         done += m
         index += 1
     n = cfg.samples

@@ -16,9 +16,12 @@ Candidates are separable too, u = sum_j a_j(t) b_j(eta), so their datum
 u0 = sum_j a_j(0) b_j is read off the terms; only u1 is given.  Spatial
 integrals are seeded Monte Carlo over the test-function support box
 (n = 1) and time integrals are Gauss-Legendre, evaluated space once, time
-as vectors: per Monte Carlo chunk, phi2, Delta phi2 and every b_j are
-evaluated once, and the linear terms reduce to dot products over the time
-nodes, sum_k w_k a_j(t_k) (phi1 - phi1')(t_k) for the first order and
+as vectors.  `weak_residual` and `pair_defect` check several cases in
+one Monte Carlo pass: per chunk, the points, phi2, Delta phi2 and every
+distinct spatial function b_j or d_j are evaluated once for all cases,
+and each case is summed as a block of its own, with the bits of a one-case
+call.  The linear terms reduce to dot products over the time nodes,
+sum_k w_k a_j(t_k) (phi1 - phi1')(t_k) for the first order and
 sum_k w_k a_j(t_k) (phi1 + phi1'')(t_k) for the second, times
 b_j Delta phi2.  Only |u|^q phi loops over the nodes, on arrays of one
 chunk's length.  Residual reports always carry the quadrature error
@@ -27,6 +30,7 @@ estimate; no pass/fail threshold is baked in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,10 +38,11 @@ import numpy as np
 
 from .errors import ParameterError
 from .group import GroupPoint
-from .mc import MCConfig, MCEstimate, chunk_generator, mc_integrate_vector, sample_box
+from .mc import MCConfig, chunk_generator, mc_integrate_vector, sample_box
 
 
 TIME_NODES = 64  # Gauss-Legendre nodes of every time integral
+_gauss_legendre = functools.cache(functools.partial(np.polynomial.legendre.leggauss, TIME_NODES))
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class ResidualReport:
 
 
 def _time_rule(T: float):
-    x, w = np.polynomial.legendre.leggauss(TIME_NODES)
+    x, w = _gauss_legendre()
     return 0.5 * T * (x + 1.0), 0.5 * T * w
 
 
@@ -85,24 +90,23 @@ def _check_terminal(testfn, order: int):
         raise ParameterError("test function time derivative must vanish at t = T")
 
 
-def _residual_estimate(sides, bounds, cfg: MCConfig) -> ResidualReport:
-    """Common-point MC of lhs, rhs and their difference (honest stderr);
-    sides(p) returns the (lhs, rhs) integrands at the points p."""
-
-    def integrand(pts):
-        a, b = sides(GroupPoint.from_flat(pts))
-        return np.stack([a, b, a - b], axis=1)
-
-    lhs, rhs, diff = mc_integrate_vector(integrand, bounds, cfg, 3)
-    return ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
+def _residual_estimates(sides, bounds, cfg: MCConfig, count: int) -> list:
+    """Common-point MC of lhs, rhs and their difference (honest stderr) for
+    each of `count` cases; sides(p) yields the (lhs, rhs) integrands of the
+    cases at the points p, each stacked and summed before the next is made."""
+    stack = lambda s: np.stack([s[0], s[1], s[0] - s[1]], axis=1)
+    est = mc_integrate_vector(lambda pts: map(stack, sides(GroupPoint.from_flat(pts))), bounds, cfg, 3 * count)
+    return [ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
+            for lhs, rhs, diff in zip(est[0::3], est[1::3], est[2::3])]
 
 
-def weak_residual(cand: CandidateSolution, testfn, cfg: MCConfig, order: int) -> ResidualReport:
-    """Defect of the weak identity of time order 1 or 2 for the given candidate."""
-    if order not in (1, 2):
+def weak_residual(cases, testfn, cfg: MCConfig) -> list:
+    """Defects of the weak identities, one ResidualReport per case of
+    ((candidate, time order 1 or 2), ...), in case order, from one pass."""
+    if any(order not in (1, 2) for _, order in cases):
         raise ParameterError("time order must be 1 or 2")
-    _check_terminal(testfn, order)
-    if order == 2 and cand.u1 is None:
+    _check_terminal(testfn, max(order for _, order in cases))
+    if any(order == 2 and cand.u1 is None for cand, order in cases):
         raise ParameterError("second-order candidates need initial velocity u1")
     ts, ws = _time_rule(testfn.T)
     f0, f1, f2 = testfn.temporal(ts)
@@ -110,42 +114,49 @@ def weak_residual(cand: CandidateSolution, testfn, cfg: MCConfig, order: int) ->
         # e.g. q near 1, where phi1 = (1 - t/T)^ell with a huge ell underflows
         raise ParameterError("time factor phi1 is 0 at every quadrature node; the check would be vacuous")
     g0, g1, _ = testfn.temporal(0.0)
-    coefs = [np.asarray(a(ts)) for a, _ in cand.terms]
-    inits = [a(0.0) for a, _ in cand.terms]
-    # int_0^T a_j (phi1 - phi1') or int_0^T a_j (phi1 + phi1''), by Gauss-Legendre
-    linear = [float(np.dot(ws * c, f0 - f1 if order == 1 else f0 + f2)) for c in coefs]
+    plans = []
+    for cand, order in cases:
+        coefs = [np.asarray(a(ts)) for a, _ in cand.terms]
+        inits = [a(0.0) for a, _ in cand.terms]
+        # int_0^T a_j (phi1 - phi1') or int_0^T a_j (phi1 + phi1''), by Gauss-Legendre
+        linear = [float(np.dot(ws * c, f0 - f1 if order == 1 else f0 + f2)) for c in coefs]
+        plans.append((cand, order, coefs, inits, linear))
 
-    def sides(p):
-        value, lap = testfn.spatial(p)
-        bs = [np.asarray(b(p)) for _, b in cand.terms]
+    def case_sides(p, value, lap, at, cand, order, coefs, inits, linear):
+        bs = [at(b) for _, b in cand.terms]
         power = np.zeros(np.shape(value))
         for k, w in enumerate(ws * f0):  # |u|^q phi, one time node at a time
             u = sum(c[k] * b for c, b in zip(coefs, bs))
             power += w * np.abs(u) ** cand.q
         lhs = power * value + sum(c * b for c, b in zip(linear, bs)) * lap
         u0 = sum(a0 * b for a0, b in zip(inits, bs))
-        if order == 1:
-            return lhs, u0 * (g0 * lap)
-        return lhs, np.asarray(cand.u1(p)) * (g0 * lap) - u0 * (g1 * lap)
+        return lhs, u0 * (g0 * lap) if order == 1 else np.asarray(cand.u1(p)) * (g0 * lap) - u0 * (g1 * lap)
 
-    return _residual_estimate(sides, testfn.support_box(), cfg)
+    def sides(p):
+        value, lap = testfn.spatial(p)
+        at = functools.cache(lambda f: np.asarray(f(p)))  # each distinct spatial function once
+        return (case_sides(p, value, lap, at, *plan) for plan in plans)
+
+    return _residual_estimates(sides, testfn.support_box(), cfg, len(plans))
 
 
-def pair_defect(terms, testfn, cfg: MCConfig) -> MCEstimate:
-    """Space-time pairing int_0^T int defect(t, eta) phi(t, eta) of a
-    separable defect sum_j c_j(t) d_j(eta), given as terms ((c_j, d_j), ...)
+def pair_defect(defects, testfn, cfg: MCConfig) -> list:
+    """Space-time pairings int_0^T int defect(t, eta) phi(t, eta), one MCEstimate
+    per separable defect sum_j c_j(t) d_j(eta), given as terms ((c_j, d_j), ...)
     like a candidate's; the independent oracle for smooth compactly
     supported candidates.  It pairs with phi itself, never with Delta phi."""
     ts, ws = _time_rule(testfn.T)
     f0, _, _ = testfn.temporal(ts)
-    coefs = [float(np.dot(ws * f0, c(ts))) for c, _ in terms]
+    coefs = [[float(np.dot(ws * f0, c(ts))) for c, _ in terms] for terms in defects]
 
-    def integrand(pts):
+    def blocks(pts):
         p = GroupPoint.from_flat(pts)
         value, _ = testfn.spatial(p)
-        return (sum(c * np.asarray(d(p)) for c, (_, d) in zip(coefs, terms)) * value)[:, None]
+        at = functools.cache(lambda f: np.asarray(f(p)))
+        for cs, terms in zip(coefs, defects):
+            yield (sum(c * at(d) for c, (_, d) in zip(cs, terms)) * value)[:, None]
 
-    return mc_integrate_vector(integrand, testfn.support_box(), cfg, 1)[0]
+    return mc_integrate_vector(blocks, testfn.support_box(), cfg, len(defects))
 
 
 def _check_supported_inside(f, box: np.ndarray, scale: float):
@@ -180,6 +191,6 @@ def selfadjointness_residual(f, g, box, cfg: MCConfig) -> ResidualReport:
 
     def sides(p):
         (fv, f_lap), (gv, g_lap) = f(p), g(p)
-        return -f_lap * gv, fv * -g_lap
+        return [(-f_lap * gv, fv * -g_lap)]
 
-    return _residual_estimate(sides, box, cfg)
+    return _residual_estimates(sides, box, cfg, 1)[0]

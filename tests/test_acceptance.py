@@ -273,8 +273,7 @@ def test_criterion_7_weak_formulation_residuals():
     zero = CandidateSolution(terms=(), u1=lambda p: np.zeros(np.shape(p.tau)), q=2.0)
     cfg = MCConfig(samples=150_000, seed=3)
     ocfg = MCConfig(samples=300_000, seed=4)
-    zp = weak_residual(zero, testfn, cfg, 1)
-    zh = weak_residual(zero, testfn, cfg, 2)
+    zp, zh = weak_residual([(zero, 1), (zero, 2)], testfn, cfg)
     zeros_exact = zp.residual == 0.0 and zh.residual == 0.0
 
     bump = GaugeBump(center=point(0.2, -0.1, 0.05), radius=2.3)
@@ -288,8 +287,8 @@ def test_criterion_7_weak_formulation_residuals():
         (1, ((lambda t: -0.5 * a(t) + a(t), lap), power)),
         (2, ((lambda t: 0.25 * a(t) + a(t), lap), power)),
     ]:
-        rep = weak_residual(cand, testfn, cfg, order)
-        oracle = pair_defect(defect, testfn, ocfg)
+        rep = weak_residual([(cand, order)], testfn, cfg)[0]
+        oracle = pair_defect([defect], testfn, ocfg)[0]
         gap = abs(rep.residual - oracle.value)
         sigma3 = 3 * math.hypot(rep.error, oracle.stderr)
         gaps.append((gap, sigma3))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heislab import cli, errors
+from heislab import cli, cutoffs, errors, mc, weak_form
 from heislab.capacity import Exponents
 from heislab.cli import build_parser, dispatch, main
 from heislab.report import Report, emit, format_number
@@ -353,6 +353,23 @@ def test_residual_subcommand():
     keys = ("lhs", "rhs", "residual", "stderr", "oracle", "oracle_stderr")
     for row in report.rows[2:]:
         assert tuple(row[k] for k in keys) == pinned[row["case"]]
+
+
+def test_residual_makes_one_pass_per_sample_set(monkeypatch):
+    # 3,000 weak-form and 6,000 oracle samples in chunks of 1,024: 3 and 6 chunks
+    monkeypatch.setattr(mc, "CHUNK", 1024)
+    calls = {}
+    for owner, name in ((weak_form, "mc_integrate_vector"), (cutoffs.ProductTestFunction, "spatial"),
+                        (cutoffs.GaugeBump, "spatial"), (cutoffs.GaugeBump, "value")):
+        def counted(*args, _key=f"{owner.__name__}.{name}", _fn=getattr(owner, name), **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    report = dispatch(run_spec(["residual", "--q", "2", "--samples", "3000", "--seed", "5"]))
+    assert len(report.rows) == 4
+    # the test function's one extra call is the probe of its terminal condition
+    assert calls == {"heislab.weak_form.mc_integrate_vector": 2,
+                     "ProductTestFunction.spatial": 1 + 3 + 6, "GaugeBump.spatial": 3 + 6}
 
 
 def test_residual_at_small_radius_pairs_a_manufactured_candidate():

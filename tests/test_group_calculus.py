@@ -237,8 +237,8 @@ def test_dilation_homogeneity_of_sublaplacian():
 def test_fd_sublaplacian_is_exact_on_cubics(n):
     # a translation curve is linear in s, so a cubic stays a cubic along it and the
     # central difference along the group law is exact up to rounding, even at h = 0.1;
-    # at n >= 2 random_polynomial draws mostly pure powers, whose Delta does not see the
-    # sign of the twist, so each cubic is also checked through a translate, which mixes x, y, tau
+    # most terms of random_polynomial mix coordinates, and each cubic is also checked
+    # through a translate, which mixes x, y and tau
     rng = np.random.default_rng(20 + n)
     p = rand_points(rng, n, 100)
     for _ in range(5):
@@ -246,6 +246,15 @@ def test_fd_sublaplacian_is_exact_on_cubics(n):
         shift = GroupPoint(*rng.uniform(-1, 1, (2, n)), rng.uniform(-1, 1))
         for g in (f, f.pullback(*invariant_translation(shift))):
             assert np.max(np.abs(fd_sublaplacian(g.value, p, 0.1) - sublaplacian(g, p))) < 1e-10
+
+
+def test_random_polynomial_terms_mix_coordinates():
+    # a term draws its degree, then that many coordinates: at n = 2 a term of degree 2
+    # is a pure power with probability 1/5, one of degree 3 with probability 1/25
+    rng = np.random.default_rng(3)
+    terms = [exps for _ in range(300) for exps in random_polynomial(2, rng).coeffs if sum(exps) >= 2]
+    mixed = sum(np.count_nonzero(exps) >= 2 for exps in terms)
+    assert len(terms) > 500 and mixed > 0.75 * len(terms)
 
 
 def test_fd_sublaplacian_order():

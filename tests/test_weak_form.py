@@ -3,6 +3,7 @@ import pytest
 
 from heislab.cutoffs import CutoffSpec, GaugeBump, ProductTestFunction, TemporalFactor
 from heislab.errors import ParameterError
+from heislab import mc
 from heislab.group import GroupPoint, point
 from heislab.mc import MCConfig, chunk_generator, mc_integrate_vector
 from heislab.weak_form import (
@@ -133,9 +134,9 @@ def test_zero_candidate_zero_residual():
     cand = CandidateSolution(terms=(), u1=zero_field, q=Q)
     cfg = MCConfig(samples=20_000, seed=1)
     tf = standard_testfn()
-    rep = weak_residual(cand, tf, cfg, 1)
+    rep = weak_residual([(cand, 1)], tf, cfg)[0]
     assert rep.residual == 0.0 and rep.lhs == 0.0 and rep.rhs == 0.0
-    rep = weak_residual(cand, tf, cfg, 2)
+    rep = weak_residual([(cand, 2)], tf, cfg)[0]
     assert rep.residual == 0.0
 
 
@@ -147,12 +148,12 @@ def test_separable_residual_matches_brute_force(order, family):
     cand, defect_p, defect_h, _, _ = manufactured()
     tf = standard_testfn() if family == "power" else log_testfn()
     cfg = MCConfig(samples=4_000, seed=7)
-    rep = weak_residual(cand, tf, cfg, order)
+    rep = weak_residual([(cand, order)], tf, cfg)[0]
     ref = reference_residual(cand, tf, cfg, order)
     got = (rep.lhs, rep.rhs, rep.residual, rep.error)
     assert abs(ref[3]) > 0.0 and abs(ref[1]) > 0.0
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
-    oracle = pair_defect(defect_p if order == 1 else defect_h, tf, cfg)
+    oracle = pair_defect([defect_p if order == 1 else defect_h], tf, cfg)[0]
     assert (oracle.value, oracle.stderr) == pytest.approx(
         reference_pairing(defect_p if order == 1 else defect_h, tf, cfg), rel=1e-12, abs=0.0)
 
@@ -168,17 +169,35 @@ def test_two_term_datum_from_terms(order):
         u1=lambda p: -0.5 * b1.value(p) - b2.value(p), q=Q)
     tf = standard_testfn()
     cfg = MCConfig(samples=4_000, seed=9)
-    rep = weak_residual(cand, tf, cfg, order)
+    rep = weak_residual([(cand, order)], tf, cfg)[0]
     ref = reference_residual(cand, tf, cfg, order)
     assert abs(ref[1]) > 0.0
     assert (rep.lhs, rep.rhs, rep.residual, rep.error) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_one_pass_gives_each_case_its_one_case_bits(monkeypatch):
+    # chunks of 1,000 points, so every sum runs over five chunks, the last one short
+    monkeypatch.setattr(mc, "CHUNK", 1000)
+    cand, defect_p, defect_h, b1, _ = manufactured()
+    b2 = GaugeBump(center=point(-0.3, 0.2, -0.1), radius=1.8)
+    two = CandidateSolution(terms=((lambda t: np.exp(-0.5 * t), b1.value), (lambda t: 2.0 - t, b2.value)),
+                            u1=lambda p: -0.5 * b1.value(p) - b2.value(p), q=Q)
+    zero = CandidateSolution(terms=(), u1=zero_field, q=Q)
+    tf, cfg = standard_testfn(), MCConfig(samples=4_500, seed=13)
+    # the cases share b1, the defects share their |a b|^q term
+    cases = [(zero, 1), (cand, 1), (two, 2), (cand, 2), (zero, 2), (two, 1)]
+    defects = [defect_p, defect_h, ((np.ones_like, b2.value),)]
+    for run, items, one in ((weak_residual, cases, lambda c: [c]), (pair_defect, defects, lambda d: [d])):
+        alone = [run(one(item), tf, cfg)[0] for item in items]
+        assert repr(run(items, tf, cfg)) == repr(alone)
+        assert repr(run(items[::-1], tf, cfg)) == repr(alone[::-1])
 
 
 def test_order_must_be_1_or_2():
     cand, _, _, _, _ = manufactured()
     for order in (0, 3):
         with pytest.raises(ParameterError):
-            weak_residual(cand, standard_testfn(), MCConfig(samples=1000, seed=0), order)
+            weak_residual([(cand, order)], standard_testfn(), MCConfig(samples=1000, seed=0))
 
 
 def test_manufactured_matches_defect_oracle():
@@ -186,11 +205,11 @@ def test_manufactured_matches_defect_oracle():
     tf = standard_testfn()
     cfg = MCConfig(samples=80_000, seed=3)
     ocfg = MCConfig(samples=160_000, seed=4)
-    rep = weak_residual(cand, tf, cfg, 1)
-    oracle = pair_defect(defect_p, tf, ocfg)
+    rep = weak_residual([(cand, 1)], tf, cfg)[0]
+    oracle = pair_defect([defect_p], tf, ocfg)[0]
     assert abs(rep.residual - oracle.value) <= 3 * np.hypot(rep.error, oracle.stderr)
-    rep = weak_residual(cand, tf, cfg, 2)
-    oracle = pair_defect(defect_h, tf, ocfg)
+    rep = weak_residual([(cand, 2)], tf, cfg)[0]
+    oracle = pair_defect([defect_h], tf, ocfg)[0]
     assert abs(rep.residual - oracle.value) <= 3 * np.hypot(rep.error, oracle.stderr)
 
 
@@ -220,8 +239,8 @@ def test_static_candidate_hyperbolic():
     cand = CandidateSolution(terms=((one, bump.value),), u1=zero_field, q=Q)
     defect = ((one, lambda p: bump.spatial(p)[1]), (one, lambda p: np.abs(bump.value(p)) ** Q))
     tf = standard_testfn()
-    rep = weak_residual(cand, tf, MCConfig(samples=80_000, seed=21), 2)
-    oracle = pair_defect(defect, tf, MCConfig(samples=160_000, seed=22))
+    rep = weak_residual([(cand, 2)], tf, MCConfig(samples=80_000, seed=21))[0]
+    oracle = pair_defect([defect], tf, MCConfig(samples=160_000, seed=22))[0]
     assert abs(rep.residual - oracle.value) <= 3 * np.hypot(rep.error, oracle.stderr)
 
 
@@ -232,9 +251,9 @@ def test_residual_linear_in_test_function():
     tf2 = standard_testfn(R=2.5, m=3)
     both = SumTestFunction(tf1, tf2)
     box = both.support_box()
-    r1 = weak_residual(cand, PaddedBox(tf1, box), cfg, 1)
-    r2 = weak_residual(cand, PaddedBox(tf2, box), cfg, 1)
-    r12 = weak_residual(cand, both, cfg, 1)
+    r1 = weak_residual([(cand, 1)], PaddedBox(tf1, box), cfg)[0]
+    r2 = weak_residual([(cand, 1)], PaddedBox(tf2, box), cfg)[0]
+    r12 = weak_residual([(cand, 1)], both, cfg)[0]
     # same seed and same box -> same sample points -> exact additivity
     assert r12.residual == pytest.approx(r1.residual + r2.residual, abs=1e-10)
 
@@ -244,10 +263,10 @@ def test_nonlinearity_scaling_bookkeeping():
     doubled = CandidateSolution(terms=((lambda t: 2 * a(t), bump.value),), u1=cand.u1, q=Q)
     tf = standard_testfn()
     cfg = MCConfig(samples=20_000, seed=6)
-    quadratic = pair_defect(((lambda t: np.abs(a(t)) ** Q, lambda p: np.abs(bump.value(p)) ** Q),),
-                            tf, cfg)
-    r1 = weak_residual(cand, tf, cfg, 1)
-    r2 = weak_residual(doubled, tf, cfg, 1)
+    quadratic = pair_defect([((lambda t: np.abs(a(t)) ** Q, lambda p: np.abs(bump.value(p)) ** Q),)],
+                            tf, cfg)[0]
+    r1 = weak_residual([(cand, 1)], tf, cfg)[0]
+    r2 = weak_residual([(doubled, 1)], tf, cfg)[0]
     # lhs(2u) - 2 lhs(u) = (4 - 2) * quadratic term, pointwise with shared samples
     assert r2.lhs - 2 * r1.lhs == pytest.approx(2 * quadratic.value, rel=1e-10)
 
@@ -256,16 +275,16 @@ def test_terminal_condition_enforced():
     cand, _, _, _, _ = manufactured()
     tf = ReversedTestFunction(standard_testfn())
     with pytest.raises(ParameterError):
-        weak_residual(cand, tf, MCConfig(samples=1000, seed=0), 1)
+        weak_residual([(cand, 1)], tf, MCConfig(samples=1000, seed=0))
     with pytest.raises(ParameterError):
-        weak_residual(cand, tf, MCConfig(samples=1000, seed=0), 2)
+        weak_residual([(cand, 2)], tf, MCConfig(samples=1000, seed=0))
 
 
 def test_hyperbolic_requires_velocity():
     _, _, _, bump, a = manufactured()
     cand = CandidateSolution(terms=((a, bump.value),), q=Q)
     with pytest.raises(ParameterError):
-        weak_residual(cand, standard_testfn(), MCConfig(samples=1000, seed=0), 2)
+        weak_residual([(cand, 2)], standard_testfn(), MCConfig(samples=1000, seed=0))
 
 
 BOX = np.array([[-3.0, 3.0], [-3.0, 3.0], [-9.0, 9.0]])
