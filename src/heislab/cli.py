@@ -41,28 +41,14 @@ from .capacity import (
 )
 from .cutoffs import GaugeBump, ProductTestFunction, TemporalFactor
 from .errors import ParameterError, SolverFailure
-from .group import (
-    GroupPoint,
-    PolyField,
-    compose,
-    dilate,
-    dilation_matrix,
-    fd_sublaplacian,
-    gauge_norm,
-    gauge_radial,
-    horizontal_field,
-    inverse,
-    invariant_translation,
-    random_polynomial,
-    sublaplacian,
-)
+from .group import GroupPoint, dilate, identity_battery, point
 from .mc import MCConfig, MCEstimate, chunk_generator
 from .report import Report, emit, report_timestamp, write_output
 from .simulate import SimConfig, run
 from .weak_form import (
     CandidateSolution,
     pair_defect,
-    selfadjointness_residual,
+    selfadjointness_ratio,
     weak_residual,
 )
 
@@ -415,99 +401,15 @@ def cmd_simulate(args: argparse.Namespace) -> Report:
 
 
 def _identity_rows(seed: int, samples: int) -> list:
-    rng = chunk_generator(seed, 1)
-    rows = []
-
-    def add(name, measured, threshold):
-        rows.append({"identity": name, "measured": float(measured),
-                     "threshold": threshold, "status": "pass" if measured <= threshold else "fail"})
-
-    def rand_points(n, m):
-        return GroupPoint(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (m, n)),
-                          rng.uniform(-1, 1, m))
-
-    # group axioms on random triples (n = 2)
-    a, b, c = (rand_points(2, 100) for _ in range(3))
-    assoc = np.max(np.abs(compose(compose(a, b), c).flat() - compose(a, compose(b, c)).flat()))
-    add("associativity", assoc, 1e-12)
-    ident = np.max(np.abs(compose(a, inverse(a)).flat()))
-    add("inverse_law", ident, 1e-12)
-    lam = 1.0 + float(rng.random())
-    hom = np.max(np.abs(gauge_norm(dilate(lam, a)) - lam * gauge_norm(a)))
-    add("norm_homogeneity", hom, 1e-12)
-
-    # commutators on random polynomials (analytic oracles)
-    p1 = rand_points(1, 100)
-    worst_ii, worst_ij = 0.0, 0.0
-    for _ in range(5):
-        f = random_polynomial(1, rng)
-        xy = horizontal_field(horizontal_field(f, 1, "Y"), 1, "X").value(p1)
-        yx = horizontal_field(horizontal_field(f, 1, "X"), 1, "Y").value(p1)
-        worst_ii = max(worst_ii, float(np.max(np.abs(xy - yx + 4.0 * f.diff(2).value(p1)))))
-    add("commutator_XY_minus4", worst_ii, 1e-10)
-    p2 = rand_points(2, 100)
-    for _ in range(5):
-        f = random_polynomial(2, rng)
-        xy = horizontal_field(horizontal_field(f, 2, "Y"), 1, "X").value(p2)
-        yx = horizontal_field(horizontal_field(f, 1, "X"), 2, "Y").value(p2)
-        worst_ij = max(worst_ij, float(np.max(np.abs(xy - yx))))
-    add("commutator_cross_zero", worst_ij, 1e-10)
-
-    # translation invariance and dilation homogeneity
-    worst_li, worst_dh = 0.0, 0.0
-    for _ in range(5):
-        f = random_polynomial(1, rng)
-        shift = rand_points(1, 1)
-        shift = GroupPoint(shift.x[0], shift.y[0], shift.tau[0])
-        g = f.pullback(*invariant_translation(shift))
-        worst_li = max(worst_li, float(np.max(np.abs(
-            sublaplacian(g, p1) - sublaplacian(f, compose(p1, shift))))))
-        lam = 0.5 + float(rng.random())
-        gd = f.pullback(dilation_matrix(lam, 1), np.zeros(3))
-        worst_dh = max(worst_dh, float(np.max(np.abs(
-            sublaplacian(gd, p1) - lam**2 * sublaplacian(f, dilate(lam, p1))))))
-    add("left_invariance", worst_li, 1e-8)
-    add("dilation_homogeneity", worst_dh, 1e-8)
-
-    # gauge-radial formula on polynomial gauge powers c0 + c1 r^4 + c2 r^8
-    r4 = PolyField({(4, 0, 0): 1.0, (2, 2, 0): 2.0, (0, 4, 0): 1.0, (0, 0, 2): 1.0}, 1)
-    c0, c1, c2 = (float(rng.uniform(-1, 1)) for _ in range(3))
-    f = (r4 * r4 * PolyField({(0, 0, 0): c2}, 1) + r4 * PolyField({(0, 0, 0): c1}, 1)
-         + PolyField({(0, 0, 0): c0}, 1))
-    _, lap = gauge_radial(p1, 1.0, lambda s: (
-        c0 + c1 * s**2 + c2 * s**4, 2 * c1 * s + 4 * c2 * s**3, 2 * c1 + 12 * c2 * s**2))
-    worst_rad = float(np.max(np.abs(sublaplacian(f, p1) - lap)))
-    add("radial_identity", worst_rad, 1e-8)
-
-    # self-adjointness on three bump pairs
+    rows = identity_battery(1, chunk_generator(seed, 1))
+    # self-adjointness on three bump pairs, reported before the finite-difference order
     box = np.array([[-3.0, 3.0], [-3.0, 3.0], [-9.0, 9.0]])
-    worst_ratio = 0.0
     centers = [(0.3, 0.2, 0.4), (-0.4, 0.1, -0.3), (0.0, -0.3, 0.2)]
-    for k, (cx, cy, ct) in enumerate(centers):
-        f = GaugeBump(GroupPoint(np.array([cx]), np.array([cy]), ct), radius=1.4).spatial
-        g = GaugeBump(GroupPoint(np.array([-cx]), np.array([cy]), -ct), radius=1.6).spatial
-        rep = selfadjointness_residual(f, g, box, MCConfig(samples=samples, seed=seed + k))
-        if rep.error == 0.0:
-            raise ParameterError(f"--samples {samples} puts no sample in the supports of "
-                                 f"self-adjointness pair {k + 1}; the check would be vacuous")
-        worst_ratio = max(worst_ratio, abs(rep.residual) / max(rep.error, 1e-300))
-    add("selfadjointness_ratio", worst_ratio, 5.0)
-
-    # observed order of the group-law central-difference sub-Laplacian
-    def smooth(p):
-        return np.sin(p.x[..., 0]) * np.cos(p.y[..., 0]) * np.exp(p.tau / 3.0)
-
-    def lap_exact(p):
-        x, y, e = p.x[..., 0], p.y[..., 0], np.exp(p.tau / 3.0)
-        return ((4.0 * (x * x + y * y) / 9.0 - 2.0) * smooth(p)
-                + 4.0 / 3.0 * e * (y * np.cos(x) * np.cos(y) + x * np.sin(x) * np.sin(y)))
-
-    probe = rand_points(1, 50)
-    errs = [float(np.max(np.abs(fd_sublaplacian(smooth, probe, h) - lap_exact(probe))))
-            for h in (1e-2, 5e-3)]
-    order = float(np.log2(errs[0] / errs[1]))
-    add("fd_order_deviation", abs(order - 2.0), 0.2)
-    return rows
+    pairs = [(GaugeBump(point(cx, cy, ct), radius=1.4).spatial,
+              GaugeBump(point(-cx, cy, -ct), radius=1.6).spatial) for cx, cy, ct in centers]
+    rows.insert(-1, ("selfadjointness_ratio", selfadjointness_ratio(pairs, box, samples, seed), 5.0))
+    return [{"identity": name, "measured": measured, "threshold": threshold,
+             "status": "pass" if measured <= threshold else "fail"} for name, measured, threshold in rows]
 
 
 def cmd_identities(args: argparse.Namespace) -> Report:

@@ -268,6 +268,79 @@ def random_polynomial(n: int, rng: np.random.Generator) -> PolyField:
     return PolyField(coeffs, n)
 
 
+def random_points(n: int, m: int, rng: np.random.Generator) -> GroupPoint:
+    """m points of H^n with coordinates uniform on [-1, 1), drawn x, then y, then tau."""
+    return GroupPoint(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m))
+
+
+def identity_battery(n: int, rng: np.random.Generator) -> list:
+    """(name, measured, threshold) of each group-calculus identity of H^n, on random
+    points and random polynomials drawn from rng in a fixed order: the group axioms and
+    norm homogeneity, [X_i, Y_i] = -4 d/dtau and [X_i, Y_j] = 0 for i < j, left
+    invariance and dilation homogeneity (factor lam^2) of Delta, the gauge-radial
+    formula on c0 + c1 r^4 + c2 r^8, and the deviation of the observed order of
+    `fd_sublaplacian` from 2.  The axioms and the cross bracket need two pairs, so
+    they run at max(n, 2); every other row runs at n."""
+    m, d = max(n, 2), 2 * n + 1
+    a, b, c = (random_points(m, 100, rng) for _ in range(3))
+    assoc = compose(compose(a, b), c).flat() - compose(a, compose(b, c)).flat()
+    rows = [("associativity", np.max(np.abs(assoc)), 1e-12),
+            ("inverse_law", np.max(np.abs(compose(a, inverse(a)).flat())), 1e-12)]
+    lam = 1.0 + float(rng.random())
+    rows.append(("norm_homogeneity", np.max(np.abs(gauge_norm(dilate(lam, a)) - lam * gauge_norm(a))), 1e-12))
+
+    def bracket(f, i, j, p):  # [X_i, Y_j] f at p
+        return (horizontal_field(horizontal_field(f, j, "Y"), i, "X").value(p)
+                - horizontal_field(horizontal_field(f, i, "X"), j, "Y").value(p))
+
+    p = random_points(n, 100, rng)
+    rows.append(("commutator_XY_minus4", max(
+        float(np.max(np.abs(bracket(f, i, i, p) + 4.0 * f.diff(d - 1).value(p))))
+        for f in (random_polynomial(n, rng) for _ in range(5)) for i in range(1, n + 1)), 1e-10))
+    pm = random_points(m, 100, rng)
+    rows.append(("commutator_cross_zero", max(
+        float(np.max(np.abs(bracket(f, i, j, pm))))
+        for f in (random_polynomial(m, rng) for _ in range(5))
+        for i in range(1, m + 1) for j in range(i + 1, m + 1)), 1e-10))
+
+    worst_li, worst_dh = 0.0, 0.0
+    for _ in range(5):
+        f = random_polynomial(n, rng)
+        s = random_points(n, 1, rng)
+        shift = GroupPoint(s.x[0], s.y[0], s.tau[0])
+        g = f.pullback(*invariant_translation(shift))
+        worst_li = max(worst_li, float(np.max(np.abs(sublaplacian(g, p) - sublaplacian(f, compose(p, shift))))))
+        lam = 0.5 + float(rng.random())
+        g = f.pullback(dilation_matrix(lam, n), np.zeros(d))
+        worst_dh = max(worst_dh, float(np.max(np.abs(
+            sublaplacian(g, p) - lam**2 * sublaplacian(f, dilate(lam, p))))))
+    rows += [("left_invariance", worst_li, 1e-8), ("dilation_homogeneity", worst_dh, 1e-8)]
+
+    def monomial(k, e, coef=1.0):  # coef z_k^e
+        return PolyField({tuple(e * (j == k) for j in range(d)): coef}, n)
+
+    sq = sum((monomial(k, 2) for k in range(1, 2 * n)), monomial(0, 2))
+    r4 = sq * sq + monomial(d - 1, 2)  # (|x|^2 + |y|^2)^2 + tau^2
+    c0, c1, c2 = (float(rng.uniform(-1, 1)) for _ in range(3))
+    f = r4 * r4 * monomial(0, 0, c2) + r4 * monomial(0, 0, c1) + monomial(0, 0, c0)
+    _, lap = gauge_radial(p, 1.0, lambda s: (
+        c0 + c1 * s**2 + c2 * s**4, 2 * c1 * s + 4 * c2 * s**3, 2 * c1 + 12 * c2 * s**2))
+    rows.append(("radial_identity", float(np.max(np.abs(sublaplacian(f, p) - lap))), 1e-8))
+
+    def smooth(pt):  # sin x_1 cos y_1 e^(tau/3)
+        return np.sin(pt.x[..., 0]) * np.cos(pt.y[..., 0]) * np.exp(pt.tau / 3.0)
+
+    def lap_exact(pt):  # X_i^2 and Y_i^2 add 4 y_i^2 / 9 and 4 x_i^2 / 9 times smooth, every i
+        x, y, e = pt.x[..., 0], pt.y[..., 0], np.exp(pt.tau / 3.0)
+        return ((4.0 * np.sum(pt.x * pt.x + pt.y * pt.y, axis=-1) / 9.0 - 2.0) * smooth(pt)
+                + 4.0 / 3.0 * e * (y * np.cos(x) * np.cos(y) + x * np.sin(x) * np.sin(y)))
+
+    probe = random_points(n, 50, rng)
+    errs = [float(np.max(np.abs(fd_sublaplacian(smooth, probe, h) - lap_exact(probe)))) for h in (1e-2, 5e-3)]
+    rows.append(("fd_order_deviation", abs(float(np.log2(errs[0] / errs[1])) - 2.0), 0.2))
+    return [(name, float(measured), threshold) for name, measured, threshold in rows]
+
+
 def invariant_translation(a: GroupPoint):
     """Affine map (A, b) with A z + b = flat(eta o a) for eta = unflat(z).
 

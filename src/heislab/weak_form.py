@@ -103,6 +103,8 @@ def _residual_estimates(sides, bounds, cfg: MCConfig, count: int) -> list:
 def weak_residual(cases, testfn, cfg: MCConfig) -> list:
     """Defects of the weak identities, one ResidualReport per case of
     ((candidate, time order 1 or 2), ...), in case order, from one pass."""
+    if not cases:
+        return []
     if any(order not in (1, 2) for _, order in cases):
         raise ParameterError("time order must be 1 or 2")
     _check_terminal(testfn, max(order for _, order in cases))
@@ -145,6 +147,8 @@ def pair_defect(defects, testfn, cfg: MCConfig) -> list:
     per separable defect sum_j c_j(t) d_j(eta), given as terms ((c_j, d_j), ...)
     like a candidate's; the independent oracle for smooth compactly
     supported candidates.  It pairs with phi itself, never with Delta phi."""
+    if not defects:
+        return []
     ts, ws = _time_rule(testfn.T)
     f0, _, _ = testfn.temporal(ts)
     coefs = [[float(np.dot(ws * f0, c(ts))) for c, _ in terms] for terms in defects]
@@ -194,3 +198,17 @@ def selfadjointness_residual(f, g, box, cfg: MCConfig) -> ResidualReport:
         return [(-f_lap * gv, fv * -g_lap)]
 
     return _residual_estimates(sides, box, cfg, 1)[0]
+
+
+def selfadjointness_ratio(pairs, box, samples: int, seed: int) -> float:
+    """Worst |residual| / error of `selfadjointness_residual` over the pairs (f, g),
+    pair k drawn with `samples` points from seed + k.  Raises ParameterError when
+    a pair's error is 0: no sample met its supports, so its check would be vacuous."""
+    worst = 0.0
+    for k, (f, g) in enumerate(pairs):
+        rep = selfadjointness_residual(f, g, box, MCConfig(samples=samples, seed=seed + k))
+        if rep.error == 0.0:
+            raise ParameterError(f"--samples {samples} puts no sample in the supports of "
+                                 f"self-adjointness pair {k + 1}; the check would be vacuous")
+        worst = max(worst, abs(rep.residual) / rep.error)
+    return worst

@@ -234,6 +234,21 @@ def test_warm_started_cg_run_matches_lu(fresh_operators, monkeypatch, equation):
     assert np.mean([r["iterations"] for r in tr.rows[6:]]) <= 0.25 * first
 
 
+def test_default_solver_tol_makes_cg_agree_with_lu(fresh_operators, monkeypatch):
+    # every other run sets solver_tol; here its default stops CG on 7^3 unknowns, and ten
+    # Euler steps end within 1e-11 of LU (1.9e-13 at the default 1e-10, 2.8e-9 at 1e-6)
+    cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=10, grid=GRID9,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0))
+    monkeypatch.setattr(simulate, "DIRECT_MAX_UNKNOWNS", 100)
+    cg_run = run(cfg)
+    solve_directly(monkeypatch)
+    lu_run = run(cfg)
+    assert cg_run.rows[-1]["iterations"] > 0 and lu_run.rows[-1]["iterations"] == 0
+    for field in ("max_norm", "lq_norm"):
+        cg_value, lu_value = cg_run.rows[-1][field], lu_run.rows[-1][field]
+        assert abs(cg_value - lu_value) <= 1e-11 * abs(lu_value)
+
+
 def captured_starts(monkeypatch):
     """Replace solve_linear by a stub that records each x0 and returns (zeros, 0)."""
     starts = []

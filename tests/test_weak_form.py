@@ -200,6 +200,12 @@ def test_order_must_be_1_or_2():
             weak_residual([(cand, order)], standard_testfn(), MCConfig(samples=1000, seed=0))
 
 
+def test_no_cases_give_no_reports():
+    testfn, cfg = standard_testfn(), MCConfig(samples=1_000, seed=0)
+    assert weak_residual([], testfn, cfg) == []
+    assert pair_defect([], testfn, cfg) == []
+
+
 def test_manufactured_matches_defect_oracle():
     cand, defect_p, defect_h, _, _ = manufactured()
     tf = standard_testfn()
