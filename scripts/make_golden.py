@@ -54,8 +54,9 @@ SIMULATE = {
 
 def other_reports() -> dict:
     """Capacity subcommands at n = 1, 2, 3 (subcritical q and q_c = Q/(Q-2), Q = 2n + 2,
-    with nonzero data norms), residual and identities at two seeds each, verdict, and
-    capacity reports at extreme kappa, ell, q, n and R."""
+    with nonzero data norms), residual and identities at two seeds each, residual at the
+    samples and seed of acceptance criterion 7, verdict, and capacity reports at extreme
+    kappa, ell, q, n and R."""
     critical, subcritical = {1: "2", 2: "3/2", 3: "4/3"}, {1: "3/2", 2: "5/4", 3: "6/5"}
     cases = {"lemma1": ["lemma1"]}
     for n in (1, 2, 3):
@@ -69,6 +70,7 @@ def other_reports() -> dict:
                 cases[f"bound-{eq}-{kind}-n{n}"] = [f"bound-{eq}", f"--n={n}", f"--q={q}", *norms]
     for seed in (1, 5):
         cases[f"residual-s{seed}"] = ["residual", f"--seed={seed}", "--samples=16384"]
+    cases["residual-crit7"] = ["residual", "--q=2", "--seed=3", "--samples=150000"]
     for seed in (0, 7):
         cases[f"identities-s{seed}"] = ["identities", f"--seed={seed}"]
     cases["verdict"] = ["verdict"]

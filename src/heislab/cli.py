@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -39,18 +38,13 @@ from .capacity import (
     time_integral_constant,
     verdict,
 )
-from .cutoffs import GaugeBump, ProductTestFunction, TemporalFactor
+from .cutoffs import ProductTestFunction, TemporalFactor
 from .errors import ParameterError, SolverFailure
-from .group import GroupPoint, dilate, identity_battery, point
-from .mc import MCConfig, MCEstimate, chunk_generator
+from .group import identity_battery, point
+from .mc import MCConfig, chunk_generator
 from .report import Report, emit, report_timestamp, write_output
 from .simulate import SimConfig, run
-from .weak_form import (
-    CandidateSolution,
-    pair_defect,
-    selfadjointness_ratio,
-    weak_residual,
-)
+from .weak_form import residual_battery, selfadjointness_ratio
 
 DEFAULT_R_CRITICAL = "1e3,1e4,1e5,1e6,1e7,1e8,1e9"
 
@@ -319,35 +313,6 @@ def cmd_verdict(args: argparse.Namespace) -> Report:
     return _report(args, rows, summary)
 
 
-def _manufactured_cases(q: float, R: float):
-    """(case, (candidate a(t) * bump(eta), time order), strong-form defect as
-    terms ((time factor, spatial factor), ...)) for both orders.  The bump
-    overlaps the cutoff transition so the Delta-phi terms of the weak
-    identity are genuinely exercised.
-    """
-    center = dilate(R / 3.0, GroupPoint(np.array([0.2]), np.array([-0.1]), 0.05))
-    spatial, memo = GaugeBump(center=center, radius=0.75 * R).spatial, weakref.WeakKeyDictionary()
-
-    def bump(p):  # (value, Delta value), once per set of points while they live
-        if p not in memo:
-            memo[p] = spatial(p)
-        return memo[p]
-
-    def a(t):
-        return np.exp(-0.5 * t)
-
-    b = lambda p: bump(p)[0]  # one callable, so a pass evaluates it once per chunk
-
-    def u1(p):  # u_t(0, .) = a'(0) bump
-        return -0.5 * a(0.0) * b(p)
-
-    power = (lambda t: np.abs(a(t)) ** q, lambda p: np.abs(b(p)) ** q)
-    # ratio = a^(order) / a: a' = -a / 2, a'' = a / 4
-    return [(f"manufactured_{name}", (CandidateSolution(((a, b),), u1 if order == 2 else None, q), order),
-             ((lambda t, ratio=ratio: ratio * a(t) + a(t), lambda p: bump(p)[1]), power))
-            for name, order, ratio in (("parabolic", 1, -0.5), ("hyperbolic", 2, 0.25))]
-
-
 def cmd_residual(args: argparse.Namespace) -> Report:
     if args.n != 1:
         raise ParameterError("residual is implemented for n = 1 only")
@@ -355,30 +320,8 @@ def cmd_residual(args: argparse.Namespace) -> Report:
     T = parse_single(args, "T")
     R = parse_single(args, "R")
     samples = 200_000 if args.samples is None else args.samples  # --samples 0 is an error, not the default
-    cfg = MCConfig(samples=samples, seed=args.seed)
-    oracle_cfg = MCConfig(samples=2 * samples, seed=args.seed + 1)
-    testfn = ProductTestFunction(TemporalFactor(T, e.ell), e.power_spec(), R)
-    zero = CandidateSolution(terms=(), u1=lambda p: np.zeros(p.tau.shape), q=e.q)
-    cases = [("zero_parabolic", (zero, 1), None), ("zero_hyperbolic", (zero, 2), None)] + _manufactured_cases(e.q, R)
-    rows = []
-    with np.errstate(over="raise", invalid="raise"):  # no inf or NaN reaches the rows
-        try:
-            # one pass per sample set: the four weak rows, then the two oracle rows
-            reps = weak_residual([c for _, c, _ in cases], testfn, cfg)
-            # the zero candidate solves both equations exactly
-            oracles = [MCEstimate(0.0, 0.0)] * 2 + pair_defect([d for _, _, d in cases[2:]], testfn, oracle_cfg)
-            for (case, _, defect), rep, oracle in zip(cases, reps, oracles):
-                if defect and (rep.error == 0.0 or oracle.stderr == 0.0):
-                    raise ParameterError(f"--samples {samples} puts no sample in the support of "
-                                         f"the {case} candidate; the check would be vacuous")
-                gap = abs(rep.residual - oracle.value)
-                rows.append({"case": case, "lhs": rep.lhs, "rhs": rep.rhs,
-                             "residual": rep.residual, "stderr": rep.error,
-                             "oracle": oracle.value, "oracle_stderr": oracle.stderr, "gap": gap,
-                             "within_3sigma": gap <= 3.0 * float(np.hypot(rep.error, oracle.stderr))})
-        except FloatingPointError:
-            raise OverflowError(f"weak-form residual beyond floating-point range at T = {T:g}, R = {R:g}") from None
-
+    cfg = MCConfig(samples=samples, seed=args.seed)  # before the test function, so a bad --samples is named first
+    rows = residual_battery(e.q, ProductTestFunction(TemporalFactor(T, e.ell), e.power_spec(), R), cfg)
     summary = {"all_within_3sigma": all(r["within_3sigma"] for r in rows)}
     return _report(args, rows, summary)
 
@@ -404,10 +347,9 @@ def _identity_rows(seed: int, samples: int) -> list:
     rows = identity_battery(1, chunk_generator(seed, 1))
     # self-adjointness on three bump pairs, reported before the finite-difference order
     box = np.array([[-3.0, 3.0], [-3.0, 3.0], [-9.0, 9.0]])
-    centers = [(0.3, 0.2, 0.4), (-0.4, 0.1, -0.3), (0.0, -0.3, 0.2)]
-    pairs = [(GaugeBump(point(cx, cy, ct), radius=1.4).spatial,
-              GaugeBump(point(-cx, cy, -ct), radius=1.6).spatial) for cx, cy, ct in centers]
-    rows.insert(-1, ("selfadjointness_ratio", selfadjointness_ratio(pairs, box, samples, seed), 5.0))
+    centers = [(point(cx, cy, ct), point(-cx, cy, -ct))
+               for cx, cy, ct in ((0.3, 0.2, 0.4), (-0.4, 0.1, -0.3), (0.0, -0.3, 0.2))]
+    rows.insert(-1, ("selfadjointness_ratio", selfadjointness_ratio(centers, box, samples, seed), 5.0))
     return [{"identity": name, "measured": measured, "threshold": threshold,
              "status": "pass" if measured <= threshold else "fail"} for name, measured, threshold in rows]
 

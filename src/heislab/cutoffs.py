@@ -239,7 +239,7 @@ class ProductTestFunction:
 class GaugeBump:
     """C^2 bump supported in a left-translated gauge ball.
 
-    value(eta) = Theta(|eta o c^{-1}|^2 / rho^2).  `spatial` returns the
+    Its value is Theta(|eta o c^{-1}|^2 / rho^2).  `spatial` returns the
     value and its exact sub-Laplacian from one translation and one
     smoothstep evaluation: Delta is invariant under eta -> eta o c^{-1},
     so it equals the radial formula evaluated at the translated point.
@@ -250,10 +250,6 @@ class GaugeBump:
             raise ParameterError("bump radius must be positive")
         self.center = center
         self.radius = float(radius)
-
-    def value(self, p: GroupPoint):
-        _, r2 = _norm4(compose(p, inverse(self.center)))
-        return smoothstep_complement(r2 / self.radius**2)[0]
 
     def spatial(self, p: GroupPoint):
         """(value, Delta value) at the points p, from one shared pass."""

@@ -277,10 +277,10 @@ def identity_battery(n: int, rng: np.random.Generator) -> list:
     """(name, measured, threshold) of each group-calculus identity of H^n, on random
     points and random polynomials drawn from rng in a fixed order: the group axioms and
     norm homogeneity, [X_i, Y_i] = -4 d/dtau and [X_i, Y_j] = 0 for i < j, left
-    invariance and dilation homogeneity (factor lam^2) of Delta, the gauge-radial
-    formula on c0 + c1 r^4 + c2 r^8, and the deviation of the observed order of
-    `fd_sublaplacian` from 2.  The axioms and the cross bracket need two pairs, so
-    they run at max(n, 2); every other row runs at n."""
+    invariance (on the polynomial plus tau^3) and dilation homogeneity (factor lam^2)
+    of Delta, the gauge-radial formula on c0 + c1 r^4 + c2 r^8, and the deviation of
+    the observed order of `fd_sublaplacian` from 2.  The axioms and the cross bracket
+    need two pairs, so they run at max(n, 2); every other row runs at n."""
     m, d = max(n, 2), 2 * n + 1
     a, b, c = (random_points(m, 100, rng) for _ in range(3))
     assoc = compose(compose(a, b), c).flat() - compose(a, compose(b, c)).flat()
@@ -303,21 +303,22 @@ def identity_battery(n: int, rng: np.random.Generator) -> list:
         for f in (random_polynomial(m, rng) for _ in range(5))
         for i in range(1, m + 1) for j in range(i + 1, m + 1)), 1e-10))
 
+    def monomial(k, e, coef=1.0):  # coef z_k^e
+        return PolyField({tuple(e * (j == k) for j in range(d)): coef}, n)
+
     worst_li, worst_dh = 0.0, 0.0
     for _ in range(5):
         f = random_polynomial(n, rng)
         s = random_points(n, 1, rng)
         shift = GroupPoint(s.x[0], s.y[0], s.tau[0])
-        g = f.pullback(*invariant_translation(shift))
-        worst_li = max(worst_li, float(np.max(np.abs(sublaplacian(g, p) - sublaplacian(f, compose(p, shift))))))
+        ft = f + monomial(d - 1, 3)  # Delta tau^3 = 24 |z|^2 tau, so a wrong tau of the shifted point shows
+        g = ft.pullback(*invariant_translation(shift))
+        worst_li = max(worst_li, float(np.max(np.abs(sublaplacian(g, p) - sublaplacian(ft, compose(p, shift))))))
         lam = 0.5 + float(rng.random())
         g = f.pullback(dilation_matrix(lam, n), np.zeros(d))
         worst_dh = max(worst_dh, float(np.max(np.abs(
             sublaplacian(g, p) - lam**2 * sublaplacian(f, dilate(lam, p))))))
     rows += [("left_invariance", worst_li, 1e-8), ("dilation_homogeneity", worst_dh, 1e-8)]
-
-    def monomial(k, e, coef=1.0):  # coef z_k^e
-        return PolyField({tuple(e * (j == k) for j in range(d)): coef}, n)
 
     sq = sum((monomial(k, 2) for k in range(1, 2 * n)), monomial(0, 2))
     r4 = sq * sq + monomial(d - 1, 2)  # (|x|^2 + |y|^2)^2 + tau^2

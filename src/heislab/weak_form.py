@@ -25,20 +25,23 @@ sum_k w_k a_j(t_k) (phi1 - phi1')(t_k) for the first order and
 sum_k w_k a_j(t_k) (phi1 + phi1'')(t_k) for the second, times
 b_j Delta phi2.  Only |u|^q phi loops over the nodes, on arrays of one
 chunk's length.  Residual reports always carry the quadrature error
-estimate; no pass/fail threshold is baked in.
+estimate; `residual_battery`, the check of `heislab residual` and of
+acceptance criterion 7, sets its 3-sigma rule against a defect oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .cutoffs import GaugeBump
 from .errors import ParameterError
-from .group import GroupPoint
-from .mc import MCConfig, chunk_generator, mc_integrate_vector, sample_box
+from .group import GroupPoint, dilate
+from .mc import MCConfig, MCEstimate, chunk_generator, mc_integrate_vector, sample_box
 
 
 TIME_NODES = 64  # Gauss-Legendre nodes of every time integral
@@ -80,13 +83,12 @@ def _time_rule(T: float):
 
 
 def _check_terminal(testfn, order: int):
-    probe = sample_box(testfn.support_box(), MCConfig(samples=64, seed=97), 0, 64)
-    value, _ = testfn.spatial(GroupPoint.from_flat(probe))
+    """phi(T, .) = 0, and phi_t(T, .) = 0 at order 2: of a separable phi, a condition on phi1 alone."""
     f0, f1, _ = testfn.temporal(np.array([0.0, testfn.T]))
-    scale = 1.0 + float(np.max(np.abs(f0[0] * value)))
-    if float(np.max(np.abs(f0[1] * value))) > 1e-10 * scale:
+    scale = 1.0 + abs(float(f0[0]))
+    if abs(float(f0[1])) > 1e-10 * scale:
         raise ParameterError("test function must vanish at t = T")
-    if order == 2 and float(np.max(np.abs(f1[1] * value))) > 1e-10 * scale:
+    if order == 2 and abs(float(f1[1])) > 1e-10 * scale:
         raise ParameterError("test function time derivative must vanish at t = T")
 
 
@@ -163,6 +165,61 @@ def pair_defect(defects, testfn, cfg: MCConfig) -> list:
     return mc_integrate_vector(blocks, testfn.support_box(), cfg, len(defects))
 
 
+def _manufactured_cases(q: float, R: float):
+    """(case, (candidate a(t) * bump(eta), time order), strong-form defect as
+    terms ((time factor, spatial factor), ...)) for both orders.  The bump
+    overlaps the cutoff transition so the Delta-phi terms of the weak
+    identity are genuinely exercised.
+    """
+    center = dilate(R / 3.0, GroupPoint(np.array([0.2]), np.array([-0.1]), 0.05))
+    spatial, memo = GaugeBump(center=center, radius=0.75 * R).spatial, weakref.WeakKeyDictionary()
+
+    def bump(p):  # (value, Delta value), once per set of points while they live
+        if p not in memo:
+            memo[p] = spatial(p)
+        return memo[p]
+
+    a = lambda t: np.exp(-0.5 * t)
+    b = lambda p: bump(p)[0]  # one callable, so a pass evaluates it once per chunk
+    u1 = lambda p: -0.5 * a(0.0) * b(p)  # u_t(0, .) = a'(0) bump
+    power = (lambda t: np.abs(a(t)) ** q, lambda p: np.abs(b(p)) ** q)
+    # ratio = a^(order) / a: a' = -a / 2, a'' = a / 4
+    return [(f"manufactured_{name}", (CandidateSolution(((a, b),), u1 if order == 2 else None, q), order),
+             ((lambda t, ratio=ratio: ratio * a(t) + a(t), lambda p: bump(p)[1]), power))
+            for name, order, ratio in (("parabolic", 1, -0.5), ("hyperbolic", 2, 0.25))]
+
+
+def residual_battery(q: float, testfn, cfg: MCConfig) -> list:
+    """Report rows of the weak-form check against the ProductTestFunction `testfn`:
+    the zero candidate, an exact solution, then exp(-t/2) b(eta) with b a gauge bump of
+    radius 0.75 R, each at time order 1 and 2.  A row holds the weak residual at cfg
+    beside its oracle, the defect pairing at twice the samples and seed + 1 (0 for
+    the zero candidate), their gap and whether it is within 3 sigma.  Raises
+    ParameterError when no sample meets the candidate's support and OverflowError
+    when an integrand leaves floating-point range."""
+    T, R = testfn.T, testfn.R
+    oracle_cfg = MCConfig(samples=2 * cfg.samples, seed=cfg.seed + 1)
+    zero = CandidateSolution(terms=(), u1=lambda p: np.zeros(p.tau.shape), q=q)
+    cases = [("zero_parabolic", (zero, 1), None), ("zero_hyperbolic", (zero, 2), None)] + _manufactured_cases(q, R)
+    rows = []
+    with np.errstate(over="raise", invalid="raise"):  # no inf or NaN reaches the rows
+        try:  # one pass per sample set: the four weak rows, then the two oracle rows
+            reps = weak_residual([c for _, c, _ in cases], testfn, cfg)
+            oracles = [MCEstimate(0.0, 0.0)] * 2 + pair_defect([d for _, _, d in cases[2:]], testfn, oracle_cfg)
+            for (case, _, defect), rep, oracle in zip(cases, reps, oracles):
+                if defect and (rep.error == 0.0 or oracle.stderr == 0.0):
+                    raise ParameterError(f"--samples {cfg.samples} puts no sample in the support of "
+                                         f"the {case} candidate; the check would be vacuous")
+                gap = abs(rep.residual - oracle.value)
+                rows.append({"case": case, "lhs": rep.lhs, "rhs": rep.rhs,
+                             "residual": rep.residual, "stderr": rep.error,
+                             "oracle": oracle.value, "oracle_stderr": oracle.stderr, "gap": gap,
+                             "within_3sigma": gap <= 3.0 * float(np.hypot(rep.error, oracle.stderr))})
+        except FloatingPointError:
+            raise OverflowError(f"weak-form residual beyond floating-point range at T = {T:g}, R = {R:g}") from None
+    return rows
+
+
 def _check_supported_inside(f, box: np.ndarray, scale: float):
     """Sample each box face; the spatial factor f must vanish there."""
     d = box.shape[0]
@@ -200,12 +257,14 @@ def selfadjointness_residual(f, g, box, cfg: MCConfig) -> ResidualReport:
     return _residual_estimates(sides, box, cfg, 1)[0]
 
 
-def selfadjointness_ratio(pairs, box, samples: int, seed: int) -> float:
-    """Worst |residual| / error of `selfadjointness_residual` over the pairs (f, g),
-    pair k drawn with `samples` points from seed + k.  Raises ParameterError when
-    a pair's error is 0: no sample met its supports, so its check would be vacuous."""
+def selfadjointness_ratio(centers, box, samples: int, seed: int) -> float:
+    """Worst |residual| / error of `selfadjointness_residual` over gauge-bump pairs, of
+    radius 1.4 about c and 1.6 about c' for each (c, c') of `centers`, pair k drawn with
+    `samples` points from seed + k.  Raises ParameterError when a pair's error is 0:
+    no sample met its supports, so its check would be vacuous."""
     worst = 0.0
-    for k, (f, g) in enumerate(pairs):
+    for k, (c, c2) in enumerate(centers):
+        f, g = GaugeBump(c, radius=1.4).spatial, GaugeBump(c2, radius=1.6).spatial
         rep = selfadjointness_residual(f, g, box, MCConfig(samples=samples, seed=seed + k))
         if rep.error == 0.0:
             raise ParameterError(f"--samples {samples} puts no sample in the supports of "

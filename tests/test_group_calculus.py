@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heislab import group
 from heislab.errors import ParameterError
 from heislab.group import (
     GroupPoint,
@@ -232,3 +233,16 @@ def test_fd_sublaplacian_rejects_a_nonpositive_step():
     for h in (0.0, -1e-3):
         with pytest.raises(ParameterError):
             fd_sublaplacian(lambda pt: pt.tau, p, h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_left_invariance_row_fails_under_a_flipped_twist(monkeypatch, n):
+    # the mutant moves only tau of eta o a; Delta of a random cubic often ignores tau,
+    # so the row must see the tau^3 added to its polynomial
+    def flipped(a, b):
+        return GroupPoint(a.x + b.x, a.y + b.y, a.tau + b.tau + 2.0 * np.sum(b.x * a.y - a.x * b.y, axis=-1))
+
+    monkeypatch.setattr(group, "compose", flipped)
+    for seed in range(5):
+        rows = {name: measured for name, measured, _ in group.identity_battery(n, np.random.default_rng(seed))}
+        assert rows["left_invariance"] > 1e-8, seed
