@@ -254,3 +254,10 @@ class GaugeBump:
     def spatial(self, p: GroupPoint):
         """(value, Delta value) at the points p, from one shared pass."""
         return gauge_radial(compose(p, inverse(self.center)), self.radius**2, smoothstep_complement)
+
+    def support_box(self) -> np.ndarray:
+        """Coordinate box (x, y, tau) containing the support: eta = eta' o c with |z'| < rho
+        and |tau'| < rho^2 has z = z' + c_z and tau = tau' + c_tau + 2(x'.c_y - c_x.y')."""
+        rho, c = self.radius, self.center.flat()
+        half = np.append(np.full(c.size - 1, rho), rho * rho + 2.0 * rho * float(np.linalg.norm(c[:-1])))
+        return np.stack([c - half, c + half], axis=1)

@@ -163,8 +163,7 @@ class PolyField:
     """
 
     def __init__(self, coeffs: dict, n: int):
-        self.ncoords = 2 * n + 1
-        self.npairs = n
+        self.ncoords, self.npairs, self._diff_cache = 2 * n + 1, n, {}
         clean = {}
         for exps, c in coeffs.items():
             exps = tuple(int(e) for e in exps)
@@ -173,7 +172,13 @@ class PolyField:
             if c != 0.0:
                 clean[exps] = clean.get(exps, 0.0) + float(c)
         self.coeffs = clean
-        self._diff_cache = {}
+
+    @classmethod
+    def _clean(cls, coeffs: dict, n: int) -> "PolyField":
+        """A field from exponent tuples that are already clean; only zero coefficients are dropped."""
+        field = cls({}, n)
+        field.coeffs = {exps: c for exps, c in coeffs.items() if c != 0.0}
+        return field
 
     def value(self, p: GroupPoint):
         z = p.flat()
@@ -198,7 +203,7 @@ class PolyField:
                 shifted = list(exps)
                 shifted[i] -= 1
                 out[tuple(shifted)] = out.get(tuple(shifted), 0.0) + c * exps[i]
-        field = PolyField(out, self.npairs)
+        field = PolyField._clean(out, self.npairs)
         self._diff_cache[i] = field
         return field
 
@@ -206,7 +211,7 @@ class PolyField:
         out = dict(self.coeffs)
         for exps, c in other.coeffs.items():
             out[exps] = out.get(exps, 0.0) + c
-        return PolyField(out, self.npairs)
+        return PolyField._clean(out, self.npairs)
 
     def __mul__(self, other: "PolyField") -> "PolyField":
         out = {}
@@ -214,7 +219,7 @@ class PolyField:
             for e2, c2 in other.coeffs.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 out[key] = out.get(key, 0.0) + c1 * c2
-        return PolyField(out, self.npairs)
+        return PolyField._clean(out, self.npairs)
 
     def pullback(self, A: np.ndarray, b: np.ndarray) -> "PolyField":
         """The expanded polynomial z -> f(A z + b)."""

@@ -43,10 +43,12 @@ def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int) -> np.
     """Uniform points in the box for chunk `index`, shape (count, dim)."""
     bounds = np.asarray(bounds, dtype=float)
     u = chunk_generator(cfg.seed, index).random((count, bounds.shape[0]))
-    return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
+    return np.add(bounds[:, 0], np.multiply(u, bounds[:, 1] - bounds[:, 0], out=u), out=u)  # one array, same bits
 
 
-def _column_sums(vals: np.ndarray):
+def _column_sums(block, m: int):
+    vals = np.asarray(block, dtype=float)
+    vals = vals if vals.ndim == 2 else vals.reshape(m, -1)  # a block of 2 or more columns may be short
     return vals.sum(axis=0), (vals * vals).sum(axis=0)
 
 
@@ -57,24 +59,22 @@ def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
     when width is 1, or an iterable of (m, w_i) blocks of total width `width`,
     each summed on its own: numpy sums a one-column block pairwise but each
     column of a wider C-ordered block in row order, so stacking moves bits.
-    Returns a list of MCEstimate sharing the same sample stream.
+    A wider block may leave out rows that are 0 in every column, keeping the
+    rest in sample order, with the same sums.  Returns a list of MCEstimate
+    sharing the same sample stream.
     """
     bounds = np.asarray(bounds, dtype=float)
     vol = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     s1 = np.zeros(width)
     s2 = np.zeros(width)
-    done = 0
-    index = 0
-    while done < cfg.samples:
+    for index, done in enumerate(range(0, cfg.samples, CHUNK)):
         m = min(CHUNK, cfg.samples - done)
         out = integrand(sample_box(bounds, cfg, index, m))
         # map lets each block go once summed, before the next one is made
-        sums = list(map(lambda b: _column_sums(np.asarray(b, dtype=float).reshape(m, -1)),
+        sums = list(map(lambda b: _column_sums(b, m),
                         (out,) if isinstance(out, np.ndarray) else out))
         s1 += np.concatenate([a for a, _ in sums]).reshape(width)
         s2 += np.concatenate([b for _, b in sums]).reshape(width)
-        done += m
-        index += 1
     n = cfg.samples
     mean = s1 / n
     var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)

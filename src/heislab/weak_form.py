@@ -41,7 +41,7 @@ import numpy as np
 from .cutoffs import GaugeBump
 from .errors import ParameterError
 from .group import GroupPoint, dilate
-from .mc import MCConfig, MCEstimate, chunk_generator, mc_integrate_vector, sample_box
+from .mc import MCConfig, MCEstimate, mc_integrate_vector
 
 
 TIME_NODES = 64  # Gauss-Legendre nodes of every time integral
@@ -94,10 +94,10 @@ def _check_terminal(testfn, order: int):
 
 def _residual_estimates(sides, bounds, cfg: MCConfig, count: int) -> list:
     """Common-point MC of lhs, rhs and their difference (honest stderr) for
-    each of `count` cases; sides(p) yields the (lhs, rhs) integrands of the
-    cases at the points p, each stacked and summed before the next is made."""
+    each of `count` cases; sides(pts) yields the (lhs, rhs) integrands of the
+    cases at the (m, 2n+1) points pts, each stacked and summed before the next is made."""
     stack = lambda s: np.stack([s[0], s[1], s[0] - s[1]], axis=1)
-    est = mc_integrate_vector(lambda pts: map(stack, sides(GroupPoint.from_flat(pts))), bounds, cfg, 3 * count)
+    est = mc_integrate_vector(lambda pts: map(stack, sides(pts)), bounds, cfg, 3 * count)
     return [ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
             for lhs, rhs, diff in zip(est[0::3], est[1::3], est[2::3])]
 
@@ -136,7 +136,8 @@ def weak_residual(cases, testfn, cfg: MCConfig) -> list:
         u0 = sum(a0 * b for a0, b in zip(inits, bs))
         return lhs, u0 * (g0 * lap) if order == 1 else np.asarray(cand.u1(p)) * (g0 * lap) - u0 * (g1 * lap)
 
-    def sides(p):
+    def sides(pts):
+        p = GroupPoint.from_flat(pts)
         value, lap = testfn.spatial(p)
         at = functools.cache(lambda f: np.asarray(f(p)))  # each distinct spatial function once
         return (case_sides(p, value, lap, at, *plan) for plan in plans)
@@ -220,38 +221,25 @@ def residual_battery(q: float, testfn, cfg: MCConfig) -> list:
     return rows
 
 
-def _check_supported_inside(f, box: np.ndarray, scale: float):
-    """Sample each box face; the spatial factor f must vanish there."""
-    d = box.shape[0]
-    rng = chunk_generator(11, 0)
-    for axis in range(d):
-        for side in range(2):
-            pts = box[:, 0] + rng.random((64, d)) * (box[:, 1] - box[:, 0])
-            pts[:, axis] = box[axis, side]
-            vals, _ = f(GroupPoint.from_flat(pts))
-            if float(np.max(np.abs(vals))) > 1e-9 * scale:
-                raise ParameterError("support touches the boundary of the box")
-
-
 def selfadjointness_residual(f, g, box, cfg: MCConfig) -> ResidualReport:
     """| int (-Delta f) g - int f (-Delta g) | over a box of H^n with MC error.
 
-    f and g are spatial factors, p -> (value, Delta value), such as
-    `GaugeBump.spatial`; box holds (2n+1, 2) coordinate bounds.  Both must
-    be compactly supported strictly inside the box, so the two integrals
-    are equal and the residual is pure quadrature noise.
+    f and g, such as `GaugeBump`s, give `spatial(p)` = (value, Delta value) and
+    `support_box()`; box holds (2n+1, 2) coordinate bounds with both support boxes
+    strictly inside, so the two integrals are equal and the residual is quadrature
+    noise.  Only samples inside both support boxes are evaluated: the other rows are
+    0 in all three columns, and `mc_integrate_vector` sums without them to the same bits.
     """
     box = np.asarray(box, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 3 or box.shape[0] % 2 == 0:
-        raise ParameterError("box must be (2n+1, 2) bounds")
-    probe = sample_box(box, MCConfig(samples=128, seed=5), 0, 128)
-    p = GroupPoint.from_flat(probe)
-    scale = 1.0 + float(np.max(np.abs(f(p)[0]))) + float(np.max(np.abs(g(p)[0])))
-    _check_supported_inside(f, box, scale)
-    _check_supported_inside(g, box, scale)
+    supports = [h.support_box() for h in (f, g)]
+    if any(s.shape != box.shape or np.any(s[:, 0] <= box[:, 0]) or np.any(s[:, 1] >= box[:, 1]) for s in supports):
+        raise ParameterError("box must be (2n+1, 2) bounds with both supports strictly inside")
+    lo, hi = np.max(supports, axis=0)[:, 0], np.min(supports, axis=0)[:, 1]  # their intersection
 
-    def sides(p):
-        (fv, f_lap), (gv, g_lap) = f(p), g(p)
+    def sides(pts):  # column by column: one 2-d comparison of pts with lo and hi is ~5x slower
+        keep = np.logical_and.reduce([(pts[:, k] > lo[k]) & (pts[:, k] < hi[k]) for k in range(len(lo))])
+        p = GroupPoint.from_flat(pts[keep])
+        (fv, f_lap), (gv, g_lap) = f.spatial(p), g.spatial(p)
         return [(-f_lap * gv, fv * -g_lap)]
 
     return _residual_estimates(sides, box, cfg, 1)[0]
@@ -264,7 +252,7 @@ def selfadjointness_ratio(centers, box, samples: int, seed: int) -> float:
     no sample met its supports, so its check would be vacuous."""
     worst = 0.0
     for k, (c, c2) in enumerate(centers):
-        f, g = GaugeBump(c, radius=1.4).spatial, GaugeBump(c2, radius=1.6).spatial
+        f, g = GaugeBump(c, radius=1.4), GaugeBump(c2, radius=1.6)
         rep = selfadjointness_residual(f, g, box, MCConfig(samples=samples, seed=seed + k))
         if rep.error == 0.0:
             raise ParameterError(f"--samples {samples} puts no sample in the supports of "

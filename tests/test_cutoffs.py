@@ -242,6 +242,25 @@ def test_gauge_bump_spatial_is_supported_in_its_gauge_ball(n):
     assert np.all(value[~outside] != 0.0)
 
 
+OFF_CENTRE = [point(1.0, -0.8, 0.3),
+              GroupPoint(np.array([0.9, -0.4]), np.array([-0.6, 0.7]), -0.5),
+              GroupPoint(np.array([0.5, -0.7, 0.6]), np.array([0.8, 0.2, -0.6]), 0.4)]
+
+
+@pytest.mark.parametrize("center", OFF_CENTRE, ids=lambda c: f"n{c.n}")
+def test_gauge_bump_support_box_contains_the_support(center):
+    # |c_z| > rho, so the twist 2(x'.c_y - c_x.y') carries much of the support past c_tau +- rho^2
+    b = GaugeBump(center=center, radius=0.9)
+    box = b.support_box()
+    assert box.shape == (2 * center.n + 1, 2)
+    mid, half = box.mean(axis=1), 0.625 * (box[:, 1] - box[:, 0])  # 1.25 times the box
+    pts = mid + half * np.random.default_rng(31).uniform(-1.0, 1.0, (100_000, len(mid)))
+    value, lap = b.spatial(GroupPoint.from_flat(pts))
+    hit = (value != 0.0) | (lap != 0.0)
+    assert np.count_nonzero(hit) > 100
+    assert np.all((pts[hit] > box[:, 0]) & (pts[hit] < box[:, 1]))
+
+
 FLOAT_PATH_SPECS = [*(CutoffSpec.power(m) for m in (*range(1, 9), 11)),
                     *(CutoffSpec.logarithmic(k) for k in (4.5, 7.0, 50.0, 1e3))]
 

@@ -9,6 +9,7 @@ from heislab.mc import MCConfig, chunk_generator, mc_integrate_vector
 from heislab.weak_form import (
     TIME_NODES,
     CandidateSolution,
+    ResidualReport,
     pair_defect,
     selfadjointness_residual,
     weak_residual,
@@ -290,14 +291,14 @@ BOX = np.array([[-3.0, 3.0], [-3.0, 3.0], [-9.0, 9.0]])
 
 
 def test_selfadjointness_identical_fields_exactly_zero():
-    f = GaugeBump(point(0.3, 0.2, 0.4), radius=1.4).spatial
+    f = GaugeBump(point(0.3, 0.2, 0.4), radius=1.4)
     rep = selfadjointness_residual(f, f, BOX, MCConfig(samples=5_000, seed=2))
     assert rep.residual == 0.0
 
 
 def test_selfadjointness_disjoint_supports():
-    f = GaugeBump(point(1.5, 1.5, 4.0), radius=0.7).spatial
-    g = GaugeBump(point(-1.5, -1.5, -4.0), radius=0.7).spatial
+    f = GaugeBump(point(1.5, 1.5, 4.0), radius=0.7)
+    g = GaugeBump(point(-1.5, -1.5, -4.0), radius=0.7)
     rep = selfadjointness_residual(f, g, BOX, MCConfig(samples=30_000, seed=3))
     assert abs(rep.lhs) <= 5 * max(rep.error, 1e-12)
     assert abs(rep.rhs) <= 5 * max(rep.error, 1e-12)
@@ -307,8 +308,8 @@ def test_selfadjointness_overlapping_bumps():
     for k, (c1, c2) in enumerate([((0.3, 0.2, 0.4), (-0.3, 0.2, -0.4)),
                                   ((0.0, 0.4, -0.2), (0.2, -0.4, 0.0)),
                                   ((-0.4, 0.0, 0.3), (0.4, 0.1, 0.5))]):
-        f = GaugeBump(point(*c1), radius=1.4).spatial
-        g = GaugeBump(point(*c2), radius=1.6).spatial
+        f = GaugeBump(point(*c1), radius=1.4)
+        g = GaugeBump(point(*c2), radius=1.6)
         rep = selfadjointness_residual(f, g, BOX, MCConfig(samples=60_000, seed=10 + k))
         assert abs(rep.residual) <= 5 * rep.error
 
@@ -318,29 +319,87 @@ def test_selfadjointness_overlapping_bumps_n2():
     for k, (c1, c2) in enumerate([((0.3, -0.1, 0.2, 0.1, 0.4), (-0.3, 0.2, 0.2, -0.1, -0.4)),
                                   ((0.0, 0.2, 0.4, 0.0, -0.2), (0.2, 0.0, -0.4, 0.1, 0.0)),
                                   ((-0.4, 0.1, 0.0, 0.3, 0.3), (0.4, -0.2, 0.1, 0.0, 0.5))]):
-        f = GaugeBump(GroupPoint.from_flat(np.array(c1)), radius=1.4).spatial
-        g = GaugeBump(GroupPoint.from_flat(np.array(c2)), radius=1.6).spatial
+        f = GaugeBump(GroupPoint.from_flat(np.array(c1)), radius=1.4)
+        g = GaugeBump(GroupPoint.from_flat(np.array(c2)), radius=1.6)
         rep = selfadjointness_residual(f, g, box, MCConfig(samples=100_000, seed=30 + k))
         assert abs(rep.residual) <= 5 * rep.error
 
 
 def test_selfadjointness_rejects_malformed_box():
-    f = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0).spatial
+    f = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0)
     for box in (BOX[:2], BOX[:, :1], np.zeros((4, 2)), BOX.ravel()):
         with pytest.raises(ParameterError):
             selfadjointness_residual(f, f, box, MCConfig(samples=2_000, seed=0))
 
 
+def full_row_selfadjointness(f, g, box, cfg):
+    """The self-adjointness integrand on every sample row: both bumps are
+    evaluated at all points, also where one of them is 0."""
+    def integrand(pts):
+        p = GroupPoint.from_flat(pts)
+        (fv, f_lap), (gv, g_lap) = f.spatial(p), g.spatial(p)
+        lhs, rhs = -f_lap * gv, fv * -g_lap
+        return np.stack([lhs, rhs, lhs - rhs], axis=1)
+
+    lhs, rhs, diff = mc_integrate_vector(integrand, box, cfg, 3)
+    return ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
+
+
+# (centre of f, centre of g, radii); the last pair's support boxes are disjoint
+SELFADJOINT_PAIRS = {
+    1: [((0.3, 0.2, 0.4), (-0.3, 0.2, -0.4), (1.4, 1.6)),
+        ((-0.4, 0.1, -0.3), (0.4, 0.1, 0.3), (1.4, 1.6)),
+        ((1.5, 1.5, 4.0), (-1.5, -1.5, -4.0), (0.7, 0.7))],
+    2: [((0.3, -0.1, 0.2, 0.1, 0.4), (-0.3, 0.2, 0.2, -0.1, -0.4), (1.4, 1.6)),
+        ((0.0, 0.2, 0.4, 0.0, -0.2), (0.2, 0.0, -0.4, 0.1, 0.0), (1.4, 1.6)),
+        ((1.5, 1.5, 1.5, 1.5, 4.0), (-1.5, -1.5, -1.5, -1.5, -4.0), (0.7, 0.7))],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_selfadjointness_is_the_full_row_integrand_bit_for_bit(n, monkeypatch):
+    # chunks of 4,096 points, so every sum runs over five chunks, the last one short
+    monkeypatch.setattr(mc, "CHUNK", 4096)
+    box = np.array([[-3.0, 3.0]] * (2 * n) + [[-9.0, 9.0]])
+    for k, (c1, c2, radii) in enumerate(SELFADJOINT_PAIRS[n]):
+        f, g = (GaugeBump(GroupPoint.from_flat(np.array(c)), radius=r) for c, r in zip((c1, c2), radii))
+        for seed in (0, 7, 40 + k):
+            cfg = MCConfig(samples=18_000, seed=seed)
+            got, want = selfadjointness_residual(f, g, box, cfg), full_row_selfadjointness(f, g, box, cfg)
+            assert got == want and repr(got) == repr(want)
+            disjoint = k == len(SELFADJOINT_PAIRS[n]) - 1
+            assert (got == ResidualReport(0.0, 0.0, 0.0, 0.0)) == disjoint
+
+
+@pytest.mark.parametrize("cut", [0.3, 0.0])
+def test_block_without_its_zero_rows_keeps_the_sums(cut, monkeypatch):
+    # rows outside |x| < cut are 0, some -0.0, in every column; at cut 0 every row is
+    monkeypatch.setattr(mc, "CHUNK", 1000)
+
+    def full(pts):
+        vals = np.stack([np.sin(3.0 * pts[:, 0]), -pts[:, 1] ** 3, pts[:, 0] * pts[:, 1]], axis=1)
+        return vals * (np.abs(pts[:, :1]) < cut)
+
+    def short(pts):
+        vals = full(pts)
+        return [vals[np.any(vals != 0.0, axis=1)]]
+
+    bounds, cfg = [[-1.0, 1.0], [-1.0, 1.0]], MCConfig(samples=4_500, seed=3)
+    want = mc_integrate_vector(full, bounds, cfg, 3)
+    assert repr(mc_integrate_vector(short, bounds, cfg, 3)) == repr(want)
+    assert all(e.stderr > 0.0 for e in want) == (cut > 0.0)
+
+
 @pytest.mark.parametrize("seed, index", [(0, 1), (7, 1), (11, 0), (-1, 3)])
 def test_chunk_generator_is_philox_keyed_seed_index(seed, index):
-    # identities draws from (seed, 1) and the box-boundary probe from (11, 0)
+    # chunk i of a Monte Carlo pass at seed s draws from (s, i); identities draws from (seed, 1)
     key = np.array([seed % 2**64, index], dtype=np.uint64)
     want = np.random.Generator(np.random.Philox(key=key)).random(8)
     assert np.array_equal(chunk_generator(seed, index).random(8), want)
 
 
 def test_selfadjointness_rejects_boundary_support():
-    f = GaugeBump(point(2.8, 0.0, 0.0), radius=1.5).spatial
-    g = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0).spatial
+    f = GaugeBump(point(2.8, 0.0, 0.0), radius=1.5)
+    g = GaugeBump(point(0.0, 0.0, 0.0), radius=1.0)
     with pytest.raises(ParameterError):
         selfadjointness_residual(f, g, BOX, MCConfig(samples=2_000, seed=0))
