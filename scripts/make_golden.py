@@ -74,7 +74,7 @@ def other_reports() -> dict:
     for seed in (0, 7):
         cases[f"identities-s{seed}"] = ["identities", f"--seed={seed}"]
     cases["verdict"] = ["verdict"]
-    # the largest pow exponents of the scalar quad integrands, and R at both float ends
+    # the largest exponents of the radial and time integrands, and R at both float ends
     cases.update({
         "lemma2-kappa50": ["lemma2", "--kappa=50", "--R=1.5,10,1e5,1e300"],
         "bound-parabolic-crit-kappa1e3": ["bound-parabolic", "--q=2", "--kappa=1e3", "--T=1",

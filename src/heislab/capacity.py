@@ -18,9 +18,18 @@ degree zero, so the integral splits into a 1-D radial quadrature times a
 gauge-sphere constant S_omega(s) = int_{|eta|=1} omega^s dsigma.  The
 sphere constant has a closed form from the Koranyi polar decomposition
 (Folland-Stein, Hardy Spaces on Homogeneous Groups, 1982), so every
-capacity path is deterministic and works for any n >= 1.  Bounds take T from
-the closed forms C_k T^(1-k q') and R from radial quadratures on plain floats,
-each computed once per (exponents, cutoff, R, weight) in a process.
+capacity path is deterministic and works for any n >= 1.
+
+Every quadrature is one factored Gauss-Jacobi rule in numpy (Golub-Welsch,
+Math. Comp. 23, 1969): each integrand is split at 0, at the real zeros in
+(0, 1) of its polynomial bracket and at 1, and the algebraic factor it has
+at each end is the weight of that segment's rule.  The integrand is
+evaluated in logs, the two rules of each segment give the value and the
+error, and segments are bisected until the error is below 1e-13 of the
+value.  The radial integrals of a whole R grid take one pass of the rule
+(`spatial_integral_grid`).  Bounds take T from the closed forms
+C_k T^(1-k q'), each radial integral is computed once per (exponents,
+cutoff, R, weight) in a process, and no capacity path loads scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .cutoffs import (
     check_radius,
     cutoff_eval,
     default_power,
-    log_brackets,
+    min_power,
     spatial_factor,
 )
 from .errors import ParameterError
@@ -107,6 +116,10 @@ class Exponents:
     def log_spec(self) -> CutoffSpec:
         return CutoffSpec.logarithmic(self.kappa)
 
+    def bound_spec(self) -> CutoffSpec:
+        """The cutoff of the a-priori bounds: logarithmic at q_c, power elsewhere."""
+        return self.log_spec() if self.is_critical() else self.power_spec()
+
 
 @dataclass(frozen=True)
 class QuadratureEstimate:
@@ -157,54 +170,222 @@ class Verdict(Enum):
 
 
 # ---------------------------------------------------------------------------
+# The Gauss-Jacobi rule
+# ---------------------------------------------------------------------------
+
+
+# A segment (lo, hi, left, right, v) of integrand v stands for its algebraic factors
+# (x - lo)^left (hi - x)^right, which become the weight of its rules, so what the nodes
+# sample is smooth.  The rules with RULE_NODES and 2 RULE_NODES nodes run together: the
+# second gives the value, their difference the error.  Integrands are evaluated in logs,
+# at all nodes of a round in one array call.
+RULE_NODES = 12  # 2N = 24 keeps every Golub-Welsch eigh below the size at which BLAS threads
+RULE_RTOL = 1e-13
+RULE_ROUNDS = 40  # rounds of bisection, at most
+RULE_SEGMENTS = 256  # segments per integrand of a pass, on average, at most
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+@functools.lru_cache(maxsize=1024)
+def _jacobi_rules(left: float, right: float):
+    """Gauss-Jacobi rules with RULE_NODES and 2 RULE_NODES nodes for the weight
+    t^left (1-t)^right on [0, 1], by Golub-Welsch, one after the other: the nodes t
+    and the log weights with the weight divided out, log(w / (t^left (1-t)^right)).
+
+    The recurrence coefficients are products of bounded ratios, finite for any
+    finite exponents.  An infinite or NaN one raises OverflowError, and so do nodes
+    that round onto an end or onto each other, as they do for exponents near 1e16."""
+    n = 2 * RULE_NODES
+    a, b = right, left  # (1 - x)^a (1 + x)^b on [-1, 1], x = 2t - 1
+    k = np.arange(1.0, n)
+    with np.errstate(all="ignore"):
+        s = 2.0 * k + a + b
+        diag = np.empty(n)
+        diag[0] = (b - a) / (a + b + 2.0)
+        diag[1:] = (b - a) / s * ((b + a) / (s + 2.0))
+        ratio = np.ones_like(k)  # (k + a + b) / (s - 1), which is 1 at k = 1
+        ratio[1:] = (k[1:] + a + b) / (s[1:] - 1.0)
+        off = 2.0 * np.sqrt(k / (s + 1.0) * ((k + a) / s) * ((k + b) / s) * ratio)
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise OverflowError("Jacobi recurrence beyond floating-point range")
+        x, first = [], []
+        for size in (RULE_NODES, n):  # the smaller Jacobi matrix is the leading block of the larger
+            jacobi = np.zeros((size, size))
+            jacobi.flat[::size + 1] = diag[:size]
+            jacobi.flat[size::size + 1] = off[:size - 1]  # eigh reads the lower triangle
+            values, vectors = np.linalg.eigh(jacobi)
+            if not (-1.0 < values[0] and values[-1] < 1.0 and np.all(np.diff(values) > 0.0)):
+                raise OverflowError("Gauss-Jacobi nodes beyond floating-point resolution")
+            x.append(values)
+            first.append(vectors[0])
+        x, first = np.concatenate(x), np.concatenate(first)
+        if left == 0.0 or right == 0.0:
+            log_mu0 = -math.log1p(left + right)  # B(1, c + 1) = 1/(c + 1)
+        else:
+            log_mu0 = math.lgamma(left + 1.0) + math.lgamma(right + 1.0) - math.lgamma(left + right + 2.0)
+        t = 0.5 * (1.0 + x)  # a node rounded onto an end with a nonzero exponent gives a NaN weight
+        log_w = log_mu0 + 2.0 * np.log(np.abs(first))
+        if left:
+            log_w -= left * np.log(t)
+        if right:
+            log_w -= right * np.log(0.5 * (1.0 - x))
+        return t, log_w
+
+
+def _rule_nodes(segments, rules):
+    """Abscissae and log weights of both `rules` of each of `segments`, one row per
+    segment: RULE_NODES coarse nodes, then 2 RULE_NODES fine ones."""
+    lo, hi = np.array([seg[:2] for seg in segments]).T
+    h = (hi - lo)[:, None]
+    return lo[:, None] + h * np.array([t for t, _ in rules]), np.log(h) + np.array([w for _, w in rules])
+
+
+def _adapt(log_integrand, segments, count: int, limit: float) -> list:
+    """Integrals of `count` integrands side by side; segment (lo, hi, left, right, v)
+    belongs to integrand v, and `log_integrand(x, v)` gets the nodes, one row per
+    segment, with each row's integrand index.  Logs are -inf where an integrand
+    vanishes.
+
+    Per integrand: while its summed rule differences exceed RULE_RTOL times its
+    total, every segment whose difference is above the mean share, and above its
+    own rounding, is bisected, and only the halves are evaluated anew.  Returns per
+    integrand (value, abs_error, shift, nodes, segments), value and abs_error in
+    units of exp(shift), the largest node term met; abs_error adds to the
+    differences the rounding of exp at logs of the size met.  An integrand whose
+    exponents or logs leave float range (NaN or +inf) gets "quadrature" instead, one
+    with a node term above exp(limit) "integrand"."""
+    failed = {}
+    shift, nodes = np.full(count, -math.inf), np.zeros(count, dtype=int)
+    done, owner = [], np.zeros(0, dtype=int)
+    fine = diff = rounding = np.zeros(0)
+    pending = list(segments)
+    for _ in range(RULE_ROUNDS):
+        rules = []
+        for seg in pending:
+            try:
+                rules.append(_jacobi_rules(seg[2], seg[3]))
+            except OverflowError:
+                failed.setdefault(seg[4], "quadrature")
+                rules.append(None)
+        if failed:
+            rules = [r for seg, r in zip(pending, rules) if seg[4] not in failed]
+            pending = [seg for seg in pending if seg[4] not in failed]
+            if not pending:
+                break
+        x, log_w = _rule_nodes(pending, rules)
+        rows = np.array([seg[4] for seg in pending])
+        nodes += np.bincount(rows, minlength=count) * x.shape[1]
+        with np.errstate(all="ignore"):
+            log_f = log_integrand(x, rows)
+            log_terms = log_f + log_w
+            peak = log_terms.max(axis=1)  # NaN if any term is
+            bad = ~(peak <= limit)
+            if bad.any():
+                for j in np.flatnonzero(bad):
+                    failed.setdefault(rows[j], "integrand" if peak[j] < math.inf else "quadrature")
+                keep = np.array([v not in failed for v in rows])
+                pending, rows, peak = [s for s, k in zip(pending, keep) if k], rows[keep], peak[keep]
+                log_f, log_terms = log_f[keep], log_terms[keep]
+                if not pending:
+                    break
+            peaks = np.full((count, rows.size), -math.inf)
+            peaks[rows, np.arange(rows.size)] = peak
+            raised = np.maximum(shift, peaks.max(axis=1))
+            scale = np.where(raised > shift, np.exp(shift - raised), 1.0)[owner]
+            fine, diff, rounding, shift = fine * scale, diff * scale, rounding * scale, raised
+            terms = np.exp(log_terms - np.where(shift > -math.inf, shift, 0.0)[rows, None])  # 0 off the support
+            size = 32.0 + np.where(terms > 0.0, np.abs(log_f), 0.0).max(axis=1)
+        sums = terms[:, RULE_NODES:].sum(axis=1)
+        done += pending
+        owner = np.concatenate([owner, rows])
+        fine = np.concatenate([fine, sums])
+        diff = np.concatenate([diff, np.abs(sums - terms[:, :RULE_NODES].sum(axis=1))])
+        rounding = np.concatenate([rounding, sys.float_info.epsilon * size * sums])
+        total, error = np.bincount(owner, fine, count), np.bincount(owner, diff, count)
+        share = RULE_RTOL * total / np.maximum(np.bincount(owner, minlength=count), 1)
+        split = (diff > share[owner]) & (diff > rounding) & (error > RULE_RTOL * total)[owner]
+        if failed:
+            split &= np.array([v not in failed for v in owner], dtype=bool)
+        if not np.any(split) or len(done) >= count * RULE_SEGMENTS:
+            break
+        pending = [half for (lo, hi, left, right, v) in (done[j] for j in np.flatnonzero(split))
+                   for half in ((lo, 0.5 * (lo + hi), left, 0.0, v), (0.5 * (lo + hi), hi, 0.0, right, v))]
+        done = [seg for seg, s in zip(done, split) if not s]
+        owner, fine, diff, rounding = owner[~split], fine[~split], diff[~split], rounding[~split]
+    total, error = np.bincount(owner, fine, count), np.bincount(owner, diff + rounding, count)
+    return [failed[v] if v in failed else
+            (float(total[v]), float(error[v]), float(shift[v]), int(nodes[v]), [s for s in done if s[4] == v])
+            for v in range(count)]
+
+
+def _estimates(log_integrand, segments, kind: str, inputs: list) -> list:
+    """`_adapt`'s integrals as estimates, one per string of `inputs`, or as the
+    OverflowError that names the integrand or the quadrature of one beyond float
+    range, and its inputs."""
+    out = []
+    for result, where in zip(_adapt(log_integrand, segments, len(inputs), _LOG_MAX), inputs):
+        if isinstance(result, str):
+            out.append(OverflowError(f"{kind} {result} beyond floating-point range at {where}"))
+            continue
+        value, error, shift, nodes, _ = result
+        if value == 0.0:
+            out.append(QuadratureEstimate(0.0, 0.0, nodes))
+            continue
+        log_value, log_error = math.log(value) + shift, (math.log(error) + shift if error > 0.0 else -math.inf)
+        if max(log_value, log_error) > _LOG_MAX:
+            out.append(OverflowError(f"{kind} quadrature beyond floating-point range at {where}"))
+        else:
+            out.append(QuadratureEstimate(math.exp(log_value), math.exp(log_error), nodes))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Time integrals
 # ---------------------------------------------------------------------------
 
 
-def _quad(integrand, lo: float, hi: float, kind: str, inputs: str, **weight) -> QuadratureEstimate:
-    """scipy quad of `integrand` over [lo, hi], with the time integral's algebraic
-    `weight` if given; an overflow names the `kind` of quadrature and its `inputs`."""
-    from scipy.integrate import quad
-    try:
-        y, err, info = quad(integrand, lo, hi, epsabs=0.0 if weight else 1e-300, epsrel=1e-11,
-                            limit=200, full_output=True, **weight)[:3]
-    except OverflowError:  # math.exp reports only "math range error"
-        raise OverflowError(f"{kind} integrand beyond floating-point range at {inputs}") from None
-    if not (math.isfinite(y) and math.isfinite(err)):
-        raise OverflowError(f"{kind} quadrature beyond floating-point range at {inputs}")
-    return QuadratureEstimate(y, err, int(info["neval"]))
+@functools.lru_cache(maxsize=256)
+def _weight_integral(a: float) -> QuadratureEstimate:
+    """The rule's value of int_0^1 s^a ds, one segment whose weight is s^a."""
+    result = _estimates(lambda s, rows: a * np.log(s), [(0.0, 1.0, a, 0.0, 0)], "time", [f"a = {a}"])[0]
+    if isinstance(result, OverflowError):
+        raise result
+    return result
 
 
 def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
     """Quadrature value of I_k(T) for k in {0, 1, 2}, the check of `time_integral_closed`.
 
     Substituting s = 1 - t/T turns the integrand into coef^(q') s^a with
-    a = ell - k q' > -1, so the endpoint singularity at t = T becomes an
-    algebraic weight handled by weighted quadrature (QAWS).
+    a = ell - k q' > -1: one segment whose Gauss-Jacobi weight is s^a, with a
+    taken as the integrand computes it, (ell - k) q' - ell/(q - 1).  That rule's
+    integral of s^a does not depend on T, and is kept per a.
     """
     if k not in (0, 1, 2):
         raise ParameterError("time integral order k must be 0, 1 or 2")
     tf = TemporalFactor(T, e.ell)
-    a = e.ell - k * e.q_prime
-    if not a > -1.0:
+    ell, qp, q = e.ell, e.q_prime, e.q
+    a = (ell - k) * qp - ell / (q - 1.0)
+    if not (ell - k * qp > -1.0 and not a <= -1.0):
         raise ParameterError(
             f"ell = {e.ell} too small for k = {k}: need ell > {k * e.q_prime - 1:.6g}"
         )
-    ell, qp, q = e.ell, e.q_prime, e.q
     coef = abs(tf.coefficient(k))
-    log_coef = qp * math.log(coef) if coef > 0 else -math.inf
-    # s-exponent left over after dividing out the weight s^a; identically
-    # zero in exact arithmetic, kept to stay faithful to the integrand
-    residual_exp = (ell - k) * qp - ell / (q - 1.0) - a
-
-    def regularised(s):
-        if s <= 0.0:
-            return math.exp(log_coef)
-        return math.exp(log_coef + residual_exp * math.log(s))
-
-    est = _quad(regularised, 0.0, 1.0, "time", f"q = {q}, T = {T:g}, ell = {ell:g}",
-                weight="alg", wvar=(a, 0.0))
-    return QuadratureEstimate(T * est.value, T * est.abs_error, est.nodes)
+    inputs = f"q = {q}, T = {T:g}, ell = {ell:g}"
+    if not math.isfinite(a):
+        raise OverflowError(f"time quadrature beyond floating-point range at {inputs}")
+    try:
+        rule = _weight_integral(a)
+    except OverflowError:
+        raise OverflowError(f"time quadrature beyond floating-point range at {inputs}") from None
+    try:
+        scale = T * math.exp(qp * math.log(coef)) if coef > 0 else 0.0
+    except OverflowError:  # math.exp reports only "math range error"
+        raise OverflowError(f"time integrand beyond floating-point range at {inputs}") from None
+    value, error = scale * rule.value, scale * rule.abs_error
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise OverflowError(f"time quadrature beyond floating-point range at {inputs}")
+    return QuadratureEstimate(value, error, rule.nodes)
 
 
 def time_integral_constant(e: Exponents, k: int) -> float:
@@ -257,8 +438,12 @@ def sphere_weight_constant(n: int, s: float) -> float:
         raise ParameterError("n must be a positive integer")
     if s < 0:
         raise ParameterError("weight power s must be nonnegative")
-    from scipy.special import beta
-    return 2.0 * math.pi**n / math.gamma(n) * float(beta((s + n) / 2.0, 0.5))
+    x = (s + n) / 2.0
+    if x < 170.0:  # Gamma(x + 1/2) stays in float range
+        ratio = math.gamma(x) / math.gamma(x + 0.5)
+    else:
+        ratio = math.exp(math.lgamma(x) - math.lgamma(x + 0.5))
+    return 2.0 * math.pi**n / math.gamma(n) * ratio * math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +455,8 @@ def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEsti
     return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
 
 
-@functools.lru_cache(maxsize=256)
-def _power_radial(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
-    """Radial quadrature of
-    [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
-    over the support annulus R/sqrt(2) <= r <= R, the bracket only when weighted."""
-    if weighted:
-        check_integrability(spec, e.q)
-    q, qp, Q = e.q, e.q_prime, e.Q
+def _check_radius_squared(Q: int, R: float) -> None:
+    """Raise unless R^2 and 2Q/R^2, which the power family's integrand takes, are floats."""
     try:  # float ** int reports only an errno tuple
         R2 = R**2
     except OverflowError:
@@ -285,16 +464,255 @@ def _power_radial(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> Q
     if R2 < 2.0 * Q / sys.float_info.max:  # R^2 underflows, or 2Q/R^2 overflows
         raise OverflowError(f"R^2 beyond floating-point range at R = {R:g}")
 
-    def integrand(r):
-        z = (r / R) ** 2
-        v, d1, d2 = cutoff_eval(spec, z)
-        g = (4.0 * z / R2) * d2 + (2.0 * Q / R2) * d1
-        if g == 0.0 or (weighted and v <= 0.0):
-            return 0.0
-        weight = -math.log(v) / (q - 1.0) if weighted else 0.0
-        return math.exp(weight + qp * math.log(abs(g)) + (Q - 1) * math.log(r))
 
-    return _quad(integrand, R / math.sqrt(2.0), R, "radial", f"q = {q}, R = {R:g}")
+def _power_log_integrand(bracket, exps, Q: int, q: float, radii):
+    """Log of the power family's radial integrand
+    [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1) dr/ds
+    in s = 2 r^2/R^2 - 1, where it is u^a P^e |B(s)|^(q') R^(-2q') r^(Q-2) R^2/4
+    with r = R sqrt((1+s)/2): `bracket` is B and `exps` the (a, e) of each integrand,
+    as in `_power_factors`, and `radii` its R; node rows name their integrand."""
+    qp = q / (q - 1.0)
+    a, e = (np.array(c)[:, None] for c in zip(*exps))
+    R = np.array(radii, dtype=float)[:, None]
+    log_R2 = 2.0 * np.log(R)
+
+    def log_integrand(s, rows):
+        r = R[rows] * np.sqrt(0.5 * (1.0 + s))
+        P = 1.0 + s * (3.0 + 6.0 * s)
+        B = np.polynomial.polynomial.polyval(s, bracket)
+        return (a[rows] * np.log(1.0 - s) + e[rows] * np.log(P) + qp * (np.log(np.abs(B)) - log_R2[rows])
+                + (Q - 2) * np.log(r) + log_R2[rows] - math.log(4.0))
+
+    return log_integrand
+
+
+def _real_roots(coefficients, lo: float, hi: float) -> list:
+    """Sorted real roots in (lo, hi) of the polynomials whose descending coefficients
+    are the rows of `coefficients`, from companion-matrix eigenvalues polished by
+    Newton steps; one list per row, or None where the companion matrix leaves
+    float range."""
+    c = np.asarray(coefficients, dtype=float)
+    companion = np.zeros((len(c), c.shape[1] - 1, c.shape[1] - 1))
+    with np.errstate(all="ignore"):
+        companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+    companion[:, range(1, c.shape[1] - 1), range(c.shape[1] - 2)] = 1.0
+    finite = np.all(np.isfinite(companion), axis=(1, 2))
+    companion[~finite] = 0.0
+    roots = np.linalg.eigvals(companion)
+    row, col = np.nonzero((np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real)))
+                          & (roots.real > lo) & (roots.real < hi))
+    x = roots.real[row, col]
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            p, dp = np.zeros_like(x), np.zeros_like(x)
+            for k in range(c.shape[1]):
+                p, dp = p * x + c[row, k], dp * x + p
+            x = np.where(dp != 0.0, x - p / dp, x)
+    out = [set() for _ in c]
+    for i, root in zip(row, x):
+        if lo < root < hi:
+            out[i].add(float(root))
+    return [sorted(s) if ok else None for s, ok in zip(out, finite)]
+
+
+def _segments(points, v: int = 0) -> list:
+    """Segments of integrand v between consecutive (abscissa, exponent) `points`."""
+    points = sorted(points)
+    return [(lo, hi, left, right, v) for (lo, left), (hi, right) in zip(points, points[1:])]
+
+
+@functools.lru_cache(maxsize=256)
+def _power_factors(spec: CutoffSpec, Q: int, q: float, weighted: bool):
+    """The factored power-family integrand, which depends on neither R nor the data.
+
+    With s = 2z - 1 and u = 1 - s the quintic step factors as Theta = u^3 P,
+    Theta' = u^2 T1 and Theta'' = u T2, where P = 1 + 3s + 6s^2, T1 = -30 s^2 and
+    T2 = -60 s (1-2s).  Then R^2 Delta Phi = u^(3m-2) P^(m-2) B(s) with
+
+      B(s) = 16 z (m(m-1) T1^2 + m P T2) + 4 Q m u P T1,   z = (1+s)/2,
+
+    and the integrand is u^a P^e |B|^(q') times r-powers: (a, e) = (3m - 2q', m - 2q')
+    when weighted, ((3m-2) q', (m-2) q') when not.  B vanishes like s at 0.  Returns
+    B's coefficients (lowest first), (a, e), and the segments: [0, 1] split at B's
+    zeros, with the bisections the rule needs at R = 1, which serve every R."""
+    m, qp = spec.m, q / (q - 1.0)
+    poly = np.polynomial.polynomial
+    z, u, P = [0.5, 0.5], [1.0, -1.0], [1.0, 3.0, 6.0]
+    T1, T2 = [0.0, 0.0, -30.0], [0.0, -60.0, 120.0]
+    inner = poly.polyadd(m * (m - 1) * poly.polymul(T1, T1), m * poly.polymul(P, T2))
+    bracket = poly.polyadd(16.0 * poly.polymul(z, inner),
+                           4.0 * Q * m * poly.polymul(u, poly.polymul(P, T1)))
+    zeros = _real_roots([bracket[:0:-1]], 0.0, 1.0)[0]  # B / s, highest power first
+    exps = (3.0 * m - 2.0 * qp, m - 2.0 * qp) if weighted else ((3.0 * m - 2.0) * qp, (m - 2.0) * qp)
+    segments = _segments([(0.0, qp), *((z, qp) for z in zeros), (1.0, exps[0])])
+    layout = _adapt(_power_log_integrand(bracket, [exps], Q, q, [1.0]), segments, 1, math.inf)[0]
+    if isinstance(layout, str):
+        raise OverflowError(f"radial {layout} beyond floating-point range at q = {q}")
+    return bracket, exps, layout[-1]
+
+
+@functools.lru_cache(maxsize=256)
+def _r_power(q: float, Q: int) -> float:
+    """Q - 2q' from the exact rational value of the float q: it cancels at q_c."""
+    return float(Q - 2 * Fraction(q) / (Fraction(q) - 1))
+
+
+def _log_variants(e: Exponents, spec: CutoffSpec) -> tuple:
+    """(psi_power, inv_log_power) of the four logarithmic-family radial integrals the
+    capacity paths take: the weighted and the unweighted spatial factor, and the
+    (ln R)^(-Q)-type and (ln R)^(-Q/2)-type Schwarz-split terms."""
+    k, qp = spec.kappa, e.q_prime
+    return ((-k / (e.q - 1.0), None), (0.0, None), (k - 2.0 * qp, 2.0), (k - qp, 1.0))
+
+
+def _log_bracket_zeros(kappa: float, Q: int, Ls) -> list:
+    """Zeros in (0, 1) of the logarithmic family's bracket at each L of `Ls`, or None
+    where they leave float range: b1 + L b2 is
+    kappa u^(3 kappa - 2) P^(kappa - 2) C(z) with u = 1 - z, P = 1 + 3z + 6z^2 and
+
+      C(z) = 900(kappa-1) z^4 - 60 z (1-2z) P - 30 L (Q-2) z^2 (1-z) P
+           = z (6c z^4 + (900 kappa - 180 - 3c) z^3 - 2c z^2 - (60 + c) z - 60),
+
+    c = 30 L (Q-2).  C vanishes like z at 0."""
+    c = 30.0 * np.asarray(Ls, dtype=float) * (Q - 2)
+    with np.errstate(over="ignore"):
+        coefficients = np.stack([6.0 * c, 900.0 * kappa - 180.0 - 3.0 * c, -2.0 * c, -(60.0 + c),
+                                 np.full_like(c, -60.0)], axis=1)
+    return _real_roots(coefficients, 0.0, 1.0)
+
+
+def _log_integrand(e: Exponents, spec: CutoffSpec, integrals):
+    """Log of the logarithmic family's radial integrand for `integrals`, a list of
+    (R, psi_power, inv_log_power); node rows name their integral."""
+    qp, Q, kappa = e.q_prime, e.Q, spec.kappa
+    r_power = _r_power(e.q, Q)
+    L = np.array([0.5 * math.log(R) for R, _, _ in integrals])[:, None]
+    psi = np.array([p for _, p, _ in integrals])[:, None]
+    with_bracket = np.array([inv is None for _, _, inv in integrals])[:, None]
+    log_L_power = np.array([1.0 - (2.0 if inv is None else inv) * qp for _, _, inv in integrals])[:, None] * np.log(L)
+
+    def log_integrand(z, rows):
+        v, d1, d2 = cutoff_eval(spec, z)
+        # ln Psi without the cancellation in 1 - z^3 (10 - 15z + 6z^2): log1p near 0, u^3 P near 1
+        log_psi = np.where(z < 0.5, np.log1p(-z**3 * (10.0 - 15.0 * z + 6.0 * z * z)),
+                           3.0 * np.log1p(-z) + np.log(1.0 + z * (3.0 + 6.0 * z)))
+        # b1 + L b2 = kappa Psi^(kappa-2) [(kappa-1) Psi'^2 + Psi (Psi'' + L(Q-2) Psi')]
+        bracket = (kappa - 1.0) * d1 * d1 + v * (d2 + L[rows] * (Q - 2) * d1)
+        log_b = qp * (math.log(kappa) + (kappa - 2.0) * log_psi + np.log(np.abs(bracket)))
+        return (psi[rows] * log_psi + np.where(with_bracket[rows], log_b, 0.0) + log_L_power[rows]
+                + r_power * L[rows] * (1.0 + z))
+
+    return log_integrand
+
+
+def _log_segments(e: Exponents, spec: CutoffSpec, zeros, psi_power: float, inv_log_power, v: int) -> list:
+    """Segments of one logarithmic-family integral.  With the bracket, [0, 1] is split
+    at its `zeros` (exponent q' there and at 0) and the exponent at 1 is
+    3 psi_power + q'(3 kappa - 2); without it, the exponent at 1 is 3 psi_power.
+    Psi^p ~ exp(-10 p z^3), p the net power of Psi, is below e^-64 beyond
+    z = 4 (10 p)^(-1/3), where a breakpoint keeps the rule from missing a narrow support."""
+    qp, kappa = e.q_prime, spec.kappa
+    power, points = psi_power, [(0.0, 0.0), (1.0, 3.0 * psi_power)]
+    if inv_log_power is None:
+        power += qp * (kappa - 2.0)
+        points = [(0.0, qp), *((z, qp) for z in zeros), (1.0, 3.0 * psi_power + qp * (3.0 * kappa - 2.0))]
+    edge = 4.0 * (10.0 * power) ** (-1.0 / 3.0) if power > 0.0 else 1.0
+    if edge < 1.0 and all(z != edge for z, _ in points):
+        points.append((edge, 0.0))
+    return _segments(points, v)
+
+
+# Radial integrals by (exponents, cutoff, R, variant), where the variant is `weighted`
+# for the power family and (psi_power, inv_log_power) for the logarithmic one: an
+# estimate, or the OverflowError its R met.  `spatial_integral_grid` fills it.
+_RADIAL_CACHE: dict = {}
+
+
+def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii, data: bool = False,
+                          terms: bool = False) -> None:
+    """Compute the radial integrals that `spatial_integral` and
+    `spatial_integral_critical` take at every R of `radii` in one pass of the rule,
+    and keep them for those calls: the weighted spatial factor, with `data` the
+    unweighted one, and with `terms` the two Schwarz-split terms of the logarithmic
+    family.  One pass costs little more than one R.  Radii those calls reject are
+    left to them; an integral beyond float range keeps its OverflowError, raised
+    when its R is asked for."""
+    if spec.family == "logarithmic":
+        if e.is_critical():
+            weighted, unweighted, term_sq, term_lin = _log_variants(e, spec)
+            _radial_integrals(e, spec, radii, (weighted, *[unweighted] * data, *[term_sq, term_lin] * terms))
+    elif spec.m > min_power(e.q):
+        _radial_integrals(e, spec, radii, (True, False) if data else (True,))
+    elif data:
+        _radial_integrals(e, spec, radii, (False,))
+
+
+def _radial_integrals(e: Exponents, spec: CutoffSpec, radii, variants) -> None:
+    """`spatial_integral_grid` for the given variants of `spec`'s family."""
+    if len(_RADIAL_CACHE) > 4096:
+        _RADIAL_CACHE.clear()
+    missing = {R: [v for v in variants if (e, spec, R, v) not in _RADIAL_CACHE] for R in radii}
+    if spec.family == "power":
+        integrals = []
+        for R, todo in missing.items():
+            try:
+                _check_radius_squared(e.Q, R)
+            except OverflowError:
+                continue
+            integrals += [(R, weighted) for weighted in todo]
+        if not integrals:
+            return
+        try:
+            factors = {weighted: _power_factors(spec, e.Q, e.q, weighted) for _, weighted in integrals}
+        except OverflowError:  # left to `_power_radial`, which raises it in order
+            return
+        bracket = next(iter(factors.values()))[0]
+        segments = [(*seg[:4], i) for i, (_, weighted) in enumerate(integrals) for seg in factors[weighted][2]]
+        log_integrand = _power_log_integrand(bracket, [factors[w][1] for _, w in integrals], e.Q, e.q,
+                                             [R for R, _ in integrals])
+        inputs = [f"q = {e.q}, R = {R:g}" for R, _ in integrals]
+    else:
+        radii = [R for R, todo in missing.items() if todo and R > 1]
+        integrals, segments = [], []
+        for R, zeros in zip(radii, _log_bracket_zeros(spec.kappa, e.Q, [0.5 * math.log(R) for R in radii])):
+            if zeros is None:
+                for variant in missing[R]:
+                    _RADIAL_CACHE[(e, spec, R, variant)] = OverflowError(
+                        f"radial quadrature beyond floating-point range at q = {e.q}, kappa = {spec.kappa:g}, R = {R:g}")
+                continue
+            for variant in missing[R]:
+                segments += _log_segments(e, spec, zeros, *variant, len(integrals))
+                integrals.append((R, variant))
+        if not integrals:
+            return
+        log_integrand = _log_integrand(e, spec, [(R, *variant) for R, variant in integrals])
+        inputs = [f"q = {e.q}, kappa = {spec.kappa:g}, R = {R:g}" for R, _ in integrals]
+    for (R, variant), result in zip(integrals, _estimates(log_integrand, segments, "radial", inputs)):
+        _RADIAL_CACHE[(e, spec, R, variant)] = result
+
+
+def _cached_radial(e: Exponents, spec: CutoffSpec, R: float, variant) -> QuadratureEstimate:
+    """The kept integral of `spatial_integral_grid`, computed alone if no grid held its R."""
+    key = (e, spec, R, variant)
+    if key not in _RADIAL_CACHE:
+        _radial_integrals(e, spec, [R], (variant,))
+    result = _RADIAL_CACHE[key]
+    if isinstance(result, OverflowError):
+        raise OverflowError(*result.args)
+    return result
+
+
+@functools.lru_cache(maxsize=256)
+def _power_radial(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
+    """Radial integral of
+    [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
+    over the support annulus R/sqrt(2) <= r <= R, the bracket only when weighted,
+    on the segments of `_power_factors`."""
+    if weighted:
+        check_integrability(spec, e.q)
+    _check_radius_squared(e.Q, R)
+    _power_factors(spec, e.Q, e.q, weighted)  # raises the overflow of its layout, which the grid skips
+    return _cached_radial(e, spec, R, weighted)
 
 
 @functools.lru_cache(maxsize=256)
@@ -307,24 +725,7 @@ def _log_radial(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
     inv_log_power given, Psi^psi_power L^(1-inv_log_power*q') r^(Q-2q'),
     with the same measure factor r L dz absorbed.
     """
-    qp, Q = e.q_prime, e.Q
-    L = 0.5 * math.log(R)
-
-    def integrand(z):
-        v, d1, d2 = cutoff_eval(spec, z)
-        if v <= 0.0:
-            return 0.0
-        if inv_log_power is None:
-            b1, b2 = log_brackets(spec, Q, v, d1, d2)
-            b = b1 + L * b2
-            if b == 0.0:
-                return 0.0
-            amp = qp * math.log(abs(b)) + (1.0 - 2.0 * qp) * math.log(L)
-        else:
-            amp = (1.0 - inv_log_power * qp) * math.log(L)
-        return math.exp(psi_power * math.log(v) + amp + (Q - 2.0 * qp) * L * (1.0 + z))
-
-    return _quad(integrand, 0.0, 1.0, "radial", f"q = {e.q}, kappa = {spec.kappa:g}, R = {R:g}")
+    return _cached_radial(e, spec, R, (psi_power, inv_log_power))
 
 
 def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = True) -> QuadratureEstimate:
@@ -343,11 +744,7 @@ def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = 
     if spec.family == "power":
         radial = _power_radial(e, spec, R, weighted)
     else:
-        psi_power = -spec.kappa / (e.q - 1.0) if weighted else 0.0
-        radial = _log_radial(e, spec, R, psi_power)
-        if weighted and radial.value == 0.0:  # the reports divide by the critical factor
-            raise OverflowError(
-                f"critical spatial factor underflows to 0 at kappa = {spec.kappa:g}, R = {R:g}")
+        radial = _log_radial(e, spec, R, *_log_variants(e, spec)[0 if weighted else 1])
     return _combine_sphere(radial, sphere_weight_constant(e.n, e.q_prime))
 
 
@@ -385,10 +782,9 @@ def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> Criti
     if spec.family != "logarithmic":
         raise ParameterError("critical path expects a logarithmic-family cutoff")
     total = spatial_integral(e, spec, R)
-    qp, k = e.q_prime, spec.kappa
-    sphere = sphere_weight_constant(e.n, qp)
-    term_sq = _log_radial(e, spec, R, k - 2.0 * qp, 2.0)
-    term_lin = _log_radial(e, spec, R, k - qp, 1.0)
+    sphere = sphere_weight_constant(e.n, e.q_prime)
+    term_sq = _log_radial(e, spec, R, *_log_variants(e, spec)[2])
+    term_lin = _log_radial(e, spec, R, *_log_variants(e, spec)[3])
     return CriticalSpatialFactor(
         total, _combine_sphere(term_sq, sphere), _combine_sphere(term_lin, sphere)
     )
@@ -469,7 +865,7 @@ def capacity_bound(
     u0_coef = abs(TemporalFactor(T, e.ell).coefficient(order - 1))  # checks T > 0 first
     i1 = time_integral_closed(e, T, 0)
     i_order = time_integral_closed(e, T, order)
-    spec = e.log_spec() if e.is_critical() else e.power_spec()
+    spec = e.bound_spec()
     spatial = spatial_integral(e, spec, R).value
     data = spatial_integral(e, spec, R, weighted=False).value
     data_root = data ** (1.0 / e.q_prime)

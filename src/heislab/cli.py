@@ -33,6 +33,7 @@ from .capacity import (
     scaling_fit,
     spatial_integral,
     spatial_integral_critical,
+    spatial_integral_grid,
     time_integral,
     time_integral_closed,
     time_integral_constant,
@@ -204,6 +205,7 @@ def cmd_lemma2(args: argparse.Namespace) -> Report:
     quotients = []
     values = []
     Rs = parse_grid(args.R)
+    spatial_integral_grid(e, spec_log, Rs, terms=True)
     for R in Rs:
         fac = spatial_integral_critical(e, spec_log, R)
         env = log_envelope(e.Q, R)
@@ -246,6 +248,7 @@ def cmd_scaling(args: argparse.Namespace) -> Report:
     else:
         grid = parse_grid(args.R)
         cut = e.power_spec()
+        spatial_integral_grid(e, cut, grid)
         samples = [(R, spatial_integral(e, cut, R).value) for R in grid]
         expected = e.Q - 2.0 * e.q_prime
         kind = "log R"
@@ -273,7 +276,9 @@ def cmd_bound(args: argparse.Namespace, order: int) -> Report:
     u1 = getattr(args, "u1_norm", 0.0)  # bound-hyperbolic only
     rows = []
     bounds = []
-    for R in parse_grid(args.R):
+    grid = parse_grid(args.R)
+    spatial_integral_grid(e, e.bound_spec(), grid, data=True)
+    for R in grid:
         rep = capacity_bound(e, T, R, order, args.u0_norm, u1)
         row = {"R": R, "bound": rep.bound}
         row.update(rep.breakdown)

@@ -35,14 +35,13 @@ from .group import GroupPoint, _norm4, compose, gauge_radial, inverse
 
 
 def smoothstep_complement(s):
-    """Descending quintic step: (value, d1, d2) of Theta at s, a float or an array.
+    """Descending quintic step: (value, d1, d2) of Theta at the array s.
 
     The polynomials are evaluated at s clipped to [0, 1]: they give exactly
     1 at 0 and 0 at 1, and both derivatives vanish at either end, so the
-    clip extends Theta by its constant values outside the transition.  A
-    Python float s gives floats, with a 0-d array's bits (both `**` are libm pow).
+    clip extends Theta by its constant values outside the transition.
     """
-    s = min(max(s, 0.0), 1.0) if type(s) is float else np.clip(s, 0.0, 1.0)
+    s = np.clip(s, 0.0, 1.0)
     v = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
     d1 = -30.0 * s**2 * (1.0 - s) ** 2
     d2 = -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
@@ -96,10 +95,9 @@ def cutoff_eval(spec: CutoffSpec, z):
 
     Power family: Phi = Theta(2z-1)^m with the chain-rule factors 2 and 4.
     Logarithmic family: Psi = Theta(z) itself (the kappa power is applied
-    where the spatial factor is assembled).  A Python float z gives floats.
+    where the spatial factor is assembled).
     """
-    if type(z) is not float:  # numpy scalars too take the array path
-        z = np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)
     if spec.family == "power":
         t, t1, t2 = smoothstep_complement(2.0 * z - 1.0)
         m = spec.m

@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 from fractions import Fraction
 
@@ -418,3 +420,170 @@ def test_holder_inequality_on_sampled_measure(u_vals, seed):
     rhs = (np.sum(w * u**q * phi)) ** (1 / q) * (
         np.sum(w * phi ** (-1 / (q - 1)) * np.abs(lap_t) ** qp)) ** (1 / qp)
     assert lhs <= rhs * (1 + 1e-9) + 1e-12
+
+
+# Reference integrals at 30 digits by mpmath's tanh-sinh quadrature, from the unsubstituted
+# integrands with Theta = u^3 (1 + 3z + 6z^2), u = 1 - z, split at 0, at the real zeros in
+# (0, 1) of the bracket (found by mpmath's own root finder) and at 1.  Without the split at
+# the interior zero the reference itself is off, by 8e-7 relative at n = 1, q = 3.
+
+
+def _poly(*factors):
+    """Product of polynomials given by ascending coefficients."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@functools.lru_cache(maxsize=None)  # the weighted and the unweighted integrand share a bracket
+def _zeros_in_unit_interval(mp, ascending):
+    roots = mp.polyroots(ascending[::-1], maxsteps=200, extraprec=100)
+    return sorted(r.real for r in map(mp.mpc, roots) if abs(r.imag) < mp.mpf(10) ** -20 and 0 < r.real < 1)
+
+
+def _theta(z):
+    """Theta, Theta' and Theta'' in factored form, exact at both ends."""
+    u = 1 - z
+    zu = z * u
+    return u * u * u * (1 + z * (3 + 6 * z)), -30 * zu * zu, -60 * zu * (1 - 2 * z)
+
+
+# The weighted and the unweighted integrand (and the two Schwarz-split terms) share their
+# quadrature nodes and run one after the other, so the costly parts are kept per node.
+
+@functools.lru_cache(maxsize=8192)
+def _power_pieces(mp, s, m, Q, R):
+    """ln |R^2 Delta Phi|, ln Theta and z = (1+s)/2 at s."""
+    t, t1, t2 = _theta(s)
+    z = (1 + s) / 2
+    t_m2 = t ** (m - 2) if m > 1 else 1 / t
+    lap = 16 * z * m * t_m2 * ((m - 1) * t1 * t1 + t * t2) + 4 * Q * m * t_m2 * t * t1
+    if lap == 0 or t == 0:
+        return None
+    return mp.log(abs(lap)), mp.log(t), z
+
+
+@functools.lru_cache(maxsize=8192)
+def _log_pieces(mp, z, k, Q, L):
+    """ln Psi and ln |b1 + L b2| - ln kappa - (kappa - 2) ln Psi at z."""
+    psi, d1, d2 = _theta(z)
+    if psi == 0:
+        return None
+    b = (k - 1) * d1 * d1 + psi * (d2 + L * (Q - 2) * d1)
+    return mp.log(psi), (mp.log(abs(b)) if b else None)
+
+
+def mp_power_radial(mp, e, spec, R, weighted):
+    """Reference for `_power_radial`: the integral over s = 2r^2/R^2 - 1 in [0, 1] of
+    [Phi^(-1/(q-1))] |(4z/R^2) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1) dr/ds."""
+    m, Q, q, R = spec.m, e.Q, mp.mpf(e.q), mp.mpf(R)
+    qp = q / (q - 1)
+    # r^(Q-2) R^2/4 with r = R sqrt(z), and Delta Phi = (R^2 Delta Phi) / R^2
+    log_scale = (Q - 2) * mp.log(R) + 2 * mp.log(R) - mp.log(4) - 2 * qp * mp.log(R)
+    weight = -m / (q - 1) if weighted else 0
+
+    def integrand(s):
+        pieces = _power_pieces(mp, s, m, Q, R)
+        if pieces is None:
+            return mp.zero
+        log_lap, log_t, z = pieces
+        return z ** (Q // 2 - 1) * mp.exp(qp * log_lap + log_scale + weight * log_t)
+
+    # R^2 Delta Phi = u^(3m-2) P^(m-2) B(s), B = 16 z (m(m-1) T1^2 + m P T2) + 4 Q m u P T1
+    P, T1, T2 = [1, 3, 6], [0, 0, -30], [0, -60, 120]
+    B = [16 * (m * (m - 1) * a + m * b) / 2 for a, b in zip(_poly(T1, T1), _poly(P, T2) + [0])]
+    B = [a + b for a, b in zip(_poly(B, [1, 1]), _poly([4 * Q * m], [1, -1], P, T1))]
+    return mp.quad(integrand, [0, *_zeros_in_unit_interval(mp, tuple(mp.mpf(c) for c in B[1:])), 1])
+
+
+def mp_log_radial(mp, e, spec, R, psi_power, inv_log_power):
+    """Reference for `_log_radial`: the integral over z in [0, 1] of
+    Psi^psi_power |b1 + L b2|^(q') L^(1-2q') r^(Q-2q'), or Psi^psi_power L^(1-inv q') r^(Q-2q')."""
+    Q, k, q = e.Q, mp.mpf(spec.kappa), mp.mpf(e.q)
+    qp, L = q / (q - 1), mp.log(mp.mpf(R)) / 2
+    bracket = inv_log_power is None
+    r_power, psi_power = (Q - 2 * qp) * L, mp.mpf(psi_power)
+    const = (1 - (2 if bracket else mp.mpf(inv_log_power)) * qp) * mp.log(L) + (qp * mp.log(k) if bracket else 0)
+
+    def integrand(z):  # b1 + L b2 = kappa Psi^(kappa-2) [(kappa-1) Psi'^2 + Psi (Psi'' + L(Q-2) Psi')]
+        pieces = _log_pieces(mp, z, k, Q, L)
+        if pieces is None or (bracket and pieces[1] is None):
+            return mp.zero
+        log_psi, log_b = pieces
+        log_f = psi_power * log_psi + r_power * (1 + z) + const
+        return mp.exp(log_f + qp * ((k - 2) * log_psi + log_b) if bracket else log_f)
+
+    zeros = []
+    if bracket:  # b1 + L b2 = kappa u^(3 kappa - 2) P^(kappa - 2) z Ct(z)
+        c = 30 * L * (Q - 2)
+        zeros = _zeros_in_unit_interval(mp, (-60, -(60 + c), -2 * c, 900 * k - 180 - 3 * c, 6 * c))
+    return mp.quad(integrand, [0, *zeros, 1])
+
+
+def test_radial_rule_matches_a_30_digit_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    cases = []
+    for n in (1, 2, 3):
+        for q in (1.05, 1.2, 1.5, 2.0, 3.0):
+            e = Exponents(q=q, n=n)
+            for weighted in (True, False):
+                cases.append((capacity._power_radial(e, e.power_spec(), 8.0, weighted),
+                              lambda mp, e=e, w=weighted: mp_power_radial(mp, e, e.power_spec(), 8.0, w),
+                              (n, q, weighted)))
+        for kappa in (None, 50.0):
+            e = Exponents(q=float(critical_exponent(n)), n=n, kappa=kappa)
+            spec = e.log_spec()
+            variants = [(-spec.kappa / (e.q - 1.0), None), (0.0, None),
+                        (spec.kappa - 2.0 * e.q_prime, 2.0), (spec.kappa - e.q_prime, 1.0)]
+            for R in (1.5, 1e4, 1e100):
+                for psi_power, inv in variants:
+                    cases.append((capacity._log_radial(e, spec, R, psi_power, inv),
+                                  lambda mp, e=e, s=spec, R=R, p=psi_power, i=inv: mp_log_radial(mp, e, s, R, p, i),
+                                  (n, spec.kappa, R, psi_power, inv)))
+    with mpmath.workdps(30):
+        for rule, oracle, case in cases:
+            want = oracle(mpmath.mp)
+            assert abs(rule.value - want) <= rule.abs_error <= 1e-12 * want, (case, rule, want)
+
+
+@pytest.mark.parametrize("command", ["lemma2", "bound-parabolic"])
+def test_critical_factors_at_kappa_1e10_match_the_oracle(command, capsys):
+    # Psi^kappa underflowed at every node of the scalar integrands, and both commands exited 2;
+    # evaluated in logs, the factors are finite
+    mpmath = pytest.importorskip("mpmath")
+    grid = (1.5, 10.0, 1e5, 1e300)
+    argv = [command, "--kappa", "1e10", "--R", ",".join(map(repr, grid)), "--format", "json"]
+    assert main(argv + (["--q", "2"] if command == "bound-parabolic" else [])) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    e = Exponents(q=2.0, kappa=1e10)
+    spec = e.log_spec()
+    weighted, unweighted, term_sq, term_lin = [(-1e10, None), (0.0, None), (1e10 - 4.0, 2.0), (1e10 - 2.0, 1.0)]
+    variants = [weighted, term_sq, term_lin] if command == "lemma2" else [weighted, unweighted]
+    with mpmath.workdps(30):
+        for R, row in zip(grid, rows):
+            for variant in variants:
+                rule = capacity._log_radial(e, spec, R, *variant)
+                want = mp_log_radial(mpmath.mp, e, spec, R, *variant)
+                assert abs(rule.value - want) <= rule.abs_error <= 1e-12 * want, (R, variant)
+            if command == "lemma2":
+                assert row["value"] == spatial_integral(e, spec, R).value
+
+
+def test_grid_integrals_are_the_single_radius_integrals():
+    # a radial integral keeps its bits whichever grid computed it, so reports do not
+    # depend on the grid a command swept or on what ran before it in the process
+    for e, spec, radii in [(Exponents(q=2.0), Exponents(q=2.0).log_spec(), [1.5, 1e4, 1e300]),
+                           (Exponents(q=1.4, n=2), Exponents(q=1.4, n=2).power_spec(), [1e-3, 8.0, 1e6])]:
+        capacity._RADIAL_CACHE.clear()
+        capacity.spatial_integral_grid(e, spec, radii, data=True, terms=spec.family == "logarithmic")
+        grid = dict(capacity._RADIAL_CACHE)
+        assert len(grid) == len(radii) * (4 if spec.family == "logarithmic" else 2)
+        capacity._RADIAL_CACHE.clear()
+        for key in reversed(list(grid)):
+            capacity._radial_integrals(e, spec, [key[2]], (key[3],))
+        assert capacity._RADIAL_CACHE == grid

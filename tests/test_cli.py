@@ -175,7 +175,8 @@ def test_malformed_source_date_epoch_before_start_up_exits_2(child_env):
 
 @pytest.mark.parametrize("command", ["bound-parabolic", "simulate"])
 def test_malformed_source_date_epoch_exits_2_in_commands_that_load_scipy(tmp_path, child_env, command):
-    # verdict loads no scipy; these two do, and scipy's numpy.f2py raises on the value at import
+    # simulate loads scipy.sparse, whose numpy.f2py raises on the value at import; bound-parabolic
+    # loads no scipy since its quadrature is heislab's own, and must exit 2 all the same
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_sim_config()))
     argv = {"bound-parabolic": ["--n", "1", "--q", "1.5"], "simulate": ["--config", str(path)]}[command]
@@ -209,8 +210,10 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, child_env, monkeypatch)
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_sim_config()))
+    capacity = [["bound-parabolic", "--q", "1.5"], ["bound-hyperbolic", "--q", "2"], ["lemma1"],
+                ["lemma2"], ["scaling", "--target", "I4", "--q", "1.5"]]
     commands = [["verdict", "--n", "1", "--q", "1.5"], ["residual", "--samples", "1024"],
-                ["identities", "--samples", "2000"], ["simulate", "--config", str(path)]]
+                ["identities", "--samples", "2000"], *capacity, ["simulate", "--config", str(path)]]
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
                           env={**child_env, "SOURCE_DATE_EPOCH": "0"},
                           capture_output=True, text=True, timeout=120)
@@ -218,7 +221,7 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, child_env, monkeypatch)
     loaded = json.loads(proc.stdout)
     # the span tracer wraps every layer module it finds in sys.modules after this import
     assert {f"heislab.{layer}" for layer in LAYERS} <= set(loaded["heislab"])
-    for stage in ("heislab.cli", "verdict", "residual", "identities"):
+    for stage in ("heislab.cli", "verdict", "residual", "identities", *(argv[0] for argv in capacity)):
         assert loaded[stage] == [], stage
     assert "scipy.sparse" in loaded["simulate"] and "scipy.integrate" not in loaded["simulate"]
 
@@ -711,14 +714,16 @@ def test_radius_squared_out_of_range_names_r(capsys, grid, culprit):
     assert "(34," not in err and "division by zero" not in err
 
 
-@pytest.mark.parametrize("argv", [["lemma2", "--kappa", "1e10", "--R", "1.5,10,1e5,1e300"],
-                                  ["bound-parabolic", "--q", "2", "--kappa", "1e10",
+@pytest.mark.parametrize("argv", [["lemma2", "--kappa", "1e300", "--R", "1.5,10,1e5,1e300"],
+                                  ["bound-parabolic", "--q", "2", "--kappa", "1e300",
                                    "--R", "1.5,10,1e5,1e300"]])
 def test_critical_factor_underflow_names_kappa(capsys, argv):
-    # Psi^kappa underflows at every R; both used to exit with a bare "float division by zero"
+    # at kappa = 1e10 Psi^kappa underflowed and both exited with a bare "float division by zero";
+    # in logs that factor is finite (tests/test_capacity.py), but at 1e300 the rule's exponents
+    # lie beyond floating-point range, and the message must still name kappa and the radius
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "kappa = 1e+10" in err and "R = 1.5" in err
+    assert err.count("\n") == 1 and "kappa = 1e+300" in err and "R = 1.5" in err
     assert "division by zero" not in err
 
 

@@ -9,7 +9,6 @@ from heislab.cutoffs import (
     check_integrability,
     cutoff_eval,
     default_power,
-    log_brackets,
     min_power,
     smoothstep_complement,
     spatial_factor,
@@ -260,24 +259,3 @@ def test_gauge_bump_support_box_contains_the_support(center):
     assert np.count_nonzero(hit) > 100
     assert np.all((pts[hit] > box[:, 0]) & (pts[hit] < box[:, 1]))
 
-
-FLOAT_PATH_SPECS = [*(CutoffSpec.power(m) for m in (*range(1, 9), 11)),
-                    *(CutoffSpec.logarithmic(k) for k in (4.5, 7.0, 50.0, 1e3))]
-
-
-@pytest.mark.parametrize("spec", FLOAT_PATH_SPECS, ids=lambda s: f"{s.family}-{s.m or s.kappa}")
-def test_float_path_is_the_0d_array_path_bit_for_bit(spec):
-    # the capacity quad integrands evaluate the cutoff on floats; a 0-d array gives
-    # numpy float64 scalars, whose ** is the same libm pow
-    rng = np.random.default_rng(15)
-    zs = [*rng.uniform(-0.25, 1.25, 10_000), -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25,
-          # the last floats below the breakpoints, where Theta rounds to +-1e-15
-          *(1.0 - k * 2.0**-53 for k in range(1, 200)), *(1.0 - k * 2.0**-54 for k in range(1, 200))]
-    for z in map(float, zs):
-        fast, slow = cutoff_eval(spec, z), cutoff_eval(spec, np.asarray(z))
-        pairs = [(fast, slow)]
-        if spec.family == "logarithmic" and fast[0] > 0.0:  # where the integrand needs them
-            pairs += [(log_brackets(spec, Q, *fast), log_brackets(spec, Q, *slow)) for Q in (4, 8)]
-        for f, s in pairs:
-            assert all(type(x) is float for x in f), z
-            assert [x.hex() for x in f] == [float(x).hex() for x in s], z
