@@ -26,10 +26,10 @@ Math. Comp. 23, 1969): each integrand is split at 0, at the real zeros in
 at each end is the weight of that segment's rule.  The integrand is
 evaluated in logs, the two rules of each segment give the value and the
 error, and segments are bisected until the error is below 1e-13 of the
-value.  The radial integrals of a whole R grid take one pass of the rule
-(`spatial_integral_grid`).  Bounds take T from the closed forms
-C_k T^(1-k q'), each radial integral is computed once per (exponents,
-cutoff, R, weight) in a process, and no capacity path loads scipy.
+value.  Every radial integral a capacity path takes (`_variants`) at every
+R of a grid takes one pass of the rule (`spatial_integral_grid`), and is
+kept once per (exponents, cutoff, R, name) in a process.  Bounds take T
+from the closed forms C_k T^(1-k q'), and no capacity path loads scipy.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .cutoffs import (
     check_radius,
     cutoff_eval,
     default_power,
-    min_power,
     spatial_factor,
 )
 from .errors import ParameterError
@@ -240,7 +239,7 @@ def _rule_nodes(segments, rules):
     return lo[:, None] + h * np.array([t for t, _ in rules]), np.log(h) + np.array([w for _, w in rules])
 
 
-def _adapt(log_integrand, segments, count: int, limit: float) -> list:
+def _adapt(log_integrand, segments, count: int, limit: float) -> tuple:
     """Integrals of `count` integrands side by side; segment (lo, hi, left, right, v)
     belongs to integrand v, and `log_integrand(x, v)` gets the nodes, one row per
     segment, with each row's integrand index.  Logs are -inf where an integrand
@@ -249,11 +248,11 @@ def _adapt(log_integrand, segments, count: int, limit: float) -> list:
     Per integrand: while its summed rule differences exceed RULE_RTOL times its
     total, every segment whose difference is above the mean share, and above its
     own rounding, is bisected, and only the halves are evaluated anew.  Returns per
-    integrand (value, abs_error, shift, nodes, segments), value and abs_error in
-    units of exp(shift), the largest node term met; abs_error adds to the
-    differences the rounding of exp at logs of the size met.  An integrand whose
-    exponents or logs leave float range (NaN or +inf) gets "quadrature" instead, one
-    with a node term above exp(limit) "integrand"."""
+    integrand (value, abs_error, shift, nodes), value and abs_error in units of
+    exp(shift), the largest node term met; abs_error adds to the differences the
+    rounding of exp at logs of the size met.  An integrand whose exponents or logs
+    leave float range (NaN or +inf) gets "quadrature" instead, one with a node term
+    above exp(limit) "integrand".  Also returns the finished segments."""
     failed = {}
     shift, nodes = np.full(count, -math.inf), np.zeros(count, dtype=int)
     done, owner = [], np.zeros(0, dtype=int)
@@ -313,9 +312,8 @@ def _adapt(log_integrand, segments, count: int, limit: float) -> list:
         done = [seg for seg, s in zip(done, split) if not s]
         owner, fine, diff, rounding = owner[~split], fine[~split], diff[~split], rounding[~split]
     total, error = np.bincount(owner, fine, count), np.bincount(owner, diff + rounding, count)
-    return [failed[v] if v in failed else
-            (float(total[v]), float(error[v]), float(shift[v]), int(nodes[v]), [s for s in done if s[4] == v])
-            for v in range(count)]
+    return [failed[v] if v in failed else (float(total[v]), float(error[v]), float(shift[v]), int(nodes[v]))
+            for v in range(count)], done
 
 
 def _estimates(log_integrand, segments, kind: str, inputs: list) -> list:
@@ -323,11 +321,11 @@ def _estimates(log_integrand, segments, kind: str, inputs: list) -> list:
     OverflowError that names the integrand or the quadrature of one beyond float
     range, and its inputs."""
     out = []
-    for result, where in zip(_adapt(log_integrand, segments, len(inputs), _LOG_MAX), inputs):
+    for result, where in zip(_adapt(log_integrand, segments, len(inputs), _LOG_MAX)[0], inputs):
         if isinstance(result, str):
             out.append(OverflowError(f"{kind} {result} beyond floating-point range at {where}"))
             continue
-        value, error, shift, nodes, _ = result
+        value, error, shift, nodes = result
         if value == 0.0:
             out.append(QuadratureEstimate(0.0, 0.0, nodes))
             continue
@@ -522,7 +520,7 @@ def _segments(points, v: int = 0) -> list:
 
 
 @functools.lru_cache(maxsize=256)
-def _power_factors(spec: CutoffSpec, Q: int, q: float, weighted: bool):
+def _power_factors(spec: CutoffSpec, Q: int, q: float, exps: tuple):
     """The factored power-family integrand, which depends on neither R nor the data.
 
     With s = 2z - 1 and u = 1 - s the quintic step factors as Theta = u^3 P,
@@ -531,10 +529,10 @@ def _power_factors(spec: CutoffSpec, Q: int, q: float, weighted: bool):
 
       B(s) = 16 z (m(m-1) T1^2 + m P T2) + 4 Q m u P T1,   z = (1+s)/2,
 
-    and the integrand is u^a P^e |B|^(q') times r-powers: (a, e) = (3m - 2q', m - 2q')
-    when weighted, ((3m-2) q', (m-2) q') when not.  B vanishes like s at 0.  Returns
-    B's coefficients (lowest first), (a, e), and the segments: [0, 1] split at B's
-    zeros, with the bisections the rule needs at R = 1, which serve every R."""
+    and the integrand is u^a P^e |B|^(q') times r-powers, (a, e) = `exps`: (3m - 2q',
+    m - 2q') with the weight, ((3m-2) q', (m-2) q') without (`_variants`).  B vanishes
+    like s at 0.  Returns B's coefficients (lowest first) and the segments: [0, 1]
+    split at B's zeros, with the bisections the rule needs at R = 1, which serve every R."""
     m, qp = spec.m, q / (q - 1.0)
     poly = np.polynomial.polynomial
     z, u, P = [0.5, 0.5], [1.0, -1.0], [1.0, 3.0, 6.0]
@@ -543,12 +541,11 @@ def _power_factors(spec: CutoffSpec, Q: int, q: float, weighted: bool):
     bracket = poly.polyadd(16.0 * poly.polymul(z, inner),
                            4.0 * Q * m * poly.polymul(u, poly.polymul(P, T1)))
     zeros = _real_roots([bracket[:0:-1]], 0.0, 1.0)[0]  # B / s, highest power first
-    exps = (3.0 * m - 2.0 * qp, m - 2.0 * qp) if weighted else ((3.0 * m - 2.0) * qp, (m - 2.0) * qp)
     segments = _segments([(0.0, qp), *((z, qp) for z in zeros), (1.0, exps[0])])
-    layout = _adapt(_power_log_integrand(bracket, [exps], Q, q, [1.0]), segments, 1, math.inf)[0]
+    (layout,), done = _adapt(_power_log_integrand(bracket, [exps], Q, q, [1.0]), segments, 1, math.inf)
     if isinstance(layout, str):
         raise OverflowError(f"radial {layout} beyond floating-point range at q = {q}")
-    return bracket, exps, layout[-1]
+    return bracket, done
 
 
 @functools.lru_cache(maxsize=256)
@@ -557,12 +554,19 @@ def _r_power(q: float, Q: int) -> float:
     return float(Q - 2 * Fraction(q) / (Fraction(q) - 1))
 
 
-def _log_variants(e: Exponents, spec: CutoffSpec) -> tuple:
-    """(psi_power, inv_log_power) of the four logarithmic-family radial integrals the
-    capacity paths take: the weighted and the unweighted spatial factor, and the
-    (ln R)^(-Q)-type and (ln R)^(-Q/2)-type Schwarz-split terms."""
-    k, qp = spec.kappa, e.q_prime
-    return ((-k / (e.q - 1.0), None), (0.0, None), (k - 2.0 * qp, 2.0), (k - qp, 1.0))
+def _variants(e: Exponents, spec: CutoffSpec) -> dict:
+    """The radial integrals the capacity paths take of `spec`'s family, by name, with
+    their exponents: `weighted`, the spatial factor, and `data`, its unweighted form,
+    and for the logarithmic family `term_sq` and `term_lin`, the (ln R)^(-Q)-type and
+    (ln R)^(-Q/2)-type Schwarz-split terms.  The exponents are the (a, e) of
+    `_power_factors` or the (psi_power, inv_log_power) of `_log_integrand`."""
+    qp = e.q_prime
+    if spec.family == "power":
+        m = spec.m
+        return {"weighted": (3.0 * m - 2.0 * qp, m - 2.0 * qp), "data": ((3.0 * m - 2.0) * qp, (m - 2.0) * qp)}
+    k = spec.kappa
+    return {"weighted": (-k / (e.q - 1.0), None), "data": (0.0, None),
+            "term_sq": (k - 2.0 * qp, 2.0), "term_lin": (k - qp, 1.0)}
 
 
 def _log_bracket_zeros(kappa: float, Q: int, Ls) -> list:
@@ -622,110 +626,83 @@ def _log_segments(e: Exponents, spec: CutoffSpec, zeros, psi_power: float, inv_l
     return _segments(points, v)
 
 
-# Radial integrals by (exponents, cutoff, R, variant), where the variant is `weighted`
-# for the power family and (psi_power, inv_log_power) for the logarithmic one: an
-# estimate, or the OverflowError its R met.  `spatial_integral_grid` fills it.
+# Radial integrals by (exponents, cutoff, R, name of `_variants`): an estimate, or the
+# error its R met.  `spatial_integral_grid` fills it and `_radial` reads it.
 _RADIAL_CACHE: dict = {}
 
 
-def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii, data: bool = False,
-                          terms: bool = False) -> None:
-    """Compute the radial integrals that `spatial_integral` and
-    `spatial_integral_critical` take at every R of `radii` in one pass of the rule,
-    and keep them for those calls: the weighted spatial factor, with `data` the
-    unweighted one, and with `terms` the two Schwarz-split terms of the logarithmic
-    family.  One pass costs little more than one R.  Radii those calls reject are
-    left to them; an integral beyond float range keeps its OverflowError, raised
-    when its R is asked for."""
-    if spec.family == "logarithmic":
-        if e.is_critical():
-            weighted, unweighted, term_sq, term_lin = _log_variants(e, spec)
-            _radial_integrals(e, spec, radii, (weighted, *[unweighted] * data, *[term_sq, term_lin] * terms))
-    elif spec.m > min_power(e.q):
-        _radial_integrals(e, spec, radii, (True, False) if data else (True,))
-    elif data:
-        _radial_integrals(e, spec, radii, (False,))
-
-
-def _radial_integrals(e: Exponents, spec: CutoffSpec, radii, variants) -> None:
-    """`spatial_integral_grid` for the given variants of `spec`'s family."""
+def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii) -> None:
+    """Compute every radial integral of `_variants` at every R of `radii` that is not
+    kept yet, in one pass of the rule, and keep each for `_radial`.  One pass costs
+    little more than one R.  Radii `check_radius` rejects are left to the callers
+    that check them; an integral that fails keeps its error, raised when asked for."""
     if len(_RADIAL_CACHE) > 4096:
         _RADIAL_CACHE.clear()
-    missing = {R: [v for v in variants if (e, spec, R, v) not in _RADIAL_CACHE] for R in radii}
-    if spec.family == "power":
-        integrals = []
-        for R, todo in missing.items():
-            try:
-                _check_radius_squared(e.Q, R)
-            except OverflowError:
-                continue
-            integrals += [(R, weighted) for weighted in todo]
-        if not integrals:
-            return
+    variants = _variants(e, spec)
+    todo = []
+    for R in dict.fromkeys(radii):
         try:
-            factors = {weighted: _power_factors(spec, e.Q, e.q, weighted) for _, weighted in integrals}
-        except OverflowError:  # left to `_power_radial`, which raises it in order
-            return
-        bracket = next(iter(factors.values()))[0]
-        segments = [(*seg[:4], i) for i, (_, weighted) in enumerate(integrals) for seg in factors[weighted][2]]
-        log_integrand = _power_log_integrand(bracket, [factors[w][1] for _, w in integrals], e.Q, e.q,
-                                             [R for R, _ in integrals])
-        inputs = [f"q = {e.q}, R = {R:g}" for R, _ in integrals]
-    else:
-        radii = [R for R, todo in missing.items() if todo and R > 1]
-        integrals, segments = [], []
-        for R, zeros in zip(radii, _log_bracket_zeros(spec.kappa, e.Q, [0.5 * math.log(R) for R in radii])):
-            if zeros is None:
-                for variant in missing[R]:
-                    _RADIAL_CACHE[(e, spec, R, variant)] = OverflowError(
-                        f"radial quadrature beyond floating-point range at q = {e.q}, kappa = {spec.kappa:g}, R = {R:g}")
+            check_radius(spec, R)
+        except ParameterError:
+            continue
+        todo += [(R, name) for name in variants if (e, spec, R, name) not in _RADIAL_CACHE]
+    if not todo:
+        return
+    at = f"q = {e.q}, R = " if spec.family == "power" else f"q = {e.q}, kappa = {spec.kappa:g}, R = "
+    integrals, segments = [], []
+    if spec.family == "power":
+        for R, name in todo:
+            try:  # in this order, so each R raises what it did alone
+                if name == "weighted":
+                    check_integrability(spec, e.q)
+                _check_radius_squared(e.Q, R)
+                bracket, layout = _power_factors(spec, e.Q, e.q, variants[name])
+            except (ParameterError, OverflowError) as exc:
+                _RADIAL_CACHE[(e, spec, R, name)] = exc.with_traceback(None)
                 continue
-            for variant in missing[R]:
-                segments += _log_segments(e, spec, zeros, *variant, len(integrals))
-                integrals.append((R, variant))
+            segments += [(*seg[:4], len(integrals)) for seg in layout]
+            integrals.append((R, name))
         if not integrals:
             return
-        log_integrand = _log_integrand(e, spec, [(R, *variant) for R, variant in integrals])
-        inputs = [f"q = {e.q}, kappa = {spec.kappa:g}, R = {R:g}" for R, _ in integrals]
-    for (R, variant), result in zip(integrals, _estimates(log_integrand, segments, "radial", inputs)):
-        _RADIAL_CACHE[(e, spec, R, variant)] = result
+        log_integrand = _power_log_integrand(bracket, [variants[name] for _, name in integrals], e.Q, e.q,
+                                             [R for R, _ in integrals])
+    else:
+        radii = list(dict.fromkeys(R for R, _ in todo))
+        zeros = dict(zip(radii, _log_bracket_zeros(spec.kappa, e.Q, [0.5 * math.log(R) for R in radii])))
+        for R, name in todo:
+            if zeros[R] is None:
+                _RADIAL_CACHE[(e, spec, R, name)] = OverflowError(
+                    f"radial quadrature beyond floating-point range at {at}{R:g}")
+                continue
+            segments += _log_segments(e, spec, zeros[R], *variants[name], len(integrals))
+            integrals.append((R, name))
+        if not integrals:
+            return
+        log_integrand = _log_integrand(e, spec, [(R, *variants[name]) for R, name in integrals])
+    inputs = [f"{at}{R:g}" for R, _ in integrals]
+    for (R, name), result in zip(integrals, _estimates(log_integrand, segments, "radial", inputs)):
+        _RADIAL_CACHE[(e, spec, R, name)] = result
 
 
-def _cached_radial(e: Exponents, spec: CutoffSpec, R: float, variant) -> QuadratureEstimate:
-    """The kept integral of `spatial_integral_grid`, computed alone if no grid held its R."""
-    key = (e, spec, R, variant)
-    if key not in _RADIAL_CACHE:
-        _radial_integrals(e, spec, [R], (variant,))
-    result = _RADIAL_CACHE[key]
-    if isinstance(result, OverflowError):
-        raise OverflowError(*result.args)
-    return result
+def _radial(e: Exponents, spec: CutoffSpec, R: float, name: str) -> QuadratureEstimate:
+    """The radial integral `name` of `_variants` at R, from the pass of
+    `spatial_integral_grid` that held R, or from a pass for R alone.
 
-
-@functools.lru_cache(maxsize=256)
-def _power_radial(e: Exponents, spec: CutoffSpec, R: float, weighted: bool) -> QuadratureEstimate:
-    """Radial integral of
+    The power family integrates
     [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
-    over the support annulus R/sqrt(2) <= r <= R, the bracket only when weighted,
-    on the segments of `_power_factors`."""
-    if weighted:
-        check_integrability(spec, e.q)
-    _check_radius_squared(e.Q, R)
-    _power_factors(spec, e.Q, e.q, weighted)  # raises the overflow of its layout, which the grid skips
-    return _cached_radial(e, spec, R, weighted)
-
-
-@functools.lru_cache(maxsize=256)
-def _log_radial(e: Exponents, spec: CutoffSpec, R: float, psi_power: float,
-                inv_log_power: Optional[float] = None) -> QuadratureEstimate:
-    """Radial integral of the logarithmic family in the variable
-    z = ln(r/sqrt R)/ln(sqrt R), where r = exp(L(1+z)) and L = ln(sqrt R).
-
-    Integrates Psi^psi_power |B1 + L B2|^(q') L^(1-2q') r^(Q-2q'), or with
-    inv_log_power given, Psi^psi_power L^(1-inv_log_power*q') r^(Q-2q'),
-    with the same measure factor r L dz absorbed.
+    over the support annulus R/sqrt(2) <= r <= R, the weight only for `weighted`.
+    The logarithmic family integrates Psi^psi_power |B1 + L B2|^(q') L^(1-2q') r^(Q-2q'),
+    or with inv_log_power given, Psi^psi_power L^(1-inv_log_power*q') r^(Q-2q'), in
+    z = ln(r/sqrt R)/ln(sqrt R), where r = exp(L(1+z)) and L = ln(sqrt R), with the
+    measure factor r L dz absorbed.
     """
-    return _cached_radial(e, spec, R, (psi_power, inv_log_power))
+    key = (e, spec, R, name)
+    if key not in _RADIAL_CACHE:
+        spatial_integral_grid(e, spec, [R])
+    result = _RADIAL_CACHE[key]
+    if isinstance(result, Exception):
+        raise type(result)(*result.args)
+    return result
 
 
 def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = True) -> QuadratureEstimate:
@@ -741,10 +718,7 @@ def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = 
             f"q = {e.q} is not the critical exponent Q/(Q-2) = {e.Q / (e.Q - 2.0)!r}"
         )
     check_radius(spec, R)
-    if spec.family == "power":
-        radial = _power_radial(e, spec, R, weighted)
-    else:
-        radial = _log_radial(e, spec, R, *_log_variants(e, spec)[0 if weighted else 1])
+    radial = _radial(e, spec, R, "weighted" if weighted else "data")
     return _combine_sphere(radial, sphere_weight_constant(e.n, e.q_prime))
 
 
@@ -783,8 +757,8 @@ def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> Criti
         raise ParameterError("critical path expects a logarithmic-family cutoff")
     total = spatial_integral(e, spec, R)
     sphere = sphere_weight_constant(e.n, e.q_prime)
-    term_sq = _log_radial(e, spec, R, *_log_variants(e, spec)[2])
-    term_lin = _log_radial(e, spec, R, *_log_variants(e, spec)[3])
+    term_sq = _radial(e, spec, R, "term_sq")
+    term_lin = _radial(e, spec, R, "term_lin")
     return CriticalSpatialFactor(
         total, _combine_sphere(term_sq, sphere), _combine_sphere(term_lin, sphere)
     )

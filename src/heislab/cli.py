@@ -205,7 +205,7 @@ def cmd_lemma2(args: argparse.Namespace) -> Report:
     quotients = []
     values = []
     Rs = parse_grid(args.R)
-    spatial_integral_grid(e, spec_log, Rs, terms=True)
+    spatial_integral_grid(e, spec_log, Rs)
     for R in Rs:
         fac = spatial_integral_critical(e, spec_log, R)
         env = log_envelope(e.Q, R)
@@ -277,7 +277,7 @@ def cmd_bound(args: argparse.Namespace, order: int) -> Report:
     rows = []
     bounds = []
     grid = parse_grid(args.R)
-    spatial_integral_grid(e, e.bound_spec(), grid, data=True)
+    spatial_integral_grid(e, e.bound_spec(), grid)
     for R in grid:
         rep = capacity_bound(e, T, R, order, args.u0_norm, u1)
         row = {"R": R, "bound": rep.bound}
@@ -294,6 +294,8 @@ def cmd_bound(args: argparse.Namespace, order: int) -> Report:
     }
     if e.is_critical():
         quots = [b / log_envelope(e.Q, R) for R, b in bounds]
+        if not all(0.0 < x < math.inf for x in quots):
+            raise OverflowError("bound/envelope quotient beyond floating-point range")
         summary["envelope_quotient_spread"] = max(quots) / min(quots)
     elif len(bounds) >= 4:
         fit = scaling_fit(bounds, "log R")

@@ -341,28 +341,37 @@ def test_critical_bounds_stay_inside_log_envelope():
 
 @pytest.mark.parametrize("q", ["3/2", "2"], ids=["power", "logarithmic"])
 def test_hyperbolic_bound_reuses_the_parabolic_quadratures(tmp_path, monkeypatch, q):
-    # both bounds integrate the same spatial and data factors; the second run computes none
+    # both bounds integrate the same spatial and data factors, and at q_c lemma2 integrates
+    # them too: a command after another on the same grid computes no radial integral
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    quads = (capacity._power_radial, capacity._log_radial)
+    computed = []
+    estimates = capacity._estimates
+
+    def counting(log_integrand, segments, kind, inputs):
+        if kind == "radial":
+            computed.extend(inputs)
+        return estimates(log_integrand, segments, kind, inputs)
+
+    monkeypatch.setattr(capacity, "_estimates", counting)
     out = tmp_path / "bound.json"
-    argv = ["--q", q, "--T", "10", "--R", "1e3,1e4,1e5,1e6", "--u0-norm", "1.5",
-            "--format", "json", "--out", str(out)]
-
-    def misses():
-        return [quad.cache_info().misses for quad in quads]
-
-    for quad in quads:
-        quad.cache_clear()
+    grid = "1e3,1e4,1e5,1e6"
+    argv = ["--q", q, "--T", "10", "--R", grid, "--u0-norm", "1.5", "--format", "json", "--out", str(out)]
+    per_grid = 4 * (2 if q == "3/2" else 4)  # every variant at each of the four R
+    capacity._RADIAL_CACHE.clear()
     assert main(["bound-parabolic", *argv]) == 0
-    parabolic = misses()
-    assert max(parabolic) == 8  # spatial and data factor at each of the four R
+    assert len(computed) == per_grid
     assert main(["bound-hyperbolic", *argv, "--u1-norm", "0.7"]) == 0
-    assert misses() == parabolic
+    assert len(computed) == per_grid
     warm = out.read_bytes()
-    for quad in quads:
-        quad.cache_clear()
+    capacity._RADIAL_CACHE.clear()
     assert main(["bound-hyperbolic", *argv, "--u1-norm", "0.7"]) == 0
-    assert misses() == parabolic and out.read_bytes() == warm
+    assert len(computed) == 2 * per_grid and out.read_bytes() == warm
+    if q == "2":
+        capacity._RADIAL_CACHE.clear()
+        assert main(["lemma2", "--R", grid, "--format", "json", "--out", str(tmp_path / "lemma2.json")]) == 0
+        assert len(computed) == 3 * per_grid
+        assert main(["bound-parabolic", *argv]) == 0
+        assert len(computed) == 3 * per_grid
 
 
 def test_verdict_table():
@@ -479,7 +488,7 @@ def _log_pieces(mp, z, k, Q, L):
 
 
 def mp_power_radial(mp, e, spec, R, weighted):
-    """Reference for `_power_radial`: the integral over s = 2r^2/R^2 - 1 in [0, 1] of
+    """Reference for `_radial` of the power family: the integral over s = 2r^2/R^2 - 1 in [0, 1] of
     [Phi^(-1/(q-1))] |(4z/R^2) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1) dr/ds."""
     m, Q, q, R = spec.m, e.Q, mp.mpf(e.q), mp.mpf(R)
     qp = q / (q - 1)
@@ -502,7 +511,7 @@ def mp_power_radial(mp, e, spec, R, weighted):
 
 
 def mp_log_radial(mp, e, spec, R, psi_power, inv_log_power):
-    """Reference for `_log_radial`: the integral over z in [0, 1] of
+    """Reference for `_radial` of the logarithmic family: the integral over z in [0, 1] of
     Psi^psi_power |b1 + L b2|^(q') L^(1-2q') r^(Q-2q'), or Psi^psi_power L^(1-inv q') r^(Q-2q')."""
     Q, k, q = e.Q, mp.mpf(spec.kappa), mp.mpf(e.q)
     qp, L = q / (q - 1), mp.log(mp.mpf(R)) / 2
@@ -532,7 +541,7 @@ def test_radial_rule_matches_a_30_digit_oracle():
         for q in (1.05, 1.2, 1.5, 2.0, 3.0):
             e = Exponents(q=q, n=n)
             for weighted in (True, False):
-                cases.append((capacity._power_radial(e, e.power_spec(), 8.0, weighted),
+                cases.append((capacity._radial(e, e.power_spec(), 8.0, "weighted" if weighted else "data"),
                               lambda mp, e=e, w=weighted: mp_power_radial(mp, e, e.power_spec(), 8.0, w),
                               (n, q, weighted)))
         for kappa in (None, 50.0):
@@ -541,8 +550,8 @@ def test_radial_rule_matches_a_30_digit_oracle():
             variants = [(-spec.kappa / (e.q - 1.0), None), (0.0, None),
                         (spec.kappa - 2.0 * e.q_prime, 2.0), (spec.kappa - e.q_prime, 1.0)]
             for R in (1.5, 1e4, 1e100):
-                for psi_power, inv in variants:
-                    cases.append((capacity._log_radial(e, spec, R, psi_power, inv),
+                for name, (psi_power, inv) in zip(("weighted", "data", "term_sq", "term_lin"), variants):
+                    cases.append((capacity._radial(e, spec, R, name),
                                   lambda mp, e=e, s=spec, R=R, p=psi_power, i=inv: mp_log_radial(mp, e, s, R, p, i),
                                   (n, spec.kappa, R, psi_power, inv)))
     with mpmath.workdps(30):
@@ -562,14 +571,15 @@ def test_critical_factors_at_kappa_1e10_match_the_oracle(command, capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     e = Exponents(q=2.0, kappa=1e10)
     spec = e.log_spec()
-    weighted, unweighted, term_sq, term_lin = [(-1e10, None), (0.0, None), (1e10 - 4.0, 2.0), (1e10 - 2.0, 1.0)]
-    variants = [weighted, term_sq, term_lin] if command == "lemma2" else [weighted, unweighted]
+    variants = {"weighted": (-1e10, None), "data": (0.0, None), "term_sq": (1e10 - 4.0, 2.0),
+                "term_lin": (1e10 - 2.0, 1.0)}
+    names = ["weighted", "term_sq", "term_lin"] if command == "lemma2" else ["weighted", "data"]
     with mpmath.workdps(30):
         for R, row in zip(grid, rows):
-            for variant in variants:
-                rule = capacity._log_radial(e, spec, R, *variant)
-                want = mp_log_radial(mpmath.mp, e, spec, R, *variant)
-                assert abs(rule.value - want) <= rule.abs_error <= 1e-12 * want, (R, variant)
+            for name in names:
+                rule = capacity._radial(e, spec, R, name)
+                want = mp_log_radial(mpmath.mp, e, spec, R, *variants[name])
+                assert abs(rule.value - want) <= rule.abs_error <= 1e-12 * want, (R, name)
             if command == "lemma2":
                 assert row["value"] == spatial_integral(e, spec, R).value
 
@@ -580,10 +590,10 @@ def test_grid_integrals_are_the_single_radius_integrals():
     for e, spec, radii in [(Exponents(q=2.0), Exponents(q=2.0).log_spec(), [1.5, 1e4, 1e300]),
                            (Exponents(q=1.4, n=2), Exponents(q=1.4, n=2).power_spec(), [1e-3, 8.0, 1e6])]:
         capacity._RADIAL_CACHE.clear()
-        capacity.spatial_integral_grid(e, spec, radii, data=True, terms=spec.family == "logarithmic")
+        capacity.spatial_integral_grid(e, spec, radii)
         grid = dict(capacity._RADIAL_CACHE)
-        assert len(grid) == len(radii) * (4 if spec.family == "logarithmic" else 2)
+        assert len(grid) == len(radii) * len(capacity._variants(e, spec))
         capacity._RADIAL_CACHE.clear()
-        for key in reversed(list(grid)):
-            capacity._radial_integrals(e, spec, [key[2]], (key[3],))
+        for R in reversed(radii):
+            capacity.spatial_integral_grid(e, spec, [R])
         assert capacity._RADIAL_CACHE == grid

@@ -663,6 +663,8 @@ def non_finite_paths(obj, path=()):
 @example(argv=["bound-parabolic", "--q", "1.05", "--R", "1e7,1e-2"])  # ratio_to_prev Infinity
 @example(argv=["bound-parabolic", "--q", "1.01", "--R", "1e9,1e8"])  # bounds underflow to 0, ratio NaN
 @example(argv=["bound-parabolic", "--q", "1.1", "--T", "1", "--R", "1,1,1,1"])  # used to raise LinAlgError
+# the bound overflows its envelope quotient at q_c: used to report a NaN envelope_quotient_spread
+@example(argv=["bound-hyperbolic", "--n=2", "--q=3/2", "--T=1000", "--R=10", "--u0-norm=1e308", "--u1-norm=0"])
 # the closed-form time factors leave float range in T ** (1 - k q') and ell ** q'
 @example(argv=["bound-hyperbolic", "--q", "1.5", "--T", "1e-155"])
 @example(argv=["bound-parabolic", "--ell", "1e200"])
