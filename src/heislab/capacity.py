@@ -53,7 +53,7 @@ from .cutoffs import (
     default_power,
     spatial_factor,
 )
-from .errors import ParameterError
+from .errors import ParameterError, shown
 from .group import GroupPoint
 from .mc import MCConfig, MCEstimate, mc_integrate_vector
 
@@ -369,7 +369,7 @@ def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
             f"ell = {e.ell} too small for k = {k}: need ell > {k * e.q_prime - 1:.6g}"
         )
     coef = abs(tf.coefficient(k))
-    inputs = f"q = {q}, T = {T:g}, ell = {ell:g}"
+    inputs = f"q = {q}, T = {shown(T)}, ell = {ell:g}"
     if not math.isfinite(a):
         raise OverflowError(f"time quadrature beyond floating-point range at {inputs}")
     try:
@@ -416,7 +416,8 @@ def time_integral_closed(e: Exponents, T: float, k: int) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise OverflowError(f"time factor I{k + 1} beyond floating-point range at q = {e.q}, T = {T:g}, ell = {e.ell:g}")
+        raise OverflowError(f"time factor I{k + 1} beyond floating-point range at q = {e.q}, "
+                            f"T = {shown(T)}, ell = {e.ell:g}")
     return value
 
 
@@ -460,7 +461,7 @@ def _check_radius_squared(Q: int, R: float) -> None:
     except OverflowError:
         R2 = 0.0
     if R2 < 2.0 * Q / sys.float_info.max:  # R^2 underflows, or 2Q/R^2 overflows
-        raise OverflowError(f"R^2 beyond floating-point range at R = {R:g}")
+        raise OverflowError(f"R^2 beyond floating-point range at R = {shown(R)}")
 
 
 def _power_log_integrand(bracket, exps, Q: int, q: float, radii):
@@ -672,14 +673,14 @@ def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii) -> None:
         for R, name in todo:
             if zeros[R] is None:
                 _RADIAL_CACHE[(e, spec, R, name)] = OverflowError(
-                    f"radial quadrature beyond floating-point range at {at}{R:g}")
+                    f"radial quadrature beyond floating-point range at {at}{shown(R)}")
                 continue
             segments += _log_segments(e, spec, zeros[R], *variants[name], len(integrals))
             integrals.append((R, name))
         if not integrals:
             return
         log_integrand = _log_integrand(e, spec, [(R, *variants[name]) for R, name in integrals])
-    inputs = [f"{at}{R:g}" for R, _ in integrals]
+    inputs = [f"{at}{shown(R)}" for R, _ in integrals]
     for (R, name), result in zip(integrals, _estimates(log_integrand, segments, "radial", inputs)):
         _RADIAL_CACHE[(e, spec, R, name)] = result
 
@@ -852,7 +853,7 @@ def capacity_bound(
     for v in terms.values():
         bound += v
     if not 0.0 < bound < math.inf:  # the reports divide by it: 0 is an underflow
-        raise OverflowError(f"capacity bound beyond floating-point range at R = {R:g}")
+        raise OverflowError(f"capacity bound beyond floating-point range at R = {shown(R)}")
     return CapacityReport(bound, terms)
 
 

@@ -40,7 +40,7 @@ from .capacity import (
     verdict,
 )
 from .cutoffs import ProductTestFunction, TemporalFactor
-from .errors import ParameterError, SolverFailure
+from .errors import ParameterError, SolverFailure, shown
 from .group import identity_battery, point
 from .mc import MCConfig, chunk_generator
 from .report import Report, emit, report_timestamp, write_output
@@ -178,7 +178,8 @@ def cmd_lemma1(args: argparse.Namespace) -> Report:
             est = time_integral(e, T, k)
             closed = time_integral_closed(e, T, k)
             if closed == 0.0:
-                raise OverflowError(f"time factor I{k + 1} underflows to 0 at q = {e.q}, T = {T:g}, ell = {e.ell:g}")
+                raise OverflowError(f"time factor I{k + 1} underflows to 0 at q = {e.q}, "
+                                    f"T = {shown(T)}, ell = {e.ell:g}")
             rel = abs(est.value - closed) / abs(closed)
             worst = max(worst, rel)
             rows.append({

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, shown
 from .group import GroupPoint, _norm4, compose, gauge_radial, inverse
 
 
@@ -143,7 +143,7 @@ class TemporalFactor:
         except (OverflowError, ZeroDivisionError):
             c = math.inf
         if not math.isfinite(c):
-            raise ParameterError(f"{('ell/T', 'ell(ell-1)/T^2')[k - 1]} beyond floating-point range at T = {T:g}")
+            raise ParameterError(f"{('ell/T', 'ell(ell-1)/T^2')[k - 1]} beyond floating-point range at T = {shown(T)}")
         return c
 
 
@@ -211,7 +211,7 @@ class ProductTestFunction:
         check_radius(spec, R)
         R4 = (R * R) * (R * R)  # in Delta phi2, in a bump of radius ~R, and in the box volume 8 R^4
         if not sys.float_info.min <= R4 <= sys.float_info.max / 8.0:
-            raise OverflowError(f"R^2 beyond floating-point range at R = {R:g}")
+            raise OverflowError(f"R^2 beyond floating-point range at R = {shown(R)}")
         self.time_factor = time_factor
         self.spec = spec
         self.R = float(R)

@@ -2,7 +2,9 @@
 
 Sampling uses the counter-based Philox generator keyed per fixed-size
 chunk (key = [seed, chunk_index]), so estimates are bit-reproducible and
-independent of how chunks would be scheduled across workers.
+independent of how chunks would be scheduled across workers.  With a sub-box
+`support` outside which the integrand is 0, a chunk of m draws over the box makes
+only the K ~ Binomial(m, vol(support)/vol(box)) that land in it: same law.
 """
 
 from __future__ import annotations
@@ -39,20 +41,24 @@ def chunk_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int) -> np.ndarray:
-    """Uniform points in the box for chunk `index`, shape (count, dim)."""
-    bounds = np.asarray(bounds, dtype=float)
-    u = chunk_generator(cfg.seed, index).random((count, bounds.shape[0]))
+def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int, support=None) -> np.ndarray:
+    """Uniform points in the box for chunk `index`, shape (count, dim); with a
+    sub-box `support`, only those of the `count` draws that land in it, shape (K, dim)."""
+    rng = chunk_generator(cfg.seed, index)
+    if support is not None:  # a width <= 0, of an empty intersection, gives p = 0
+        count = rng.binomial(count, np.prod(np.maximum(np.diff(support), 0.0)) / np.prod(np.diff(bounds)))
+    bounds = np.asarray(bounds if support is None else support, dtype=float)
+    u = rng.random((count, bounds.shape[0]))
     return np.add(bounds[:, 0], np.multiply(u, bounds[:, 1] - bounds[:, 0], out=u), out=u)  # one array, same bits
 
 
-def _column_sums(block, m: int):
+def _column_sums(block):
     vals = np.asarray(block, dtype=float)
-    vals = vals if vals.ndim == 2 else vals.reshape(m, -1)  # a block of 2 or more columns may be short
+    vals = vals if vals.ndim == 2 else vals.reshape(-1, 1)  # (m,) when width is 1; wider blocks may be short
     return vals.sum(axis=0), (vals * vals).sum(axis=0)
 
 
-def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
+def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int, support=None):
     """Estimate `width` integrals at once over a coordinate box.
 
     integrand(pts) receives an (m, dim) array and returns (m, width), or (m,)
@@ -60,19 +66,17 @@ def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int):
     each summed on its own: numpy sums a one-column block pairwise but each
     column of a wider C-ordered block in row order, so stacking moves bits.
     A wider block may leave out rows that are 0 in every column, keeping the
-    rest in sample order, with the same sums.  Returns a list of MCEstimate
-    sharing the same sample stream.
+    rest in sample order, with the same sums.  An integrand that is 0 outside a
+    sub-box `support` may pass it, so that each chunk draws only its points in
+    it (`sample_box`).  Returns a list of MCEstimate sharing the same sample stream.
     """
     bounds = np.asarray(bounds, dtype=float)
     vol = float(np.prod(bounds[:, 1] - bounds[:, 0]))
-    s1 = np.zeros(width)
-    s2 = np.zeros(width)
+    s1, s2 = np.zeros(width), np.zeros(width)
     for index, done in enumerate(range(0, cfg.samples, CHUNK)):
-        m = min(CHUNK, cfg.samples - done)
-        out = integrand(sample_box(bounds, cfg, index, m))
+        out = integrand(sample_box(bounds, cfg, index, min(CHUNK, cfg.samples - done), support))
         # map lets each block go once summed, before the next one is made
-        sums = list(map(lambda b: _column_sums(b, m),
-                        (out,) if isinstance(out, np.ndarray) else out))
+        sums = list(map(_column_sums, (out,) if isinstance(out, np.ndarray) else out))
         s1 += np.concatenate([a for a, _ in sums]).reshape(width)
         s2 += np.concatenate([b for _, b in sums]).reshape(width)
     n = cfg.samples

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cutoffs import GaugeBump
-from .errors import ParameterError
+from .errors import ParameterError, shown
 from .group import GroupPoint, dilate
 from .mc import MCConfig, MCEstimate, mc_integrate_vector
 
@@ -92,12 +92,12 @@ def _check_terminal(testfn, order: int):
         raise ParameterError("test function time derivative must vanish at t = T")
 
 
-def _residual_estimates(sides, bounds, cfg: MCConfig, count: int) -> list:
+def _residual_estimates(sides, bounds, cfg: MCConfig, count: int, support=None) -> list:
     """Common-point MC of lhs, rhs and their difference (honest stderr) for
     each of `count` cases; sides(pts) yields the (lhs, rhs) integrands of the
     cases at the (m, 2n+1) points pts, each stacked and summed before the next is made."""
     stack = lambda s: np.stack([s[0], s[1], s[0] - s[1]], axis=1)
-    est = mc_integrate_vector(lambda pts: map(stack, sides(pts)), bounds, cfg, 3 * count)
+    est = mc_integrate_vector(lambda pts: map(stack, sides(pts)), bounds, cfg, 3 * count, support)
     return [ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
             for lhs, rhs, diff in zip(est[0::3], est[1::3], est[2::3])]
 
@@ -217,7 +217,8 @@ def residual_battery(q: float, testfn, cfg: MCConfig) -> list:
                              "oracle": oracle.value, "oracle_stderr": oracle.stderr, "gap": gap,
                              "within_3sigma": gap <= 3.0 * float(np.hypot(rep.error, oracle.stderr))})
         except FloatingPointError:
-            raise OverflowError(f"weak-form residual beyond floating-point range at T = {T:g}, R = {R:g}") from None
+            raise OverflowError(f"weak-form residual beyond floating-point range at "
+                                f"T = {shown(T)}, R = {shown(R)}") from None
     return rows
 
 
@@ -227,29 +228,28 @@ def selfadjointness_residual(f, g, box, cfg: MCConfig) -> ResidualReport:
     f and g, such as `GaugeBump`s, give `spatial(p)` = (value, Delta value) and
     `support_box()`; box holds (2n+1, 2) coordinate bounds with both support boxes
     strictly inside, so the two integrals are equal and the residual is quadrature
-    noise.  Only samples inside both support boxes are evaluated: the other rows are
-    0 in all three columns, and `mc_integrate_vector` sums without them to the same bits.
+    noise.  Of the `cfg.samples` uniform draws over the box, only those in both support
+    boxes are made (`mc.sample_box`): the others are 0 in all three columns, same law.
     """
     box = np.asarray(box, dtype=float)
     supports = [h.support_box() for h in (f, g)]
     if any(s.shape != box.shape or np.any(s[:, 0] <= box[:, 0]) or np.any(s[:, 1] >= box[:, 1]) for s in supports):
         raise ParameterError("box must be (2n+1, 2) bounds with both supports strictly inside")
-    lo, hi = np.max(supports, axis=0)[:, 0], np.min(supports, axis=0)[:, 1]  # their intersection
+    both = np.stack([np.max(supports, axis=0)[:, 0], np.min(supports, axis=0)[:, 1]], axis=1)  # their intersection
 
-    def sides(pts):  # column by column: one 2-d comparison of pts with lo and hi is ~5x slower
-        keep = np.logical_and.reduce([(pts[:, k] > lo[k]) & (pts[:, k] < hi[k]) for k in range(len(lo))])
-        p = GroupPoint.from_flat(pts[keep])
+    def sides(pts):
+        p = GroupPoint.from_flat(pts)
         (fv, f_lap), (gv, g_lap) = f.spatial(p), g.spatial(p)
         return [(-f_lap * gv, fv * -g_lap)]
 
-    return _residual_estimates(sides, box, cfg, 1)[0]
+    return _residual_estimates(sides, box, cfg, 1, both)[0]
 
 
 def selfadjointness_ratio(centers, box, samples: int, seed: int) -> float:
     """Worst |residual| / error of `selfadjointness_residual` over gauge-bump pairs, of
-    radius 1.4 about c and 1.6 about c' for each (c, c') of `centers`, pair k drawn with
-    `samples` points from seed + k.  Raises ParameterError when a pair's error is 0:
-    no sample met its supports, so its check would be vacuous."""
+    radius 1.4 about c and 1.6 about c' for each (c, c') of `centers`, pair k from seed + k
+    with `samples` draws over box, of which only those in both supports are made.  Raises
+    ParameterError when a pair's error is 0: no draw met its supports, so its check would be vacuous."""
     worst = 0.0
     for k, (c, c2) in enumerate(centers):
         f, g = GaugeBump(c, radius=1.4), GaugeBump(c2, radius=1.6)

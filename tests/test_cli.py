@@ -751,6 +751,9 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     (["bound-hyperbolic", "--q", "1.5", "--T", "1e-60"], "bound beyond floating-point range at R = 8"),
     # scipy returns these non-finite without raising; they used to name no input
     (["lemma2", "--kappa", "1e300"], "radial quadrature beyond floating-point range at q = 2.0, kappa = 1e+300, R = 1000"),
+    # six significant digits would name R = 1, a radius the user did not pass
+    (["lemma2", "--n", "200", "--R", "1.0000001,2,3,4"],
+     "radial integrand beyond floating-point range at q = 1.005, kappa = 403, R = 1.0000001"),
     (["lemma1", "--ell", "1e308"], "time quadrature beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
     # a closed form that underflows to 0 used to divide lemma1's relative error by zero
     (["lemma1", "--q", "1.5", "--T", "1e200"], "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6"),
@@ -758,7 +761,7 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     (["lemma1", "--q", "1.01", "--T", "27232"], "time factor I2 underflows to 0 at q = 1.01, T = 27232, ell = 202"),
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
         "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-huge-ell", "bound-huge-ell-q1.5",
-        "bound-hyperbolic-overflow", "lemma2-huge-kappa", "lemma1-huge-ell", "lemma1-I2-underflow",
+        "bound-hyperbolic-overflow", "lemma2-huge-kappa", "lemma2-R-near-1", "lemma1-huge-ell", "lemma1-I2-underflow",
         "lemma1-I3-underflow", "lemma1-q-near-1-underflow"])
 def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert main(argv) == 2

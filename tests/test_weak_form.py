@@ -11,6 +11,7 @@ from heislab.weak_form import (
     CandidateSolution,
     ResidualReport,
     pair_defect,
+    selfadjointness_ratio,
     selfadjointness_residual,
     weak_residual,
 )
@@ -357,18 +358,42 @@ SELFADJOINT_PAIRS = {
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_selfadjointness_is_the_full_row_integrand_bit_for_bit(n, monkeypatch):
-    # chunks of 4,096 points, so every sum runs over five chunks, the last one short
+def test_selfadjointness_has_the_law_of_the_full_row_integrand(n, monkeypatch):
+    # only the draws in both support boxes are made, from another stream than the full
+    # draw; over 160 seeds, in chunks of 4,096 points (the last of three short), both
+    # estimators have the same means, and the reported error is the sd of the residual
     monkeypatch.setattr(mc, "CHUNK", 4096)
     box = np.array([[-3.0, 3.0]] * (2 * n) + [[-9.0, 9.0]])
     for k, (c1, c2, radii) in enumerate(SELFADJOINT_PAIRS[n]):
         f, g = (GaugeBump(GroupPoint.from_flat(np.array(c)), radius=r) for c, r in zip((c1, c2), radii))
-        for seed in (0, 7, 40 + k):
-            cfg = MCConfig(samples=18_000, seed=seed)
-            got, want = selfadjointness_residual(f, g, box, cfg), full_row_selfadjointness(f, g, box, cfg)
-            assert got == want and repr(got) == repr(want)
-            disjoint = k == len(SELFADJOINT_PAIRS[n]) - 1
-            assert (got == ResidualReport(0.0, 0.0, 0.0, 0.0)) == disjoint
+        if k == len(SELFADJOINT_PAIRS[n]) - 1:  # disjoint support boxes: nothing is drawn
+            assert all(selfadjointness_residual(f, g, box, MCConfig(samples=9_000, seed=s))
+                       == ResidualReport(0.0, 0.0, 0.0, 0.0) for s in (0, 7, 40 + k))
+            continue
+        runs = [np.array([[getattr(rep, name) for name in ("lhs", "residual", "error")]
+                          for rep in (estimator(f, g, box, MCConfig(samples=9_000, seed=s)) for s in range(160))])
+                for estimator in (selfadjointness_residual, full_row_selfadjointness)]
+        thin, full = runs
+        sem = np.sqrt(thin.var(axis=0, ddof=1) / len(thin) + full.var(axis=0, ddof=1) / len(full))
+        assert np.all(np.abs(thin.mean(axis=0) - full.mean(axis=0)) <= 4.0 * sem)
+        for vals in runs:  # the root mean square of the reported error against the sd of the residual
+            assert abs(np.sqrt(np.mean(vals[:, 2] ** 2)) / vals[:, 1].std(ddof=1) - 1.0) <= 0.15
+
+
+# support boxes disjoint in x; in x and y (the product of the signed widths is then
+# positive); in x, y and tau
+@pytest.mark.parametrize("axes, c1, c2", [(1, (1.6, 0.0, 0.0), (-1.6, 0.0, 0.0)),
+                                          (2, (1.6, 1.6, 0.0), (-1.6, -1.6, 0.0)),
+                                          (3, (1.6, 1.6, 15.0), (-1.6, -1.6, -15.0))],
+                         ids=["x", "x-y", "x-y-tau"])
+def test_selfadjointness_of_disjoint_supports_draws_nothing(axes, c1, c2):
+    box = np.array([[-5.0, 5.0], [-5.0, 5.0], [-40.0, 40.0]])
+    f, g = GaugeBump(point(*c1), radius=1.4), GaugeBump(point(*c2), radius=1.6)
+    (f_lo, f_hi), (g_lo, g_hi) = f.support_box().T, g.support_box().T
+    assert np.sum(np.minimum(f_hi, g_hi) <= np.maximum(f_lo, g_lo)) == axes
+    assert selfadjointness_residual(f, g, box, MCConfig(samples=20_000, seed=1)) == ResidualReport(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ParameterError, match="puts no sample in the supports"):
+        selfadjointness_ratio([(point(*c1), point(*c2))], box, 20_000, seed=1)
 
 
 @pytest.mark.parametrize("cut", [0.3, 0.0])
