@@ -86,6 +86,7 @@ def other_reports() -> dict:
         "scaling-I4-q1e6": ["scaling", "--target=I4", "--q=1e6", "--R=1e-3,1,1e3,1e6"],
         "lemma2-n2-huge-R": ["lemma2", "--n=2", "--R=1e100,1e200,1e300,1.7e308"],
         "scaling-I4-R-near-1": ["scaling", "--target=I4", "--q=1.5", "--R=1.0000000001,1.001,2,3"],
+        "lemma1-ell1e16": ["lemma1", "--q=2", "--ell=1e16"],
     })
     return cases
 

@@ -20,10 +20,13 @@ sphere constant has a closed form from the Koranyi polar decomposition
 (Folland-Stein, Hardy Spaces on Homogeneous Groups, 1982), so every
 capacity path is deterministic and works for any n >= 1.
 
-Every quadrature is one factored Gauss-Jacobi rule in numpy (Golub-Welsch,
-Math. Comp. 23, 1969): each integrand is split at 0, at the real zeros in
-(0, 1) of its polynomial bracket and at 1, and the algebraic factor it has
-at each end is the weight of that segment's rule.  The integrand is
+Time factors take no quadrature: after s = 1 - t/T the integrand is
+|c_k|^(q') s^a, so `time_integral` is T |c_k|^(q') / (a + 1) in logs, the
+check of the constants C_k the bounds use.  Every radial integral is one
+factored Gauss-Jacobi rule in numpy (Golub-Welsch, Math. Comp. 23, 1969):
+each integrand is split at 0, at the real zeros in (0, 1) of its
+polynomial bracket and at 1, and the algebraic factor it has at each end
+is the weight of that segment's rule.  The integrand is
 evaluated in logs, the two rules of each segment give the value and the
 error, and segments are bisected until the error is below 1e-13 of the
 value.  Every radial integral a capacity path takes (`_variants`) at every
@@ -316,14 +319,14 @@ def _adapt(log_integrand, segments, count: int, limit: float) -> tuple:
             for v in range(count)], done
 
 
-def _estimates(log_integrand, segments, kind: str, inputs: list) -> list:
-    """`_adapt`'s integrals as estimates, one per string of `inputs`, or as the
-    OverflowError that names the integrand or the quadrature of one beyond float
+def _estimates(log_integrand, segments, inputs: list) -> list:
+    """`_adapt`'s radial integrals as estimates, one per string of `inputs`, or as
+    the OverflowError that names the integrand or the quadrature of one beyond float
     range, and its inputs."""
     out = []
     for result, where in zip(_adapt(log_integrand, segments, len(inputs), _LOG_MAX)[0], inputs):
         if isinstance(result, str):
-            out.append(OverflowError(f"{kind} {result} beyond floating-point range at {where}"))
+            out.append(OverflowError(f"radial {result} beyond floating-point range at {where}"))
             continue
         value, error, shift, nodes = result
         if value == 0.0:
@@ -331,7 +334,7 @@ def _estimates(log_integrand, segments, kind: str, inputs: list) -> list:
             continue
         log_value, log_error = math.log(value) + shift, (math.log(error) + shift if error > 0.0 else -math.inf)
         if max(log_value, log_error) > _LOG_MAX:
-            out.append(OverflowError(f"{kind} quadrature beyond floating-point range at {where}"))
+            out.append(OverflowError(f"radial quadrature beyond floating-point range at {where}"))
         else:
             out.append(QuadratureEstimate(math.exp(log_value), math.exp(log_error), nodes))
     return out
@@ -342,22 +345,14 @@ def _estimates(log_integrand, segments, kind: str, inputs: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _weight_integral(a: float) -> QuadratureEstimate:
-    """The rule's value of int_0^1 s^a ds, one segment whose weight is s^a."""
-    result = _estimates(lambda s, rows: a * np.log(s), [(0.0, 1.0, a, 0.0, 0)], "time", [f"a = {a}"])[0]
-    if isinstance(result, OverflowError):
-        raise result
-    return result
+def time_integral(e: Exponents, T: float, k: int) -> float:
+    """I_k(T) for k in {0, 1, 2} after the substitution s = 1 - t/T, the check of
+    `time_integral_closed`.
 
-
-def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
-    """Quadrature value of I_k(T) for k in {0, 1, 2}, the check of `time_integral_closed`.
-
-    Substituting s = 1 - t/T turns the integrand into coef^(q') s^a with
-    a = ell - k q' > -1: one segment whose Gauss-Jacobi weight is s^a, with a
-    taken as the integrand computes it, (ell - k) q' - ell/(q - 1).  That rule's
-    integral of s^a does not depend on T, and is kept per a.
+    The integrand becomes |c_k|^(q') s^a, c_k the coefficient of `TemporalFactor`,
+    with a = ell - k q' > -1 taken as the integrand computes it,
+    (ell - k) q' - ell/(q - 1), so I_k(T) = T |c_k|^(q') / (a + 1).  It is evaluated
+    in logs, so a factor beyond float range does not refuse a finite value.
     """
     if k not in (0, 1, 2):
         raise ParameterError("time integral order k must be 0, 1 or 2")
@@ -369,21 +364,14 @@ def time_integral(e: Exponents, T: float, k: int) -> QuadratureEstimate:
             f"ell = {e.ell} too small for k = {k}: need ell > {k * e.q_prime - 1:.6g}"
         )
     coef = abs(tf.coefficient(k))
-    inputs = f"q = {q}, T = {shown(T)}, ell = {ell:g}"
-    if not math.isfinite(a):
-        raise OverflowError(f"time quadrature beyond floating-point range at {inputs}")
-    try:
-        rule = _weight_integral(a)
+    try:  # math.exp reports only "math range error"
+        value = math.exp(math.log(T) + qp * math.log(coef) - math.log1p(a)) if coef > 0 else 0.0
     except OverflowError:
-        raise OverflowError(f"time quadrature beyond floating-point range at {inputs}") from None
-    try:
-        scale = T * math.exp(qp * math.log(coef)) if coef > 0 else 0.0
-    except OverflowError:  # math.exp reports only "math range error"
-        raise OverflowError(f"time integrand beyond floating-point range at {inputs}") from None
-    value, error = scale * rule.value, scale * rule.abs_error
-    if not (math.isfinite(value) and math.isfinite(error)):
-        raise OverflowError(f"time quadrature beyond floating-point range at {inputs}")
-    return QuadratureEstimate(value, error, rule.nodes)
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"time integrand beyond floating-point range at q = {q}, T = {shown(T)}, "
+                            f"ell = {shown(ell)}")
+    return value
 
 
 def time_integral_constant(e: Exponents, k: int) -> float:
@@ -410,14 +398,17 @@ def time_integral_constant(e: Exponents, k: int) -> float:
 
 
 def time_integral_closed(e: Exponents, T: float, k: int) -> float:
-    """I_k(T) = C_k T^(1 - k q'), the time factor of the capacity bounds."""
-    try:  # float ** float reports only an errno tuple
-        value = time_integral_constant(e, k) * T ** (1.0 - k * e.q_prime)
+    """I_k(T) = C_k T^(1 - k q'), the time factor of the capacity bounds, in logs
+    where T^(1 - k q') alone leaves float range."""
+    p = 1.0 - k * e.q_prime
+    try:  # float ** float reports only an errno tuple, math.exp only "math range error"
+        constant, log_power = time_integral_constant(e, k), p * math.log(T)
+        value = constant * T**p if abs(log_power) < _LOG_MAX else math.exp(math.log(constant) + log_power)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise OverflowError(f"time factor I{k + 1} beyond floating-point range at q = {e.q}, "
-                            f"T = {shown(T)}, ell = {e.ell:g}")
+                            f"T = {shown(T)}, ell = {shown(e.ell)}")
     return value
 
 
@@ -649,7 +640,7 @@ def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii) -> None:
         todo += [(R, name) for name in variants if (e, spec, R, name) not in _RADIAL_CACHE]
     if not todo:
         return
-    at = f"q = {e.q}, R = " if spec.family == "power" else f"q = {e.q}, kappa = {spec.kappa:g}, R = "
+    at = f"q = {e.q}, R = " if spec.family == "power" else f"q = {e.q}, kappa = {shown(spec.kappa)}, R = "
     integrals, segments = [], []
     if spec.family == "power":
         for R, name in todo:
@@ -681,7 +672,7 @@ def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii) -> None:
             return
         log_integrand = _log_integrand(e, spec, [(R, *variants[name]) for R, name in integrals])
     inputs = [f"{at}{shown(R)}" for R, _ in integrals]
-    for (R, name), result in zip(integrals, _estimates(log_integrand, segments, "radial", inputs)):
+    for (R, name), result in zip(integrals, _estimates(log_integrand, segments, inputs)):
         _RADIAL_CACHE[(e, spec, R, name)] = result
 
 

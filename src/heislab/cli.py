@@ -175,18 +175,18 @@ def cmd_lemma1(args: argparse.Namespace) -> Report:
     worst = 0.0
     for T in parse_grid(args.T):
         for k in range(3):
-            est = time_integral(e, T, k)
+            value = time_integral(e, T, k)
             closed = time_integral_closed(e, T, k)
             if closed == 0.0:
                 raise OverflowError(f"time factor I{k + 1} underflows to 0 at q = {e.q}, "
-                                    f"T = {shown(T)}, ell = {e.ell:g}")
-            rel = abs(est.value - closed) / abs(closed)
+                                    f"T = {shown(T)}, ell = {shown(e.ell)}")
+            rel = abs(value - closed) / abs(closed)
             worst = max(worst, rel)
             rows.append({
                 "integral": f"I{k + 1}",
                 "name": labels[k],
                 "T": T,
-                "value": est.value,
+                "value": value,
                 "closed_form": closed,
                 "rel_err": rel,
             })
@@ -243,7 +243,7 @@ def cmd_scaling(args: argparse.Namespace) -> Report:
     if target in ("I1", "I2", "I3"):
         k = {"I1": 0, "I2": 1, "I3": 2}[target]
         grid = parse_grid(args.T)
-        samples = [(T, time_integral(e, T, k).value) for T in grid]
+        samples = [(T, time_integral(e, T, k)) for T in grid]
         expected = 1.0 - k * e.q_prime
         kind = "log T"
     else:

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ParameterError, SolverFailure
+from .errors import ParameterError, SolverFailure, shown
 
 if TYPE_CHECKING:  # scipy.sparse itself loads at the first assembly
     import scipy.sparse as sp
@@ -111,12 +111,12 @@ def build_grid(config: GridConfig) -> Grid:
     h = tuple(2.0 * L / N for L, N in zip(ls, ns))
     for name, L, step in zip(("l_x", "l_y", "l_tau"), ls, h):  # so that 1/h^2 is a normal float
         if not 1.0 / sys.float_info.max <= step * step <= 1.0 / sys.float_info.min:
-            raise ParameterError(f"{name} = {L:g} gives a grid spacing beyond floating-point range")
+            raise ParameterError(f"{name} = {shown(L)} gives a grid spacing beyond floating-point range")
     axes = tuple(-L + (np.arange(N) + 0.5) * step for L, N, step in zip(ls, ns, h))
     grid = Grid(config, axes, h)
     # so that the Lq norm of data of size 1, sum |u|^q * cell volume, is a positive float
     if not sys.float_info.min <= grid.cell_volume <= sys.float_info.max / grid.n_interior:
-        raise ParameterError(f"l_x = {config.l_x:g}, l_y = {config.l_y:g}, l_tau = {config.l_tau:g} "
+        raise ParameterError(f"l_x = {shown(config.l_x)}, l_y = {shown(config.l_y)}, l_tau = {shown(config.l_tau)} "
                              f"give a cell volume beyond floating-point range")
     return grid
 
@@ -196,7 +196,7 @@ def assemble_sublaplacian(grid: Grid) -> SparseOperator:
     if not np.isfinite(abs(sym).sum(axis=1)).all():
         c = grid.config
         raise ParameterError(f"grid operator beyond floating-point range at "
-                             f"l_x = {c.l_x:g}, l_y = {c.l_y:g}, l_tau = {c.l_tau:g}")
+                             f"l_x = {shown(c.l_x)}, l_y = {shown(c.l_y)}, l_tau = {shown(c.l_tau)}")
     return SparseOperator(sym.todia() if sym.shape[0] > DIRECT_MAX_UNKNOWNS else sym.tocsr())
 
 

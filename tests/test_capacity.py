@@ -27,7 +27,7 @@ from heislab.capacity import (
     verdict,
     young_constant,
 )
-from heislab.cli import main
+from heislab.cli import build_parser, dispatch, main
 from heislab.cutoffs import CutoffSpec, ProductTestFunction, TemporalFactor, spatial_factor
 from heislab.errors import ParameterError
 from heislab.group import GroupPoint
@@ -70,16 +70,33 @@ def test_exponents_defaults_and_validation():
     assert not Exponents(q=1.5, n=1).is_critical()
 
 
-@pytest.mark.parametrize("q,ell", [(2.0, 4.0), (1.5, 6.0), (3.0, 3.0)])
+@pytest.mark.parametrize("q,ell", [(2.0, 4.0), (1.5, 6.0), (3.0, 3.0), (2.0, 1e16), (1.5, 1e16),
+                                   (2.0, 1e50), (3.0, 1e50)])
 @pytest.mark.parametrize("T", [10.0, 100.0])
 def test_time_integral_matches_closed_form(q, ell, T):
     e = Exponents(q=q, ell=ell)
     for k in range(3):
-        est = time_integral(e, T, k)
+        value = time_integral(e, T, k)
         closed = time_integral_closed(e, T, k)
-        assert abs(est.value - closed) / abs(closed) <= 1e-8
-        assert est.abs_error < abs(closed)
-        assert est.nodes > 0
+        assert abs(value - closed) / abs(closed) <= 1e-12
+
+
+# the substitution form is exact, so no time path reaches the Gauss-Jacobi rule; the ell
+# from 1e16 on used to exit 2, the rule's nodes for the weight s^a rounded onto s = 0
+@pytest.mark.parametrize("argv, key, tol", [
+    (["lemma1", "--q", "2", "--ell", "4.321", "--T", "0.37,3.7"], "max_rel_err", 1e-12),
+    (["lemma1", "--q", "2", "--ell", "1e16"], "max_rel_err", 1e-12),
+    (["lemma1", "--q", "3", "--ell", "1e100"], "max_rel_err", 1e-12),
+    (["scaling", "--target", "I2", "--q", "1.7", "--ell", "5.432"], "slope_error", 1e-10),
+    (["scaling", "--target", "I3", "--q", "3/2", "--ell", "1e50"], "slope_error", 1e-10),
+], ids=["lemma1", "lemma1-ell1e16", "lemma1-ell1e100", "scaling-I2", "scaling-I3-ell1e50"])
+def test_time_factors_take_no_quadrature(monkeypatch, argv, key, tol):
+    def fail(*args):
+        raise AssertionError("a time factor reached the Gauss-Jacobi rule")
+
+    monkeypatch.setattr(capacity, "_jacobi_rules", fail)
+    monkeypatch.setattr(capacity, "_adapt", fail)
+    assert dispatch(build_parser().parse_args(argv)).summary[key] <= tol
 
 
 def test_time_constants_hand_values():
@@ -242,7 +259,7 @@ def test_critical_requires_critical_exponent():
 def test_scaling_fit_exact_power_laws():
     e = Exponents(q=2.0, ell=4.0)
     for k, slope in [(1, -1.0), (2, -3.0)]:
-        samples = [(T, time_integral(e, T, k).value) for T in (10.0, 20.0, 40.0, 80.0)]
+        samples = [(T, time_integral(e, T, k)) for T in (10.0, 20.0, 40.0, 80.0)]
         fit = scaling_fit(samples, "log T")
         assert abs(fit.slope - slope) < 1e-6
         assert fit.max_rel_residual < 1e-6
@@ -290,21 +307,21 @@ def test_parabolic_bound_doubling_and_decay():
 
 @pytest.mark.parametrize("q", [1.05, 1.2, 4 / 3, 1.5, 2.0, 3.0])
 def test_bound_time_factors_are_closed_forms(monkeypatch, q):
-    # capacity_bound integrates no time factor, yet its Young terms are
-    # 2 C(q) I_k(T) I4(R) with the quadrature's I_k(T), to 1e-12
+    # capacity_bound takes no substitution form, yet its Young terms are
+    # 2 C(q) I_k(T) I4(R) with the substitution form's I_k(T), to 1e-12
     e = Exponents(q=q)
     spatial = spatial_integral(e, e.log_spec() if e.is_critical() else e.power_spec(), 8.0).value
-    quadrature = capacity.time_integral
+    substituted = capacity.time_integral
 
     def fail(*args):
-        raise AssertionError("capacity_bound integrated a time factor")
+        raise AssertionError("capacity_bound took the substitution form")
 
     monkeypatch.setattr(capacity, "time_integral", fail)
     for T in (1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6, 1e10, 1e20, 1e30):
         for order in (1, 2):
             terms = capacity_bound(e, T, 8.0, order, 1.0, 1.0).breakdown
             for name, k in (("term_lap", 0), ("term_lap_d" + "t" * order, order)):
-                want = 2.0 * young_constant(q) * quadrature(e, T, k).value * spatial
+                want = 2.0 * young_constant(q) * substituted(e, T, k) * spatial
                 assert terms[name] == pytest.approx(want, rel=1e-12, abs=0.0), (T, order, name)
 
 
@@ -347,10 +364,9 @@ def test_hyperbolic_bound_reuses_the_parabolic_quadratures(tmp_path, monkeypatch
     computed = []
     estimates = capacity._estimates
 
-    def counting(log_integrand, segments, kind, inputs):
-        if kind == "radial":
-            computed.extend(inputs)
-        return estimates(log_integrand, segments, kind, inputs)
+    def counting(log_integrand, segments, inputs):
+        computed.extend(inputs)
+        return estimates(log_integrand, segments, inputs)
 
     monkeypatch.setattr(capacity, "_estimates", counting)
     out = tmp_path / "bound.json"

@@ -669,6 +669,8 @@ def non_finite_paths(obj, path=()):
 @example(argv=["bound-hyperbolic", "--q", "1.5", "--T", "1e-155"])
 @example(argv=["bound-parabolic", "--ell", "1e200"])
 @example(argv=["bound-parabolic", "--q", "1.5", "--ell", "1e150"])
+# the Gauss-Jacobi time rule's nodes rounded onto s = 0 here, and the substitution form is finite
+@example(argv=["lemma1", "--q", "2", "--ell", "1e16"])
 @given(argv=capacity_argv())
 def test_capacity_exit_code_contract(argv):
     code, out, err = run_main([*argv, "--format=json"])
@@ -751,18 +753,34 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     (["bound-hyperbolic", "--q", "1.5", "--T", "1e-60"], "bound beyond floating-point range at R = 8"),
     # scipy returns these non-finite without raising; they used to name no input
     (["lemma2", "--kappa", "1e300"], "radial quadrature beyond floating-point range at q = 2.0, kappa = 1e+300, R = 1000"),
-    # six significant digits would name R = 1, a radius the user did not pass
+    # six significant digits would name R = 1, a radius the user did not pass, and the
+    # default kappa = 2q/(q-1) + 1 as 403, which it is not
     (["lemma2", "--n", "200", "--R", "1.0000001,2,3,4"],
-     "radial integrand beyond floating-point range at q = 1.005, kappa = 403, R = 1.0000001"),
-    (["lemma1", "--ell", "1e308"], "time quadrature beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
+     "radial integrand beyond floating-point range at q = 1.005, kappa = 403.0000000000085, R = 1.0000001"),
+    (["lemma2", "--n", "200", "--kappa", "403.00001", "--R", "1.0000001,2,3,4"],
+     "radial integrand beyond floating-point range at q = 1.005, kappa = 403.00001, R = 1.0000001"),
+    # I1 is finite there, and the closed form of I2 is not
+    (["lemma1", "--ell", "1e308"], "time factor I2 beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
     # a closed form that underflows to 0 used to divide lemma1's relative error by zero
     (["lemma1", "--q", "1.5", "--T", "1e200"], "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6"),
     (["lemma1", "--q", "1.5", "--T", "1e100"], "time factor I3 underflows to 0 at q = 1.5, T = 1e+100, ell = 6"),
-    (["lemma1", "--q", "1.01", "--T", "27232"], "time factor I2 underflows to 0 at q = 1.01, T = 27232, ell = 202"),
+    # I2 = 2e-213 there, though T^(1 - q') = 27232^(-100) alone underflows; the constant C3 is beyond float range
+    (["lemma1", "--q", "1.01", "--T", "27232"],
+     "time factor I3 beyond floating-point range at q = 1.01, T = 27232, ell = 202"),
+    (["lemma1", "--q", "1.01", "--T", "1e6"], "time factor I2 underflows to 0 at q = 1.01, T = 1e+06, ell = 202"),
+    # six significant digits would name ell = 6, an ell the user did not pass
+    (["lemma1", "--q", "1.5", "--T", "1e-155", "--ell", "6.0000001"],
+     "time integrand beyond floating-point range at q = 1.5, T = 1e-155, ell = 6.0000001"),
+    (["bound-parabolic", "--q", "1.5", "--T", "1e-155", "--ell", "6.0000001"],
+     "time factor I2 beyond floating-point range at q = 1.5, T = 1e-155, ell = 6.0000001"),
+    (["lemma1", "--q", "1.5", "--T", "1e200", "--ell", "6.0000001"],
+     "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6.0000001"),
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
         "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-huge-ell", "bound-huge-ell-q1.5",
-        "bound-hyperbolic-overflow", "lemma2-huge-kappa", "lemma2-R-near-1", "lemma1-huge-ell", "lemma1-I2-underflow",
-        "lemma1-I3-underflow", "lemma1-q-near-1-underflow"])
+        "bound-hyperbolic-overflow", "lemma2-huge-kappa", "lemma2-R-near-1", "lemma2-kappa-near-403",
+        "lemma1-huge-ell", "lemma1-I2-underflow", "lemma1-I3-underflow", "lemma1-q-near-1-underflow",
+        "lemma1-q-near-1-I2-underflow", "lemma1-tiny-T-ell-near-6", "bound-tiny-T-ell-near-6",
+        "lemma1-I2-underflow-ell-near-6"])
 def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert main(argv) == 2
     err = capsys.readouterr().err

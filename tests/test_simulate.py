@@ -137,6 +137,20 @@ def test_grid_counting_and_spacing():
         build_grid(GridConfig(0.0, 1.0, 1.0, 3, 3, 3))
 
 
+# six significant digits would name lengths the user did not pass, such as l_x = 1e+160
+@pytest.mark.parametrize("config, culprit", [
+    (GridConfig(1.0000001e160, 1.0, 1.0, 5, 5, 5), "l_x = 1.0000001e+160 gives a grid spacing"),
+    (GridConfig(1.0000001e150, 1.0000001e150, 1.0000001e150, 5, 5, 5),
+     "l_x = 1.0000001e+150, l_y = 1.0000001e+150, l_tau = 1.0000001e+150 give a cell volume"),
+    (GridConfig(3.0, 3.0, 1.0000001e-153, 5, 5, 5),
+     "grid operator beyond floating-point range at l_x = 3, l_y = 3, l_tau = 1.0000001e-153"),
+], ids=["spacing", "cell-volume", "operator"])
+def test_grid_out_of_range_names_the_lengths(config, culprit):
+    with pytest.raises(ParameterError) as info:
+        assemble_sublaplacian(build_grid(config))
+    assert culprit in str(info.value)
+
+
 def test_operator_symmetric_negative_definite():
     g = build_grid(GridConfig(3.0, 3.0, 9.0, 11, 11, 11))
     op = assemble_sublaplacian(g)
