@@ -10,8 +10,9 @@ blocks are byte-identical.  Regenerate only the cases whose reports change
 on purpose, and say which moved and why; the other entries are rewritten
 byte for byte.  For each rewritten case the script prints whether it is
 byte-identical, else whether its status moved, and else the largest relative
-change of a number in its rows and in its summary and, by its first column,
-each row that moved (e.g. `identity=commutator_cross_zero`).
+change of a number in its rows and in its summary with the column it is in
+(e.g. `0.189 in rows (abs_error)`) and, by its first column, each row that
+moved (e.g. `identity=commutator_cross_zero`).
 
 Usage:
     PYTHONPATH=src python scripts/make_golden.py                    # every case
@@ -112,11 +113,13 @@ def report_blocks(case, workdir: pathlib.Path) -> dict:
     return {"rows": report["rows"], "summary": report["summary"]}
 
 
-def largest_change(old: list, new: list) -> float:
-    """Largest relative change of a float between two lists of dicts, key by key."""
-    pairs = [(a[key], b[key]) for a, b in zip(old, new) for key in a
-             if isinstance(a[key], float) and isinstance(b.get(key), float)]
-    return max((abs(b - a) / abs(a) for a, b in pairs if a and math.isfinite(a)), default=0.0)
+def largest_change(old: list, new: list, where: str) -> str:
+    """Largest relative change of a float between two lists of dicts, key by key,
+    `where` they are, followed by the key it is in when it is not 0."""
+    changes = [(abs(b[key] - a[key]) / abs(a[key]), key) for a, b in zip(old, new) for key in a
+               if isinstance(a[key], float) and isinstance(b.get(key), float) and a[key] and math.isfinite(a[key])]
+    change, key = max(changes, key=lambda c: c[0], default=(0.0, ""))
+    return f"{change:.3g} in {where} ({key})" if change else f"{change:.3g} in {where}"
 
 
 def moved_rows(old: list, new: list) -> list:
@@ -132,16 +135,16 @@ def moved_rows(old: list, new: list) -> list:
 def change(old: dict, new: dict) -> str:
     """How a rewritten entry moved: not at all, its status, status step or row count,
     or else the largest relative change of a number in its rows and in its summary,
-    followed by the rows that moved."""
+    each with its column, followed by the rows that moved."""
     if json.dumps(old) == json.dumps(new):
         return "byte-identical"
     keys = ("status", "status_step")
     if (len(old["rows"]) != len(new["rows"])
             or any(old["summary"].get(k) != new["summary"].get(k) for k in keys)):
         return "status, status step or row count moved"
-    rows = largest_change(old["rows"], new["rows"])
-    summary = largest_change([old["summary"]], [new["summary"]])
-    out = f"status kept, largest relative change {rows:.3g} in rows, {summary:.3g} in summary"
+    rows = largest_change(old["rows"], new["rows"], "rows")
+    summary = largest_change([old["summary"]], [new["summary"]], "summary")
+    out = f"status kept, largest relative change {rows}, {summary}"
     moved = moved_rows(old["rows"], new["rows"])
     return f"{out}; rows moved: {', '.join(moved)}" if moved else out
 

@@ -21,18 +21,33 @@ sphere constant has a closed form from the Koranyi polar decomposition
 capacity path is deterministic and works for any n >= 1.
 
 Time factors take no quadrature: after s = 1 - t/T the integrand is
-|c_k|^(q') s^a, so `time_integral` is T |c_k|^(q') / (a + 1) in logs, the
-check of the constants C_k the bounds use.  Every radial integral is one
-factored Gauss-Jacobi rule in numpy (Golub-Welsch, Math. Comp. 23, 1969):
-each integrand is split at 0, at the real zeros in (0, 1) of its
-polynomial bracket and at 1, and the algebraic factor it has at each end
-is the weight of that segment's rule.  The integrand is
-evaluated in logs, the two rules of each segment give the value and the
-error, and segments are bisected until the error is below 1e-13 of the
-value.  Every radial integral a capacity path takes (`_variants`) at every
-R of a grid takes one pass of the rule (`spatial_integral_grid`), and is
-kept once per (exponents, cutoff, R, name) in a process.  Bounds take T
-from the closed forms C_k T^(1-k q'), and no capacity path loads scipy.
+|c_k|^(q') s^a, so `time_integral` is T |c_k|^(q') / (a + 1), the check of
+the closed forms C_k T^(1-k q') the bounds use; both are formed in logs.
+
+Every radial integral of either cutoff family has one factored form in
+x in [0, 1].  With u = 1 - x the quintic step is Theta = u^3 P, Theta' =
+u^2 T1 and Theta'' = u T2 (P = 1 + 3x + 6x^2, T1 = -30x^2, T2 = -60x(1-2x)),
+and the integrand is
+
+  Theta^p (u^4 |C|)^(q' w) (1+x)^g e^(hx + k),   C = alpha T1^2 + beta P T2 + gamma u P T1,
+
+w = 1 where it carries the sub-Laplacian's bracket C, a quintic that
+vanishes like x at 0.  Only `_variants` knows the family (z = (1+x)/2,
+L = ln sqrt R, k holds the constant factors):
+
+  family     x               alpha       beta   gamma   g        h          p
+  power m    2r^2/R^2 - 1    16z m(m-1)  16z m  4Qm     (Q-2)/2  0          m - 2q', (m-2) q'
+  log kappa  ln(r/sqrt R)/L  kappa - 1   1      L(Q-2)  0        (Q-2q') L  kappa - 2q', (kappa-2) q',
+                                                                            kappa - 2q', kappa - q'
+
+One Gauss-Jacobi rule in numpy (Golub-Welsch, Math. Comp. 23, 1969) splits
+each integrand at 0, at C's real zeros in (0, 1) and at 1, and takes the
+algebraic factor at each end as the weight of that segment's rule.  The
+integrand is evaluated in logs, the two rules of each segment give the
+value and the error, and segments are bisected until the error is below
+1e-13 of the value.  Every radial integral at every R of a grid takes one
+pass of the rule (`spatial_integral_grid`), and is kept once per
+(exponents, cutoff, R, name) in a process.  No capacity path loads scipy.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from .cutoffs import (
     TemporalFactor,
     check_integrability,
     check_radius,
-    cutoff_eval,
+    cutoff_eval,  # unused here: perfbench test_tiny_run_prints_every_metric_with_its_unit checks this binding
     default_power,
     spatial_factor,
 )
@@ -352,26 +367,41 @@ def time_integral(e: Exponents, T: float, k: int) -> float:
     The integrand becomes |c_k|^(q') s^a, c_k the coefficient of `TemporalFactor`,
     with a = ell - k q' > -1 taken as the integrand computes it,
     (ell - k) q' - ell/(q - 1), so I_k(T) = T |c_k|^(q') / (a + 1).  It is evaluated
-    in logs, so a factor beyond float range does not refuse a finite value.
+    in logs, ln|c_k| = ln ell + ln(ell - 1) - 2 ln T at k = 2, so a factor beyond
+    float range does not refuse a finite value.
     """
     if k not in (0, 1, 2):
         raise ParameterError("time integral order k must be 0, 1 or 2")
-    tf = TemporalFactor(T, e.ell)
+    TemporalFactor(T, e.ell)  # checks T > 0
     ell, qp, q = e.ell, e.q_prime, e.q
     a = (ell - k) * qp - ell / (q - 1.0)
     if not (ell - k * qp > -1.0 and not a <= -1.0):
-        raise ParameterError(
-            f"ell = {e.ell} too small for k = {k}: need ell > {k * e.q_prime - 1:.6g}"
-        )
-    coef = abs(tf.coefficient(k))
+        raise ParameterError(f"ell = {e.ell} too small for k = {k}: need ell > {k * qp - 1:.6g}")
+    log_coef = (0.0, math.log(ell), math.log(ell) + math.log(ell - 1.0))[k] - k * math.log(T)
     try:  # math.exp reports only "math range error"
-        value = math.exp(math.log(T) + qp * math.log(coef) - math.log1p(a)) if coef > 0 else 0.0
+        value = math.exp(math.log(T) + qp * log_coef - math.log1p(a))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise OverflowError(f"time integrand beyond floating-point range at q = {q}, T = {shown(T)}, "
                             f"ell = {shown(ell)}")
     return value
+
+
+def _log_time_constant(e: Exponents, k: int) -> float:
+    """ln C_k of `time_integral_constant`, each denominator ell(q-1) - d, d = 1 or q + 1,
+    as ln ell + ln(q-1) + ln(1 - d/(ell(q-1))): ln(q-1) cancels, and no power of ell is
+    formed."""
+    q, ell = e.q, e.ell
+    if k == 0:
+        return -math.log1p(ell)
+    if k not in (1, 2):
+        raise ParameterError("time integral order k must be 0, 1 or 2")
+    d = (1.0, q + 1.0)[k - 1]
+    if not ell * (q - 1.0) > d:
+        raise ParameterError(("ell(q-1) - 1", "ell(q-1) - q - 1")[k - 1] + " must be positive")
+    log_ell = math.log(ell) + (0.0, math.log(ell - 1.0))[k - 1]
+    return e.q_prime * log_ell - math.log(ell) - math.log1p(-d / ell / (q - 1.0))
 
 
 def time_integral_constant(e: Exponents, k: int) -> float:
@@ -381,35 +411,21 @@ def time_integral_constant(e: Exponents, k: int) -> float:
     C_1 = (q-1) ell^(q') / (ell(q-1) - 1),
     C_2 = (q-1) (ell(ell-1))^(q') / (ell(q-1) - q - 1).
     """
-    q, ell, qp = e.q, e.ell, e.q_prime
-    if k == 0:
-        return 1.0 / (ell + 1.0)
-    if k == 1:
-        den = ell * (q - 1.0) - 1.0
-        if not den > 0:
-            raise ParameterError("ell(q-1) - 1 must be positive")
-        return (q - 1.0) * ell**qp / den
-    if k == 2:
-        den = ell * (q - 1.0) - q - 1.0
-        if not den > 0:
-            raise ParameterError("ell(q-1) - q - 1 must be positive")
-        return (q - 1.0) * (ell * (ell - 1.0)) ** qp / den
-    raise ParameterError("time integral order k must be 0, 1 or 2")
+    try:  # math.exp reports only "math range error"
+        return math.exp(_log_time_constant(e, k))
+    except OverflowError:
+        raise OverflowError(f"time constant C{k + 1} beyond floating-point range at q = {e.q}, "
+                            f"ell = {shown(e.ell)}") from None
 
 
 def time_integral_closed(e: Exponents, T: float, k: int) -> float:
-    """I_k(T) = C_k T^(1 - k q'), the time factor of the capacity bounds, in logs
-    where T^(1 - k q') alone leaves float range."""
-    p = 1.0 - k * e.q_prime
-    try:  # float ** float reports only an errno tuple, math.exp only "math range error"
-        constant, log_power = time_integral_constant(e, k), p * math.log(T)
-        value = constant * T**p if abs(log_power) < _LOG_MAX else math.exp(math.log(constant) + log_power)
+    """I_k(T) = C_k T^(1 - k q'), the time factor of the capacity bounds, as one
+    exp(ln C_k + (1 - k q') ln T), finite wherever the product is."""
+    try:  # math.exp reports only "math range error"
+        return math.exp(_log_time_constant(e, k) + (1.0 - k * e.q_prime) * math.log(T))
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
         raise OverflowError(f"time factor I{k + 1} beyond floating-point range at q = {e.q}, "
-                            f"T = {shown(T)}, ell = {shown(e.ell)}")
-    return value
+                            f"T = {shown(T)}, ell = {shown(e.ell)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -446,34 +462,13 @@ def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEsti
 
 
 def _check_radius_squared(Q: int, R: float) -> None:
-    """Raise unless R^2 and 2Q/R^2, which the power family's integrand takes, are floats."""
+    """Raise unless R^2 and 2Q/R^2, the scales of the power family's Delta phi2, are floats."""
     try:  # float ** int reports only an errno tuple
         R2 = R**2
     except OverflowError:
         R2 = 0.0
     if R2 < 2.0 * Q / sys.float_info.max:  # R^2 underflows, or 2Q/R^2 overflows
         raise OverflowError(f"R^2 beyond floating-point range at R = {shown(R)}")
-
-
-def _power_log_integrand(bracket, exps, Q: int, q: float, radii):
-    """Log of the power family's radial integrand
-    [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1) dr/ds
-    in s = 2 r^2/R^2 - 1, where it is u^a P^e |B(s)|^(q') R^(-2q') r^(Q-2) R^2/4
-    with r = R sqrt((1+s)/2): `bracket` is B and `exps` the (a, e) of each integrand,
-    as in `_power_factors`, and `radii` its R; node rows name their integrand."""
-    qp = q / (q - 1.0)
-    a, e = (np.array(c)[:, None] for c in zip(*exps))
-    R = np.array(radii, dtype=float)[:, None]
-    log_R2 = 2.0 * np.log(R)
-
-    def log_integrand(s, rows):
-        r = R[rows] * np.sqrt(0.5 * (1.0 + s))
-        P = 1.0 + s * (3.0 + 6.0 * s)
-        B = np.polynomial.polynomial.polyval(s, bracket)
-        return (a[rows] * np.log(1.0 - s) + e[rows] * np.log(P) + qp * (np.log(np.abs(B)) - log_R2[rows])
-                + (Q - 2) * np.log(r) + log_R2[rows] - math.log(4.0))
-
-    return log_integrand
 
 
 def _real_roots(coefficients, lo: float, hi: float) -> list:
@@ -505,117 +500,87 @@ def _real_roots(coefficients, lo: float, hi: float) -> list:
     return [sorted(s) if ok else None for s, ok in zip(out, finite)]
 
 
-def _segments(points, v: int = 0) -> list:
-    """Segments of integrand v between consecutive (abscissa, exponent) `points`."""
+def _variants(e: Exponents, spec: CutoffSpec, R: float) -> tuple:
+    """The radial integrals the capacity paths take of `spec`'s family at R, in the
+    factored form of the module docstring.  Returns (inputs, (alpha, beta, gamma),
+    variants): the inputs error messages name, C's coefficients as ascending
+    polynomials in x, and by name the (p, w, g, h, k) of `weighted`, the spatial
+    factor, of `data`, its unweighted form, and for the logarithmic family of `term_sq`
+    and `term_lin`, the (ln R)^(-Q)-type and (ln R)^(-Q/2)-type Schwarz-split terms.
+    A variant the family refuses at R holds its error instead."""
+    qp, Q = e.q_prime, e.Q
+    r_power = float(Q - 2 * Fraction(e.q) / (Fraction(e.q) - 1))  # Q - 2q' of the exact float q: 0 at q_c
+    if spec.family == "power":
+        m, g = spec.m, 0.5 * (Q - 2)
+        k = r_power * math.log(R) - 0.5 * (Q + 2) * math.log(2.0)
+        variants = {"weighted": (m - 2.0 * qp, 1, g, 0.0, k), "data": ((m - 2.0) * qp, 1, g, 0.0, k)}
+        try:
+            _check_radius_squared(Q, R)
+        except OverflowError as exc:
+            variants = dict.fromkeys(variants, exc.with_traceback(None))
+        try:  # second, so that an m too small for the weight is named before R
+            check_integrability(spec, e.q)
+        except ParameterError as exc:
+            variants["weighted"] = exc.with_traceback(None)
+        coefficients = ([8.0 * m * (m - 1), 8.0 * m * (m - 1)], [8.0 * m, 8.0 * m], [4.0 * Q * m])
+        return f"q = {e.q}, R = {shown(R)}", coefficients, variants
+    kappa, L = spec.kappa, 0.5 * math.log(R)
+    h = r_power * L
+
+    def variant(p, w, j):  # L^(1 - j q') r^(Q - 2q'), and kappa^(q') with the bracket
+        return p, w, 0.0, h, h + (1.0 - j * qp) * math.log(L) + w * qp * math.log(kappa)
+
+    variants = {"weighted": variant(kappa - 2.0 * qp, 1, 2), "data": variant(qp * (kappa - 2.0), 1, 2),
+                "term_sq": variant(kappa - 2.0 * qp, 0, 2), "term_lin": variant(kappa - qp, 0, 1)}
+    return f"q = {e.q}, kappa = {shown(kappa)}, R = {shown(R)}", ([kappa - 1.0], [1.0], [L * (Q - 2)]), variants
+
+
+# T1^2, P T2 and u P T1, ascending in x
+_BRACKET_TERMS = (np.array([0.0, 0.0, 0.0, 0.0, 900.0]), np.array([0.0, -60.0, -60.0, 0.0, 720.0]),
+                  np.array([0.0, 0.0, -30.0, -60.0, -90.0, 180.0]))
+
+
+def _bracket(coefficients) -> np.ndarray:
+    """Ascending coefficients of the quintic C = alpha T1^2 + beta P T2 + gamma u P T1
+    from (alpha, beta, gamma) of `_variants`; C vanishes like x at 0."""
+    out = np.zeros(6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, term in zip(coefficients, _BRACKET_TERMS):
+            product = np.convolve(c, term)
+            out[:product.size] += product
+    return out
+
+
+def _radial_segments(qp: float, zeros, p: float, w: int, v: int) -> list:
+    """Segments of integral v with (p, w) of `_variants` between consecutive breakpoints
+    (abscissa, exponent): 0 (exponent q' w), C's `zeros` when w = 1 (exponent q') and 1
+    (exponent 3p + 4 q' w).  Theta^p ~ exp(-10 p x^3) is below e^-64 beyond
+    x = 4 (10 p)^(-1/3), where a breakpoint keeps the rule from missing a narrow support."""
+    points = [(0.0, qp * w), (1.0, 3.0 * p + 4.0 * qp * w), *((z, qp) for z in (zeros if w else ()))]
+    edge = 4.0 * (10.0 * p) ** (-1.0 / 3.0) if p > 6.4 else 1.0
+    if edge < 1.0 and all(z != edge for z, _ in points):
+        points.append((edge, 0.0))
     points = sorted(points)
     return [(lo, hi, left, right, v) for (lo, left), (hi, right) in zip(points, points[1:])]
 
 
-@functools.lru_cache(maxsize=256)
-def _power_factors(spec: CutoffSpec, Q: int, q: float, exps: tuple):
-    """The factored power-family integrand, which depends on neither R nor the data.
+def _log_integrand(qp: float, brackets, params):
+    """Log of the factored radial integrand of `_variants` for each integral, with C's
+    ascending coefficients `brackets` and (p, w, g, h, k) `params`, one row each; node
+    rows name their integral."""
+    C = np.array(brackets)
+    p, w, g, h, k = (np.array(c, dtype=float)[:, None] for c in zip(*params))
 
-    With s = 2z - 1 and u = 1 - s the quintic step factors as Theta = u^3 P,
-    Theta' = u^2 T1 and Theta'' = u T2, where P = 1 + 3s + 6s^2, T1 = -30 s^2 and
-    T2 = -60 s (1-2s).  Then R^2 Delta Phi = u^(3m-2) P^(m-2) B(s) with
-
-      B(s) = 16 z (m(m-1) T1^2 + m P T2) + 4 Q m u P T1,   z = (1+s)/2,
-
-    and the integrand is u^a P^e |B|^(q') times r-powers, (a, e) = `exps`: (3m - 2q',
-    m - 2q') with the weight, ((3m-2) q', (m-2) q') without (`_variants`).  B vanishes
-    like s at 0.  Returns B's coefficients (lowest first) and the segments: [0, 1]
-    split at B's zeros, with the bisections the rule needs at R = 1, which serve every R."""
-    m, qp = spec.m, q / (q - 1.0)
-    poly = np.polynomial.polynomial
-    z, u, P = [0.5, 0.5], [1.0, -1.0], [1.0, 3.0, 6.0]
-    T1, T2 = [0.0, 0.0, -30.0], [0.0, -60.0, 120.0]
-    inner = poly.polyadd(m * (m - 1) * poly.polymul(T1, T1), m * poly.polymul(P, T2))
-    bracket = poly.polyadd(16.0 * poly.polymul(z, inner),
-                           4.0 * Q * m * poly.polymul(u, poly.polymul(P, T1)))
-    zeros = _real_roots([bracket[:0:-1]], 0.0, 1.0)[0]  # B / s, highest power first
-    segments = _segments([(0.0, qp), *((z, qp) for z in zeros), (1.0, exps[0])])
-    (layout,), done = _adapt(_power_log_integrand(bracket, [exps], Q, q, [1.0]), segments, 1, math.inf)
-    if isinstance(layout, str):
-        raise OverflowError(f"radial {layout} beyond floating-point range at q = {q}")
-    return bracket, done
-
-
-@functools.lru_cache(maxsize=256)
-def _r_power(q: float, Q: int) -> float:
-    """Q - 2q' from the exact rational value of the float q: it cancels at q_c."""
-    return float(Q - 2 * Fraction(q) / (Fraction(q) - 1))
-
-
-def _variants(e: Exponents, spec: CutoffSpec) -> dict:
-    """The radial integrals the capacity paths take of `spec`'s family, by name, with
-    their exponents: `weighted`, the spatial factor, and `data`, its unweighted form,
-    and for the logarithmic family `term_sq` and `term_lin`, the (ln R)^(-Q)-type and
-    (ln R)^(-Q/2)-type Schwarz-split terms.  The exponents are the (a, e) of
-    `_power_factors` or the (psi_power, inv_log_power) of `_log_integrand`."""
-    qp = e.q_prime
-    if spec.family == "power":
-        m = spec.m
-        return {"weighted": (3.0 * m - 2.0 * qp, m - 2.0 * qp), "data": ((3.0 * m - 2.0) * qp, (m - 2.0) * qp)}
-    k = spec.kappa
-    return {"weighted": (-k / (e.q - 1.0), None), "data": (0.0, None),
-            "term_sq": (k - 2.0 * qp, 2.0), "term_lin": (k - qp, 1.0)}
-
-
-def _log_bracket_zeros(kappa: float, Q: int, Ls) -> list:
-    """Zeros in (0, 1) of the logarithmic family's bracket at each L of `Ls`, or None
-    where they leave float range: b1 + L b2 is
-    kappa u^(3 kappa - 2) P^(kappa - 2) C(z) with u = 1 - z, P = 1 + 3z + 6z^2 and
-
-      C(z) = 900(kappa-1) z^4 - 60 z (1-2z) P - 30 L (Q-2) z^2 (1-z) P
-           = z (6c z^4 + (900 kappa - 180 - 3c) z^3 - 2c z^2 - (60 + c) z - 60),
-
-    c = 30 L (Q-2).  C vanishes like z at 0."""
-    c = 30.0 * np.asarray(Ls, dtype=float) * (Q - 2)
-    with np.errstate(over="ignore"):
-        coefficients = np.stack([6.0 * c, 900.0 * kappa - 180.0 - 3.0 * c, -2.0 * c, -(60.0 + c),
-                                 np.full_like(c, -60.0)], axis=1)
-    return _real_roots(coefficients, 0.0, 1.0)
-
-
-def _log_integrand(e: Exponents, spec: CutoffSpec, integrals):
-    """Log of the logarithmic family's radial integrand for `integrals`, a list of
-    (R, psi_power, inv_log_power); node rows name their integral."""
-    qp, Q, kappa = e.q_prime, e.Q, spec.kappa
-    r_power = _r_power(e.q, Q)
-    L = np.array([0.5 * math.log(R) for R, _, _ in integrals])[:, None]
-    psi = np.array([p for _, p, _ in integrals])[:, None]
-    with_bracket = np.array([inv is None for _, _, inv in integrals])[:, None]
-    log_L_power = np.array([1.0 - (2.0 if inv is None else inv) * qp for _, _, inv in integrals])[:, None] * np.log(L)
-
-    def log_integrand(z, rows):
-        v, d1, d2 = cutoff_eval(spec, z)
-        # ln Psi without the cancellation in 1 - z^3 (10 - 15z + 6z^2): log1p near 0, u^3 P near 1
-        log_psi = np.where(z < 0.5, np.log1p(-z**3 * (10.0 - 15.0 * z + 6.0 * z * z)),
-                           3.0 * np.log1p(-z) + np.log(1.0 + z * (3.0 + 6.0 * z)))
-        # b1 + L b2 = kappa Psi^(kappa-2) [(kappa-1) Psi'^2 + Psi (Psi'' + L(Q-2) Psi')]
-        bracket = (kappa - 1.0) * d1 * d1 + v * (d2 + L[rows] * (Q - 2) * d1)
-        log_b = qp * (math.log(kappa) + (kappa - 2.0) * log_psi + np.log(np.abs(bracket)))
-        return (psi[rows] * log_psi + np.where(with_bracket[rows], log_b, 0.0) + log_L_power[rows]
-                + r_power * L[rows] * (1.0 + z))
+    def log_integrand(x, rows):
+        # ln Theta without the cancellation in 1 - x^3 (10 - 15x + 6x^2): log1p below 1/2, u^3 P above
+        log_theta = np.where(x < 0.5, np.log1p(-x**3 * (10.0 - 15.0 * x + 6.0 * x * x)),
+                             3.0 * np.log1p(-x) + np.log(1.0 + x * (3.0 + 6.0 * x)))
+        bracket = np.polynomial.polynomial.polyval(x, C[rows].T[:, :, None], tensor=False)
+        log_bracket = np.where(w[rows] > 0.0, 4.0 * np.log1p(-x) + np.log(np.abs(bracket)), 0.0)
+        return (p[rows] * log_theta + qp * w[rows] * log_bracket + g[rows] * np.log1p(x)
+                + h[rows] * x + k[rows])
 
     return log_integrand
-
-
-def _log_segments(e: Exponents, spec: CutoffSpec, zeros, psi_power: float, inv_log_power, v: int) -> list:
-    """Segments of one logarithmic-family integral.  With the bracket, [0, 1] is split
-    at its `zeros` (exponent q' there and at 0) and the exponent at 1 is
-    3 psi_power + q'(3 kappa - 2); without it, the exponent at 1 is 3 psi_power.
-    Psi^p ~ exp(-10 p z^3), p the net power of Psi, is below e^-64 beyond
-    z = 4 (10 p)^(-1/3), where a breakpoint keeps the rule from missing a narrow support."""
-    qp, kappa = e.q_prime, spec.kappa
-    power, points = psi_power, [(0.0, 0.0), (1.0, 3.0 * psi_power)]
-    if inv_log_power is None:
-        power += qp * (kappa - 2.0)
-        points = [(0.0, qp), *((z, qp) for z in zeros), (1.0, 3.0 * psi_power + qp * (3.0 * kappa - 2.0))]
-    edge = 4.0 * (10.0 * power) ** (-1.0 / 3.0) if power > 0.0 else 1.0
-    if edge < 1.0 and all(z != edge for z, _ in points):
-        points.append((edge, 0.0))
-    return _segments(points, v)
 
 
 # Radial integrals by (exponents, cutoff, R, name of `_variants`): an estimate, or the
@@ -630,63 +595,49 @@ def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii) -> None:
     that check them; an integral that fails keeps its error, raised when asked for."""
     if len(_RADIAL_CACHE) > 4096:
         _RADIAL_CACHE.clear()
-    variants = _variants(e, spec)
-    todo = []
+    todo, coefficients_at = [], {}
     for R in dict.fromkeys(radii):
         try:
             check_radius(spec, R)
         except ParameterError:
             continue
-        todo += [(R, name) for name in variants if (e, spec, R, name) not in _RADIAL_CACHE]
+        inputs, coefficients, variants = _variants(e, spec, R)
+        for name, params in variants.items():
+            key = (e, spec, R, name)
+            if key in _RADIAL_CACHE:
+                continue
+            if isinstance(params, Exception):
+                _RADIAL_CACHE[key] = params
+            else:
+                coefficients_at[R] = coefficients
+                todo.append((key, inputs, params))
     if not todo:
         return
-    at = f"q = {e.q}, R = " if spec.family == "power" else f"q = {e.q}, kappa = {shown(spec.kappa)}, R = "
+    brackets = {R: _bracket(coefficients) for R, coefficients in coefficients_at.items()}
+    zeros = dict(zip(brackets, _real_roots([b[:0:-1] for b in brackets.values()], 0.0, 1.0)))  # C / x
     integrals, segments = [], []
-    if spec.family == "power":
-        for R, name in todo:
-            try:  # in this order, so each R raises what it did alone
-                if name == "weighted":
-                    check_integrability(spec, e.q)
-                _check_radius_squared(e.Q, R)
-                bracket, layout = _power_factors(spec, e.Q, e.q, variants[name])
-            except (ParameterError, OverflowError) as exc:
-                _RADIAL_CACHE[(e, spec, R, name)] = exc.with_traceback(None)
-                continue
-            segments += [(*seg[:4], len(integrals)) for seg in layout]
-            integrals.append((R, name))
-        if not integrals:
-            return
-        log_integrand = _power_log_integrand(bracket, [variants[name] for _, name in integrals], e.Q, e.q,
-                                             [R for R, _ in integrals])
-    else:
-        radii = list(dict.fromkeys(R for R, _ in todo))
-        zeros = dict(zip(radii, _log_bracket_zeros(spec.kappa, e.Q, [0.5 * math.log(R) for R in radii])))
-        for R, name in todo:
-            if zeros[R] is None:
-                _RADIAL_CACHE[(e, spec, R, name)] = OverflowError(
-                    f"radial quadrature beyond floating-point range at {at}{shown(R)}")
-                continue
-            segments += _log_segments(e, spec, zeros[R], *variants[name], len(integrals))
-            integrals.append((R, name))
-        if not integrals:
-            return
-        log_integrand = _log_integrand(e, spec, [(R, *variants[name]) for R, name in integrals])
-    inputs = [f"{at}{shown(R)}" for R, _ in integrals]
-    for (R, name), result in zip(integrals, _estimates(log_integrand, segments, inputs)):
-        _RADIAL_CACHE[(e, spec, R, name)] = result
+    for key, inputs, params in todo:
+        if zeros[key[2]] is None:
+            _RADIAL_CACHE[key] = OverflowError(f"radial quadrature beyond floating-point range at {inputs}")
+        else:
+            segments += _radial_segments(e.q_prime, zeros[key[2]], *params[:2], len(integrals))
+            integrals.append((key, inputs, params))
+    if not integrals:
+        return
+    log_integrand = _log_integrand(e.q_prime, [brackets[key[2]] for key, _, _ in integrals],
+                                   [params for _, _, params in integrals])
+    for (key, _, _), result in zip(integrals, _estimates(log_integrand, segments, [i for _, i, _ in integrals])):
+        _RADIAL_CACHE[key] = result
 
 
 def _radial(e: Exponents, spec: CutoffSpec, R: float, name: str) -> QuadratureEstimate:
     """The radial integral `name` of `_variants` at R, from the pass of
     `spatial_integral_grid` that held R, or from a pass for R alone.
 
-    The power family integrates
-    [Phi^(-1/(q-1))(r^2/R^2)] |(4 r^2/R^4) Phi'' + (2Q/R^2) Phi'|^(q') r^(Q-1)
-    over the support annulus R/sqrt(2) <= r <= R, the weight only for `weighted`.
-    The logarithmic family integrates Psi^psi_power |B1 + L B2|^(q') L^(1-2q') r^(Q-2q'),
-    or with inv_log_power given, Psi^psi_power L^(1-inv_log_power*q') r^(Q-2q'), in
-    z = ln(r/sqrt R)/ln(sqrt R), where r = exp(L(1+z)) and L = ln(sqrt R), with the
-    measure factor r L dz absorbed.
+    The power family integrates [phi2^(-1/(q-1))] |Delta phi2|^(q') r^(Q-1) over the
+    annulus R/sqrt(2) <= r <= R, the logarithmic family over sqrt(R) <= r <= R, the
+    weight only for `weighted`; the Schwarz-split terms integrate
+    Psi^(kappa-2q') (r^2 L^2)^(-q') and Psi^(kappa-q') (r^2 L)^(-q') times r^(Q-1).
     """
     key = (e, spec, R, name)
     if key not in _RADIAL_CACHE:

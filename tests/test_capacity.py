@@ -240,6 +240,20 @@ def test_critical_spatial_factor():
     assert -e.Q / 2 < fit.slope < 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_schwarz_split_terms_follow_their_exact_log_law(n):
+    # at q_c, Q = 2q' and r^(Q-2q') = 1: term_sq is L^(1-Q) and term_lin L^(1-Q/2) times an
+    # integral that R does not enter (the float q_c = 4/3 leaves Q - 2q' = -1.3e-15 at n = 3)
+    e = Exponents(q=float(critical_exponent(n)), n=n)
+    spec = e.log_spec()
+    radii = (1.5, 10.0, 1e3, 1e9, 1e100, 1e300)
+    capacity.spatial_integral_grid(e, spec, radii)
+    for name, power in (("term_sq", e.Q - 1), ("term_lin", e.Q / 2 - 1)):
+        scaled = [getattr(spatial_integral_critical(e, spec, R), name).value * math.log(R) ** power
+                  for R in radii]
+        assert max(scaled) / min(scaled) - 1.0 <= 1e-12, (name, scaled)
+
+
 def test_critical_support_vanishes_inside_sqrt_R():
     e = Exponents(q=2.0, n=1)
     spec = e.log_spec()
@@ -608,7 +622,7 @@ def test_grid_integrals_are_the_single_radius_integrals():
         capacity._RADIAL_CACHE.clear()
         capacity.spatial_integral_grid(e, spec, radii)
         grid = dict(capacity._RADIAL_CACHE)
-        assert len(grid) == len(radii) * len(capacity._variants(e, spec))
+        assert len(grid) == len(radii) * len(capacity._variants(e, spec, radii[0])[-1])
         capacity._RADIAL_CACHE.clear()
         for R in reversed(radii):
             capacity.spatial_integral_grid(e, spec, [R])

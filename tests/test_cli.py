@@ -665,7 +665,7 @@ def non_finite_paths(obj, path=()):
 @example(argv=["bound-parabolic", "--q", "1.1", "--T", "1", "--R", "1,1,1,1"])  # used to raise LinAlgError
 # the bound overflows its envelope quotient at q_c: used to report a NaN envelope_quotient_spread
 @example(argv=["bound-hyperbolic", "--n=2", "--q=3/2", "--T=1000", "--R=10", "--u0-norm=1e308", "--u1-norm=0"])
-# the closed-form time factors leave float range in T ** (1 - k q') and ell ** q'
+# the closed-form time factors used to leave float range in T ** (1 - k q') and ell ** q'
 @example(argv=["bound-hyperbolic", "--q", "1.5", "--T", "1e-155"])
 @example(argv=["bound-parabolic", "--ell", "1e200"])
 @example(argv=["bound-parabolic", "--q", "1.5", "--ell", "1e150"])
@@ -745,10 +745,6 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     # float ** float reports only an errno tuple for these closed-form time factors
     (["bound-hyperbolic", "--q", "1.5", "--T", "1e-155"],
      "time factor I3 beyond floating-point range at q = 1.5, T = 1e-155, ell = 6"),
-    (["bound-parabolic", "--ell", "1e200"],
-     "time factor I2 beyond floating-point range at q = 2.0, T = 10, ell = 1e+200"),
-    (["bound-parabolic", "--q", "1.5", "--ell", "1e150"],
-     "time factor I2 beyond floating-point range at q = 1.5, T = 10, ell = 1e+150"),
     # I3(T) = C_2 T^(-5) is finite at T = 1e-60, and the bound is not
     (["bound-hyperbolic", "--q", "1.5", "--T", "1e-60"], "bound beyond floating-point range at R = 8"),
     # scipy returns these non-finite without raising; they used to name no input
@@ -759,14 +755,14 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
      "radial integrand beyond floating-point range at q = 1.005, kappa = 403.0000000000085, R = 1.0000001"),
     (["lemma2", "--n", "200", "--kappa", "403.00001", "--R", "1.0000001,2,3,4"],
      "radial integrand beyond floating-point range at q = 1.005, kappa = 403.00001, R = 1.0000001"),
-    # I1 is finite there, and the closed form of I2 is not
-    (["lemma1", "--ell", "1e308"], "time factor I2 beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
+    # I1 and I2 are finite there, and I3 = C3 T^(-3) with C3 ~ ell^3 = 1e924 is not
+    (["lemma1", "--ell", "1e308"], "time factor I3 beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
     # a closed form that underflows to 0 used to divide lemma1's relative error by zero
     (["lemma1", "--q", "1.5", "--T", "1e200"], "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6"),
     (["lemma1", "--q", "1.5", "--T", "1e100"], "time factor I3 underflows to 0 at q = 1.5, T = 1e+100, ell = 6"),
-    # I2 = 2e-213 there, though T^(1 - q') = 27232^(-100) alone underflows; the constant C3 is beyond float range
+    # I2 = 2e-213 there, though T^(1 - q') = 27232^(-100) alone underflows; I3 = 1e-424 does underflow
     (["lemma1", "--q", "1.01", "--T", "27232"],
-     "time factor I3 beyond floating-point range at q = 1.01, T = 27232, ell = 202"),
+     "time factor I3 underflows to 0 at q = 1.01, T = 27232, ell = 202"),
     (["lemma1", "--q", "1.01", "--T", "1e6"], "time factor I2 underflows to 0 at q = 1.01, T = 1e+06, ell = 202"),
     # six significant digits would name ell = 6, an ell the user did not pass
     (["lemma1", "--q", "1.5", "--T", "1e-155", "--ell", "6.0000001"],
@@ -776,8 +772,8 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     (["lemma1", "--q", "1.5", "--T", "1e200", "--ell", "6.0000001"],
      "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6.0000001"),
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
-        "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-huge-ell", "bound-huge-ell-q1.5",
-        "bound-hyperbolic-overflow", "lemma2-huge-kappa", "lemma2-R-near-1", "lemma2-kappa-near-403",
+        "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-hyperbolic-overflow", "lemma2-huge-kappa",
+        "lemma2-R-near-1", "lemma2-kappa-near-403",
         "lemma1-huge-ell", "lemma1-I2-underflow", "lemma1-I3-underflow", "lemma1-q-near-1-underflow",
         "lemma1-q-near-1-I2-underflow", "lemma1-tiny-T-ell-near-6", "bound-tiny-T-ell-near-6",
         "lemma1-I2-underflow-ell-near-6"])
@@ -787,6 +783,22 @@ def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert err.count("\n") == 1 and culprit in err
     assert "division by zero" not in err and "math range error" not in err and "(34," not in err
     assert "quadrature value or error" not in err
+
+
+# ell^(q') and ell(ell-1)/T^2 leave float range here, and each used to exit 2 although every time
+# factor and bound is finite; formed in logs, the time factors stay finite
+@pytest.mark.parametrize("argv", [["bound-parabolic", "--ell", "1e200"],
+                                  ["bound-parabolic", "--q", "1.5", "--ell", "1e150"],
+                                  ["lemma1", "--q", "2", "--ell", "1e100"],
+                                  ["scaling", "--target", "I3", "--q", "1e6", "--ell", "1e200"]],
+                         ids=["bound-huge-ell", "bound-huge-ell-q1.5", "lemma1-huge-ell-I3", "scaling-I3-huge-ell"])
+def test_huge_ell_time_factors_are_finite(capsys, argv):
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(non_finite_paths(report)) <= {("rows", 0, "ratio_to_prev")}
+    if argv[0] == "lemma1":
+        assert report["summary"]["max_rel_err"] <= 1e-12
+        assert report["rows"][2]["value"] == pytest.approx(1e297, rel=1e-12)  # I3(10) = C3 / 10^3, C3 ~ ell^3
 
 
 # R^4 leaves float range in the residual's test function, bump and Monte Carlo box: R = 1e-100

@@ -44,7 +44,7 @@ def test_change_reports_identity_and_summary_floats():
              "summary": {"critical": False, "slope": -2.0}}
     assert make_golden.change(entry, json.loads(json.dumps(entry))) == "byte-identical"
     moved = {**entry, "summary": {"critical": False, "slope": -2.5}}
-    assert make_golden.change(entry, moved) == "status kept, largest relative change 0 in rows, 0.25 in summary"
+    assert make_golden.change(entry, moved) == "status kept, largest relative change 0 in rows, 0.25 in summary (slope)"
 
 
 def test_change_names_the_rows_that_moved():
@@ -57,5 +57,5 @@ def test_change_names_the_rows_that_moved():
     moved["rows"][1]["measured"] = 0.0
     moved["rows"][2]["measured"] = 1.78e-15
     assert make_golden.change(entry, moved) == (
-        "status kept, largest relative change 1 in rows, 0 in summary; "
+        "status kept, largest relative change 1 in rows (measured), 0 in summary; "
         "rows moved: identity=commutator_cross_zero, identity=commutator_XY_minus4")
