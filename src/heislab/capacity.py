@@ -46,8 +46,10 @@ algebraic factor at each end as the weight of that segment's rule.  The
 integrand is evaluated in logs, the two rules of each segment give the
 value and the error, and segments are bisected until the error is below
 1e-13 of the value.  Every radial integral at every R of a grid takes one
-pass of the rule (`spatial_integral_grid`), and is kept once per
-(exponents, cutoff, R, name) in a process.  No capacity path loads scipy.
+pass of the rule (`spatial_integral_grid`) and is kept once per
+(exponents, cutoff, R, name) in a process; `spatial_integral(e, spec, R,
+name)` is the one way to read it, times S_omega(q').  No capacity path
+loads scipy.
 """
 
 from __future__ import annotations
@@ -154,16 +156,6 @@ class ScalingFit:
     slope: float
     intercept: float
     max_rel_residual: float
-
-
-@dataclass(frozen=True)
-class CriticalSpatialFactor:
-    """Logarithmic-family spatial factor with its two Schwarz-split terms
-    (the (ln R)^(-Q)-type and (ln R)^(-Q/2)-type contributions)."""
-
-    total: QuadratureEstimate
-    term_sq: QuadratureEstimate
-    term_lin: QuadratureEstimate
 
 
 @dataclass(frozen=True)
@@ -367,8 +359,9 @@ def time_integral(e: Exponents, T: float, k: int) -> float:
     The integrand becomes |c_k|^(q') s^a, c_k the coefficient of `TemporalFactor`,
     with a = ell - k q' > -1 taken as the integrand computes it,
     (ell - k) q' - ell/(q - 1), so I_k(T) = T |c_k|^(q') / (a + 1).  It is evaluated
-    in logs, ln|c_k| = ln ell + ln(ell - 1) - 2 ln T at k = 2, so a factor beyond
-    float range does not refuse a finite value.
+    in logs, ln|c_k| = ln ell + ln(ell - 1) - 2 ln T at k = 2, and a + 1 as
+    ell + 1 - k q' where that product overflows, so a factor beyond float range
+    does not refuse a finite value.
     """
     if k not in (0, 1, 2):
         raise ParameterError("time integral order k must be 0, 1 or 2")
@@ -378,8 +371,9 @@ def time_integral(e: Exponents, T: float, k: int) -> float:
     if not (ell - k * qp > -1.0 and not a <= -1.0):
         raise ParameterError(f"ell = {e.ell} too small for k = {k}: need ell > {k * qp - 1:.6g}")
     log_coef = (0.0, math.log(ell), math.log(ell) + math.log(ell - 1.0))[k] - k * math.log(T)
+    log_a1 = math.log1p(a) if math.isfinite(a) else math.log(ell + 1.0 - k * qp)
     try:  # math.exp reports only "math range error"
-        value = math.exp(math.log(T) + qp * log_coef - math.log1p(a))
+        value = math.exp(math.log(T) + qp * log_coef - log_a1)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -455,10 +449,6 @@ def sphere_weight_constant(n: int, s: float) -> float:
 # ---------------------------------------------------------------------------
 # Spatial integrals
 # ---------------------------------------------------------------------------
-
-
-def _combine_sphere(radial: QuadratureEstimate, sphere: float) -> QuadratureEstimate:
-    return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
 
 
 def _check_radius_squared(Q: int, R: float) -> None:
@@ -642,27 +632,31 @@ def _radial(e: Exponents, spec: CutoffSpec, R: float, name: str) -> QuadratureEs
     key = (e, spec, R, name)
     if key not in _RADIAL_CACHE:
         spatial_integral_grid(e, spec, [R])
-    result = _RADIAL_CACHE[key]
+    result = _RADIAL_CACHE.get(key)
+    if result is None:
+        raise ParameterError(f"the {spec.family} cutoff has no radial integral {name!r}")
     if isinstance(result, Exception):
         raise type(result)(*result.args)
     return result
 
 
-def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, weighted: bool = True) -> QuadratureEstimate:
-    """I4(R) = integral of phi2^(-1/(q-1)) |Delta phi2|^(q') over H^n, or with
-    weighted=False the initial-data factor, the integral of |Delta phi2|^(q').
+def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, name: str = "weighted") -> QuadratureEstimate:
+    """S_omega(q') times the radial integral `name` of `_variants` at R: by default
+    I4(R) = integral of phi2^(-1/(q-1)) |Delta phi2|^(q') over H^n, with `data` the
+    initial-data factor, the integral of |Delta phi2|^(q'), and at q = Q/(Q-2) with
+    `term_sq` and `term_lin` the Schwarz-split terms of the logarithmic family.
 
     phi2 is the spatial factor of `spec`: the power cutoff for any q, the
-    logarithmic cutoff Psi^kappa only at q = Q/(Q-2).  Gauge-polar
-    factorisation turns each into a radial quadrature times S_omega(q').
+    logarithmic cutoff Psi^kappa only at q = Q/(Q-2).
     """
     if spec.family == "logarithmic" and not e.is_critical():
         raise ParameterError(
             f"q = {e.q} is not the critical exponent Q/(Q-2) = {e.Q / (e.Q - 2.0)!r}"
         )
     check_radius(spec, R)
-    radial = _radial(e, spec, R, "weighted" if weighted else "data")
-    return _combine_sphere(radial, sphere_weight_constant(e.n, e.q_prime))
+    radial = _radial(e, spec, R, name)
+    sphere = sphere_weight_constant(e.n, e.q_prime)
+    return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
 
 
 def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) -> MCEstimate:
@@ -682,29 +676,6 @@ def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) 
         return out
 
     return mc_integrate_vector(integrand, bounds, mc, 1)[0]
-
-
-def spatial_integral_critical(e: Exponents, spec: CutoffSpec, R: float) -> CriticalSpatialFactor:
-    """Spatial factor of the logarithmic family at q = Q/(Q-2).
-
-    Returns the full integral of psi2^(-1/(q-1)) |Delta psi2|^(q') and,
-    separately, the two Schwarz-split upper-bound terms
-
-      term_sq : Psi^(kappa-2q') (r^2 ln^2 sqrt R)^(-q')  contribution,
-      term_lin: Psi^(kappa-q')  (r^2 ln   sqrt R)^(-q')  contribution,
-
-    each integrated over the transition annulus sqrt(R) <= r <= R and
-    multiplied by the gauge-sphere constant.
-    """
-    if spec.family != "logarithmic":
-        raise ParameterError("critical path expects a logarithmic-family cutoff")
-    total = spatial_integral(e, spec, R)
-    sphere = sphere_weight_constant(e.n, e.q_prime)
-    term_sq = _radial(e, spec, R, "term_sq")
-    term_lin = _radial(e, spec, R, "term_lin")
-    return CriticalSpatialFactor(
-        total, _combine_sphere(term_sq, sphere), _combine_sphere(term_lin, sphere)
-    )
 
 
 def log_envelope(Q: int, R: float) -> float:
@@ -784,7 +755,7 @@ def capacity_bound(
     i_order = time_integral_closed(e, T, order)
     spec = e.bound_spec()
     spatial = spatial_integral(e, spec, R).value
-    data = spatial_integral(e, spec, R, weighted=False).value
+    data = spatial_integral(e, spec, R, "data").value
     data_root = data ** (1.0 / e.q_prime)
     terms = {"term_lap_d" + "t" * order: 2.0 * cq * i_order * spatial,
              "term_lap": 2.0 * cq * i1 * spatial}

@@ -32,7 +32,6 @@ from .capacity import (
     log_envelope,
     scaling_fit,
     spatial_integral,
-    spatial_integral_critical,
     spatial_integral_grid,
     time_integral,
     time_integral_closed,
@@ -208,17 +207,18 @@ def cmd_lemma2(args: argparse.Namespace) -> Report:
     Rs = parse_grid(args.R)
     spatial_integral_grid(e, spec_log, Rs)
     for R in Rs:
-        fac = spatial_integral_critical(e, spec_log, R)
+        total, term_sq, term_lin = (spatial_integral(e, spec_log, R, name)
+                                    for name in ("weighted", "term_sq", "term_lin"))
         env = log_envelope(e.Q, R)
-        quot = fac.total.value / env
+        quot = total.value / env
         quotients.append(quot)
-        values.append((R, fac.total.value))
+        values.append((R, total.value))
         rows.append({
             "R": R,
-            "value": fac.total.value,
-            "abs_error": fac.total.abs_error,
-            "term_sq": fac.term_sq.value,
-            "term_lin": fac.term_lin.value,
+            "value": total.value,
+            "abs_error": total.abs_error,
+            "term_sq": term_sq.value,
+            "term_lin": term_lin.value,
             "envelope": env,
             "quotient": quot,
         })

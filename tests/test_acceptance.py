@@ -20,7 +20,6 @@ from heislab.capacity import (
     mc_spatial_integral,
     scaling_fit,
     spatial_integral,
-    spatial_integral_critical,
     time_integral,
     verdict,
 )
@@ -110,8 +109,7 @@ def test_criterion_3_critical_log_bound():
     spec = e.log_spec()  # default kappa
     quots = []
     for R in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9):
-        fac = spatial_integral_critical(e, spec, R)
-        quots.append(fac.total.value / log_envelope(e.Q, R))
+        quots.append(spatial_integral(e, spec, R).value / log_envelope(e.Q, R))
     spread = max(quots) / min(quots)
     elapsed = time.perf_counter() - t0
     ok = spread <= 10.0 and elapsed < 30.0
@@ -218,7 +216,7 @@ def test_criterion_6_higher_dimensions():
     for n in (2, 3):
         e = Exponents(q=float(critical_exponent(n)), n=n)
         spec = e.log_spec()
-        quots = [spatial_integral_critical(e, spec, R).total.value / log_envelope(e.Q, R)
+        quots = [spatial_integral(e, spec, R).value / log_envelope(e.Q, R)
                  for R in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)]
         spread = max(quots) / min(quots)
         ok = ok and spread <= 10.0

@@ -755,8 +755,12 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
      "radial integrand beyond floating-point range at q = 1.005, kappa = 403.0000000000085, R = 1.0000001"),
     (["lemma2", "--n", "200", "--kappa", "403.00001", "--R", "1.0000001,2,3,4"],
      "radial integrand beyond floating-point range at q = 1.005, kappa = 403.00001, R = 1.0000001"),
-    # I1 and I2 are finite there, and I3 = C3 T^(-3) with C3 ~ ell^3 = 1e924 is not
-    (["lemma1", "--ell", "1e308"], "time factor I3 beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
+    # I1 and I2 are finite there, and I3 = C3 T^(-3) with C3 ~ ell^3 = 1e924 is not; both routes
+    # overflow, and the substitution form, taken first, names the integrand
+    (["lemma1", "--ell", "1e308"], "time integrand beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
+    # a = (ell - k) q' - ell/(q - 1) overflowed, so I3 came out 0.0 and the fit refused a nonpositive value
+    (["scaling", "--target", "I3", "--ell", "1e308"],
+     "time integrand beyond floating-point range at q = 2.0, T = 10, ell = 1e+308"),
     # a closed form that underflows to 0 used to divide lemma1's relative error by zero
     (["lemma1", "--q", "1.5", "--T", "1e200"], "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6"),
     (["lemma1", "--q", "1.5", "--T", "1e100"], "time factor I3 underflows to 0 at q = 1.5, T = 1e+100, ell = 6"),
@@ -774,9 +778,9 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
         "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-hyperbolic-overflow", "lemma2-huge-kappa",
         "lemma2-R-near-1", "lemma2-kappa-near-403",
-        "lemma1-huge-ell", "lemma1-I2-underflow", "lemma1-I3-underflow", "lemma1-q-near-1-underflow",
-        "lemma1-q-near-1-I2-underflow", "lemma1-tiny-T-ell-near-6", "bound-tiny-T-ell-near-6",
-        "lemma1-I2-underflow-ell-near-6"])
+        "lemma1-huge-ell", "scaling-I3-huge-ell", "lemma1-I2-underflow", "lemma1-I3-underflow",
+        "lemma1-q-near-1-underflow", "lemma1-q-near-1-I2-underflow", "lemma1-tiny-T-ell-near-6",
+        "bound-tiny-T-ell-near-6", "lemma1-I2-underflow-ell-near-6"])
 def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -790,12 +794,17 @@ def test_out_of_range_names_the_input(capsys, argv, culprit):
 @pytest.mark.parametrize("argv", [["bound-parabolic", "--ell", "1e200"],
                                   ["bound-parabolic", "--q", "1.5", "--ell", "1e150"],
                                   ["lemma1", "--q", "2", "--ell", "1e100"],
-                                  ["scaling", "--target", "I3", "--q", "1e6", "--ell", "1e200"]],
-                         ids=["bound-huge-ell", "bound-huge-ell-q1.5", "lemma1-huge-ell-I3", "scaling-I3-huge-ell"])
+                                  ["scaling", "--target", "I3", "--q", "1e6", "--ell", "1e200"],
+                                  ["scaling", "--target", "I1", "--ell", "1.7e308"],
+                                  ["scaling", "--target", "I2", "--ell", "1.7e308"]],
+                         ids=["bound-huge-ell", "bound-huge-ell-q1.5", "lemma1-huge-ell-I3", "scaling-I3-huge-ell",
+                              "scaling-I1-ell-near-float-max", "scaling-I2-ell-near-float-max"])
 def test_huge_ell_time_factors_are_finite(capsys, argv):
     assert main([*argv, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(non_finite_paths(report)) <= {("rows", 0, "ratio_to_prev")}
+    if argv[0] == "scaling":
+        assert report["summary"]["slope_error"] <= 1e-12
     if argv[0] == "lemma1":
         assert report["summary"]["max_rel_err"] <= 1e-12
         assert report["rows"][2]["value"] == pytest.approx(1e297, rel=1e-12)  # I3(10) = C3 / 10^3, C3 ~ ell^3
