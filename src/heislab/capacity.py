@@ -46,10 +46,10 @@ algebraic factor at each end as the weight of that segment's rule.  The
 integrand is evaluated in logs, the two rules of each segment give the
 value and the error, and segments are bisected until the error is below
 1e-13 of the value.  Every radial integral at every R of a grid takes one
-pass of the rule (`spatial_integral_grid`) and is kept once per
-(exponents, cutoff, R, name) in a process; `spatial_integral(e, spec, R,
-name)` is the one way to read it, times S_omega(q').  No capacity path
-loads scipy.
+pass of the rule (`spatial_integral_grid`), which gives each its estimate or
+its own OverflowError naming its inputs, and is kept once per (exponents,
+cutoff, R, name) in a process; `spatial_integral(e, spec, R, name)` is the
+one way to read it, times S_omega(q').  No capacity path loads scipy.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class Verdict(Enum):
 # at all nodes of a round in one array call.
 RULE_NODES = 12  # 2N = 24 keeps every Golub-Welsch eigh below the size at which BLAS threads
 RULE_RTOL = 1e-13
-RULE_ROUNDS = 40  # rounds of bisection, at most
+RULE_ROUNDS = 40  # rounds of the rule per pass, at most
 RULE_SEGMENTS = 256  # segments per integrand of a pass, on average, at most
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -241,109 +241,90 @@ def _jacobi_rules(left: float, right: float):
         return t, log_w
 
 
-def _rule_nodes(segments, rules):
-    """Abscissae and log weights of both `rules` of each of `segments`, one row per
-    segment: RULE_NODES coarse nodes, then 2 RULE_NODES fine ones."""
+def _rule_nodes(segments):
+    """Abscissae and log weights of both rules of each of `segments`, one row per
+    segment: RULE_NODES coarse nodes, then 2 RULE_NODES fine ones.  A segment whose
+    exponents `_jacobi_rules` refuses gets NaN nodes."""
+    rules = []
+    for seg in segments:
+        try:
+            rules.append(_jacobi_rules(seg[2], seg[3]))
+        except OverflowError:
+            rules.append((np.full(3 * RULE_NODES, math.nan),) * 2)
     lo, hi = np.array([seg[:2] for seg in segments]).T
     h = (hi - lo)[:, None]
     return lo[:, None] + h * np.array([t for t, _ in rules]), np.log(h) + np.array([w for _, w in rules])
 
 
-def _adapt(log_integrand, segments, count: int, limit: float) -> tuple:
-    """Integrals of `count` integrands side by side; segment (lo, hi, left, right, v)
-    belongs to integrand v, and `log_integrand(x, v)` gets the nodes, one row per
-    segment, with each row's integrand index.  Logs are -inf where an integrand
-    vanishes.
+def _adapt(log_integrand, segments, inputs: list) -> list:
+    """Integrals of one integrand per string of `inputs`, side by side; segment
+    (lo, hi, left, right, v) belongs to integrand v, and `log_integrand(x, v)` gets
+    the nodes, one row per segment, with each row's integrand index.  Logs are -inf
+    where an integrand vanishes.
 
     Per integrand: while its summed rule differences exceed RULE_RTOL times its
     total, every segment whose difference is above the mean share, and above its
-    own rounding, is bisected, and only the halves are evaluated anew.  Returns per
-    integrand (value, abs_error, shift, nodes), value and abs_error in units of
-    exp(shift), the largest node term met; abs_error adds to the differences the
-    rounding of exp at logs of the size met.  An integrand whose exponents or logs
-    leave float range (NaN or +inf) gets "quadrature" instead, one with a node term
-    above exp(limit) "integrand".  Also returns the finished segments."""
+    own rounding, is bisected, and only the halves are evaluated anew.  Sums are kept
+    in units of exp(shift), the largest node term met; abs_error adds to the
+    differences the rounding of exp at logs of the size met.  Returns per integrand a
+    QuadratureEstimate, or the OverflowError that names its inputs: "integrand" for a
+    node term above the float range, "quadrature" for NaN or infinite nodes, logs or
+    sums."""
+    count = len(inputs)
     failed = {}
     shift, nodes = np.full(count, -math.inf), np.zeros(count, dtype=int)
     done, owner = [], np.zeros(0, dtype=int)
     fine = diff = rounding = np.zeros(0)
     pending = list(segments)
-    for _ in range(RULE_ROUNDS):
-        rules = []
-        for seg in pending:
-            try:
-                rules.append(_jacobi_rules(seg[2], seg[3]))
-            except OverflowError:
-                failed.setdefault(seg[4], "quadrature")
-                rules.append(None)
-        if failed:
-            rules = [r for seg, r in zip(pending, rules) if seg[4] not in failed]
-            pending = [seg for seg in pending if seg[4] not in failed]
-            if not pending:
-                break
-        x, log_w = _rule_nodes(pending, rules)
+    for round_ in range(RULE_ROUNDS):
         rows = np.array([seg[4] for seg in pending])
-        nodes += np.bincount(rows, minlength=count) * x.shape[1]
         with np.errstate(all="ignore"):
+            x, log_w = _rule_nodes(pending)
+            nodes += np.bincount(rows, minlength=count) * x.shape[1]
             log_f = log_integrand(x, rows)
             log_terms = log_f + log_w
-            peak = log_terms.max(axis=1)  # NaN if any term is
-            bad = ~(peak <= limit)
-            if bad.any():
-                for j in np.flatnonzero(bad):
-                    failed.setdefault(rows[j], "integrand" if peak[j] < math.inf else "quadrature")
-                keep = np.array([v not in failed for v in rows])
-                pending, rows, peak = [s for s, k in zip(pending, keep) if k], rows[keep], peak[keep]
-                log_f, log_terms = log_f[keep], log_terms[keep]
-                if not pending:
-                    break
             peaks = np.full((count, rows.size), -math.inf)
-            peaks[rows, np.arange(rows.size)] = peak
-            raised = np.maximum(shift, peaks.max(axis=1))
+            peaks[rows, np.arange(rows.size)] = log_terms.max(axis=1)
+            peak = peaks.max(axis=1)  # per integrand, NaN if any of its terms is
+            for v in np.flatnonzero(~(peak <= _LOG_MAX)):
+                what = "integrand" if peak[v] < math.inf else "quadrature"
+                failed.setdefault(v, OverflowError(f"radial {what} beyond floating-point range at {inputs[v]}"))
+            raised = np.maximum(shift, peak)
             scale = np.where(raised > shift, np.exp(shift - raised), 1.0)[owner]
             fine, diff, rounding, shift = fine * scale, diff * scale, rounding * scale, raised
             terms = np.exp(log_terms - np.where(shift > -math.inf, shift, 0.0)[rows, None])  # 0 off the support
             size = 32.0 + np.where(terms > 0.0, np.abs(log_f), 0.0).max(axis=1)
-        sums = terms[:, RULE_NODES:].sum(axis=1)
-        done += pending
-        owner = np.concatenate([owner, rows])
-        fine = np.concatenate([fine, sums])
-        diff = np.concatenate([diff, np.abs(sums - terms[:, :RULE_NODES].sum(axis=1))])
-        rounding = np.concatenate([rounding, sys.float_info.epsilon * size * sums])
+            sums = terms[:, RULE_NODES:].sum(axis=1)
+            done += pending
+            owner = np.concatenate([owner, rows])
+            fine = np.concatenate([fine, sums])
+            diff = np.concatenate([diff, np.abs(sums - terms[:, :RULE_NODES].sum(axis=1))])
+            rounding = np.concatenate([rounding, sys.float_info.epsilon * size * sums])
+        keep = ~np.isin(owner, list(failed))
+        done = [seg for seg, k in zip(done, keep) if k]
+        owner, fine, diff, rounding = owner[keep], fine[keep], diff[keep], rounding[keep]
         total, error = np.bincount(owner, fine, count), np.bincount(owner, diff, count)
         share = RULE_RTOL * total / np.maximum(np.bincount(owner, minlength=count), 1)
         split = (diff > share[owner]) & (diff > rounding) & (error > RULE_RTOL * total)[owner]
-        if failed:
-            split &= np.array([v not in failed for v in owner], dtype=bool)
-        if not np.any(split) or len(done) >= count * RULE_SEGMENTS:
-            break
+        if round_ == RULE_ROUNDS - 1 or not np.any(split) or len(done) >= count * RULE_SEGMENTS:
+            break  # a split segment counts only once its halves are evaluated
         pending = [half for (lo, hi, left, right, v) in (done[j] for j in np.flatnonzero(split))
                    for half in ((lo, 0.5 * (lo + hi), left, 0.0, v), (0.5 * (lo + hi), hi, 0.0, right, v))]
         done = [seg for seg, s in zip(done, split) if not s]
         owner, fine, diff, rounding = owner[~split], fine[~split], diff[~split], rounding[~split]
     total, error = np.bincount(owner, fine, count), np.bincount(owner, diff + rounding, count)
-    return [failed[v] if v in failed else (float(total[v]), float(error[v]), float(shift[v]), int(nodes[v]))
-            for v in range(count)], done
-
-
-def _estimates(log_integrand, segments, inputs: list) -> list:
-    """`_adapt`'s radial integrals as estimates, one per string of `inputs`, or as
-    the OverflowError that names the integrand or the quadrature of one beyond float
-    range, and its inputs."""
     out = []
-    for result, where in zip(_adapt(log_integrand, segments, len(inputs), _LOG_MAX)[0], inputs):
-        if isinstance(result, str):
-            out.append(OverflowError(f"radial {result} beyond floating-point range at {where}"))
-            continue
-        value, error, shift, nodes = result
-        if value == 0.0:
-            out.append(QuadratureEstimate(0.0, 0.0, nodes))
-            continue
-        log_value, log_error = math.log(value) + shift, (math.log(error) + shift if error > 0.0 else -math.inf)
-        if max(log_value, log_error) > _LOG_MAX:
-            out.append(OverflowError(f"radial quadrature beyond floating-point range at {where}"))
+    for v, where in enumerate(inputs):
+        value, err, log_shift = float(total[v]), float(error[v]), float(shift[v])
+        if v in failed:
+            out.append(failed[v])
+        elif value == 0.0:
+            out.append(QuadratureEstimate(0.0, 0.0, int(nodes[v])))
         else:
-            out.append(QuadratureEstimate(math.exp(log_value), math.exp(log_error), nodes))
+            log_value, log_error = math.log(value) + log_shift, (math.log(err) + log_shift if err > 0.0 else -math.inf)
+            out.append(QuadratureEstimate(math.exp(log_value), math.exp(log_error), int(nodes[v]))
+                       if max(log_value, log_error) <= _LOG_MAX else
+                       OverflowError(f"radial quadrature beyond floating-point range at {where}"))
     return out
 
 
@@ -605,18 +586,15 @@ def spatial_integral_grid(e: Exponents, spec: CutoffSpec, radii) -> None:
         return
     brackets = {R: _bracket(coefficients) for R, coefficients in coefficients_at.items()}
     zeros = dict(zip(brackets, _real_roots([b[:0:-1] for b in brackets.values()], 0.0, 1.0)))  # C / x
-    integrals, segments = [], []
-    for key, inputs, params in todo:
-        if zeros[key[2]] is None:
-            _RADIAL_CACHE[key] = OverflowError(f"radial quadrature beyond floating-point range at {inputs}")
+    segments = []
+    for v, (key, _, params) in enumerate(todo):
+        if zeros[key[2]] is None:  # NaN nodes: the rule names the quadrature beyond float range
+            segments.append((math.nan, math.nan, 0.0, 0.0, v))
         else:
-            segments += _radial_segments(e.q_prime, zeros[key[2]], *params[:2], len(integrals))
-            integrals.append((key, inputs, params))
-    if not integrals:
-        return
-    log_integrand = _log_integrand(e.q_prime, [brackets[key[2]] for key, _, _ in integrals],
-                                   [params for _, _, params in integrals])
-    for (key, _, _), result in zip(integrals, _estimates(log_integrand, segments, [i for _, i, _ in integrals])):
+            segments += _radial_segments(e.q_prime, zeros[key[2]], *params[:2], v)
+    log_integrand = _log_integrand(e.q_prime, [brackets[key[2]] for key, _, _ in todo],
+                                   [params for _, _, params in todo])
+    for (key, _, _), result in zip(todo, _adapt(log_integrand, segments, [inputs for _, inputs, _ in todo])):
         _RADIAL_CACHE[key] = result
 
 
@@ -656,7 +634,10 @@ def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, name: str = "weig
     check_radius(spec, R)
     radial = _radial(e, spec, R, name)
     sphere = sphere_weight_constant(e.n, e.q_prime)
-    return QuadratureEstimate(sphere * radial.value, sphere * radial.abs_error, radial.nodes)
+    value, error = sphere * radial.value, sphere * radial.abs_error
+    if not (math.isfinite(value) and math.isfinite(error)):  # S_omega > 1 can lift a finite radial value
+        raise OverflowError(f"spatial integral beyond floating-point range at {_variants(e, spec, R)[0]}")
+    return QuadratureEstimate(value, error, radial.nodes)
 
 
 def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) -> MCEstimate:

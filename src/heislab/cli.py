@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .capacity import (
     Exponents,
+    _log_time_constant,
     capacity_bound,
     critical_exponent,
     log_envelope,
@@ -189,12 +190,12 @@ def cmd_lemma1(args: argparse.Namespace) -> Report:
                 "closed_form": closed,
                 "rel_err": rel,
             })
-    summary = {
-        "max_rel_err": worst,
-        "C1": time_integral_constant(e, 0),
-        "C2": time_integral_constant(e, 1),
-        "C3": time_integral_constant(e, 2),
-    }
+    summary = {"max_rel_err": worst}
+    for k in range(3):
+        try:
+            summary[f"C{k + 1}"] = time_integral_constant(e, k)
+        except OverflowError:  # a row I_k(T) = C_k T^(1 - k q') can be finite where C_k is not
+            summary[f"log10_C{k + 1}"] = _log_time_constant(e, k) / math.log(10.0)
     return _report(args, rows, summary)
 
 

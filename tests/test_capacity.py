@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -395,13 +396,13 @@ def test_hyperbolic_bound_reuses_the_parabolic_quadratures(tmp_path, monkeypatch
     # them too: a command after another on the same grid computes no radial integral
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     computed = []
-    estimates = capacity._estimates
+    adapt = capacity._adapt
 
     def counting(log_integrand, segments, inputs):
         computed.extend(inputs)
-        return estimates(log_integrand, segments, inputs)
+        return adapt(log_integrand, segments, inputs)
 
-    monkeypatch.setattr(capacity, "_estimates", counting)
+    monkeypatch.setattr(capacity, "_adapt", counting)
     out = tmp_path / "bound.json"
     grid = "1e3,1e4,1e5,1e6"
     argv = ["--q", q, "--T", "10", "--R", grid, "--u0-norm", "1.5", "--format", "json", "--out", str(out)]
@@ -646,3 +647,70 @@ def test_grid_integrals_are_the_single_radius_integrals():
         for R in reversed(radii):
             capacity.spatial_integral_grid(e, spec, [R])
         assert capacity._RADIAL_CACHE == grid
+
+
+@pytest.mark.parametrize("fault", ["radius", "rule", "roots"])
+def test_a_failing_integral_leaves_the_rest_of_its_pass_alone(monkeypatch, fault):
+    # one pass of the rule holds good radii and a failing integral: R^2 of R = 1e-153 sends the
+    # integrand beyond float range, a refused Jacobi rule fails one variant at every R, and a
+    # companion matrix beyond float range fails every variant at its R
+    e = Exponents(q=1.5)
+    spec = e.power_spec()
+    radii = [8.0, 1e-153, 16.0] if fault == "radius" else [8.0, 12.0, 16.0]
+    alone = {}
+    for R in radii:
+        monkeypatch.setattr(capacity, "_RADIAL_CACHE", {})
+        capacity.spatial_integral_grid(e, spec, [R])
+        alone.update(capacity._RADIAL_CACHE)
+    variants = capacity._variants(e, spec, 8.0)[-1]
+    if fault == "radius":
+        failing, what = {(1e-153, name) for name in variants}, "integrand"
+    elif fault == "rule":
+        refused = capacity._radial_segments(e.q_prime, (), *variants["data"][:2], 0)[-1][3]
+        rules = capacity._jacobi_rules
+
+        def refuse_data(left, right):
+            if right == refused:
+                raise OverflowError("refused")
+            return rules(left, right)
+
+        monkeypatch.setattr(capacity, "_jacobi_rules", refuse_data)
+        failing, what = {(R, "data") for R in radii}, "quadrature"
+    else:
+        real_roots = capacity._real_roots
+
+        def no_roots_at_12(coefficients, lo, hi):
+            return [None if R == 12.0 else z for R, z in zip(radii, real_roots(coefficients, lo, hi))]
+
+        monkeypatch.setattr(capacity, "_real_roots", no_roots_at_12)
+        failing, what = {(12.0, name) for name in variants}, "quadrature"
+    monkeypatch.setattr(capacity, "_RADIAL_CACHE", {})
+    capacity.spatial_integral_grid(e, spec, radii)
+    assert capacity._RADIAL_CACHE.keys() == alone.keys()
+    for key, result in capacity._RADIAL_CACHE.items():
+        R, name = key[2:]
+        if (R, name) in failing:
+            message = f"radial {what} beyond floating-point range at q = 1.5, R = {R:g}"
+            assert isinstance(result, OverflowError) and str(result) == message
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                spatial_integral(e, spec, R, name)
+        else:
+            assert isinstance(alone[key], capacity.QuadratureEstimate) and result == alone[key], key
+
+
+@pytest.mark.parametrize("cap, size", [("RULE_ROUNDS", 1), ("RULE_ROUNDS", 2), ("RULE_SEGMENTS", 1),
+                                       ("RULE_SEGMENTS", 3)])
+@pytest.mark.parametrize("q, kappa, R, name", [(1.05, None, 8.0, "data"), (2.0, 1e3, 1e4, "weighted")],
+                         ids=["power", "logarithmic"])
+def test_a_capped_pass_still_reports_an_honest_error(monkeypatch, cap, size, q, kappa, R, name):
+    # bisection stopped before RULE_RTOL: the error still covers the distance to the converged
+    # value; a pass that ran out of rounds used to drop the segments it had just split
+    e = Exponents(q=q, kappa=kappa)
+    spec = e.log_spec() if kappa else e.power_spec()
+    monkeypatch.setattr(capacity, "_RADIAL_CACHE", {})
+    converged = capacity._radial(e, spec, R, name)
+    monkeypatch.setattr(capacity, cap, size)
+    monkeypatch.setattr(capacity, "_RADIAL_CACHE", {})
+    capped = capacity._radial(e, spec, R, name)
+    assert capped.nodes < converged.nodes and capped.value != converged.value
+    assert capped.abs_error >= abs(capped.value - converged.value), (capped, converged)

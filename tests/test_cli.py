@@ -671,6 +671,8 @@ def non_finite_paths(obj, path=()):
 @example(argv=["bound-parabolic", "--q", "1.5", "--ell", "1e150"])
 # the Gauss-Jacobi time rule's nodes rounded onto s = 0 here, and the substitution form is finite
 @example(argv=["lemma1", "--q", "2", "--ell", "1e16"])
+# S_omega times a finite radial integral leaves float range here
+@example(argv=["scaling", "--target", "I4", "--q", "1.5", "--R", "1e-150,2e-150,4e-150,8e-150"])
 @given(argv=capacity_argv())
 def test_capacity_exit_code_contract(argv):
     code, out, err = run_main([*argv, "--format=json"])
@@ -775,12 +777,18 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
      "time factor I2 beyond floating-point range at q = 1.5, T = 1e-155, ell = 6.0000001"),
     (["lemma1", "--q", "1.5", "--T", "1e200", "--ell", "6.0000001"],
      "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6.0000001"),
+    # the radial integral is finite and S_omega times it is not: the message named no input
+    (["scaling", "--target", "I4", "--q", "1.5", "--R", "1e-150,2e-150,4e-150,8e-150"],
+     "spatial integral beyond floating-point range at q = 1.5, R = 1e-150"),
+    (["bound-parabolic", "--q", "1.5", "--R", "1e-150,2e-150"],
+     "spatial integral beyond floating-point range at q = 1.5, R = 1e-150"),
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
         "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-hyperbolic-overflow", "lemma2-huge-kappa",
         "lemma2-R-near-1", "lemma2-kappa-near-403",
         "lemma1-huge-ell", "scaling-I3-huge-ell", "lemma1-I2-underflow", "lemma1-I3-underflow",
         "lemma1-q-near-1-underflow", "lemma1-q-near-1-I2-underflow", "lemma1-tiny-T-ell-near-6",
-        "bound-tiny-T-ell-near-6", "lemma1-I2-underflow-ell-near-6"])
+        "bound-tiny-T-ell-near-6", "lemma1-I2-underflow-ell-near-6", "scaling-spatial-overflow",
+        "bound-spatial-overflow"])
 def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -808,6 +816,21 @@ def test_huge_ell_time_factors_are_finite(capsys, argv):
     if argv[0] == "lemma1":
         assert report["summary"]["max_rel_err"] <= 1e-12
         assert report["rows"][2]["value"] == pytest.approx(1e297, rel=1e-12)  # I3(10) = C3 / 10^3, C3 ~ ell^3
+
+
+# C3 ~ 1e465 leaves float range where every row I_k(T) = C_k T^(1 - k q') is finite: the summary used to
+# refuse it, and now gives its log10
+@pytest.mark.parametrize("T", [None, "29.975"])
+def test_lemma1_names_a_constant_beyond_float_range_by_its_log10(capsys, T):
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["lemma1", "--q", "1.01", *(["--T", T] if T else []), "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert {"C1", "C2", "log10_C3"} <= summary.keys() and "C3" not in summary
+    with mpmath.workdps(30):
+        q, ell = mpmath.mpf(1.01), mpmath.mpf(Exponents(q=1.01).ell)
+        qp = q / (q - 1)
+        want = mpmath.log10((q - 1) * (ell * (ell - 1)) ** qp / (ell * (q - 1) - q - 1))
+        assert abs(summary["log10_C3"] - want) <= 1e-12 * want
 
 
 # R^4 leaves float range in the residual's test function, bump and Monte Carlo box: R = 1e-100
