@@ -32,13 +32,18 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
-def sim_config(equation, nodes, amplitude, steps, nonlinearity=True):
-    return {
+def sim_config(equation, nodes, amplitude, steps, nonlinearity=True, velocity=None):
+    cfg = {
         "equation": equation, "q": 1.5, "nonlinearity": nonlinearity, "dt": 5e-3,
         "steps": steps, "blowup_threshold": 1e4, "solver_tol": 1e-10, "solver_max_iter": 5000,
         "grid": {"l_x": 3.0, "l_y": 3.0, "l_tau": 9.0, "n_x": nodes, "n_y": nodes, "n_tau": nodes},
         "initial": {"center": [0.1, 0.2, 0.3], "width": 1.0, "amplitude": amplitude},
     }
+    return cfg if velocity is None else {**cfg, "initial_velocity": velocity}
+
+
+# an off-centre initial velocity bump for the hyperbolic equation
+VELOCITY = {"center": [-0.6, 0.5, 1.2], "width": 0.8, "amplitude": 4.0}
 
 
 # 13^3 (1331 unknowns) is solved by LU, 25^3 (12167) by CG
@@ -50,6 +55,8 @@ SIMULATE = {
     "linear-parabolic-13": sim_config("parabolic", 13, 5.0, 60, nonlinearity=False),
     "parabolic-25-a10": sim_config("parabolic", 25, 10.0, 10),
     "hyperbolic-25-a10": sim_config("hyperbolic", 25, 10.0, 10),
+    "hyperbolic-13-a5-v4": sim_config("hyperbolic", 13, 5.0, 60, velocity=VELOCITY),
+    "hyperbolic-25-a10-v4": sim_config("hyperbolic", 25, 10.0, 10, velocity=VELOCITY),
 }
 
 

@@ -168,6 +168,14 @@ def _exponents(args: argparse.Namespace, q=None) -> Exponents:
 # ---------------------------------------------------------------------------
 
 
+def _nonzero_time_factor(value: float, e: Exponents, T: float, k: int) -> float:
+    """`value`, the time factor I_(k+1)(T), unless it underflowed to 0."""
+    if value == 0.0:
+        raise OverflowError(f"time factor I{k + 1} underflows to 0 at q = {e.q}, "
+                            f"T = {shown(T)}, ell = {shown(e.ell)}")
+    return value
+
+
 def cmd_lemma1(args: argparse.Namespace) -> Report:
     e = _exponents(args)
     labels = ("C1*T", "C2*T^(1-q')", "C3*T^(1-2q')")
@@ -176,10 +184,7 @@ def cmd_lemma1(args: argparse.Namespace) -> Report:
     for T in parse_grid(args.T):
         for k in range(3):
             value = time_integral(e, T, k)
-            closed = time_integral_closed(e, T, k)
-            if closed == 0.0:
-                raise OverflowError(f"time factor I{k + 1} underflows to 0 at q = {e.q}, "
-                                    f"T = {shown(T)}, ell = {shown(e.ell)}")
+            closed = _nonzero_time_factor(time_integral_closed(e, T, k), e, T, k)
             rel = abs(value - closed) / abs(closed)
             worst = max(worst, rel)
             rows.append({
@@ -244,7 +249,7 @@ def cmd_scaling(args: argparse.Namespace) -> Report:
     if target in ("I1", "I2", "I3"):
         k = {"I1": 0, "I2": 1, "I3": 2}[target]
         grid = parse_grid(args.T)
-        samples = [(T, time_integral(e, T, k)) for T in grid]
+        samples = [(T, _nonzero_time_factor(time_integral(e, T, k), e, T, k)) for T in grid]
         expected = 1.0 - k * e.q_prime
         kind = "log T"
     else:

@@ -18,9 +18,10 @@ w = d/dt u (or the acceleration a): by LU factors, made once per grid (run()
 keeps the last grid's operator for the next run on it), up to
 DIRECT_MAX_UNKNOWNS unknowns, else by Jacobi-preconditioned conjugate
 gradients on -L_h stored by diagonals (DIA), started from the combination of the last
-EXTRAPOLATION_POINTS steps' nonlinear potentials with the smallest residual (see _solve_step).
-Time stepping is explicit Euler (first order) or leapfrog with a Taylor
-start (second order); both share one solve (none in linear mode).
+EXTRAPOLATION_POINTS steps' nonlinear potentials with the smallest residual (see step).
+Time stepping is explicit Euler (first order) or leapfrog after a Taylor start (second
+order), all in step() with one shared solve (none in linear mode); run() checks every
+step's row against the blow-up threshold, the Taylor start's included, but not the initial row.
 
 The grid is cell-centred: spacing h = 2L/N per axis with N nodes whose
 outermost layer is clamped to zero, leaving (N-2)^3 interior unknowns.
@@ -52,7 +53,7 @@ if TYPE_CHECKING:  # scipy.sparse itself loads at the first assembly
 # (factoring included) at 17^3, 18^3 and 19^3, and 2.5-2.6, 2.8-3.1 and 3.4-3.6 ms by DIA CG from
 # the minimal-residual start (one core of a 2-vCPU x86-64 host, scipy 1.17).
 DIRECT_MAX_UNKNOWNS = 4096
-# CG starts from a combination of this many past nonlinear potentials (see _solve_step)
+# CG starts from a combination of this many past nonlinear potentials (see step)
 EXTRAPOLATION_POINTS = 5
 
 
@@ -373,6 +374,7 @@ class SimState:
     t: float
     step: int
     u_prev: Optional[np.ndarray] = None  # hyperbolic history
+    velocity: Optional[np.ndarray] = None  # hyperbolic, no history: du/dt for the Taylor start
     last_iterations: int = 0
     potentials: tuple = ()  # CG: last EXTRAPOLATION_POINTS pairs (z, -L_h z), newest first
 
@@ -382,30 +384,6 @@ class SimTrace:
     rows: list  # report rows: dicts of step, time, max_norm, lq_norm and iterations
     status: str  # "completed" | "blowup_threshold" | "solver_failure"
     status_step: Optional[int]
-
-
-def _solve_step(op: SparseOperator, state: SimState, cfg: SimConfig):
-    """Solve -L_h w = |u|^q - (-L_h) u for w = du/dt (or the acceleration); return w,
-    the held (z, g) pairs with z = w + u = (-L_h)^-1 |u|^q and its image g = -L_h z
-    prepended (CG only), and the iterations.
-
-    Without the nonlinearity w = -u identically, so no solve is made.  LU takes no start;
-    CG starts from x0 = -u + sum_j c_j z_j, with residual f - sum_j c_j g_j (f = |u|^q)
-    whose 2-norm, CG's stopping measure, c minimises (the quartic's 5, -10, 10, -5, 1 is one c).
-    """
-    u, held = state.u, state.potentials
-    if not cfg.nonlinearity:
-        return -u, (), 0
-    f = np.abs(u) ** cfg.q
-    b = f - op.neg @ u
-    if op.dimension <= DIRECT_MAX_UNKNOWNS:
-        w, iters = solve_linear(op, b, cfg.solver_tol, cfg.solver_max_iter)
-        return w, (), iters
-    c = _least_squares([g for _, g in held], f)
-    x0 = sum((cj * z for cj, (z, _) in zip(c, held)), -u)
-    w, iters = solve_linear(op, b, cfg.solver_tol, cfg.solver_max_iter, x0=x0)
-    z = w + u
-    return w, ((z, op.neg @ z), *held)[:EXTRAPOLATION_POINTS], iters
 
 
 def _least_squares(columns: list, f: np.ndarray) -> list:
@@ -431,35 +409,44 @@ def _least_squares(columns: list, f: np.ndarray) -> list:
     return [di * scales[-1] / s for di, s in zip(d, scales)]
 
 
-def step_parabolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
-    """One explicit Euler step: solve -L_h w = |u|^q - (-L_h) u, then u += dt w."""
-    w, zs, iters = _solve_step(op, state, cfg)
-    return SimState(state.u + cfg.dt * w, state.t + cfg.dt, state.step + 1,
-                    last_iterations=iters, potentials=zs)
-
-
-def step_hyperbolic(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
-    """One leapfrog step: solve -L_h a = |u|^q - (-L_h) u, then
-    u_next = 2u - u_prev + dt^2 a."""
-    a, zs, iters = _solve_step(op, state, cfg)
-    u_next = 2.0 * state.u - state.u_prev + cfg.dt**2 * a
-    return SimState(u_next, state.t + cfg.dt, state.step + 1, u_prev=state.u,
-                    last_iterations=iters, potentials=zs)
-
-
-def taylor_start(u0: np.ndarray, u1: np.ndarray, op: SparseOperator, cfg: SimConfig) -> SimState:
-    """First hyperbolic step u^1 = u^0 + dt u1 + dt^2/2 a^0, as the state at step 1."""
-    a0, zs, iters = _solve_step(op, SimState(u0, 0.0, 0), cfg)
-    return SimState(u0 + cfg.dt * u1 + 0.5 * cfg.dt**2 * a0, cfg.dt, 1, u_prev=u0,
-                    last_iterations=iters, potentials=zs)
+def step(state: SimState, op: SparseOperator, cfg: SimConfig) -> SimState:
+    """One step of either equation: solve -L_h w = |u|^q - (-L_h) u for w = du/dt (or the
+    acceleration), then take Euler's u + dt w (parabolic), leapfrog's 2u - u_prev + dt^2 w,
+    or, from a hyperbolic state with no history, the Taylor start u + dt u1 + dt^2/2 w with
+    u1 = state.velocity.  Linear mode has w = -u identically, so no solve.  LU takes no start;
+    CG starts from x0 = -u + sum_j c_j z_j over the held pairs (z, g = -L_h z) of past steps,
+    z = w + u = (-L_h)^-1 |u|^q, with c minimising the 2-norm of the residual f - sum_j c_j g_j
+    (f = |u|^q), CG's stopping measure (the quartic's 5, -10, 10, -5, 1 is one c); the step's
+    own pair is prepended to those held."""
+    u, held, dt, x0 = state.u, state.potentials, cfg.dt, None
+    if cfg.nonlinearity:
+        f = np.abs(u) ** cfg.q
+        b = f - op.neg @ u
+        if op.dimension > DIRECT_MAX_UNKNOWNS:
+            c = _least_squares([g for _, g in held], f)
+            x0 = sum((cj * z for cj, (z, _) in zip(c, held)), -u)
+        w, iters = solve_linear(op, b, cfg.solver_tol, cfg.solver_max_iter, x0=x0)
+    else:
+        w, iters = -u, 0
+    held = () if x0 is None else ((z := w + u, op.neg @ z), *held)[:EXTRAPOLATION_POINTS]
+    if cfg.equation == "parabolic":
+        u_next, u_prev = u + dt * w, None
+    elif state.u_prev is None:
+        u_next, u_prev = u + dt * state.velocity + 0.5 * dt**2 * w, u
+    else:
+        u_next, u_prev = 2.0 * u - state.u_prev + dt**2 * w, u
+    return SimState(u_next, state.t + dt, state.step + 1, u_prev=u_prev,
+                    last_iterations=iters, potentials=held)
 
 
 def run(cfg: SimConfig) -> SimTrace:
     """Step the configured equation, recording a report row per step until the step
-    budget, the blow-up threshold or a solver failure; a step that overflows is not taken,
-    initial norms that overflow raise OverflowError (no first row exists)."""
+    budget, the blow-up threshold (checked on every step's row, not the initial one) or a
+    solver failure; a step that overflows is not taken, initial norms that overflow raise
+    OverflowError (no first row exists)."""
     grid, op = _grid_operator(cfg.grid)
     u = cfg.initial.evaluate(grid)
+    u1 = cfg.initial_velocity.evaluate(grid) if cfg.initial_velocity is not None else np.zeros_like(u)
     rows = []
 
     def record(state: SimState) -> SimState:
@@ -470,18 +457,13 @@ def run(cfg: SimConfig) -> SimTrace:
         return state
 
     status, status_step = "completed", None
-    step = step_parabolic if cfg.equation == "parabolic" else step_hyperbolic
     with np.errstate(over="raise", invalid="raise"):
         try:
-            state = record(SimState(u, 0.0, 0))
+            state = record(SimState(u, 0.0, 0, velocity=u1))
         except FloatingPointError:
             raise OverflowError("norms of the initial state overflow") from None
         try:
-            if cfg.equation == "hyperbolic":
-                u1 = (cfg.initial_velocity.evaluate(grid)
-                      if cfg.initial_velocity is not None else np.zeros_like(u))
-                state = record(taylor_start(u, u1, op, cfg))
-            for _ in range(state.step, cfg.steps):
+            for _ in range(cfg.steps):
                 state = record(step(state, op, cfg))
                 if rows[-1]["max_norm"] >= cfg.blowup_threshold:
                     status, status_step = "blowup_threshold", state.step

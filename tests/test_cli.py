@@ -766,6 +766,9 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
     # a closed form that underflows to 0 used to divide lemma1's relative error by zero
     (["lemma1", "--q", "1.5", "--T", "1e200"], "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6"),
     (["lemma1", "--q", "1.5", "--T", "1e100"], "time factor I3 underflows to 0 at q = 1.5, T = 1e+100, ell = 6"),
+    # the fit used to refuse it as "scaling fit needs positive values"
+    (["scaling", "--target", "I2", "--q", "1.5", "--T", "1e10,1e100,1e200,1e300"],
+     "time factor I2 underflows to 0 at q = 1.5, T = 1e+200, ell = 6"),
     # I2 = 2e-213 there, though T^(1 - q') = 27232^(-100) alone underflows; I3 = 1e-424 does underflow
     (["lemma1", "--q", "1.01", "--T", "27232"],
      "time factor I3 underflows to 0 at q = 1.01, T = 27232, ell = 202"),
@@ -786,6 +789,7 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
         "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-hyperbolic-overflow", "lemma2-huge-kappa",
         "lemma2-R-near-1", "lemma2-kappa-near-403",
         "lemma1-huge-ell", "scaling-I3-huge-ell", "lemma1-I2-underflow", "lemma1-I3-underflow",
+        "scaling-I2-underflow",
         "lemma1-q-near-1-underflow", "lemma1-q-near-1-I2-underflow", "lemma1-tiny-T-ell-near-6",
         "bound-tiny-T-ell-near-6", "lemma1-I2-underflow-ell-near-6", "scaling-spatial-overflow",
         "bound-spatial-overflow"])

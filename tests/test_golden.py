@@ -15,7 +15,8 @@ _spec.loader.exec_module(make_golden)
 # Runs on one grid follow each other (the kept operator is reused), and each grid is
 # left and then revisited (the operator is rebuilt).
 ORDER = ("parabolic-13-a5", "hyperbolic-13-a5", "parabolic-25-a10", "parabolic-13-a300",
-         "hyperbolic-13-a300", "linear-parabolic-13", "hyperbolic-25-a10")
+         "hyperbolic-13-a300", "linear-parabolic-13", "hyperbolic-25-a10", "hyperbolic-25-a10-v4",
+         "hyperbolic-13-a5-v4")
 
 
 def check_corpus(path, order, tmp_path):

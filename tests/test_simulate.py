@@ -21,9 +21,7 @@ from heislab.simulate import (
     build_grid,
     run,
     solve_linear,
-    step_hyperbolic,
-    step_parabolic,
-    taylor_start,
+    step,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -290,14 +288,14 @@ def test_cg_start_minimises_residual_over_held_images(monkeypatch, k):
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0))
     state = SimState(cfg.initial.evaluate(grid), 0.0, 0)
     for _ in range(k):
-        state = step_parabolic(state, op, cfg)
+        state = step(state, op, cfg)
     held = state.potentials
     assert len(held) == k
     # each image is -L_h z by the DIA mat-vec, bit for bit
     assert all(np.array_equal(g, op.neg @ z) for z, g in held)
     starts = captured_starts(monkeypatch)
     u, f = state.u, np.abs(state.u) ** cfg.q
-    step_parabolic(state, op, cfg)
+    step(state, op, cfg)
     # the start's residual is orthogonal to every held image, to rounding on the scale of
     # |g| |f| (its cosine with g is only good to eps cond(g_1 ... g_k), 8e-9 at k = 5);
     # the quartic start's reads 3.6e-8 or more.  And it is no larger than the quartic's
@@ -323,7 +321,7 @@ def test_cg_start_extrapolates_polynomial_potentials(monkeypatch, k):
     coeffs = np.vstack([np.abs(u) ** cfg.q, rng.normal(size=(k - 1, op.dimension))]) if k else []
     images = [P.polyval(-s, coeffs) for s in range(1, k + 1)]
     potentials = tuple(zip(rng.normal(size=(k, op.dimension)), images))
-    state = step_parabolic(SimState(u, 0.0, 0, potentials=potentials), op, cfg)
+    state = step(SimState(u, 0.0, 0, potentials=potentials), op, cfg)
     expected = quartic_start(u, potentials)
     assert len(starts) == 1
     assert np.max(np.abs(starts[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -336,8 +334,7 @@ def test_lu_path_holds_no_potentials():
     grid = build_grid(GRID9)
     cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=1, grid=GRID9,
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0))
-    state = step_parabolic(SimState(cfg.initial.evaluate(grid), 0.0, 0),
-                           assemble_sublaplacian(grid), cfg)
+    state = step(SimState(cfg.initial.evaluate(grid), 0.0, 0), assemble_sublaplacian(grid), cfg)
     assert state.potentials == ()
 
 
@@ -366,7 +363,7 @@ def test_step_parabolic_linear_mode_exact():
     cfg = SimConfig("parabolic", q=1.5, nonlinearity=False, dt=0.01, steps=1,
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     u = cfg.initial.evaluate(g)
-    state = step_parabolic(SimState(u, 0.0, 0), op, cfg)
+    state = step(SimState(u, 0.0, 0), op, cfg)
     assert state.last_iterations == 0  # w = -u exactly, no solve
     assert np.allclose(state.u, (1 - cfg.dt) * u, rtol=1e-13, atol=1e-16)
 
@@ -377,10 +374,10 @@ def test_step_parabolic_zero_fixed_point_and_rhs_form():
     cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=0.01, steps=1,
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     zero = np.zeros(op.dimension)
-    state = step_parabolic(SimState(zero, 0.0, 0), op, cfg)
+    state = step(SimState(zero, 0.0, 0), op, cfg)
     assert np.all(state.u == 0.0)
     u = np.abs(cfg.initial.evaluate(g))
-    w = (step_parabolic(SimState(u, 0.0, 0), op, cfg).u - u) / cfg.dt
+    w = (step(SimState(u, 0.0, 0), op, cfg).u - u) / cfg.dt
     rhs = -(op.matrix @ u) - u**1.5
     assert np.max(np.abs(op.matrix @ w - rhs)) <= 1e-8 * np.max(np.abs(rhs))
 
@@ -392,10 +389,10 @@ def test_step_hyperbolic_linear_oscillator():
     cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=False, dt=dt, steps=10,
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     u0 = cfg.initial.evaluate(g)
-    state = taylor_start(u0, np.zeros_like(u0), op, cfg)
+    state = step(SimState(u0, 0.0, 0, velocity=np.zeros_like(u0)), op, cfg)
     assert (state.t, state.step) == (dt, 1) and state.u_prev is u0
     for _ in range(9):
-        state = step_hyperbolic(state, op, cfg)
+        state = step(state, op, cfg)
     # linear mode follows u(t) = cos(t) u0 with O(dt^2) global error
     assert np.max(np.abs(state.u - np.cos(state.t) * u0)) < 1e-6 * np.max(np.abs(u0))
 
@@ -407,14 +404,14 @@ def test_leapfrog_time_reversal():
     cfg = SimConfig("hyperbolic", q=1.5, nonlinearity=False, dt=dt, steps=60,
                     grid=GRID9, initial=BumpSpec((0, 0, 0), 1.0, 1.0))
     u0 = cfg.initial.evaluate(g)
-    state = taylor_start(u0, np.zeros_like(u0), op, cfg)
+    state = step(SimState(u0, 0.0, 0, velocity=np.zeros_like(u0)), op, cfg)
     states = [u0, state.u]
     for _ in range(59):
-        state = step_hyperbolic(state, op, cfg)
+        state = step(state, op, cfg)
         states.append(state.u)
     back = SimState(states[-2], 0.0, 0, u_prev=states[-1])
     for k in range(len(states) - 2):
-        back = step_hyperbolic(back, op, cfg)
+        back = step(back, op, cfg)
         expected = states[-3 - k]
         assert np.max(np.abs(back.u - expected)) < 1e-9 * (1 + np.max(np.abs(expected)))
 
@@ -461,6 +458,18 @@ def test_run_blowup_threshold_is_a_result():
     # late-stage growth is monotone in the trace
     tail = [r["max_norm"] for r in tr.rows[-10:]]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
+def test_every_step_is_checked_against_the_threshold(equation, steps):
+    # the bump starts above the threshold; the initial row is not checked, the first step's
+    # row is, the Taylor start of the hyperbolic equation included
+    cfg = SimConfig(equation, q=1.5, nonlinearity=True, dt=5e-3, steps=steps, grid=GRID9,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 5.0), blowup_threshold=4.0)
+    tr = run(cfg)
+    assert (tr.status, tr.status_step, len(tr.rows)) == ("blowup_threshold", 1, 2)
+    assert tr.rows[0]["max_norm"] >= 4.0 and tr.rows[1]["max_norm"] >= 4.0
 
 
 def test_lq_norm_bookkeeping():
