@@ -15,18 +15,20 @@ phi(T, .) = phi_t(T, .) = 0, with data terms
 Candidates are separable too, u = sum_j a_j(t) b_j(eta), so their datum
 u0 = sum_j a_j(0) b_j is read off the terms; only u1 is given.  Spatial
 integrals are seeded Monte Carlo over the test-function support box
-(n = 1) and time integrals are Gauss-Legendre, evaluated space once, time
-as vectors.  `weak_residual` and `pair_defect` check several cases in
-one Monte Carlo pass: per chunk, the points, phi2, Delta phi2 and every
-distinct spatial function b_j or d_j are evaluated once for all cases,
-and each case is summed as a block of its own, with the bits of a one-case
-call.  The linear terms reduce to dot products over the time nodes,
-sum_k w_k a_j(t_k) (phi1 - phi1')(t_k) for the first order and
-sum_k w_k a_j(t_k) (phi1 + phi1'')(t_k) for the second, times
-b_j Delta phi2.  Only |u|^q phi loops over the nodes, on arrays of one
-chunk's length.  Residual reports always carry the quadrature error
-estimate; `residual_battery`, the check of `heislab residual` and of
-acceptance criterion 7, sets its 3-sigma rule against a defect oracle.
+(n = 1), time integrals Gauss-Legendre.  `weak_residual` and `pair_defect`
+check several cases in one Monte Carlo pass: per chunk, the points, phi2,
+Delta phi2 and every distinct spatial function b_j or d_j are evaluated
+once for all cases, and each case is summed as a block of its own, with
+the bits of a one-case call.  The linear terms reduce to the time sums
+sum_k w_k a_j(t_k) (phi1 - phi1')(t_k), or (phi1 + phi1'')(t_k) at order 2,
+times b_j Delta phi2; as |a b|^q = |a|^q |b|^q, so does |u|^q phi of a
+one-term candidate, to sum_k w_k phi1(t_k) |a(t_k)|^q times |b|^q phi2.
+Only two or more terms loop over the nodes, on arrays of one chunk's
+length.  A time sum that the same rule on each half of [0, T] moves by
+more than 1e-3 is refused, naming T.  Residual reports always carry the
+quadrature error estimate; `residual_battery`, the check of `heislab
+residual` and of acceptance criterion 7, sets its 3-sigma rule against a
+defect oracle.
 """
 
 from __future__ import annotations
@@ -78,8 +80,22 @@ class ResidualReport:
 
 
 def _time_rule(T: float):
+    """The Gauss-Legendre rule on [0, T]: times (its nodes, the same rule's on each half of [0, T], then 0), weights."""
     x, w = _gauss_legendre()
-    return 0.5 * T * (x + 1.0), 0.5 * T * w
+    ts = 0.5 * T * (x + 1.0)
+    return np.concatenate([ts, 0.5 * ts, 0.5 * (T + ts), [0.0]]), 0.5 * T * w
+
+
+def _time_sums(T: float, ws, pairs) -> list:
+    """sum_k w_k x(t_k) y(t_k) of each (x, y) of pairs, valued at the times of `_time_rule(T)`.  ParameterError names
+    T where the halves' rule moves a sum by over 1e-3 of sum_k w_k |x y|, or reads 0 at all nodes and x y(0) is not."""
+    n, half_ws, sums = len(ws), np.tile(0.5 * ws, 2), []
+    for x, y in pairs:
+        sums.append(float(np.dot(ws * x[:n], y[:n])))
+        size = float(np.dot(np.abs(half_ws * x[n:-1]), np.abs(y[n:-1])))
+        if abs(sums[-1] - float(np.dot(half_ws * x[n:-1], y[n:-1]))) > 1e-3 * size or (size == 0.0 and x[-1] * y[-1]):
+            raise ParameterError(f"the {TIME_NODES}-node time rule does not resolve the time integrals at T = {shown(T)}")
+    return sums
 
 
 def _check_terminal(testfn, order: int):
@@ -112,29 +128,28 @@ def weak_residual(cases, testfn, cfg: MCConfig) -> list:
     _check_terminal(testfn, max(order for _, order in cases))
     if any(order == 2 and cand.u1 is None for cand, order in cases):
         raise ParameterError("second-order candidates need initial velocity u1")
-    ts, ws = _time_rule(testfn.T)
-    f0, f1, f2 = testfn.temporal(ts)
-    if not np.any(f0):
-        # e.g. q near 1, where phi1 = (1 - t/T)^ell with a huge ell underflows
+    t, ws = _time_rule(testfn.T)
+    f0, f1, f2 = testfn.temporal(t)
+    if not np.any(f0[:TIME_NODES]):  # e.g. q near 1, where (1 - t/T)^ell with a huge ell underflows
         raise ParameterError("time factor phi1 is 0 at every quadrature node; the check would be vacuous")
-    g0, g1, _ = testfn.temporal(0.0)
     plans = []
     for cand, order in cases:
-        coefs = [np.asarray(a(ts)) for a, _ in cand.terms]
-        inits = [a(0.0) for a, _ in cand.terms]
-        # int_0^T a_j (phi1 - phi1') or int_0^T a_j (phi1 + phi1''), by Gauss-Legendre
-        linear = [float(np.dot(ws * c, f0 - f1 if order == 1 else f0 + f2)) for c in coefs]
-        plans.append((cand, order, coefs, inits, linear))
+        cs = [np.asarray(a(t)) for a, _ in cand.terms]
+        # int_0^T a_j (phi1 - phi1') or a_j (phi1 + phi1''), then int_0^T phi1 |a_j|^q
+        pairs = [(c, f0 - f1 if order == 1 else f0 + f2) for c in cs] + [(f0, np.abs(c) ** cand.q) for c in cs]
+        plans.append((cand, order, cs, _time_sums(testfn.T, ws, pairs)))
 
-    def case_sides(p, value, lap, at, cand, order, coefs, inits, linear):
+    def case_sides(p, value, lap, at, cand, order, cs, sums):
         bs = [at(b) for _, b in cand.terms]
-        power = np.zeros(np.shape(value))
-        for k, w in enumerate(ws * f0):  # |u|^q phi, one time node at a time
-            u = sum(c[k] * b for c, b in zip(coefs, bs))
-            power += w * np.abs(u) ** cand.q
-        lhs = power * value + sum(c * b for c, b in zip(linear, bs)) * lap
-        u0 = sum(a0 * b for a0, b in zip(inits, bs))
-        return lhs, u0 * (g0 * lap) if order == 1 else np.asarray(cand.u1(p)) * (g0 * lap) - u0 * (g1 * lap)
+        if len(bs) < 2:  # |a b|^q = |a|^q |b|^q: the time sum of phi1 |a|^q times |b|^q, 0 of no term
+            power = sum(sums[-1] * np.abs(b) ** cand.q for b in bs)
+        else:  # |u|^q phi one time node at a time
+            power = sum(w * np.abs(sum(c[k] * b for c, b in zip(cs, bs))) ** cand.q
+                        for k, w in enumerate(ws * f0[:TIME_NODES]))
+        lhs = power * value + sum(c * b for c, b in zip(sums, bs)) * lap  # the first len(bs) sums are linear
+        u0 = sum(c[-1] * b for c, b in zip(cs, bs))  # a_j at the last time, t = 0
+        g0 = f0[-1] * lap  # Delta phi(0, .)
+        return lhs, u0 * g0 if order == 1 else np.asarray(cand.u1(p)) * g0 - u0 * (f1[-1] * lap)
 
     def sides(pts):
         p = GroupPoint.from_flat(pts)
@@ -152,9 +167,9 @@ def pair_defect(defects, testfn, cfg: MCConfig) -> list:
     supported candidates.  It pairs with phi itself, never with Delta phi."""
     if not defects:
         return []
-    ts, ws = _time_rule(testfn.T)
-    f0, _, _ = testfn.temporal(ts)
-    coefs = [[float(np.dot(ws * f0, c(ts))) for c, _ in terms] for terms in defects]
+    t, ws = _time_rule(testfn.T)
+    f0, _, _ = testfn.temporal(t)
+    coefs = [_time_sums(testfn.T, ws, [(f0, c(t)) for c, _ in terms]) for terms in defects]
 
     def blocks(pts):
         p = GroupPoint.from_flat(pts)

@@ -348,9 +348,9 @@ def test_residual_subcommand():
     # rows of separate value and Delta passes over the bump; the defect's
     # Delta b now comes from GaugeBump.spatial and must reproduce them bit for bit
     pinned = {
-        "manufactured_parabolic": (4.127248502970297, -2.070345994423898, 6.197594497394205,
+        "manufactured_parabolic": (4.127248502970296, -2.070345994423898, 6.1975944973942045,
                                    0.13560573239897186, 6.1621201494237425, 0.24002604131341124),
-        "manufactured_hyperbolic": (2.561362769602833, -3.105518991635852, 5.666881761238701,
+        "manufactured_hyperbolic": (2.561362769602833, -3.105518991635852, 5.6668817612387,
                                     0.1409420521783362, 5.505944297495693, 0.6507593683745904),
     }
     keys = ("lhs", "rhs", "residual", "stderr", "oracle", "oracle_stderr")
@@ -584,6 +584,8 @@ def test_simulate_extreme_bump_is_its_limit_field(tmp_path, name):
 @example(n=1, q="1e400", samples=100, R=3.0, T=2.0)  # beyond float range: used to raise OverflowError
 @example(n=1, q="2", samples=200, R=1e-100, T=2.0)  # used to exit 0 with NaN rows
 @example(n=1, q="2", samples=200, R=3.0, T=1e-153)  # ell(ell-1)/T^2 used to overflow to inf
+@example(n=1, q="2", samples=200, R=3.0, T=1e4)  # beyond the time rule: used to exit 0 with wrong rows
+@example(n=1, q="2", samples=200, R=3.0, T=4e6)  # used to blame --samples for an underflowed oracle
 @given(n=st.sampled_from([1, 1, 1, 0, 2, -1]),
        q=st.one_of(st.fractions("11/10", 4).map(str), st.floats().map(repr),
                    st.sampled_from(["2", "3/2", "1", "0", "-2", "1/0", "1e400", "abc", ""])),
@@ -915,6 +917,16 @@ def test_vacuous_residual_exits_2(capsys):
     assert main(["residual", "--q", "1.0000000001", "--samples", "500"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "phi1" in err
+
+
+# the 64-node time rule misses the mass of exp(-t/2) near t = 0: at T = 1e4 the parabolic
+# residual read 5.06 against 20.42 at T = 1e3, and at 4e6 the oracle's stderr underflowed
+# to 0, which named --samples; both rules read 0 at every node at T = 1e50
+@pytest.mark.parametrize("T, named", [("1e4", "10000"), ("4e6", "4e+06"), ("1e50", "1e+50")])
+def test_residual_beyond_the_time_rule_exits_2(capsys, T, named):
+    assert main(["residual", "--T", T, "--samples", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "time rule" in err and err.endswith(f" at T = {named}\n")
 
 
 # no sample lands in a support: every estimate and its standard error read 0, and

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,43 @@ def test_two_term_datum_from_terms(order):
     ref = reference_residual(cand, tf, cfg, order)
     assert abs(ref[1]) > 0.0
     assert (rep.lhs, rep.rhs, rep.residual, rep.error) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_split_term_has_the_law_of_the_one_term_candidate(q, order):
+    # a b as a (b/2) + a (b/2) is the same candidate: its |u|^q phi takes the loop
+    # over the time nodes, the one-term candidate's the time sum P times |b|^q.  a < 0,
+    # so P must take |a|, not a, for the odd and fractional powers
+    b = bump_value(point(0.2, -0.1, 0.05), 2.3)
+    a, half = (lambda t: -np.exp(-0.5 * t)), (lambda p: 0.5 * b(p))
+    u1 = lambda p: 0.5 * b(p)
+    one = CandidateSolution(terms=((a, b),), u1=u1, q=q)
+    split = CandidateSolution(terms=((a, half), (a, half)), u1=u1, q=q)
+    tf, cfg = standard_testfn(), MCConfig(samples=4_000, seed=17)
+    rep, ref = weak_residual([(one, order), (split, order)], tf, cfg)
+    assert abs(rep.lhs) > 0.0 and abs(rep.residual) > 0.0
+    assert (rep.lhs, rep.rhs, rep.residual, rep.error) == pytest.approx(
+        (ref.lhs, ref.rhs, ref.residual, ref.error), rel=1e-13, abs=0.0)
+
+
+# exp(-t/2) puts its mass within t ~ 1 of 0, where the 64 nodes on [0, T] thin out
+# as T grows; the rule on each half of [0, T] moves the time sums by 9.7e-7 at T = 1e3,
+# 2.5e-3 at 2e3 and 0.65 at 1e4, and both rules read 0 at every node beyond T ~ 1e7
+@pytest.mark.parametrize("T", [1e4, 4e6, 1e50])
+def test_unresolved_time_rule_names_T(T):
+    cand, defect_p, _, _, _ = manufactured()
+    tf, cfg = standard_testfn(T=T), MCConfig(samples=1_000, seed=0)
+    for run, item in ((weak_residual, (cand, 1)), (pair_defect, defect_p)):
+        with pytest.raises(ParameterError, match=re.escape(f"at T = {T:g}") + "$"):
+            run([item], tf, cfg)
+
+
+def test_time_rule_resolves_T_up_to_1e3():
+    cand, defect_p, defect_h, _, _ = manufactured()
+    tf, cfg = standard_testfn(T=1e3), MCConfig(samples=1_000, seed=0)
+    assert len(weak_residual([(cand, 1), (cand, 2)], tf, cfg)) == 2
+    assert len(pair_defect([defect_p, defect_h], tf, cfg)) == 2
 
 
 def test_one_pass_gives_each_case_its_one_case_bits(monkeypatch):
