@@ -16,7 +16,7 @@ rules; no finite differences are involved.  The power family and the
 gauge bumps are profiles of r^2 and take it from `group.gauge_radial`.
 The time factor is (1 - t/T)^ell, and products separate:
 Delta d_t^k(phi1 phi2) = (d_t^k phi1) Delta phi2.  A product test function therefore hands out its
-factors apart: (phi2, Delta phi2) once per set of spatial points and
+factors apart: (phi2, Delta phi2), or phi2 alone, once per set of points and
 (phi1, phi1', phi1'') as vectors over all time nodes, so a space-time
 quadrature costs one spatial evaluation, not one per time node.
 """
@@ -34,6 +34,11 @@ from .errors import ParameterError, shown
 from .group import GroupPoint, _norm4, compose, gauge_radial, inverse
 
 
+def _theta(s):
+    """Theta(s) = 1 - s^3 (10 - 15 s + 6 s^2) at an array s already clipped to [0, 1]."""
+    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+
+
 def smoothstep_complement(s):
     """Descending quintic step: (value, d1, d2) of Theta at the array s.
 
@@ -42,10 +47,7 @@ def smoothstep_complement(s):
     clip extends Theta by its constant values outside the transition.
     """
     s = np.clip(s, 0.0, 1.0)
-    v = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-    d1 = -30.0 * s**2 * (1.0 - s) ** 2
-    d2 = -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
-    return v, d1, d2
+    return _theta(s), -30.0 * s**2 * (1.0 - s) ** 2, -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 def min_power(q: float) -> float:
@@ -178,6 +180,12 @@ def log_brackets(spec: CutoffSpec, Q: int, psi, d1, d2):
     return b1, b2
 
 
+def _log_argument(R: float, r2):  # z = ln(r/sqrt(R)) / ln(sqrt(R)) of the logarithmic family at r^2 = r2
+    if np.any(r2 <= 0.0):
+        raise ParameterError("logarithmic cutoff is undefined at the origin")
+    return (0.5 * np.log(r2) - 0.5 * math.log(R)) / (0.5 * math.log(R))
+
+
 def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
     """Spatial factor phi2 of either family and its sub-Laplacian Delta phi2.
 
@@ -192,10 +200,8 @@ def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
     if spec.family == "power":
         return gauge_radial(p, R**2, lambda s: cutoff_eval(spec, s))
     sq, r2 = _norm4(p)
-    if np.any(r2 <= 0.0):
-        raise ParameterError("logarithmic cutoff is undefined at the origin")
+    psi, d1, d2 = cutoff_eval(spec, _log_argument(R, r2))
     L = 0.5 * math.log(R)
-    psi, d1, d2 = cutoff_eval(spec, (0.5 * np.log(r2) - L) / L)
     b1, b2 = log_brackets(spec, p.Q, psi, d1, d2)
     return psi**spec.kappa, sq / r2 * ((b1 / L**2 + b2 / L) / r2)
 
@@ -203,8 +209,8 @@ def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
 class ProductTestFunction:
     """Separable test function phi1(t) phi2(eta) used by the weak-form residuals.
 
-    The two factors are evaluated apart: `spatial` once per set of points,
-    `temporal` once per set of time nodes.
+    The two factors are evaluated apart: `spatial` (or `value`, phi2 alone) once
+    per set of points, `temporal` once per set of time nodes.
     """
 
     def __init__(self, time_factor: TemporalFactor, spec: CutoffSpec, R: float):
@@ -223,6 +229,13 @@ class ProductTestFunction:
     def spatial(self, p: GroupPoint):
         """(phi2, Delta phi2) at the points p."""
         return spatial_factor(self.spec, self.R, p)
+
+    def value(self, p: GroupPoint):
+        """phi2 alone at the points p: the bits of spatial(p)[0], without Delta phi2."""
+        spec, r2 = self.spec, _norm4(p)[1]
+        if spec.family == "power":
+            return _theta(np.clip(2.0 * (r2 / self.R**2) - 1.0, 0.0, 1.0)) ** spec.m
+        return _theta(np.clip(_log_argument(self.R, r2), 0.0, 1.0)) ** spec.kappa
 
     def temporal(self, t):
         """(phi1, phi1', phi1'') at the time node(s) t."""

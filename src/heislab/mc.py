@@ -5,6 +5,9 @@ chunk (key = [seed, chunk_index]), so estimates are bit-reproducible and
 independent of how chunks would be scheduled across workers.  With a sub-box
 `support` outside which the integrand is 0, a chunk of m draws over the box makes
 only the K ~ Binomial(m, vol(support)/vol(box)) that land in it: same law.
+Each column of integrand values, and its squares, is summed in one contiguous
+pass, which numpy makes pairwise: about 6 us per 16,384 values, where summing
+a C-ordered (m, 3) block over axis 0 walks it row by row at about 17 ns a row.
 """
 
 from __future__ import annotations
@@ -52,34 +55,26 @@ def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int, suppor
     return np.add(bounds[:, 0], np.multiply(u, bounds[:, 1] - bounds[:, 0], out=u), out=u)  # one array, same bits
 
 
-def _column_sums(block):
-    vals = np.asarray(block, dtype=float)
-    vals = vals if vals.ndim == 2 else vals.reshape(-1, 1)  # (m,) when width is 1; wider blocks may be short
-    return vals.sum(axis=0), (vals * vals).sum(axis=0)
-
-
 def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int, support=None):
     """Estimate `width` integrals at once over a coordinate box.
 
-    integrand(pts) receives an (m, dim) array and returns (m, width), or (m,)
-    when width is 1, or an iterable of (m, w_i) blocks of total width `width`,
-    each summed on its own: numpy sums a one-column block pairwise but each
-    column of a wider C-ordered block in row order, so stacking moves bits.
-    A wider block may leave out rows that are 0 in every column, keeping the
-    rest in sample order, with the same sums.  An integrand that is 0 outside a
-    sub-box `support` may pass it, so that each chunk draws only its points in
-    it (`sample_box`).  Returns a list of MCEstimate sharing the same sample stream.
+    integrand(pts) receives an (m, dim) array and returns an (m,) column, an
+    iterable of `width` float (m,) columns, or an (m, width) block, whose columns
+    are made contiguous once.  Each chunk adds `np.sum` of each column and of its
+    squares, one contiguous pairwise pass each (see above), so an estimate has the
+    bits of a call that integrates its column alone.  An integrand that is 0 outside
+    a sub-box `support` may pass it, so that each chunk draws only its points in it
+    (`sample_box`).  Returns a list of MCEstimate sharing the same sample stream.
     """
     bounds = np.asarray(bounds, dtype=float)
     vol = float(np.prod(bounds[:, 1] - bounds[:, 0]))
-    s1, s2 = np.zeros(width), np.zeros(width)
+    sums = np.zeros((width, 2))
     for index, done in enumerate(range(0, cfg.samples, CHUNK)):
         out = integrand(sample_box(bounds, cfg, index, min(CHUNK, cfg.samples - done), support))
-        # map lets each block go once summed, before the next one is made
-        sums = list(map(_column_sums, (out,) if isinstance(out, np.ndarray) else out))
-        s1 += np.concatenate([a for a, _ in sums]).reshape(width)
-        s2 += np.concatenate([b for _, b in sums]).reshape(width)
-    n = cfg.samples
+        if isinstance(out, np.ndarray):  # (1, m) or (w, m), each row one column
+            out = np.ascontiguousarray(out.T if out.ndim == 2 else out[None], dtype=float)
+        sums += np.reshape([(col.sum(), (col * col).sum()) for col in out], (width, 2))  # a column goes once summed
+    (s1, s2), n = sums.T, cfg.samples
     mean = s1 / n
     var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
     stderr = vol * np.sqrt(var / n)

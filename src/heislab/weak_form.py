@@ -17,15 +17,16 @@ u0 = sum_j a_j(0) b_j is read off the terms; only u1 is given.  Spatial
 integrals are seeded Monte Carlo over the test-function support box
 (n = 1), time integrals Gauss-Legendre.  `weak_residual` and `pair_defect`
 check several cases in one Monte Carlo pass: per chunk, the points, phi2,
-Delta phi2 and every distinct spatial function b_j or d_j are evaluated
-once for all cases, and each case is summed as a block of its own, with
+Delta phi2 (the oracle reads phi2 alone) and every distinct spatial function
+b_j or d_j are evaluated once for all cases, and each column of a case (lhs,
+rhs, lhs - rhs, or its pairing) is one contiguous pairwise sum (`mc`), with
 the bits of a one-case call.  The linear terms reduce to the time sums
 sum_k w_k a_j(t_k) (phi1 - phi1')(t_k), or (phi1 + phi1'')(t_k) at order 2,
 times b_j Delta phi2; as |a b|^q = |a|^q |b|^q, so does |u|^q phi of a
 one-term candidate, to sum_k w_k phi1(t_k) |a(t_k)|^q times |b|^q phi2.
 Only two or more terms loop over the nodes, on arrays of one chunk's
 length.  A time sum that the same rule on each half of [0, T] moves by
-more than 1e-3 is refused, naming T.  Residual reports always carry the
+more than 1e-3 is refused, naming T and ell.  Residual reports always carry the
 quadrature error estimate; `residual_battery`, the check of `heislab
 residual` and of acceptance criterion 7, sets its 3-sigma rule against a
 defect oracle.
@@ -86,15 +87,16 @@ def _time_rule(T: float):
     return np.concatenate([ts, 0.5 * ts, 0.5 * (T + ts), [0.0]]), 0.5 * T * w
 
 
-def _time_sums(T: float, ws, pairs) -> list:
-    """sum_k w_k x(t_k) y(t_k) of each (x, y) of pairs, valued at the times of `_time_rule(T)`.  ParameterError names
-    T where the halves' rule moves a sum by over 1e-3 of sum_k w_k |x y|, or reads 0 at all nodes and x y(0) is not."""
+def _time_sums(tf, ws, pairs) -> list:
+    """sum_k w_k x(t_k) y(t_k) of each (x, y) of pairs at the times of `_time_rule(tf.T)`.  ParameterError names T and
+    ell where the halves' rule moves a sum by over 1e-3 of sum_k w_k |x y| or reads 0 at all nodes and x y(0) is not."""
     n, half_ws, sums = len(ws), np.tile(0.5 * ws, 2), []
     for x, y in pairs:
         sums.append(float(np.dot(ws * x[:n], y[:n])))
         size = float(np.dot(np.abs(half_ws * x[n:-1]), np.abs(y[n:-1])))
         if abs(sums[-1] - float(np.dot(half_ws * x[n:-1], y[n:-1]))) > 1e-3 * size or (size == 0.0 and x[-1] * y[-1]):
-            raise ParameterError(f"the {TIME_NODES}-node time rule does not resolve the time integrals at T = {shown(T)}")
+            raise ParameterError(f"the {TIME_NODES}-node time rule does not resolve the time integrals "
+                                 f"at T = {shown(tf.T)}, ell = {shown(tf.ell)}")
     return sums
 
 
@@ -111,9 +113,9 @@ def _check_terminal(testfn, order: int):
 def _residual_estimates(sides, bounds, cfg: MCConfig, count: int, support=None) -> list:
     """Common-point MC of lhs, rhs and their difference (honest stderr) for
     each of `count` cases; sides(pts) yields the (lhs, rhs) integrands of the
-    cases at the (m, 2n+1) points pts, each stacked and summed before the next is made."""
-    stack = lambda s: np.stack([s[0], s[1], s[0] - s[1]], axis=1)
-    est = mc_integrate_vector(lambda pts: map(stack, sides(pts)), bounds, cfg, 3 * count, support)
+    cases at the (m, 2n+1) points pts, each case's three columns summed before the next is made."""
+    columns = lambda pts: (col for lhs, rhs in sides(pts) for col in (lhs, rhs, lhs - rhs))
+    est = mc_integrate_vector(columns, bounds, cfg, 3 * count, support)
     return [ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
             for lhs, rhs, diff in zip(est[0::3], est[1::3], est[2::3])]
 
@@ -137,7 +139,7 @@ def weak_residual(cases, testfn, cfg: MCConfig) -> list:
         cs = [np.asarray(a(t)) for a, _ in cand.terms]
         # int_0^T a_j (phi1 - phi1') or a_j (phi1 + phi1''), then int_0^T phi1 |a_j|^q
         pairs = [(c, f0 - f1 if order == 1 else f0 + f2) for c in cs] + [(f0, np.abs(c) ** cand.q) for c in cs]
-        plans.append((cand, order, cs, _time_sums(testfn.T, ws, pairs)))
+        plans.append((cand, order, cs, _time_sums(testfn.time_factor, ws, pairs)))
 
     def case_sides(p, value, lap, at, cand, order, cs, sums):
         bs = [at(b) for _, b in cand.terms]
@@ -169,16 +171,16 @@ def pair_defect(defects, testfn, cfg: MCConfig) -> list:
         return []
     t, ws = _time_rule(testfn.T)
     f0, _, _ = testfn.temporal(t)
-    coefs = [_time_sums(testfn.T, ws, [(f0, c(t)) for c, _ in terms]) for terms in defects]
+    coefs = [_time_sums(testfn.time_factor, ws, [(f0, c(t)) for c, _ in terms]) for terms in defects]
 
-    def blocks(pts):
+    def columns(pts):
         p = GroupPoint.from_flat(pts)
-        value, _ = testfn.spatial(p)
+        value = testfn.value(p)
         at = functools.cache(lambda f: np.asarray(f(p)))
         for cs, terms in zip(coefs, defects):
-            yield (sum(c * at(d) for c, (_, d) in zip(cs, terms)) * value)[:, None]
+            yield sum(c * at(d) for c, (_, d) in zip(cs, terms)) * value
 
-    return mc_integrate_vector(blocks, testfn.support_box(), cfg, len(defects))
+    return mc_integrate_vector(columns, testfn.support_box(), cfg, len(defects))
 
 
 def _manufactured_cases(q: float, R: float):

@@ -345,17 +345,28 @@ def test_residual_subcommand():
                      "manufactured_parabolic", "manufactured_hyperbolic"]
     zero_rows = report.rows[:2]
     assert all(r["residual"] == 0.0 for r in zero_rows)
-    # rows of separate value and Delta passes over the bump; the defect's
-    # Delta b now comes from GaugeBump.spatial and must reproduce them bit for bit
+    # the weak-side columns (lhs, rhs, residual, stderr) are summed pairwise, one
+    # contiguous column at a time; the oracle columns are those of the one-column blocks
     pinned = {
-        "manufactured_parabolic": (4.127248502970296, -2.070345994423898, 6.1975944973942045,
+        "manufactured_parabolic": (4.127248502970294, -2.070345994423902, 6.1975944973941965,
                                    0.13560573239897186, 6.1621201494237425, 0.24002604131341124),
-        "manufactured_hyperbolic": (2.561362769602833, -3.105518991635852, 5.6668817612387,
-                                    0.1409420521783362, 5.505944297495693, 0.6507593683745904),
+        "manufactured_hyperbolic": (2.561362769602834, -3.1055189916358534, 5.666881761238687,
+                                    0.14094205217833614, 5.505944297495693, 0.6507593683745904),
     }
     keys = ("lhs", "rhs", "residual", "stderr", "oracle", "oracle_stderr")
     for row in report.rows[2:]:
         assert tuple(row[k] for k in keys) == pinned[row["case"]]
+
+
+# two seeds of the perfbench pool at its two budgets: a -0.0 would pass an equality with 0.0
+@pytest.mark.parametrize("seed", ["2068752955", "1921896644"])
+@pytest.mark.parametrize("samples", ["1024", "16384"])
+def test_zero_candidate_rows_are_positive_zero(seed, samples):
+    report = dispatch(run_spec(["residual", "--q", "2", "--seed", seed, "--samples", samples]))
+    for row in report.rows[:2]:
+        assert row["case"].startswith("zero_")
+        for key in ("lhs", "rhs", "residual", "stderr", "gap"):
+            assert math.copysign(1.0, row[key]) == 1.0 and row[key] == 0.0, (row["case"], key, row[key])
 
 
 def test_residual_makes_one_pass_per_sample_set(monkeypatch):
@@ -363,15 +374,16 @@ def test_residual_makes_one_pass_per_sample_set(monkeypatch):
     monkeypatch.setattr(mc, "CHUNK", 1024)
     calls = {}
     for owner, name in ((weak_form, "mc_integrate_vector"), (cutoffs.ProductTestFunction, "spatial"),
-                        (cutoffs.GaugeBump, "spatial")):
+                        (cutoffs.ProductTestFunction, "value"), (cutoffs.GaugeBump, "spatial")):
         def counted(*args, _key=f"{owner.__name__}.{name}", _fn=getattr(owner, name), **kwargs):
             calls[_key] = calls.get(_key, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     report = dispatch(run_spec(["residual", "--q", "2", "--samples", "3000", "--seed", "5"]))
     assert len(report.rows) == 4
-    assert calls == {"heislab.weak_form.mc_integrate_vector": 2,
-                     "ProductTestFunction.spatial": 3 + 6, "GaugeBump.spatial": 3 + 6}
+    # the oracle pass reads phi2 alone
+    assert calls == {"heislab.weak_form.mc_integrate_vector": 2, "ProductTestFunction.spatial": 3,
+                     "ProductTestFunction.value": 6, "GaugeBump.spatial": 3 + 6}
 
 
 def test_residual_at_small_radius_pairs_a_manufactured_candidate():
@@ -921,12 +933,17 @@ def test_vacuous_residual_exits_2(capsys):
 
 # the 64-node time rule misses the mass of exp(-t/2) near t = 0: at T = 1e4 the parabolic
 # residual read 5.06 against 20.42 at T = 1e3, and at 4e6 the oracle's stderr underflowed
-# to 0, which named --samples; both rules read 0 at every node at T = 1e50
-@pytest.mark.parametrize("T, named", [("1e4", "10000"), ("4e6", "4e+06"), ("1e50", "1e+50")])
-def test_residual_beyond_the_time_rule_exits_2(capsys, T, named):
-    assert main(["residual", "--T", T, "--samples", "2000"]) == 2
+# to 0, which named --samples; both rules read 0 at every node at T = 1e50.  At q = 1.001
+# the default ell is 2002, and phi1 = (1 - t/T)^2002 is narrower than the nodes at T = 2
+@pytest.mark.parametrize("option, value, named", [
+    pytest.param("--T", "1e4", "T = 10000, ell = 4", id="1e4-10000"),
+    pytest.param("--T", "4e6", "T = 4e+06, ell = 4", id="4e6-4e+06"),
+    pytest.param("--T", "1e50", "T = 1e+50, ell = 4", id="1e50-1e+50"),
+    pytest.param("--q", "1.001", "T = 2, ell = 2002", id="q1.001-2002")])
+def test_residual_beyond_the_time_rule_exits_2(capsys, option, value, named):
+    assert main(["residual", option, value, "--samples", "2000"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "time rule" in err and err.endswith(f" at T = {named}\n")
+    assert err.count("\n") == 1 and "time rule" in err and err.endswith(f" at {named}\n")
 
 
 # no sample lands in a support: every estimate and its standard error read 0, and

@@ -7,7 +7,7 @@ from heislab.cutoffs import CutoffSpec, GaugeBump, ProductTestFunction, Temporal
 from heislab.errors import ParameterError
 from heislab import mc
 from heislab.group import GroupPoint, point
-from heislab.mc import MCConfig, chunk_generator, mc_integrate_vector
+from heislab.mc import MCConfig, chunk_generator, mc_integrate_vector, sample_box
 from heislab.weak_form import (
     TIME_NODES,
     CandidateSolution,
@@ -111,7 +111,7 @@ class SumTestFunction:
     def __init__(self, *parts):
         assert len({tf.time_factor for tf in parts}) == 1
         self.parts = parts
-        self.T = parts[0].T
+        self.T, self.time_factor = parts[0].T, parts[0].time_factor
 
     def spatial(self, p):
         evs = [tf.spatial(p) for tf in self.parts]
@@ -211,7 +211,7 @@ def test_unresolved_time_rule_names_T(T):
     cand, defect_p, _, _, _ = manufactured()
     tf, cfg = standard_testfn(T=T), MCConfig(samples=1_000, seed=0)
     for run, item in ((weak_residual, (cand, 1)), (pair_defect, defect_p)):
-        with pytest.raises(ParameterError, match=re.escape(f"at T = {T:g}") + "$"):
+        with pytest.raises(ParameterError, match=re.escape(f"at T = {T:g}, ell = 4") + "$"):
             run([item], tf, cfg)
 
 
@@ -258,7 +258,7 @@ class PaddedBox:
 
     def __init__(self, inner, box):
         self.inner = inner
-        self.T = inner.T
+        self.T, self.time_factor = inner.T, inner.time_factor
         self._box = box
 
     def spatial(self, p):
@@ -435,23 +435,26 @@ def test_selfadjointness_of_disjoint_supports_draws_nothing(axes, c1, c2):
         selfadjointness_ratio([(point(*c1), point(*c2))], box, 20_000, seed=1)
 
 
-@pytest.mark.parametrize("cut", [0.3, 0.0])
-def test_block_without_its_zero_rows_keeps_the_sums(cut, monkeypatch):
-    # rows outside |x| < cut are 0, some -0.0, in every column; at cut 0 every row is
+@pytest.mark.parametrize("samples", [1_000, 4_500], ids=["one_chunk", "five_chunks"])
+def test_each_estimate_is_the_pairwise_sum_of_its_column(samples, monkeypatch):
+    # per chunk, each column and its squares are one np.sum of a contiguous 1-D array, so an
+    # (m, 3) block, its three columns and each column integrated alone give the same bits
     monkeypatch.setattr(mc, "CHUNK", 1000)
-
-    def full(pts):
-        vals = np.stack([np.sin(3.0 * pts[:, 0]), -pts[:, 1] ** 3, pts[:, 0] * pts[:, 1]], axis=1)
-        return vals * (np.abs(pts[:, :1]) < cut)
-
-    def short(pts):
-        vals = full(pts)
-        return [vals[np.any(vals != 0.0, axis=1)]]
-
-    bounds, cfg = [[-1.0, 1.0], [-1.0, 1.0]], MCConfig(samples=4_500, seed=3)
-    want = mc_integrate_vector(full, bounds, cfg, 3)
-    assert repr(mc_integrate_vector(short, bounds, cfg, 3)) == repr(want)
-    assert all(e.stderr > 0.0 for e in want) == (cut > 0.0)
+    columns = lambda pts: (np.sin(3.0 * pts[:, 0]), -pts[:, 1] ** 3, pts[:, 0] * pts[:, 1])
+    bounds, cfg = np.array([[-1.0, 1.0], [-1.0, 1.0]]), MCConfig(samples=samples, seed=3)
+    s1, s2 = np.zeros(3), np.zeros(3)
+    for index, done in enumerate(range(0, samples, 1000)):
+        cols = columns(sample_box(bounds, cfg, index, min(1000, samples - done)))
+        s1 += [np.sum(c) for c in cols]
+        s2 += [np.sum(c * c) for c in cols]
+    mean = s1 / samples
+    stderr = 4.0 * np.sqrt(np.maximum(s2 - samples * mean * mean, 0.0) / (samples - 1) / samples)
+    want = [(float(4.0 * m), float(e)) for m, e in zip(mean, stderr)]
+    for integrand in (columns, lambda pts: np.stack(columns(pts), axis=1)):
+        assert [(e.value, e.stderr) for e in mc_integrate_vector(integrand, bounds, cfg, 3)] == want
+    for k in range(3):
+        alone = mc_integrate_vector(lambda pts: columns(pts)[k], bounds, cfg, 1)[0]
+        assert (alone.value, alone.stderr) == want[k]
 
 
 @pytest.mark.parametrize("seed, index", [(0, 1), (7, 1), (11, 0), (-1, 3)])
