@@ -16,8 +16,10 @@ symmetric positive semidefinite by construction, and it is the one matrix
 stored.  Each step solves the SPD system -L_h w = |u|^q - (-L_h) u for
 w = d/dt u (or the acceleration a): by LU factors, made once per grid (run()
 keeps the last grid's operator for the next run on it), up to
-DIRECT_MAX_UNKNOWNS unknowns, else by Jacobi-preconditioned conjugate
-gradients on -L_h stored by diagonals (DIA), started from the combination of the last
+DIRECT_MAX_UNKNOWNS unknowns, else by conjugate gradients on -L_h stored by diagonals
+(DIA), preconditioned by the Jacobi diagonal plus a coarse correction on at most
+COARSE_RUNS^3 node aggregates (the additive two-level preconditioner, see
+SparseOperator.coarse), and started from the combination of the last
 EXTRAPOLATION_POINTS steps' nonlinear potentials with the smallest residual (see step).
 Time stepping is explicit Euler (first order) or leapfrog after a Taylor start (second
 order), all in step() with one shared solve (none in linear mode); run() checks every
@@ -49,12 +51,21 @@ if TYPE_CHECKING:  # scipy.sparse itself loads at the first assembly
     import scipy.sparse as sp
 
 # LU fill: 2 MB at 13^3 nodes, 8.4 MB at 17^3, 10.9 MB at 18^3, 14 MB at 19^3, 62 MB at 25^3.
-# A cold 30-step run (median of 5, either equation) takes 3.3, 3.9 and 5.1 ms a step by LU
-# (factoring included) at 17^3, 18^3 and 19^3, and 2.5-2.6, 2.8-3.1 and 3.4-3.6 ms by DIA CG from
-# the minimal-residual start (one core of a 2-vCPU x86-64 host, scipy 1.17).
+# A cold run (assembly and factoring included; median of 5, either equation, two passes of
+# scripts/time_solvers.py) takes, in ms a step by LU against two-level CG from the
+# minimal-residual start, over 30 steps 3.5-3.9 against 2.3-2.8 at 17^3, 3.3-4.2 against
+# 2.2-2.8 at 18^3 and 5.1-6.7 against 3.0-3.7 at 19^3, and over 100 steps 1.9-2.1 against
+# 1.1-1.9, 1.8-2.6 against 1.5-1.8 and 2.9-3.9 against 1.9-2.6; at 15^3 the two are on par
+# (one core of a 2-vCPU x86-64 host, scipy 1.17).  So CG is faster from 17^3 on, but the
+# limit stays, since moving it would change the reports of 17^3 and 18^3 grids.
 DIRECT_MAX_UNKNOWNS = 4096
 # CG starts from a combination of this many past nonlinear potentials (see step)
 EXTRAPOLATION_POINTS = 5
+# CG's coarse space splits each interior axis into at most this many runs of nodes (see
+# SparseOperator.coarse).  Over the six 30-step 25^3 runs of perfbench sim_large seeds 11-13,
+# 4, 5 and 6 runs (64, 125, 216 aggregates) took 4056, 3670 and 3286 CG iterations against
+# 6020 by Jacobi alone, and Gauss-Jordan took 1.0, 4-5 and 21 ms a grid; 6 gained no clear time.
+COARSE_RUNS = 5
 
 
 @dataclass(frozen=True)
@@ -124,12 +135,13 @@ def build_grid(config: GridConfig) -> Grid:
 
 @dataclass
 class SparseOperator:
-    """-L_h on interior unknowns, symmetric positive semidefinite (CSR up to
-    DIRECT_MAX_UNKNOWNS, else DIA for the CG mat-vec); its SuperLU factors and its
-    Jacobi preconditioner 1 / diag(-L_h) are built on first use and kept with the
-    operator, which run() keeps while later runs use its grid (see _grid_operator)."""
+    """-L_h on the interior unknowns of a grid, symmetric positive semidefinite (CSR up to
+    DIRECT_MAX_UNKNOWNS, else DIA for the CG mat-vec); its SuperLU factors, its Jacobi
+    diagonal 1 / diag(-L_h) and CG's coarse space (see coarse) are built on first use and
+    kept with the operator, which run() keeps while later runs use its grid (see _grid_operator)."""
 
     neg: sp.spmatrix
+    interior_shape: tuple  # (n_x - 2, n_y - 2, n_tau - 2), C order
 
     @property
     def dimension(self) -> int:
@@ -148,6 +160,49 @@ class SparseOperator:
     @cached_property
     def jacobi(self) -> np.ndarray:
         return 1.0 / self.neg.diagonal()
+
+    @cached_property
+    def coarse(self):
+        """(W^T, A_c^-1, aggregate) of CG's coarse correction W A_c^-1 W^T r.  Each interior
+        axis of length k splits into m = min(k, COARSE_RUNS) runs of nodes, node i in run
+        i m // k; the aggregates are the products of runs, aggregate[j] is node j's, W holds
+        their indicator vectors as columns, and the Galerkin matrix A_c = W^T (-L_h) W is
+        inverted by Gauss-Jordan and symmetrised.  Raises SolverFailure when A_c is not
+        positive definite."""
+        import scipy.sparse as sp
+        counts = [min(k, COARSE_RUNS) for k in self.interior_shape]
+        runs = [np.arange(k) * m // k for k, m in zip(self.interior_shape, counts)]
+        aggregate = np.ravel_multi_index(np.meshgrid(*runs, indexing="ij"), counts).ravel()
+        restrict = sp.csr_matrix((np.ones(self.dimension), (aggregate, np.arange(self.dimension))),
+                                 shape=(int(np.prod(counts)), self.dimension))
+        inverse = _gauss_jordan_inverse((restrict @ self.neg @ restrict.T).toarray())
+        return restrict, 0.5 * (inverse + inverse.T), aggregate
+
+    def precondition(self, r: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """out = M^-1 r = r / diag(-L_h) + W A_c^-1 W^T r, CG's two-level additive
+        preconditioner, symmetric positive definite when -L_h is; scratch is overwritten.
+        The restriction is one CSR product and the prolongation one gather."""
+        restrict, inverse, aggregate = self.coarse
+        np.multiply(self.jacobi, r, out=out)
+        out += np.take(inverse @ (restrict @ r), aggregate, out=scratch, mode="clip")
+        return out
+
+
+def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
+    """a^-1 by Gauss-Jordan elimination in place, without pivoting, in numpy ufuncs (LAPACK's
+    inv and solve start BLAS worker threads, which spin on after the call).  For symmetric a
+    every pivot is positive exactly when a is positive definite, so a pivot that is not
+    finite and positive raises SolverFailure before it is divided by."""
+    a = np.array(a, dtype=float)
+    for k in range(a.shape[0]):
+        pivot = a[k, k]
+        if not (np.isfinite(pivot) and pivot > 0):
+            raise SolverFailure("conjugate gradients: coarse operator not positive definite")
+        column = a[:, k].copy()
+        column[k], a[:, k], a[k, k] = 0.0, 0.0, 1.0
+        a[k] /= pivot
+        a -= np.multiply.outer(column, a[k])
+    return a
 
 
 def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
@@ -198,7 +253,8 @@ def assemble_sublaplacian(grid: Grid) -> SparseOperator:
         c = grid.config
         raise ParameterError(f"grid operator beyond floating-point range at "
                              f"l_x = {shown(c.l_x)}, l_y = {shown(c.l_y)}, l_tau = {shown(c.l_tau)}")
-    return SparseOperator(sym.todia() if sym.shape[0] > DIRECT_MAX_UNKNOWNS else sym.tocsr())
+    return SparseOperator(sym.todia() if sym.shape[0] > DIRECT_MAX_UNKNOWNS else sym.tocsr(),
+                          grid.interior_shape)
 
 
 @lru_cache(maxsize=1)
@@ -217,11 +273,12 @@ def solve_linear(
     x0: Optional[np.ndarray] = None,
 ):
     """Solve -L_h x = b (op.neg x = b): by the cached LU factors up to
-    DIRECT_MAX_UNKNOWNS unknowns, returning (x, 0), else by Jacobi-preconditioned
-    conjugate gradients from x0 until |r| < tol |b|, returning (x, iterations).
+    DIRECT_MAX_UNKNOWNS unknowns, returning (x, 0), else by conjugate gradients with the
+    two-level preconditioner op.precondition, from x0 until |r| < tol |b|, returning (x, iterations).
 
     Raises OverflowError for a non-finite direct solution or CG right-hand side,
-    SolverFailure when CG exhausts max_iter (default 10 n) or breaks down (r.Mr or p.Ap <= 0).
+    SolverFailure when CG exhausts max_iter (default 10 n) or breaks down (r.Mr or p.Ap <= 0,
+    or a coarse operator that is not positive definite).
     """
     b = np.asarray(b, dtype=float)
     if op.dimension <= DIRECT_MAX_UNKNOWNS:
@@ -236,24 +293,26 @@ def solve_linear(
         raise OverflowError("conjugate gradients: right-hand side beyond floating-point range")
     if scale == 0.0:
         return np.zeros_like(b), 0
-    a, m, b = op.neg, op.jacobi, b / scale
+    a, b = op.neg, b / scale
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float) / scale
     r, p, rz_prev, iters = b - a @ x, np.zeros_like(b), 1.0, 0
+    z, t = np.empty_like(b), np.empty_like(b)  # M^-1 r, and scratch for the updates
     stop = tol**2 * np.einsum("i,i", b, b)
     budget = 10 * op.dimension if max_iter is None else max_iter
     while not np.einsum("i,i", r, r) < stop:
         if iters == budget:
             raise SolverFailure(f"conjugate gradients: no convergence within {budget} iterations")
-        z = m * r
+        op.precondition(r, z, t)
         rz = np.einsum("i,i", r, z)
-        p = z + (rz / rz_prev) * p
+        p *= rz / rz_prev
+        p += z
         ap = a @ p
         pap = np.einsum("i,i", p, ap)
         if not (rz > 0 and pap > 0):
             raise SolverFailure("conjugate gradients broke down; operator not positive definite")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=t)
+        r -= np.multiply(alpha, ap, out=t)
         rz_prev, iters = rz, iters + 1
     return scale * x, iters
 

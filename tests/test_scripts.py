@@ -24,3 +24,13 @@ def test_capacity_study_smoke(tmp_path, child_env):
     assert len(tables) == 15
     for table in tables:
         assert len(table.read_text().splitlines()) >= 2, table.name
+
+
+def test_time_solvers_smoke(child_env):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "time_solvers.py"), "--nodes", "9", "--steps", "3",
+                           "--repeats", "1"], env=child_env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["grid", "unknowns", "steps", "equation", "LU", "ms/step", "CG", "ms/step"]
+    assert [row.split()[:4] for row in rows] == [["9^3", "343", "3", "parabolic"], ["9^3", "343", "3", "hyperbolic"]]
+    assert all(float(value) > 0 for row in rows for value in row.split()[4:])

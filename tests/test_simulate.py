@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import warnings
 from math import comb
 from pathlib import Path
@@ -211,17 +213,37 @@ def test_solve_linear():
         solve_linear(op, rhs, tol=1e-14, max_iter=1)
 
 
-@pytest.mark.parametrize("shift", [5.0, 50.0])
+# which check proves -L_h - shift I indefinite, by the shift
+BREAKDOWN = {2.0: "conjugate gradients broke down", 5.0: "coarse operator not positive definite",
+             50.0: "coarse operator not positive definite"}
+
+
+@pytest.mark.parametrize("shift", [2.0, 5.0, 50.0])
 def test_cg_breakdown_on_indefinite_operator(shift):
-    # -L_h - shift I is symmetric but indefinite: at 5 every diagonal entry is still
-    # positive, so p.Ap <= 0 stops CG; at 50 some are not, so r.Mr <= 0 does.
-    # Either proves it is not positive definite, so CG's guarantees are gone.
-    op = assemble_sublaplacian(build_grid(GRID19))
-    shifted = simulate.SparseOperator((op.neg - shift * sp.identity(op.dimension)).tocsr())
-    assert (shifted.jacobi > 0).all() == (shift == 5.0)
+    # -L_h - shift I is symmetric and, since the least eigenvalue of -L_h is 0.87, indefinite.
+    # At 2 its Galerkin matrix on CG's coarse space is still positive definite, so p.Ap <= 0
+    # stops CG; at 5 it is not, and at 50 some diagonal entries are not positive either, so
+    # Gauss-Jordan meets a pivot that is not positive before the first iteration.  Each
+    # proves the operator is not positive definite, so CG's guarantees are gone.
+    grid = build_grid(GRID19)
+    op = assemble_sublaplacian(grid)
+    shifted = simulate.SparseOperator((op.neg - shift * sp.identity(op.dimension)).tocsr(),
+                                      grid.interior_shape)
+    assert (shifted.jacobi > 0).all() == (shift < 50.0)
     rhs = np.random.default_rng(3).normal(size=op.dimension)
-    with pytest.raises(SolverFailure):
+    with pytest.raises(SolverFailure, match=BREAKDOWN[shift]):
         solve_linear(shifted, rhs)
+
+
+@pytest.mark.parametrize("pivot", [0.0, -1.0, np.inf, np.nan])
+def test_gauss_jordan_refuses_a_pivot_that_is_not_positive(pivot):
+    # inside run's errstate a zero or infinite pivot would turn into inf - inf, which run
+    # reports as blow-up; it must stay a solver failure, raised before any division
+    a = np.diag([2.0, 3.0, 4.0])
+    a[1, 1] = pivot
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(SolverFailure, match="not positive definite"):
+            simulate._gauss_jordan_inverse(a)
 
 
 @pytest.mark.parametrize("equation", ["parabolic", "hyperbolic"])
@@ -355,6 +377,83 @@ def test_cg_operator_stored_by_diagonals(nodes):
     x = np.random.default_rng(nodes).normal(size=op.dimension)
     assert np.array_equal(op.neg @ x, op.matrix @ (-x))
     assert np.array_equal(op.jacobi, 1.0 / -op.matrix.diagonal())
+
+
+@pytest.mark.parametrize("nodes", [(3, 7, 19), (9, 9, 9), (19, 19, 19)])
+def test_coarse_aggregates_are_products_of_runs(nodes):
+    # node i of an interior axis of length k lies in run i m // k, m = min(k, COARSE_RUNS)
+    grid = build_grid(GridConfig(3.0, 3.0, 9.0, *nodes))
+    restrict, inverse, aggregate = assemble_sublaplacian(grid).coarse
+    counts = [min(k, simulate.COARSE_RUNS) for k in grid.interior_shape]
+    assert inverse.shape == (np.prod(counts),) * 2 and restrict.shape == (np.prod(counts), grid.n_interior)
+    for node, (i, j, k) in enumerate(np.ndindex(*grid.interior_shape)):
+        runs = [c * m // n for c, m, n in zip((i, j, k), counts, grid.interior_shape)]
+        assert aggregate[node] == np.ravel_multi_index(runs, counts)
+    # W^T holds the indicator vectors of the aggregates as rows
+    assert np.array_equal(restrict.toarray(), (aggregate == np.arange(len(inverse))[:, None]).astype(float))
+
+
+@pytest.mark.parametrize("nodes", [19, 25])
+def test_coarse_inverse_inverts_the_galerkin_matrix(nodes):
+    op = assemble_sublaplacian(build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes)))
+    restrict, inverse, _ = op.coarse
+    galerkin = (restrict @ op.neg @ restrict.T).toarray()
+    assert inverse.shape == (125, 125)
+    assert np.max(np.abs(inverse @ galerkin - np.eye(125))) <= 1e-12
+    assert np.array_equal(inverse, inverse.T)
+
+
+def test_two_level_preconditioner_is_symmetric_positive_definite(monkeypatch):
+    # on 7^3 interior unknowns solved by CG, M^-1 built column by column from unit vectors
+    monkeypatch.setattr(simulate, "DIRECT_MAX_UNKNOWNS", 100)
+    op = assemble_sublaplacian(build_grid(GRID9))
+    assert op.neg.format == "dia"
+    n, scratch = op.dimension, np.empty(op.dimension)
+    m = np.column_stack([op.precondition(e, np.empty(n), scratch) for e in np.eye(n)])
+    assert np.max(np.abs(m - m.T)) <= 1e-14 * np.max(np.abs(m))
+    assert np.linalg.eigvalsh(0.5 * (m + m.T))[0] > 0
+    # and it is D^-1 + W A_c^-1 W^T, D the diagonal of -L_h
+    restrict, inverse, _ = op.coarse
+    assert np.allclose(m, np.diag(op.jacobi) + restrict.T @ (inverse @ restrict.toarray()),
+                       rtol=0.0, atol=1e-15 * np.max(np.abs(m)))
+
+
+def test_two_level_cg_iteration_count():
+    # 30 parabolic steps on 17^3 unknowns took 907 iterations with the Jacobi diagonal alone
+    cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=30, grid=GRID19,
+                    initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 20.0), solver_tol=1e-10)
+    tr = run(cfg)
+    assert tr.status == "completed"
+    assert sum(r["iterations"] for r in tr.rows) <= 0.75 * 907
+
+
+# a CG-path simulate run in a fresh interpreter, with numpy's LAPACK solvers disabled: LAPACK
+# would start BLAS worker threads, and scipy.linalg or scipy.sparse.linalg cost import time
+LAPACK_FREE_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+def refuse(*args, **kwargs):
+    raise AssertionError("LAPACK called on the CG path")
+np.linalg.inv = np.linalg.solve = np.linalg.cholesky = refuse
+import heislab.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = heislab.cli.main(["simulate", "--config", sys.argv[1], "--format", "json"])
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
+                  "loaded": sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules)}))
+"""
+
+
+def test_cg_path_uses_no_lapack_and_no_scipy_linalg(tmp_path, child_env):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"equation": "parabolic", "q": 1.5, "nonlinearity": True, "dt": 5e-3, "steps": 2,
+                                "grid": vars(GRID19), "initial": {"center": [0.1, 0.2, 0.3], "amplitude": 20.0}}))
+    proc = subprocess.run([sys.executable, "-c", LAPACK_FREE_PROBE, str(path)],
+                          env=child_env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0 and result["loaded"] == []
+    rows = result["report"]["rows"]
+    assert len(rows) == 3 and all(r["iterations"] > 0 for r in rows[1:])
 
 
 def test_step_parabolic_linear_mode_exact():
@@ -545,10 +644,12 @@ def test_initial_norms_beyond_float_range_raise_overflow(equation):
 
 
 def test_cg_breakdown_in_a_run_is_a_solver_failure(monkeypatch):
-    # a breakdown ends the run like an exhausted budget, with a report and status solver_failure
+    # a breakdown ends the run like an exhausted budget, with a report and status solver_failure;
+    # here Gauss-Jordan finds the coarse operator of -L_h - 5 I not positive definite
     grid = build_grid(GRID19)
     op = assemble_sublaplacian(grid)
-    shifted = simulate.SparseOperator((op.neg - 5.0 * sp.identity(op.dimension)).tocsr())
+    shifted = simulate.SparseOperator((op.neg - 5.0 * sp.identity(op.dimension)).tocsr(),
+                                      grid.interior_shape)
     monkeypatch.setattr(simulate, "_grid_operator", lambda config: (grid, shifted))
     cfg = SimConfig("parabolic", q=1.5, nonlinearity=True, dt=5e-3, steps=5, grid=GRID19,
                     initial=BumpSpec((0.1, 0.2, 0.3), 1.0, 3.0))
