@@ -71,11 +71,8 @@ from .cutoffs import (
     check_radius,
     cutoff_eval,  # unused here: perfbench test_tiny_run_prints_every_metric_with_its_unit checks this binding
     default_power,
-    spatial_factor,
 )
 from .errors import ParameterError, shown
-from .group import GroupPoint
-from .mc import MCConfig, MCEstimate, mc_integrate_vector
 
 
 @dataclass(frozen=True)
@@ -413,7 +410,9 @@ def sphere_weight_constant(n: int, s: float) -> float:
 
     In Koranyi polar coordinates |z|^2 = r^2 cos(phi), tau = r^2 sin(phi)
     the weight is omega = cos(phi), and integrating out the unit sphere of
-    C^n leaves S_omega(s) = (2 pi^n / Gamma(n)) B((s+n)/2, 1/2).
+    C^n leaves S_omega(s) = (2 pi^n / Gamma(n)) B((s+n)/2, 1/2).  From n = 172 on,
+    where Gamma(n) leaves float range, it is formed in logs; an S_omega that
+    underflows to 0 raises OverflowError.
     """
     if n < 1:
         raise ParameterError("n must be a positive integer")
@@ -424,7 +423,12 @@ def sphere_weight_constant(n: int, s: float) -> float:
         ratio = math.gamma(x) / math.gamma(x + 0.5)
     else:
         ratio = math.exp(math.lgamma(x) - math.lgamma(x + 0.5))
-    return 2.0 * math.pi**n / math.gamma(n) * ratio * math.sqrt(math.pi)
+    if n <= 171:  # Gamma(n), and pi^n with it, stays in float range
+        return 2.0 * math.pi**n / math.gamma(n) * ratio * math.sqrt(math.pi)
+    value = math.exp(math.log(2.0) + (n + 0.5) * math.log(math.pi) - math.lgamma(n) + math.log(ratio))
+    if value == 0.0:
+        raise OverflowError(f"sphere constant S_omega underflows to 0 at n = {n}, s = {shown(s)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -638,25 +642,6 @@ def spatial_integral(e: Exponents, spec: CutoffSpec, R: float, name: str = "weig
     if not (math.isfinite(value) and math.isfinite(error)):  # S_omega > 1 can lift a finite radial value
         raise OverflowError(f"spatial integral beyond floating-point range at {_variants(e, spec, R)[0]}")
     return QuadratureEstimate(value, error, radial.nodes)
-
-
-def mc_spatial_integral(e: Exponents, spec: CutoffSpec, R: float, mc: MCConfig) -> MCEstimate:
-    """Direct Monte Carlo of I4(R) over the box [-R, R]^(2n) x [-R^2, R^2]
-    holding the gauge R-ball (cross-check of the factorised value)."""
-    q, qp = e.q, e.q_prime
-    bounds = [[-R, R]] * (2 * e.n) + [[-R * R, R * R]]
-
-    def integrand(pts):
-        v, lap = spatial_factor(spec, R, GroupPoint.from_flat(pts))
-        mask = (lap != 0.0) & (v > 0.0)
-        out = np.zeros(pts.shape[0])
-        if np.any(mask):
-            out[mask] = np.exp(
-                -np.log(v[mask]) / (q - 1.0) + qp * np.log(np.abs(lap[mask]))
-            )
-        return out
-
-    return mc_integrate_vector(integrand, bounds, mc, 1)[0]
 
 
 def log_envelope(Q: int, R: float) -> float:

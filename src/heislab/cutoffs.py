@@ -12,8 +12,9 @@ z = ln(r/sqrt(R)) / ln(sqrt(R)), then raised to the power kappa.
 
 Spatial factors are gauge-radial, so their sub-Laplacians come from the
 radial identity Delta u = omega (phi'' + (Q-1)/r phi') with exact chain
-rules; no finite differences are involved.  The power family and the
-gauge bumps are profiles of r^2 and take it from `group.gauge_radial`.
+rules; no finite differences are involved.  All three spatial factors, the
+power family, the logarithmic family and the gauge bumps, are profiles of r^2
+and take it from `group.gauge_radial`.
 The time factor is (1 - t/T)^ell, and products separate:
 Delta d_t^k(phi1 phi2) = (d_t^k phi1) Delta phi2.  A product test function therefore hands out its
 factors apart: (phi2, Delta phi2), or phi2 alone, once per set of points and
@@ -167,19 +168,6 @@ def check_radius(spec: CutoffSpec, R: float) -> None:
         raise ParameterError("R must exceed 1 for the logarithmic family")
 
 
-def log_brackets(spec: CutoffSpec, Q: int, psi, d1, d2):
-    """Brackets (b1, b2) of the logarithmic family's radial sub-Laplacian,
-    from (Psi, Psi', Psi'') at z:
-
-        b1 = kappa (kappa-1) Psi^(kappa-2) (Psi')^2 + kappa Psi^(kappa-1) Psi'',
-        b2 = kappa (Q-2) Psi^(kappa-1) Psi'.
-    """
-    k = spec.kappa
-    b1 = k * (k - 1) * psi ** (k - 2) * d1 * d1 + k * psi ** (k - 1) * d2
-    b2 = k * (Q - 2) * psi ** (k - 1) * d1
-    return b1, b2
-
-
 def _log_argument(R: float, r2):  # z = ln(r/sqrt(R)) / ln(sqrt(R)) of the logarithmic family at r^2 = r2
     if np.any(r2 <= 0.0):
         raise ParameterError("logarithmic cutoff is undefined at the origin")
@@ -187,23 +175,28 @@ def _log_argument(R: float, r2):  # z = ln(r/sqrt(R)) / ln(sqrt(R)) of the logar
 
 
 def spatial_factor(spec: CutoffSpec, R: float, p: GroupPoint):
-    """Spatial factor phi2 of either family and its sub-Laplacian Delta phi2.
+    """Spatial factor phi2 of either family and its sub-Laplacian Delta phi2, both
+    `gauge_radial` fields.
 
-    Power family: phi2 = Phi(r^2/R^2), a `gauge_radial` field with rho2 = R^2.
-    At the origin (r = 0) the cutoff is flat, so Delta phi2 = 0 there.
+    Power family: phi2 = Phi(r^2/R^2), with rho2 = R^2.  At the origin (r = 0) the
+    cutoff is flat, so Delta phi2 = 0 there.
 
-    Logarithmic family: phi2 = Psi^kappa(z) with z = ln(r/sqrt(R)) / ln(sqrt(R))
-    and Delta phi2 = omega(eta) (b1 / ln^2 sqrt(R) + b2 / ln sqrt(R)) / r^2
-    with the brackets of `log_brackets`; it is undefined at the origin.
+    Logarithmic family: phi2 = P(z) = Psi^kappa(z) with z = (ln(s)/2 - L) / L, a profile
+    of s = r^2 with rho2 = 1 and L = ln sqrt(R): f' = P_z / (2Ls) and
+    f'' = (P_zz / L - 2 P_z) / (4 L s^2).  It is undefined at the origin.
     """
     check_radius(spec, R)
     if spec.family == "power":
         return gauge_radial(p, R**2, lambda s: cutoff_eval(spec, s))
-    sq, r2 = _norm4(p)
-    psi, d1, d2 = cutoff_eval(spec, _log_argument(R, r2))
-    L = 0.5 * math.log(R)
-    b1, b2 = log_brackets(spec, p.Q, psi, d1, d2)
-    return psi**spec.kappa, sq / r2 * ((b1 / L**2 + b2 / L) / r2)
+    k, L = spec.kappa, 0.5 * math.log(R)
+
+    def profile(s):
+        psi, d1, d2 = cutoff_eval(spec, _log_argument(R, s))
+        pz = k * psi ** (k - 1) * d1
+        pzz = k * (k - 1) * psi ** (k - 2) * d1 * d1 + k * psi ** (k - 1) * d2
+        return psi**k, pz / (2.0 * L * s), (pzz / L - 2.0 * pz) / (4.0 * L * s) / s
+
+    return gauge_radial(p, 1.0, profile)
 
 
 class ProductTestFunction:

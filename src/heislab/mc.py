@@ -58,11 +58,10 @@ def sample_box(bounds: np.ndarray, cfg: MCConfig, index: int, count: int, suppor
 def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int, support=None):
     """Estimate `width` integrals at once over a coordinate box.
 
-    integrand(pts) receives an (m, dim) array and returns an (m,) column, an
-    iterable of `width` float (m,) columns, or an (m, width) block, whose columns
-    are made contiguous once.  Each chunk adds `np.sum` of each column and of its
-    squares, one contiguous pairwise pass each (see above), so an estimate has the
-    bits of a call that integrates its column alone.  An integrand that is 0 outside
+    integrand(pts) receives an (m, dim) array and returns an iterable of `width`
+    float (m,) columns.  Each chunk adds `np.sum` of each column and of its squares,
+    one contiguous pairwise pass each (see above), so an estimate has the bits of a
+    call that integrates its column alone.  An integrand that is 0 outside
     a sub-box `support` may pass it, so that each chunk draws only its points in it
     (`sample_box`).  Returns a list of MCEstimate sharing the same sample stream.
     """
@@ -70,10 +69,8 @@ def mc_integrate_vector(integrand, bounds, cfg: MCConfig, width: int, support=No
     vol = float(np.prod(bounds[:, 1] - bounds[:, 0]))
     sums = np.zeros((width, 2))
     for index, done in enumerate(range(0, cfg.samples, CHUNK)):
-        out = integrand(sample_box(bounds, cfg, index, min(CHUNK, cfg.samples - done), support))
-        if isinstance(out, np.ndarray):  # (1, m) or (w, m), each row one column
-            out = np.ascontiguousarray(out.T if out.ndim == 2 else out[None], dtype=float)
-        sums += np.reshape([(col.sum(), (col * col).sum()) for col in out], (width, 2))  # a column goes once summed
+        columns = integrand(sample_box(bounds, cfg, index, min(CHUNK, cfg.samples - done), support))
+        sums += np.reshape([(col.sum(), (col * col).sum()) for col in columns], (width, 2))  # a column goes once summed
     (s1, s2), n = sums.T, cfg.samples
     mean = s1 / n
     var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)

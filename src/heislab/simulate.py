@@ -13,13 +13,13 @@ Y = d/dy - 2x d/dtau with coefficients sampled at nodes, each a sum of
 Kronecker products of 1-D factors (difference, truncated identity,
 coefficient diagonal) over the x, y and tau axes.  This makes -L_h
 symmetric positive semidefinite by construction, and it is the one matrix
-stored.  Each step solves the SPD system -L_h w = |u|^q - (-L_h) u for
-w = d/dt u (or the acceleration a): by LU factors, made once per grid (run()
-keeps the last grid's operator for the next run on it), up to
-DIRECT_MAX_UNKNOWNS unknowns, else by conjugate gradients on -L_h stored by diagonals
-(DIA), preconditioned by the Jacobi diagonal plus a coarse correction on at most
-COARSE_RUNS^3 node aggregates (the additive two-level preconditioner, see
-SparseOperator.coarse), and started from the combination of the last
+stored, by diagonals (DIA).  Each step solves the SPD system
+-L_h w = |u|^q - (-L_h) u for w = d/dt u (or the acceleration a): by LU factors,
+made once per grid (run() keeps the last grid's operator for the next run on it),
+up to DIRECT_MAX_UNKNOWNS unknowns, else by conjugate gradients, preconditioned by
+the Jacobi diagonal plus a coarse correction on at most COARSE_RUNS^3 node
+aggregates (the additive two-level preconditioner, see SparseOperator.coarse), and
+started from the combination of the last
 EXTRAPOLATION_POINTS steps' nonlinear potentials with the smallest residual (see step).
 Time stepping is explicit Euler (first order) or leapfrog after a Taylor start (second
 order), all in step() with one shared solve (none in linear mode); run() checks every
@@ -135,8 +135,8 @@ def build_grid(config: GridConfig) -> Grid:
 
 @dataclass
 class SparseOperator:
-    """-L_h on the interior unknowns of a grid, symmetric positive semidefinite (CSR up to
-    DIRECT_MAX_UNKNOWNS, else DIA for the CG mat-vec); its SuperLU factors, its Jacobi
+    """-L_h on the interior unknowns of a grid, symmetric positive semidefinite and stored
+    by diagonals (DIA) for its mat-vecs; its SuperLU factors, its Jacobi
     diagonal 1 / diag(-L_h) and CG's coarse space (see coarse) are built on first use and
     kept with the operator, which run() keeps while later runs use its grid (see _grid_operator)."""
 
@@ -239,7 +239,7 @@ def _difference_matrix(grid: Grid, which: str) -> sp.csr_matrix:
 
 
 def assemble_sublaplacian(grid: Grid) -> SparseOperator:
-    """-L_h = D_X^T D_X + D_Y^T D_Y, stored as DIA above DIRECT_MAX_UNKNOWNS unknowns.
+    """-L_h = D_X^T D_X + D_Y^T D_Y, stored as DIA.
 
     The product is symmetrised entrywise so -L_h equals its transpose
     exactly, not merely to rounding.  Raises ParameterError when a row sum of
@@ -253,8 +253,7 @@ def assemble_sublaplacian(grid: Grid) -> SparseOperator:
         c = grid.config
         raise ParameterError(f"grid operator beyond floating-point range at "
                              f"l_x = {shown(c.l_x)}, l_y = {shown(c.l_y)}, l_tau = {shown(c.l_tau)}")
-    return SparseOperator(sym.todia() if sym.shape[0] > DIRECT_MAX_UNKNOWNS else sym.tocsr(),
-                          grid.interior_shape)
+    return SparseOperator(sym.todia(), grid.interior_shape)
 
 
 @lru_cache(maxsize=1)

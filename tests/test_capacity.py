@@ -2,6 +2,8 @@ import functools
 import json
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,6 @@ from heislab.capacity import (
     capacity_bound,
     critical_exponent,
     log_envelope,
-    mc_spatial_integral,
     scaling_fit,
     spatial_integral,
     sphere_weight_constant,
@@ -31,6 +32,7 @@ from heislab.cutoffs import CutoffSpec, ProductTestFunction, TemporalFactor, spa
 from heislab.errors import ParameterError
 from heislab.group import GroupPoint
 from heislab.mc import MCConfig, mc_integrate_vector
+from polar_rule import POLAR_RTOL, polar_gap
 
 
 def annulus_sphere_oracle(n, s, cfg):
@@ -44,7 +46,7 @@ def annulus_sphere_oracle(n, s, cfg):
         sq = np.sum(pts[:, : 2 * n] ** 2, axis=1)
         r2 = np.sqrt(sq * sq + pts[:, 2 * n] ** 2)
         inside = (r2 >= 0.25) & (r2 <= 1.0)
-        return np.where(inside, (sq / np.where(inside, r2, 1.0)) ** s, 0.0)
+        return [np.where(inside, (sq / np.where(inside, r2, 1.0)) ** s, 0.0)]
 
     est = mc_integrate_vector(integrand, [[-1.0, 1.0]] * (2 * n + 1), cfg, 1)[0]
     scale = Q / (1.0 - 2.0 ** (-Q))
@@ -167,43 +169,39 @@ def test_spatial_integral_dilation_exactness():
     assert max(vals) / min(vals) - 1 < 1e-6
 
 
-def test_mc_agrees_with_factorized():
-    for q, R, seed in [(1.5, 8.0, 7), (2.0, 6.0, 8), (1.5, 12.0, 9)]:
-        e = Exponents(q=q, n=1)
-        spec = e.power_spec()
-        det = spatial_integral(e, spec, R)
-        mc = mc_spatial_integral(e, spec, R, MCConfig(samples=400_000, seed=seed))
-        gap = abs(det.value - mc.value)
-        assert gap <= 3 * math.hypot(det.abs_error, mc.stderr)
-
-
-@pytest.mark.parametrize("n,q,seed", [(2, 1.2, 31), (2, 1.25, 32), (3, 1.1, 33)])
-def test_mc_agrees_with_factorized_beyond_n1(n, q, seed):
+# criterion 2 has n = 1, q = 1.5 at R = 8 and 64
+@pytest.mark.parametrize("n,q,R", [(1, 2.0, 6.0), (1, 1.5, 12.0), (2, 1.2, 8.0), (2, 1.25, 8.0), (3, 1.1, 8.0)])
+def test_power_spatial_integrals_match_the_polar_rule(n, q, R):
     e = Exponents(q=q, n=n)
-    spec = e.power_spec()
-    det = spatial_integral(e, spec, 8.0)
-    mc = mc_spatial_integral(e, spec, 8.0, MCConfig(samples=1_000_000, seed=seed))
-    assert abs(det.value - mc.value) <= 3 * math.hypot(det.abs_error, mc.stderr)
+    assert polar_gap(e, e.power_spec(), R) <= POLAR_RTOL
+
+
+@pytest.mark.parametrize("R", [1e3, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_critical_spatial_integrals_match_the_polar_rule(n, R):
+    e = Exponents(q=float(critical_exponent(n)), n=n)
+    assert polar_gap(e, e.log_spec(), R) <= POLAR_RTOL
 
 
 def test_mc_needs_two_samples():
     # one sample has no standard error
     with pytest.raises(ParameterError, match="need at least 2 samples"):
         MCConfig(samples=1)
-    e = Exponents(q=1.5, n=1)
-    with pytest.raises(ParameterError):
-        mc_spatial_integral(e, e.power_spec(), 8.0, MCConfig(samples=1, seed=7))
 
 
-def test_mc_doubling_ratio_same_seed():
-    e = Exponents(q=1.5, n=1)
-    spec = e.power_spec()
-    cfg = MCConfig(samples=400_000, seed=7)
-    a = mc_spatial_integral(e, spec, 8.0, cfg)
-    b = mc_spatial_integral(e, spec, 16.0, cfg)
-    ratio = b.value / a.value
-    sig = ratio * math.hypot(a.stderr / a.value, b.stderr / b.value)
-    assert abs(ratio - 0.25) <= 3 * sig
+def test_capacity_paths_leave_monte_carlo_unloaded(child_env):
+    # no capacity path samples anything, so the Monte Carlo module never loads for one
+    probe = ("import json, sys\n"
+             "import heislab.capacity as c\n"
+             "c.capacity_bound(c.Exponents(q=1.5), 10.0, 8.0, 2, 1.0, 1.0)\n"
+             "e = c.Exponents(q=2.0)\n"
+             "c.spatial_integral_grid(e, e.log_spec(), [1e3, 1e6])\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('heislab'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "heislab.capacity" in loaded and "heislab.mc" not in loaded
 
 
 def test_mc_integrand_vanishes_inside_flat_region():

@@ -157,6 +157,14 @@ def test_scaling_accepts_n2(tmp_path):
     assert summary["slope_error"] <= 1e-4
 
 
+def test_scaling_accepts_n_beyond_171(capsys):
+    # Gamma(172) leaves float range while S_omega stays finite, which used to exit 2 with
+    # "math range error"
+    assert main(["scaling", "--target", "I4", "--q", "3", "--n", "172", "--R", "1,1.5,2,2.5",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["slope_error"] <= 1e-12
+
+
 def test_malformed_source_date_epoch_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
     assert main(["verdict", "--n", "1", "--q", "1.5"]) == 2
@@ -799,6 +807,9 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
      "spatial integral beyond floating-point range at q = 1.5, R = 1e-150"),
     (["bound-parabolic", "--q", "1.5", "--R", "1e-150,2e-150"],
      "spatial integral beyond floating-point range at q = 1.5, R = 1e-150"),
+    # pi^700 left float range and printed a bare errno tuple; S_omega itself underflows there
+    (["scaling", "--target", "I4", "--q", "3", "--n", "700", "--R", "1,1.5,2,2.5"],
+     "sphere constant S_omega underflows to 0 at n = 700, s = 1.5"),
 ], ids=["bound-underflow", "bound-underflow-first", "radial-tiny-R", "radial-q-near-1", "lemma1-tiny-T",
         "bound-tiny-T", "bound-hyperbolic-tiny-T", "bound-hyperbolic-overflow", "lemma2-huge-kappa",
         "lemma2-R-near-1", "lemma2-kappa-near-403",
@@ -806,7 +817,7 @@ def test_critical_factor_underflow_names_kappa(capsys, argv):
         "scaling-I2-underflow",
         "lemma1-q-near-1-underflow", "lemma1-q-near-1-I2-underflow", "lemma1-tiny-T-ell-near-6",
         "bound-tiny-T-ell-near-6", "lemma1-I2-underflow-ell-near-6", "scaling-spatial-overflow",
-        "bound-spatial-overflow"])
+        "bound-spatial-overflow", "scaling-sphere-underflow"])
 def test_out_of_range_names_the_input(capsys, argv, culprit):
     assert main(argv) == 2
     err = capsys.readouterr().err

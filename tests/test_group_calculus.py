@@ -83,7 +83,7 @@ def test_dilation_jacobian_volume_monte_carlo():
     # image of the unit box under delta_2 has volume 2^Q = 16
     def indicator(pts):
         half = pts / np.array([2.0, 2.0, 4.0])
-        return np.all((half >= 0) & (half <= 1), axis=1).astype(float)
+        return [np.all((half >= 0) & (half <= 1), axis=1).astype(float)]
 
     est = mc_integrate_vector(indicator, [[0, 2], [0, 2], [0, 4]], MCConfig(400_000, seed=9), 1)[0]
     assert abs(est.value - 16.0) <= 4 * est.stderr + 1e-9

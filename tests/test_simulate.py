@@ -154,7 +154,8 @@ def test_grid_out_of_range_names_the_lengths(config, culprit):
 def test_operator_symmetric_negative_definite():
     g = build_grid(GridConfig(3.0, 3.0, 9.0, 11, 11, 11))
     op = assemble_sublaplacian(g)
-    diff = op.matrix - op.matrix.T
+    m = op.matrix.tocsr()  # DIA has no max
+    diff = m - m.T
     assert diff.nnz == 0 or abs(diff).max() == 0.0
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -371,11 +372,16 @@ def test_lu_path_receives_no_start(monkeypatch, equation):
 
 @pytest.mark.parametrize("nodes", [13, 18, 19, 25])
 def test_cg_operator_stored_by_diagonals(nodes):
-    # 18^3 nodes have exactly 4096 interior unknowns, the last grid solved by LU
+    # every grid is stored by diagonals, on both sides of the LU limit (18^3 nodes have exactly
+    # 4096 interior unknowns, the last grid solved by LU): the DIA product has the bits of the
+    # CSR one, and SuperLU factors the CSC copy of the CSR matrix
     op = assemble_sublaplacian(build_grid(GridConfig(3.0, 3.0, 9.0, nodes, nodes, nodes)))
-    assert op.neg.format == ("dia" if op.dimension > DIRECT_MAX_UNKNOWNS else "csr")
+    assert op.neg.format == "dia"
+    csr = op.neg.tocsr()
     x = np.random.default_rng(nodes).normal(size=op.dimension)
-    assert np.array_equal(op.neg @ x, op.matrix @ (-x))
+    assert np.array_equal(op.neg @ x, csr @ x) and np.array_equal(op.neg @ x, op.matrix @ (-x))
+    a, b = op.neg.tocsc(), csr.tocsc()
+    assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
     assert np.array_equal(op.jacobi, 1.0 / -op.matrix.diagonal())
 
 

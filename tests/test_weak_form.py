@@ -81,7 +81,7 @@ def reference_residual(cand, testfn, cfg, order):
             rhs = u0 * lap0
         else:
             rhs = cand.u1(p) * lap0 - u0 * lap0_dt
-        return np.stack([lhs, rhs, lhs - rhs], axis=1)
+        return lhs, rhs, lhs - rhs
 
     lhs, rhs, diff = mc_integrate_vector(integrand, testfn.support_box(), cfg, 3)
     return lhs.value, rhs.value, diff.value, diff.stderr
@@ -98,7 +98,7 @@ def reference_pairing(terms, testfn, cfg):
         for t, wk in zip(ts, ws):
             defect = sum(c(t) * d(p) for c, d in terms)
             acc = acc + wk * defect * testfn.temporal(t)[0] * testfn.spatial(p)[0]
-        return acc[:, None]
+        return [acc]
 
     est = mc_integrate_vector(integrand, testfn.support_box(), cfg, 1)[0]
     return est.value, est.stderr
@@ -379,7 +379,7 @@ def full_row_selfadjointness(f, g, box, cfg):
         p = GroupPoint.from_flat(pts)
         (fv, f_lap), (gv, g_lap) = f.spatial(p), g.spatial(p)
         lhs, rhs = -f_lap * gv, fv * -g_lap
-        return np.stack([lhs, rhs, lhs - rhs], axis=1)
+        return lhs, rhs, lhs - rhs
 
     lhs, rhs, diff = mc_integrate_vector(integrand, box, cfg, 3)
     return ResidualReport(lhs.value, rhs.value, diff.value, diff.stderr)
@@ -437,8 +437,8 @@ def test_selfadjointness_of_disjoint_supports_draws_nothing(axes, c1, c2):
 
 @pytest.mark.parametrize("samples", [1_000, 4_500], ids=["one_chunk", "five_chunks"])
 def test_each_estimate_is_the_pairwise_sum_of_its_column(samples, monkeypatch):
-    # per chunk, each column and its squares are one np.sum of a contiguous 1-D array, so an
-    # (m, 3) block, its three columns and each column integrated alone give the same bits
+    # per chunk, each column and its squares are one np.sum of a contiguous 1-D array, so the
+    # three columns integrated together and each column integrated alone give the same bits
     monkeypatch.setattr(mc, "CHUNK", 1000)
     columns = lambda pts: (np.sin(3.0 * pts[:, 0]), -pts[:, 1] ** 3, pts[:, 0] * pts[:, 1])
     bounds, cfg = np.array([[-1.0, 1.0], [-1.0, 1.0]]), MCConfig(samples=samples, seed=3)
@@ -450,10 +450,9 @@ def test_each_estimate_is_the_pairwise_sum_of_its_column(samples, monkeypatch):
     mean = s1 / samples
     stderr = 4.0 * np.sqrt(np.maximum(s2 - samples * mean * mean, 0.0) / (samples - 1) / samples)
     want = [(float(4.0 * m), float(e)) for m, e in zip(mean, stderr)]
-    for integrand in (columns, lambda pts: np.stack(columns(pts), axis=1)):
-        assert [(e.value, e.stderr) for e in mc_integrate_vector(integrand, bounds, cfg, 3)] == want
+    assert [(e.value, e.stderr) for e in mc_integrate_vector(columns, bounds, cfg, 3)] == want
     for k in range(3):
-        alone = mc_integrate_vector(lambda pts: columns(pts)[k], bounds, cfg, 1)[0]
+        alone = mc_integrate_vector(lambda pts: [columns(pts)[k]], bounds, cfg, 1)[0]
         assert (alone.value, alone.stderr) == want[k]
 
 
