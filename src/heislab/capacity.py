@@ -424,10 +424,12 @@ def sphere_weight_constant(n: int, s: float) -> float:
     else:
         ratio = math.exp(math.lgamma(x) - math.lgamma(x + 0.5))
     if n <= 171:  # Gamma(n), and pi^n with it, stays in float range
-        return 2.0 * math.pi**n / math.gamma(n) * ratio * math.sqrt(math.pi)
-    value = math.exp(math.log(2.0) + (n + 0.5) * math.log(math.pi) - math.lgamma(n) + math.log(ratio))
-    if value == 0.0:
-        raise OverflowError(f"sphere constant S_omega underflows to 0 at n = {n}, s = {shown(s)}")
+        value = 2.0 * math.pi**n / math.gamma(n) * ratio * math.sqrt(math.pi)
+    else:
+        value = math.exp(math.log(2.0) + (n + 0.5) * math.log(math.pi) - math.lgamma(n) + math.log(ratio))
+    if value < sys.float_info.min:  # a subnormal S_omega has lost digits that the fits would carry
+        where = "to 0" if value == 0.0 else "below the normal floats"
+        raise OverflowError(f"sphere constant S_omega underflows {where} at n = {n}, s = {shown(s)}")
     return value
 
 

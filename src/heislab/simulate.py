@@ -16,9 +16,9 @@ symmetric positive semidefinite by construction, and it is the one matrix
 stored, by diagonals (DIA).  Each step solves the SPD system
 -L_h w = |u|^q - (-L_h) u for w = d/dt u (or the acceleration a): by LU factors,
 made once per grid (run() keeps the last grid's operator for the next run on it),
-up to DIRECT_MAX_UNKNOWNS unknowns, else by conjugate gradients, preconditioned by
-the Jacobi diagonal plus a coarse correction on at most COARSE_RUNS^3 node
-aggregates (the additive two-level preconditioner, see SparseOperator.coarse), and
+up to DIRECT_MAX_UNKNOWNS unknowns, else by conjugate gradients, preconditioned additively
+by the Jacobi diagonal plus half of each level of a hierarchy of linear-interpolation
+coarse grids down to COARSEST_UNKNOWNS unknowns (see SparseOperator.levels), and
 started from the combination of the last
 EXTRAPOLATION_POINTS steps' nonlinear potentials with the smallest residual (see step).
 Time stepping is explicit Euler (first order) or leapfrog after a Taylor start (second
@@ -50,22 +50,22 @@ from .errors import ParameterError, SolverFailure, shown
 if TYPE_CHECKING:  # scipy.sparse itself loads at the first assembly
     import scipy.sparse as sp
 
-# LU fill: 2 MB at 13^3 nodes, 8.4 MB at 17^3, 10.9 MB at 18^3, 14 MB at 19^3, 62 MB at 25^3.
-# A cold run (assembly and factoring included; median of 5, either equation, two passes of
-# scripts/time_solvers.py) takes, in ms a step by LU against two-level CG from the
-# minimal-residual start, over 30 steps 3.5-3.9 against 2.3-2.8 at 17^3, 3.3-4.2 against
-# 2.2-2.8 at 18^3 and 5.1-6.7 against 3.0-3.7 at 19^3, and over 100 steps 1.9-2.1 against
-# 1.1-1.9, 1.8-2.6 against 1.5-1.8 and 2.9-3.9 against 1.9-2.6; at 15^3 the two are on par
-# (one core of a 2-vCPU x86-64 host, scipy 1.17).  So CG is faster from 17^3 on, but the
-# limit stays, since moving it would change the reports of 17^3 and 18^3 grids.
-DIRECT_MAX_UNKNOWNS = 4096
+# The last grid solved by LU, 16^3 nodes.  A cold run (assembly and the LU factoring or the
+# hierarchy's build included) takes, in ms a step as LU / multilevel CG from the
+# minimal-residual start (scripts/time_solvers.py, medians of 5, two passes; one core of a
+# 2-vCPU x86-64 host, scipy 1.17):
+#   nodes unknowns  30 steps: parabolic  hyperbolic  100 steps: parabolic  hyperbolic
+#   15^3    2197       1.05 / 1.10   1.02 / 0.93        0.54 / 0.73   0.54 / 0.64
+#   16^3    2744       1.35 / 1.46   1.36 / 1.16        0.72 / 0.98   0.73 / 0.84
+#   17^3    3375       2.04 / 1.35   2.05 / 1.12        1.05 / 0.91   1.05 / 0.81
+# LU wins 3 of 4 cells up to 16^3 (and all 4 at 14^3), CG all 4 from 17^3 on.  LU fill:
+# 2 MB at 13^3 nodes, 8.4 MB at 17^3, 14 MB at 19^3, 62 MB at 25^3.
+DIRECT_MAX_UNKNOWNS = 2744
 # CG starts from a combination of this many past nonlinear potentials (see step)
 EXTRAPOLATION_POINTS = 5
-# CG's coarse space splits each interior axis into at most this many runs of nodes (see
-# SparseOperator.coarse).  Over the six 30-step 25^3 runs of perfbench sim_large seeds 11-13,
-# 4, 5 and 6 runs (64, 125, 216 aggregates) took 4056, 3670 and 3286 CG iterations against
-# 6020 by Jacobi alone, and Gauss-Jordan took 1.0, 4-5 and 21 ms a grid; 6 gained no clear time.
-COARSE_RUNS = 5
+# CG's multilevel hierarchy coarsens until a level has at most this many unknowns, which
+# Gauss-Jordan inverts (see SparseOperator.levels): 4-5 ms at 125
+COARSEST_UNKNOWNS = 125
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def build_grid(config: GridConfig) -> Grid:
 class SparseOperator:
     """-L_h on the interior unknowns of a grid, symmetric positive semidefinite and stored
     by diagonals (DIA) for its mat-vecs; its SuperLU factors, its Jacobi
-    diagonal 1 / diag(-L_h) and CG's coarse space (see coarse) are built on first use and
+    diagonal 1 / diag(-L_h) and CG's multilevel hierarchy (see levels) are built on first use and
     kept with the operator, which run() keeps while later runs use its grid (see _grid_operator)."""
 
     neg: sp.spmatrix
@@ -162,30 +162,52 @@ class SparseOperator:
         return 1.0 / self.neg.diagonal()
 
     @cached_property
-    def coarse(self):
-        """(W^T, A_c^-1, aggregate) of CG's coarse correction W A_c^-1 W^T r.  Each interior
-        axis of length k splits into m = min(k, COARSE_RUNS) runs of nodes, node i in run
-        i m // k; the aggregates are the products of runs, aggregate[j] is node j's, W holds
-        their indicator vectors as columns, and the Galerkin matrix A_c = W^T (-L_h) W is
-        inverted by Gauss-Jordan and symmetrised.  Raises SolverFailure when A_c is not
-        positive definite."""
+    def levels(self):
+        """CG's multilevel hierarchy ([(P_i^T, P_i, J_i)], w A_L^-1), built at the first CG
+        iteration of a grid.  Each level halves every axis of length k >= 3 by 1-D linear
+        interpolation (coarse node j at fine node 2j + 1, 1/2 to each fine neighbour, zero
+        beyond the Dirichlet ends; shorter axes keep the identity), with P_i the Kronecker
+        product of the three factors and A_i+1 = P_i^T A_i P_i symmetrised, until a level
+        has at most COARSEST_UNKNOWNS unknowns; Gauss-Jordan inverts that last one.  J_0 is
+        the Jacobi diagonal, J_i = w / diag(A_i) below it, w = 1/2 (w = 1 when -L_h itself
+        is the last level).  Raises SolverFailure when A_L is not positive definite."""
         import scipy.sparse as sp
-        counts = [min(k, COARSE_RUNS) for k in self.interior_shape]
-        runs = [np.arange(k) * m // k for k, m in zip(self.interior_shape, counts)]
-        aggregate = np.ravel_multi_index(np.meshgrid(*runs, indexing="ij"), counts).ravel()
-        restrict = sp.csr_matrix((np.ones(self.dimension), (aggregate, np.arange(self.dimension))),
-                                 shape=(int(np.prod(counts)), self.dimension))
-        inverse = _gauss_jordan_inverse((restrict @ self.neg @ restrict.T).toarray())
-        return restrict, 0.5 * (inverse + inverse.T), aggregate
+        shape, a, levels, weight = self.interior_shape, self.neg, [], 1.0
+        while np.prod(shape) > COARSEST_UNKNOWNS:
+            factors = [_interpolation(k) for k in shape]
+            prolong = sp.kron(sp.kron(factors[0], factors[1]), factors[2], format="csc")
+            levels.append((prolong.T, prolong, weight / a.diagonal()))  # P^T is CSR
+            a = prolong.T @ a @ prolong
+            a = ((a + a.T) * 0.5).tocsr()
+            shape, weight = tuple(f.shape[1] for f in factors), 0.5
+        inverse = _gauss_jordan_inverse(a.toarray())
+        return levels, 0.5 * weight * (inverse + inverse.T)
 
-    def precondition(self, r: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """out = M^-1 r = r / diag(-L_h) + W A_c^-1 W^T r, CG's two-level additive
-        preconditioner, symmetric positive definite when -L_h is; scratch is overwritten.
-        The restriction is one CSR product and the prolongation one gather."""
-        restrict, inverse, aggregate = self.coarse
-        np.multiply(self.jacobi, r, out=out)
-        out += np.take(inverse @ (restrict @ r), aggregate, out=scratch, mode="clip")
-        return out
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """M^-1 r = J_0 r + P_0 (J_1 r_1 + P_1 (... + w A_L^-1 r_L)), r_i+1 = P_i^T r_i: CG's
+        additive multilevel preconditioner, D_0^-1 plus half of each coarser term, every
+        term symmetric positive semidefinite and D_0^-1 definite, so M is SPD when -L_h is."""
+        levels, inverse = self.levels
+        residuals = [r]
+        for restrict, _, _ in levels:
+            residuals.append(restrict @ residuals[-1])
+        z = inverse @ residuals.pop()
+        for (_, prolong, jacobi), ri in zip(reversed(levels), reversed(residuals)):
+            z = prolong @ z
+            z += jacobi * ri
+        return z
+
+
+def _interpolation(k: int):
+    """The k x (k - 1) // 2 1-D linear interpolation from coarse nodes 1, 3, 5, ... of an
+    axis of k interior nodes, zero beyond its ends; the identity when k < 3."""
+    import scipy.sparse as sp
+    if k < 3:
+        return sp.identity(k, format="csr")
+    m = (k - 1) // 2
+    rows = 2 * np.arange(m)[:, None] + np.arange(3)
+    return sp.csr_matrix((np.tile([0.5, 1.0, 0.5], m), (rows.ravel(), np.repeat(np.arange(m), 3))),
+                         shape=(k, m))
 
 
 def _gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -273,7 +295,7 @@ def solve_linear(
 ):
     """Solve -L_h x = b (op.neg x = b): by the cached LU factors up to
     DIRECT_MAX_UNKNOWNS unknowns, returning (x, 0), else by conjugate gradients with the
-    two-level preconditioner op.precondition, from x0 until |r| < tol |b|, returning (x, iterations).
+    multilevel preconditioner op.precondition, from x0 until |r| < tol |b|, returning (x, iterations).
 
     Raises OverflowError for a non-finite direct solution or CG right-hand side,
     SolverFailure when CG exhausts max_iter (default 10 n) or breaks down (r.Mr or p.Ap <= 0,
@@ -295,13 +317,13 @@ def solve_linear(
     a, b = op.neg, b / scale
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float) / scale
     r, p, rz_prev, iters = b - a @ x, np.zeros_like(b), 1.0, 0
-    z, t = np.empty_like(b), np.empty_like(b)  # M^-1 r, and scratch for the updates
+    t = np.empty_like(b)  # scratch for the updates
     stop = tol**2 * np.einsum("i,i", b, b)
     budget = 10 * op.dimension if max_iter is None else max_iter
     while not np.einsum("i,i", r, r) < stop:
         if iters == budget:
             raise SolverFailure(f"conjugate gradients: no convergence within {budget} iterations")
-        op.precondition(r, z, t)
+        z = op.precondition(r)
         rz = np.einsum("i,i", r, z)
         p *= rz / rz_prev
         p += z

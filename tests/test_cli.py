@@ -130,7 +130,7 @@ def test_exit_codes(tmp_path, capsys):
     assert "ell must exceed (q+1)/(q-1)" in err
     assert main(["verdict", "--n", "1", "--q", "zebra"]) == 2
     # a CG solve out of iterations exits 3 (after emitting the report); grids of
-    # at most 4096 interior unknowns are solved directly and have no budget
+    # at most 2744 interior unknowns (16^3 nodes) are solved directly and have no budget
     cfg = {
         "equation": "parabolic", "q": 1.5, "nonlinearity": True,
         "dt": 0.01, "steps": 3, "blowup_threshold": 1e6,
@@ -162,6 +162,17 @@ def test_scaling_accepts_n_beyond_171(capsys):
     # "math range error"
     assert main(["scaling", "--target", "I4", "--q", "3", "--n", "172", "--R", "1,1.5,2,2.5",
                  "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["slope_error"] <= 1e-12
+
+
+def test_scaling_refuses_a_subnormal_sphere_constant(capsys):
+    # S_omega(1.5) is subnormal from n = 219 to 227, and its lost digits reached the fit:
+    # n = 224 exited 0 with slope_error 1.8e-4
+    argv = ["scaling", "--target", "I4", "--q", "3", "--R", "1,1.5,2,2.5", "--format", "json"]
+    assert main([*argv, "--n", "224"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "S_omega underflows below the normal floats at n = 224, s = 1.5" in err
+    assert main([*argv, "--n", "200"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["slope_error"] <= 1e-12
 
 

@@ -31,6 +31,9 @@ def test_time_solvers_smoke(child_env):
                            "--repeats", "1"], env=child_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["grid", "unknowns", "steps", "equation", "LU", "ms/step", "CG", "ms/step"]
+    assert header.split() == ["grid", "unknowns", "steps", "equation", "LU", "ms/step", "CG", "ms/step",
+                              "CG", "iters"]
     assert [row.split()[:4] for row in rows] == [["9^3", "343", "3", "parabolic"], ["9^3", "343", "3", "hyperbolic"]]
-    assert all(float(value) > 0 for row in rows for value in row.split()[4:])
+    assert all(float(value) > 0 for row in rows for value in row.split()[4:6])
+    # three steps, each a CG solve from its first iteration on
+    assert all(int(row.split()[6]) >= 3 for row in rows)
